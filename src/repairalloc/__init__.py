@@ -7,7 +7,6 @@ small instances.  See the README for the scenario file format and CLI.
 
 from __future__ import annotations
 
-from repairalloc._kernel import BACKEND
 from repairalloc.allocation import (
     OnlineRunResult,
     allocate_budgeted,
@@ -35,6 +34,7 @@ from repairalloc.errors import (
     PolicyViolation,
     RepairAllocError,
     ScenarioFormatError,
+    SearchInconsistency,
     TraceMismatch,
 )
 from repairalloc.model import (
@@ -83,7 +83,6 @@ __all__ = [
     "Allocation",
     "AssumptionReport",
     "AssumptionViolated",
-    "BACKEND",
     "BudgetExceeded",
     "DEFAULT_CAP",
     "EntitySpec",
@@ -102,6 +101,7 @@ __all__ = [
     "Scenario",
     "ScenarioFormatError",
     "Scripted",
+    "SearchInconsistency",
     "SequencingPolicy",
     "Status",
     "Trace",

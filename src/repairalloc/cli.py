@@ -7,7 +7,8 @@ satisfies, ``solve`` runs one of the two built-in solve pipelines,
 
 Exit codes are stable: 0 success, 1 scenario parse failure, 2 rate-regime
 violation without --force, 3 instance too large for the oracle caps,
-4 reproduction suite mismatch.
+4 reproduction suite mismatch, 5 internal inconsistency (an oracle witness
+that does not replay to the searched reward; always a bug).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repairalloc.errors import (
     InstanceTooLarge,
     NonAbsorbingPolicy,
     ScenarioFormatError,
+    SearchInconsistency,
 )
 from repairalloc.model import Allocation, Scenario, check_assumption1, check_assumption2
 from repairalloc.oracle import DEFAULT_CAP, oracle_optimal
@@ -37,6 +39,7 @@ EXIT_PARSE = 1
 EXIT_ASSUMPTION = 2
 EXIT_TOO_LARGE = 3
 EXIT_MISMATCH = 4
+EXIT_INCONSISTENT = 5
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -59,6 +62,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except SearchInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -45,3 +45,12 @@ class InstanceTooLarge(RepairAllocError):
 
 class TraceMismatch(RepairAllocError):
     """A trace does not replay exactly under the health update rule."""
+
+
+class SearchInconsistency(RepairAllocError):
+    """The exact search and the simulator disagree.
+
+    Raised when a search witness, replayed through the simulator, does not
+    reproduce the reward the search claimed.  It is always a bug in the
+    search kernel or in the rescaling onto its integer lattice.
+    """

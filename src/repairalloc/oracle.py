@@ -1,11 +1,31 @@
 """Exhaustive ground truth: best possible reward over all schedules.
 
 The oracle enumerates every budget-feasible allocation and, for each one,
-searches every reachable health trajectory for the maximum number of nodes
-that can be driven to health 1.  It assumes nothing about which policies
-are good: idle actions and target switches are part of the searched action
-space.  Health values are rescaled onto their common denominator lattice
-so the whole search runs in exact integer arithmetic.
+searches the joint schedules for the maximum number of nodes that can be
+driven to health 1.  It assumes nothing about which policies are good:
+every entity may target any Active node of its set at every step, and
+target switches are part of the searched action space.  The idle action
+is searched only for an entity whose set holds no Active node, which is
+lossless: idling is dominated by targeting any Active node of the same
+set.  Fix the allocation and take health vectors x >= y componentwise;
+shadow any full-action schedule from y, step by step from x, letting an
+entity of x target an Active node of its own set (or idle if it has none)
+wherever y's entity idles or targets a node already at 1 in x.  The sets
+are disjoint, so each node has at most one repairer; repair only raises
+health, decay is monotone, and 0 and 1 absorb, so x_t >= y_t holds at
+every step.  Rates and decays are positive, so from any state the
+schedule that keeps each entity on one node until that node absorbs
+reaches a terminal without losing a node at 1.  Therefore the best pruned
+terminal is at least as good as the best full-action terminal.  The
+kernel also skips states that cannot beat the best reward found so far
+and stops once every allocated node is repaired; ``repairalloc._kernel``
+states all three rules with their proofs in full.
+
+Health values are rescaled onto their common denominator lattice so the
+whole search runs in exact integer arithmetic.  Only an allocation that
+beats the best reward so far has its witness replayed through the
+simulator, and the returned witness always has been: a replay that does
+not reproduce the searched reward raises SearchInconsistency.
 """
 
 from __future__ import annotations
@@ -16,7 +36,7 @@ from typing import Iterator, Optional
 
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
-from repairalloc.errors import InstanceTooLarge
+from repairalloc.errors import InstanceTooLarge, SearchInconsistency
 from repairalloc.model import Allocation, Scenario
 from repairalloc.policies import Scripted
 from repairalloc.rational import lcm_denominators
@@ -77,11 +97,13 @@ def optimal_sequencing_reward(
     """Best achievable reward for a fixed allocation, with a witness trace.
 
     Searches the joint per-step action space (every entity: any Active node
-    of its set, or idle), visiting each reachable health vector once.  The
-    witness trace replays the optimal action sequence through the simulator
-    and therefore reproduces the claimed reward exactly.
+    of its set, or idle once it has none), visiting each reachable health
+    vector once.  The witness trace replays the optimal action sequence
+    through the simulator and therefore reproduces the claimed reward
+    exactly; SearchInconsistency is raised if it does not.
     """
-    reward, trace, _ = _search_allocation(scenario, allocation, memo_cap)
+    reward, script = _search_allocation(scenario, allocation, memo_cap)
+    trace, _ = _replay(scenario, allocation, reward, script)
     return reward, trace
 
 
@@ -89,14 +111,14 @@ def _search_allocation(
     scenario: Scenario,
     allocation: Allocation,
     memo_cap: int = DEFAULT_CAP,
-) -> tuple[int, Trace, Outcome]:
+) -> tuple[int, list[dict[str, Optional[str]]]]:
+    """The kernel's optimum for one allocation and its witness as action maps."""
     allocation.require_budget(scenario)
     allocated, participating, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
         scenario, allocation
     )
     if not participating:
-        trace, outcome = simulate(scenario, allocation, Scripted([]))
-        return outcome.reward, trace, outcome
+        return 0, []
 
     best, codes = _kernel.solve_allocation(healths, unit, decs, entity_nodes, entity_incs, memo_cap)
 
@@ -109,12 +131,22 @@ def _search_allocation(
             if digit < len(nodes):
                 actions[entity.id] = allocated[nodes[digit]].id
         script.append(actions)
+    return best, script
+
+
+def _replay(
+    scenario: Scenario,
+    allocation: Allocation,
+    reward: int,
+    script: list[dict[str, Optional[str]]],
+) -> tuple[Trace, Outcome]:
+    """Run a witness script through the simulator and check its reward."""
     trace, outcome = simulate(scenario, allocation, Scripted(script))
-    if outcome.reward != best:
-        raise AssertionError(
-            f"witness replay yielded {outcome.reward}, search claimed {best}"
+    if outcome.reward != reward:
+        raise SearchInconsistency(
+            f"witness replay yielded {outcome.reward}, search claimed {reward}"
         )
-    return best, trace, outcome
+    return trace, outcome
 
 
 @dataclass(frozen=True)
@@ -138,33 +170,19 @@ def oracle_optimal(
     that cannot beat the best reward found so far (their allocated node
     count does not exceed it) are skipped; such an allocation can tie but
     never strictly improve, and a tie would not displace an earlier first
-    maximizer.
+    maximizer.  Only an allocation whose searched reward beats the best so
+    far is replayed, so the returned witness is replayed and checked.
     """
-    best: Optional[tuple[int, Allocation, Trace, Outcome]] = None
+    best: Optional[OracleResult] = None
     n = len(scenario.nodes)
     for allocation in enumerate_feasible_allocations(scenario, cap=cap):
-        if best is not None and len(allocation.allocated_nodes) <= best[0]:
+        if best is not None and len(allocation.allocated_nodes) <= best.optimal_reward:
             continue
-        reward, trace, outcome = _search_allocation(scenario, allocation, memo_cap=memo_cap)
-        if best is None or reward > best[0]:
-            best = (reward, allocation, trace, outcome)
+        reward, script = _search_allocation(scenario, allocation, memo_cap=memo_cap)
+        if best is None or reward > best.optimal_reward:
+            trace, outcome = _replay(scenario, allocation, reward, script)
+            best = OracleResult(reward, allocation, trace, outcome)
             if reward == n:
                 break
     assert best is not None  # the all-unallocated assignment is always feasible
-    return OracleResult(
-        optimal_reward=best[0],
-        witness_allocation=best[1],
-        witness_trace=best[2],
-        witness_outcome=best[3],
-    )
-
-
-def sequencing_reward_no_memo(scenario: Scenario, allocation: Allocation) -> int:
-    """Reference optimum via the exponential no-seen-set search (tiny inputs)."""
-    allocation.require_budget(scenario)
-    _, participating, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
-        scenario, allocation
-    )
-    if not participating:
-        return 0
-    return _kernel.solve_reward_no_memo(healths, unit, decs, entity_nodes, entity_incs)
+    return best

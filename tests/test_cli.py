@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repairalloc import demos
+from repairalloc import _kernel, demos
 from repairalloc.cli import main
 from repairalloc.engine import verify_trace
 from repairalloc.model import Allocation
@@ -174,3 +174,18 @@ def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):
     assert rc == 0
     assert "9/9 checks passed" in captured.out
     assert captured.err == ""
+
+
+def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
+    real = _kernel.solve_allocation
+
+    def overclaim(*args):
+        reward, codes = real(*args)
+        return reward + 1, codes
+
+    monkeypatch.setattr(_kernel, "solve_allocation", overclaim)
+    rc = main(["oracle", scenario_path("repair_dominant")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "internal inconsistency: witness replay yielded" in err
+    assert "Traceback" not in err

@@ -1,64 +1,20 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repairalloc
 from repairalloc import _kernel
-from repairalloc._kernel import _pykernel
-from repairalloc.demos import online_suboptimal, repair_dominant
-from repairalloc.errors import InstanceTooLarge
-from repairalloc.model import Allocation, Scenario
+from repairalloc.engine import verify_trace
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 from repairalloc.oracle import _kernel_inputs, optimal_sequencing_reward, oracle_optimal
 
 from generators import random_repair_dominant, random_uniform_regime
+from reference_search import solve_reward_full, step
 
 F = Fraction
-
-needs_compiled = pytest.mark.skipif(
-    _kernel._ckernel is None, reason="compiled kernel not built"
-)
-
-
-def test_backend_matches_extension_availability():
-    assert _kernel.BACKEND in ("pure", "compiled")
-    if _kernel._ckernel is None or os.environ.get("REPAIRALLOC_PURE") == "1":
-        assert _kernel.BACKEND == "pure"
-    else:
-        assert _kernel.BACKEND == "compiled"
-    # the package-level re-export is the import-time snapshot
-    assert repairalloc.BACKEND == _kernel.BACKEND
-
-
-def test_use_backend_switches_dispatch():
-    before = _kernel.BACKEND
-    try:
-        _kernel.use_backend("pure")
-        assert _kernel.BACKEND == "pure"
-        assert _kernel._active is _pykernel
-        scenario = repair_dominant()
-        allocation = Allocation.build(scenario, {"e": {"a", "b"}})
-        reward, _ = optimal_sequencing_reward(scenario, allocation)
-        assert reward == 2
-    finally:
-        _kernel.use_backend(before)
-    assert _kernel.BACKEND == before
-
-
-def test_use_backend_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown backend 'turbo'"):
-        _kernel.use_backend("turbo")
-
-
-def test_use_backend_reports_missing_extension(monkeypatch):
-    monkeypatch.setattr(_kernel, "_ckernel", None)
-    with pytest.raises(RuntimeError, match="compiled kernel is not available"):
-        _kernel.use_backend("compiled")
 
 
 def test_decode_action_inverts_mixed_radix():
@@ -74,8 +30,7 @@ def test_decode_action_inverts_mixed_radix():
     assert len(seen) == total
 
 
-@needs_compiled
-def test_kernels_agree_on_random_allocations():
+def test_pruned_search_matches_unpruned_reference_on_random_allocations():
     rng = random.Random(6617)
     for _ in range(60):
         if rng.random() < 0.5:
@@ -95,70 +50,80 @@ def test_kernels_agree_on_random_allocations():
         _, _, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
             scenario, allocation
         )
-        pure = _pykernel.solve_allocation(
+        reward, trace = optimal_sequencing_reward(scenario, allocation)
+        assert reward == solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)
+        verify_trace(scenario, allocation, trace)
+
+
+@st.composite
+def lattice_instances(draw):
+    """A small allocation on the integer lattice and two health vectors x >= y."""
+    unit = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, min(2, n)))
+    # node j belongs to entity owners[j]; every entity owns at least one node
+    owners = draw(
+        st.lists(st.integers(0, m - 1), min_size=n, max_size=n).filter(lambda o: len(set(o)) == m)
+    )
+    entity_nodes = tuple(tuple(j for j in range(n) if owners[j] == e) for e in range(m))
+    entity_incs = tuple(
+        tuple(draw(st.integers(1, unit)) for _ in nodes) for nodes in entity_nodes
+    )
+    decs = tuple(draw(st.integers(1, unit)) for _ in range(n))
+    low = tuple(draw(st.integers(0, unit)) for _ in range(n))
+    high = tuple(min(h + draw(st.integers(0, unit)), unit) for h in low)
+    return unit, decs, entity_nodes, entity_incs, high, low
+
+
+def _replay_codes(healths, codes, unit, decs, entity_nodes, entity_incs):
+    """Apply witness action codes on the lattice with the reference step rule."""
+    bases = tuple(len(nodes) + 1 for nodes in entity_nodes)
+    state = tuple(healths)
+    for code in codes:
+        digits = _kernel.decode_action(code, bases)
+        action = tuple(d if d < len(nodes) else None for d, nodes in zip(digits, entity_nodes))
+        for nodes, k in zip(entity_nodes, action):
+            assert k is None or 0 < state[nodes[k]] < unit, "witness targets an absorbed node"
+        state = step(state, action, unit, decs, entity_nodes, entity_incs)
+    return state
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lattice_instances())
+def test_pruned_search_is_exact_and_monotone(instance):
+    unit, decs, entity_nodes, entity_incs, high, low = instance
+    rewards = []
+    for healths in (high, low):
+        reward, codes = _kernel.solve_allocation(
             healths, unit, decs, entity_nodes, entity_incs, 10**6
         )
-        compiled = _kernel._ckernel.solve_allocation(
-            healths, unit, decs, entity_nodes, entity_incs, 10**6
-        )
-        assert pure == compiled
+        assert reward == solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)
+        final = _replay_codes(healths, codes, unit, decs, entity_nodes, entity_incs)
+        assert not any(0 < h < unit for h in final)
+        assert final.count(unit) == reward
+        rewards.append(reward)
+    # V(x) >= V(y) whenever x >= y componentwise
+    assert rewards[0] >= rewards[1]
 
 
-@needs_compiled
-def test_backends_produce_identical_witnesses():
-    results = []
-    before = _kernel.BACKEND
-    try:
-        for name in ("pure", "compiled"):
-            _kernel.use_backend(name)
-            results.append(oracle_optimal(online_suboptimal()))
-    finally:
-        _kernel.use_backend(before)
-    pure, compiled = results
-    assert pure.optimal_reward == compiled.optimal_reward == 3
-    assert pure.witness_allocation.sets == compiled.witness_allocation.sets
-    assert pure.witness_trace == compiled.witness_trace
-
-
-@needs_compiled
-def test_both_backends_raise_identical_cap_errors():
-    scenario = repair_dominant()
-    allocation = Allocation.build(scenario, {"e": {"a", "b"}})
-    messages = []
-    before = _kernel.BACKEND
-    try:
-        for name in ("pure", "compiled"):
-            _kernel.use_backend(name)
-            with pytest.raises(InstanceTooLarge) as err:
-                optimal_sequencing_reward(scenario, allocation, memo_cap=2)
-            messages.append(str(err.value))
-    finally:
-        _kernel.use_backend(before)
-    assert messages[0] == messages[1]
-    assert "search exceeded the state cap of 2" in messages[0]
-
-
-def test_environment_variable_forces_pure_backend():
-    env = dict(os.environ)
-    env["REPAIRALLOC_PURE"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-c", "import repairalloc; print(repairalloc.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+def overflow_pair() -> Scenario:
+    # a sits 2^-62 below 1, so the lattice unit is 2^62, and a's health plus
+    # one repair step of 7/4 is 11 * 2^60 - 1: past the int64 range
+    return Scenario(
+        nodes=(
+            NodeSpec("a", 1 - F(1, 2**62), F(1, 2)),
+            NodeSpec("b", F(1, 2), F(1, 2)),
+        ),
+        entities=(EntitySpec("e", F(1), {"a": F(7, 4), "b": F(7, 4)}),),
+        budget=None,
     )
-    assert out.stdout.strip() == "pure"
 
 
-@needs_compiled
-def test_default_import_prefers_compiled_backend():
-    env = {k: v for k, v in os.environ.items() if k != "REPAIRALLOC_PURE"}
-    out = subprocess.run(
-        [sys.executable, "-c", "import repairalloc; print(repairalloc.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "compiled"
+def test_huge_lattice_steps_stay_exact():
+    scenario = overflow_pair()
+    allocation = Allocation.build(scenario, {"e": {"a"}})
+    reward, trace = optimal_sequencing_reward(scenario, allocation)
+    assert reward == 1
+    verify_trace(scenario, allocation, trace)
+    # repairing b first still leaves a above 0 for the second step
+    assert oracle_optimal(scenario).optimal_reward == 2

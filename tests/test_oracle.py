@@ -14,11 +14,11 @@ from repairalloc.oracle import (
     enumerate_feasible_allocations,
     optimal_sequencing_reward,
     oracle_optimal,
-    sequencing_reward_no_memo,
 )
 from repairalloc.policies import LeastModifiedHealth
 
 from generators import random_repair_dominant, random_uniform_regime
+from reference_search import sequencing_reward_no_memo
 
 F = Fraction
 
