@@ -22,7 +22,6 @@ from repairalloc.engine import (
     Trace,
     TraceStep,
     count_jumps,
-    scripted_actions,
     simulate,
     verify_trace,
 )
@@ -62,7 +61,6 @@ from repairalloc.policies import (
     HealthiestFirst,
     LeastModifiedHealth,
     Scripted,
-    decreasing_initial_health_orders,
     healthiest_target,
     least_modified_health_target,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "check_assumption1",
     "check_assumption2",
     "count_jumps",
-    "decreasing_initial_health_orders",
     "enumerate_feasible_allocations",
     "feasible_ordered_set",
     "format_rational",
@@ -130,7 +127,6 @@ __all__ = [
     "save_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "scripted_actions",
     "simulate",
     "step_health",
     "verify_trace",

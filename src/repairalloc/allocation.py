@@ -10,11 +10,12 @@ guarantee in the decay-dominant uniform regime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from repairalloc.engine import Outcome, Trace, TraceStep, count_jumps
+from repairalloc.engine import Outcome, Trace, _run_to_absorption
 from repairalloc.errors import AssumptionViolated
 from repairalloc.model import (
     Allocation,
@@ -23,15 +24,13 @@ from repairalloc.model import (
     Scenario,
     check_assumption1,
     check_assumption2,
-    step_health,
 )
 from repairalloc.policies import healthiest_target
-from repairalloc.rational import ceil_div
 
 
 def lifetime_index(node: NodeSpec) -> int:
     """Steps until an untargeted node hits health 0: ceil(v0 / delta_dec)."""
-    return ceil_div(node.v0 / node.delta_dec)
+    return math.ceil(node.v0 / node.delta_dec)
 
 
 def feasible_ordered_set(nodes: Iterable[NodeSpec]) -> bool:
@@ -121,6 +120,53 @@ class OnlineRunResult:
     budget_remaining: Optional[Fraction]
 
 
+class _OnlineAssignment:
+    """Healthiest-first assignment of never-assigned nodes to free entities.
+
+    A stateful policy for ``engine._run_to_absorption``: it remembers each
+    entity's current target, every node assigned so far with its step, the
+    per-entity sets and the remaining budget.  Its choice depends on that
+    memory, so a repeated health vector does not mean a cycle and
+    ``time_invariant`` is False.  The run still always absorbs: each node
+    switches from decay to repair at most once, since it is assigned at
+    most once, and a targeted node keeps its entity until it absorbs.  So
+    every node decays, then possibly rises, by a positive rate each step,
+    and reaches 0 or 1 within ceil(v0 / delta_dec) + ceil(1 / rate) steps.
+    """
+
+    time_invariant = False
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.entities = sorted(scenario.entities, key=lambda e: e.id)
+        self.budget = scenario.budget
+        self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
+        self.assigned: set[str] = set()
+        self.assignment_times: dict[str, int] = {}
+        self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
+
+    def select(self, t: int, states: Mapping[str, NodeState]) -> dict[str, Optional[str]]:
+        for entity_id, target in self.targets.items():
+            if target is not None and not states[target].is_active:
+                self.targets[entity_id] = None
+        for entity in self.entities:
+            if self.targets[entity.id] is not None:
+                continue
+            candidates = [s for nid, s in states.items() if s.is_active and nid not in self.assigned]
+            if not candidates:
+                continue
+            if self.budget is not None and self.budget < entity.cost:
+                continue
+            pick = healthiest_target(candidates)
+            assert pick is not None  # candidates is non-empty here
+            self.targets[entity.id] = pick
+            self.assigned.add(pick)
+            self.assignment_times[pick] = t
+            self.sets[entity.id].add(pick)
+            if self.budget is not None:
+                self.budget -= entity.cost
+        return dict(self.targets)
+
+
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:
     """Assign nodes to entities on the fly and run to absorption.
 
@@ -140,71 +186,12 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
             "the decay-dominant uniform rate condition fails; pass force=True to run anyway:\n  "
             + "\n  ".join(report.violations)
         )
-    states: dict[str, NodeState] = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
-    budget = scenario.budget
-    current_target: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
-    assigned_ever: set[str] = set()
-    assignment_times: dict[str, int] = {}
-    sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
-    rows: list[TraceStep] = []
-    t = 0
-    while True:
-        healths = tuple(states[n.id].health for n in scenario.nodes)
-        if not any(0 < h < 1 for h in healths):
-            rows.append(TraceStep(healths, {e.id: None for e in scenario.entities}))
-            break
-
-        for entity in scenario.entities:
-            target = current_target[entity.id]
-            if target is not None and not states[target].is_active:
-                current_target[entity.id] = None
-
-        for entity in sorted(scenario.entities, key=lambda e: e.id):
-            if current_target[entity.id] is not None:
-                continue
-            candidates = [
-                s for nid, s in states.items() if s.is_active and nid not in assigned_ever
-            ]
-            if not candidates:
-                continue
-            if budget is not None and budget < entity.cost:
-                continue
-            pick = healthiest_target(candidates)
-            assert pick is not None  # candidates is non-empty here
-            current_target[entity.id] = pick
-            assigned_ever.add(pick)
-            assignment_times[pick] = t
-            sets[entity.id].add(pick)
-            if budget is not None:
-                budget -= entity.cost
-
-        actions = dict(current_target)
-        rows.append(TraceStep(healths, actions))
-        targeted_by = {target: eid for eid, target in actions.items() if target is not None}
-        states = {
-            nid: step_health(state, targeted_by.get(nid), scenario) for nid, state in states.items()
-        }
-        t += 1
-
-    allocation = Allocation.build(scenario, {eid: frozenset(nodes) for eid, nodes in sets.items()})
-    trace = Trace(
-        node_ids=scenario.node_ids,
-        entity_ids=scenario.entity_ids,
-        steps=tuple(rows),
-    )
-    final = rows[-1].healths
-    repaired = frozenset(nid for nid, h in zip(trace.node_ids, final) if h >= 1)
-    failed = frozenset(nid for nid, h in zip(trace.node_ids, final) if h <= 0)
-    outcome = Outcome(
-        reward=len(repaired),
-        repaired=repaired,
-        failed=failed,
-        jumps=count_jumps(trace),
-    )
+    policy = _OnlineAssignment(scenario)
+    trace = _run_to_absorption(scenario, policy.select, policy.time_invariant)
     return OnlineRunResult(
-        allocation=allocation,
-        assignment_times=assignment_times,
+        allocation=Allocation.build(scenario, policy.sets),
+        assignment_times=policy.assignment_times,
         trace=trace,
-        outcome=outcome,
-        budget_remaining=budget,
+        outcome=Outcome.from_trace(trace),
+        budget_remaining=policy.budget,
     )

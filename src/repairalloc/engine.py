@@ -5,13 +5,17 @@ sequencing policy until every node is absorbed (health 0 or 1).  The
 resulting trace records the exact health vector and every entity's action
 at each step, so it can be replayed through the health update rule and
 checked bit for bit.
+
+``advance`` is the one synchronous step and ``_run_to_absorption`` the one
+run loop; ``simulate`` and the online assignment in ``allocation`` both run
+through that loop, and ``verify_trace`` replays rows through ``advance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol
 
 from repairalloc.errors import NonAbsorbingPolicy, PolicyViolation, TraceMismatch
 from repairalloc.model import Allocation, NodeState, Scenario, step_health
@@ -73,6 +77,14 @@ class Outcome:
     failed: frozenset[str]
     jumps: int
 
+    @staticmethod
+    def from_trace(trace: Trace) -> Outcome:
+        """Read the reward, the absorbed sets and the jumps off a finished trace."""
+        final = trace.steps[-1].healths
+        repaired = frozenset(nid for nid, h in zip(trace.node_ids, final) if h >= 1)
+        failed = frozenset(nid for nid, h in zip(trace.node_ids, final) if h <= 0)
+        return Outcome(reward=len(repaired), repaired=repaired, failed=failed, jumps=count_jumps(trace))
+
 
 def count_jumps(trace: Trace) -> int:
     """Count target switches away from a not-yet-repaired node.
@@ -95,6 +107,54 @@ def count_jumps(trace: Trace) -> int:
     return jumps
 
 
+def advance(
+    scenario: Scenario,
+    states: Mapping[str, NodeState],
+    actions: Actions,
+) -> dict[str, NodeState]:
+    """Apply one synchronous step of the health update rule to every node.
+
+    Legality of the actions is the caller's concern; see ``step_health``.
+    """
+    targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
+    return {node_id: step_health(state, targeted_by.get(node_id), scenario) for node_id, state in states.items()}
+
+
+def _run_to_absorption(
+    scenario: Scenario,
+    select: Callable[[int, dict[str, NodeState]], Actions],
+    time_invariant: bool,
+    max_steps: Optional[int] = None,
+) -> Trace:
+    """Step from v0 under ``select(t, states)`` until no node is Active.
+
+    When ``time_invariant`` is set, the actions depend only on the health
+    vector, so a repeated vector proves a cycle and raises
+    NonAbsorbingPolicy, as does running past ``max_steps``.
+    """
+    states = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
+    rows: list[TraceStep] = []
+    seen_healths: dict[tuple[Fraction, ...], int] = {}
+    t = 0
+    while True:
+        healths = tuple(state.health for state in states.values())
+        if not any(0 < h < 1 for h in healths):
+            rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
+            return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows))
+        if time_invariant:
+            if healths in seen_healths:
+                raise NonAbsorbingPolicy(
+                    f"health vector at step {t} repeats step {seen_healths[healths]}; the run would never absorb"
+                )
+            seen_healths[healths] = t
+        if max_steps is not None and t >= max_steps:
+            raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
+        actions = select(t, states)
+        rows.append(TraceStep(healths, actions))
+        states = advance(scenario, states, actions)
+        t += 1
+
+
 def simulate(
     scenario: Scenario,
     allocation: Allocation,
@@ -108,53 +168,14 @@ def simulate(
     time-invariant policy provably cycles (or ``max_steps`` runs out).
     """
     allocation.require_budget(scenario)
-    states: dict[str, NodeState] = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
-    rows: list[TraceStep] = []
-    seen_healths: dict[tuple[Fraction, ...], int] = {}
-    t = 0
-    while True:
-        healths = tuple(states[n.id].health for n in scenario.nodes)
-        if not any(0 < h < 1 for h in healths):
-            rows.append(TraceStep(healths, {e.id: None for e in scenario.entities}))
-            break
-        if policy.time_invariant:
-            if healths in seen_healths:
-                raise NonAbsorbingPolicy(
-                    f"health vector at step {t} repeats step {seen_healths[healths]}; the run would never absorb"
-                )
-            seen_healths[healths] = t
-        if max_steps is not None and t >= max_steps:
-            raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
 
+    def select(t: int, states: dict[str, NodeState]) -> Actions:
         actions = dict(policy.select(t, states, allocation, scenario))
         _validate_actions(actions, states, allocation, scenario)
-        rows.append(TraceStep(healths, actions))
+        return actions
 
-        targeted_by: dict[str, str] = {}
-        for entity_id, target in actions.items():
-            if target is not None:
-                targeted_by[target] = entity_id
-        states = {
-            node_id: step_health(state, targeted_by.get(node_id), scenario)
-            for node_id, state in states.items()
-        }
-        t += 1
-
-    trace = Trace(
-        node_ids=scenario.node_ids,
-        entity_ids=scenario.entity_ids,
-        steps=tuple(rows),
-    )
-    final = rows[-1].healths
-    repaired = frozenset(nid for nid, h in zip(trace.node_ids, final) if h >= 1)
-    failed = frozenset(nid for nid, h in zip(trace.node_ids, final) if h <= 0)
-    outcome = Outcome(
-        reward=len(repaired),
-        repaired=repaired,
-        failed=failed,
-        jumps=count_jumps(trace),
-    )
-    return trace, outcome
+    trace = _run_to_absorption(scenario, select, policy.time_invariant, max_steps)
+    return trace, Outcome.from_trace(trace)
 
 
 def _validate_actions(
@@ -181,12 +202,17 @@ def _validate_actions(
 def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> None:
     """Replay a trace through the health update rule; raise on any drift.
 
-    Checks the initial row against v0, every targeted node's membership
-    and Active status, the exact health evolution, and that the final row
-    (and only the final row) has no Active node.
+    Checks the columns against the scenario, the initial row against v0,
+    every targeted node's membership and Active status, the exact health
+    evolution, and that the final row (and only the final row) has no
+    Active node and no action.
     """
     if trace.node_ids != scenario.node_ids:
         raise TraceMismatch("trace node columns do not match the scenario")
+    if trace.entity_ids != scenario.entity_ids:
+        raise TraceMismatch("trace entity columns do not match the scenario")
+    if not trace.steps:
+        raise TraceMismatch("trace has no rows")
     expected0 = tuple(n.v0 for n in scenario.nodes)
     if trace.steps[0].healths != expected0:
         raise TraceMismatch("initial healths differ from the scenario's v0")
@@ -195,20 +221,11 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
         if not any(s.is_active for s in states.values()):
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
         _validate_actions(row.actions, states, allocation, scenario)
-        targeted_by: dict[str, str] = {}
-        for entity_id, target in row.actions.items():
-            if target is not None:
-                targeted_by[target] = entity_id
-        stepped = tuple(
-            step_health(states[nid], targeted_by.get(nid), scenario).health for nid in trace.node_ids
-        )
-        if stepped != trace.steps[t + 1].healths:
+        stepped = advance(scenario, states, row.actions)
+        if tuple(s.health for s in stepped.values()) != trace.steps[t + 1].healths:
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")
     last = trace.steps[-1]
     if any(0 < h < 1 for h in last.healths):
         raise TraceMismatch("terminal row still has an Active node")
-
-
-def scripted_actions(trace: Trace) -> Sequence[Actions]:
-    """The action maps of a trace, usable to replay it via Scripted."""
-    return [row.actions for row in trace.steps[:-1]]
+    if any(target is not None for target in last.actions.values()):
+        raise TraceMismatch("terminal row has an action")

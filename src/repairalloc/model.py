@@ -74,28 +74,31 @@ class Scenario:
 
     ``budget`` is an exact Fraction, or None for an unlimited budget.
     Node and entity ids are unique within their kind; ties everywhere in
-    the package are broken by plain string order of the id.
+    the package are broken by plain string order of the id.  ``node`` and
+    ``entity`` look ids up in maps built once at construction.
     """
 
     nodes: tuple[NodeSpec, ...]
     entities: tuple[EntitySpec, ...]
     budget: Optional[Fraction]
+    _node_by_id: dict[str, NodeSpec] = field(init=False, repr=False, compare=False)
+    _entity_by_id: dict[str, EntitySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_entity_by_id", {e.id: e for e in self.entities})
         if len(self.nodes) < 2:
             raise ValueError("a scenario needs at least 2 nodes")
         if not (1 <= len(self.entities) <= len(self.nodes)):
             raise ValueError("entity count must satisfy 1 <= M <= N")
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
+        if len(self._node_by_id) != len(self.nodes):
             raise ValueError("node ids must be unique")
-        entity_ids = [e.id for e in self.entities]
-        if len(set(entity_ids)) != len(entity_ids):
+        if len(self._entity_by_id) != len(self.entities):
             raise ValueError("entity ids must be unique")
         for entity in self.entities:
-            missing = set(node_ids) - set(entity.repair_rate)
+            missing = set(self._node_by_id) - set(entity.repair_rate)
             if missing:
                 raise ValueError(f"entity {entity.id!r}: missing repair rate for {sorted(missing)}")
         if self.budget is not None:
@@ -113,16 +116,10 @@ class Scenario:
         return tuple(e.id for e in self.entities)
 
     def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._node_by_id[node_id]
 
     def entity(self, entity_id: str) -> EntitySpec:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
+        return self._entity_by_id[entity_id]
 
 
 @dataclass(frozen=True, slots=True)

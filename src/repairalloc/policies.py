@@ -135,15 +135,3 @@ class Scripted:
         if t < len(self.script):
             return dict(self.script[t])
         return {entity_id: None for entity_id in scenario.entity_ids}
-
-
-def decreasing_initial_health_orders(scenario: Scenario, allocation: Allocation) -> dict[str, tuple[str, ...]]:
-    """Static per-entity orders: allocated nodes by decreasing v0, ties by id."""
-    orders: dict[str, tuple[str, ...]] = {}
-    for entity_id in scenario.entity_ids:
-        nodes = sorted(
-            allocation.nodes_of(entity_id),
-            key=lambda nid: (-scenario.node(nid).v0, nid),
-        )
-        orders[entity_id] = tuple(nodes)
-    return orders

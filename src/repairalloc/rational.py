@@ -63,11 +63,6 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, count
 
 
-def ceil_div(value: Fraction) -> int:
-    """Exact ceiling of a Fraction as an int."""
-    return math.ceil(value)
-
-
 def lcm_denominators(values: list[Fraction]) -> int:
     """Least common multiple of the denominators of ``values`` (min 1)."""
     out = 1

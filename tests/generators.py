@@ -3,7 +3,8 @@
 Two families: ``random_repair_dominant`` draws instances that always pass
 check_assumption1, ``random_uniform_regime`` draws instances that always
 pass check_assumption2.  Both keep every denominator small so the exact
-searches stay on a coarse integer lattice.
+searches stay on a coarse integer lattice.  ``decreasing_initial_health_orders``
+builds the static orders the FixedOrder tests run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import string
 from fractions import Fraction
 from typing import Optional
 
-from repairalloc.model import EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 
 _DENOMS = (2, 3, 4, 5, 6, 8, 10, 12)
 
@@ -104,3 +105,15 @@ def _random_budget(rng: random.Random, entities: list[EntitySpec], n: int) -> Op
     ceiling = sum(e.cost for e in entities) * n + 1
     denom = rng.choice((1, 1, 2, 4))
     return Fraction(rng.randint(0, int(ceiling) * denom), denom)
+
+
+def decreasing_initial_health_orders(scenario: Scenario, allocation: Allocation) -> dict[str, tuple[str, ...]]:
+    """Static per-entity orders: allocated nodes by decreasing v0, ties by id."""
+    orders: dict[str, tuple[str, ...]] = {}
+    for entity_id in scenario.entity_ids:
+        nodes = sorted(
+            allocation.nodes_of(entity_id),
+            key=lambda nid: (-scenario.node(nid).v0, nid),
+        )
+        orders[entity_id] = tuple(nodes)
+    return orders

@@ -26,7 +26,6 @@ from repairalloc import (
     Scripted,
     allocate_budgeted,
     count_jumps,
-    decreasing_initial_health_orders,
     feasible_ordered_set,
     largest_repairable_subset,
     optimal_sequencing_reward,
@@ -45,7 +44,7 @@ from repairalloc.demos import (
 )
 from repairalloc.errors import BudgetExceeded, TraceMismatch
 
-from generators import random_repair_dominant, random_uniform_regime
+from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
 
 F = Fraction
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from repairalloc.engine import Trace, TraceStep, count_jumps, scripted_actions, simulate, verify_trace
+from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
+from repairalloc.allocation import allocate_budgeted, run_online_policy
+from repairalloc.demos import repair_dominant
+from repairalloc.engine import Trace, TraceStep, count_jumps, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, NonAbsorbingPolicy, PolicyViolation, TraceMismatch
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
-from repairalloc.policies import LeastModifiedHealth, Scripted
+from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
 
 F = Fraction
 
@@ -179,7 +183,7 @@ def test_scripted_actions_replays_identically():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, Scripted([{"e": "b"}, {"e": "a"}]))
-    replay, _ = simulate(scenario, allocation, Scripted(scripted_actions(trace)))
+    replay, _ = simulate(scenario, allocation, Scripted([row.actions for row in trace.steps[:-1]]))
     assert replay.steps == trace.steps
 
 
@@ -195,3 +199,80 @@ def test_count_jumps_on_hand_built_trace():
         ),
     )
     assert count_jumps(trace) == 1
+
+
+def _repair_dominant_run():
+    scenario = repair_dominant()
+    allocation = allocate_budgeted(scenario)
+    trace, _ = simulate(scenario, allocation, LeastModifiedHealth())
+    return scenario, allocation, trace
+
+
+def test_verify_trace_rejects_empty_trace():
+    scenario, allocation, trace = _repair_dominant_run()
+    with pytest.raises(TraceMismatch):
+        verify_trace(scenario, allocation, Trace(trace.node_ids, trace.entity_ids, ()))
+
+
+def test_verify_trace_rejects_reordered_entity_columns():
+    scenario, allocation, trace = _repair_dominant_run()
+    reversed_ids = tuple(reversed(trace.entity_ids))
+    assert reversed_ids != trace.entity_ids
+    with pytest.raises(TraceMismatch):
+        verify_trace(scenario, allocation, Trace(trace.node_ids, reversed_ids, trace.steps))
+
+
+def test_verify_trace_rejects_action_in_terminal_row():
+    scenario, allocation, trace = _repair_dominant_run()
+    last = trace.steps[-1]
+    rows = (*trace.steps[:-1], TraceStep(last.healths, {**last.actions, "e": "a"}))
+    with pytest.raises(TraceMismatch):
+        verify_trace(scenario, allocation, Trace(trace.node_ids, trace.entity_ids, rows))
+
+
+def _replace_row(trace: Trace, t: int, row: TraceStep) -> Trace:
+    return Trace(trace.node_ids, trace.entity_ids, (*trace.steps[:t], row, *trace.steps[t + 1 :]))
+
+
+def test_verify_trace_accepts_every_run_and_rejects_any_one_edit():
+    """The shared step: every simulated or online trace replays, and no trace
+    with one health cell or one action changed does.
+
+    Each health row follows from the row before it and its actions, and the
+    first row is v0, so a changed health cell must drift.  A changed action
+    either breaks the rules (PolicyViolation) or changes a health: a node
+    that gains instead of losing, or the reverse, moves to another value,
+    since every Active health lies strictly inside (0, 1).  The terminal
+    row takes no action at all.
+    """
+    rng = random.Random(4049)
+    runs = []
+    for _ in range(20):
+        scenario = random_repair_dominant(rng)
+        allocation = allocate_budgeted(scenario)
+        for policy in (
+            LeastModifiedHealth(),
+            HealthiestFirst(),
+            FixedOrder(decreasing_initial_health_orders(scenario, allocation)),
+        ):
+            runs.append((scenario, allocation, simulate(scenario, allocation, policy)[0]))
+        scenario = random_uniform_regime(rng)
+        online = run_online_policy(scenario)
+        runs.append((scenario, online.allocation, online.trace))
+
+    for scenario, allocation, trace in runs:
+        verify_trace(scenario, allocation, trace)
+        for t, row in enumerate(trace.steps):
+            for j in range(len(row.healths)):
+                healths = list(row.healths)
+                healths[j] += F(1, 997)
+                edited = _replace_row(trace, t, TraceStep(tuple(healths), row.actions))
+                with pytest.raises(TraceMismatch):
+                    verify_trace(scenario, allocation, edited)
+            for entity_id, target in row.actions.items():
+                for other in (None, *scenario.node_ids):
+                    if other == target:
+                        continue
+                    edited = _replace_row(trace, t, TraceStep(row.healths, {**row.actions, entity_id: other}))
+                    with pytest.raises((TraceMismatch, PolicyViolation)):
+                        verify_trace(scenario, allocation, edited)

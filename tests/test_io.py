@@ -11,7 +11,7 @@ from repairalloc.engine import simulate, verify_trace
 from repairalloc.errors import ScenarioFormatError
 from repairalloc.model import Allocation
 from repairalloc.policies import LeastModifiedHealth
-from repairalloc.rational import ceil_div, format_rational, lcm_denominators, parse_rational
+from repairalloc.rational import format_rational, lcm_denominators, parse_rational
 from repairalloc.scenario_io import (
     load_scenario,
     read_trace_csv,
@@ -79,9 +79,6 @@ def test_format_then_parse_round_trips_exactly():
 
 
 def test_ceil_div_and_lcm_helpers():
-    assert ceil_div(F(5, 2)) == 3
-    assert ceil_div(F(2)) == 2
-    assert ceil_div(F(1, 10)) == 1
     assert lcm_denominators([F(1, 4), F(1, 6)]) == 12
     assert lcm_denominators([F(2), F(5)]) == 1
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from generators import random_uniform_regime
+from generators import decreasing_initial_health_orders, random_uniform_regime
 from repairalloc.engine import simulate
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, NodeState, Scenario
 from repairalloc.policies import (
@@ -13,7 +13,6 @@ from repairalloc.policies import (
     HealthiestFirst,
     LeastModifiedHealth,
     Scripted,
-    decreasing_initial_health_orders,
     healthiest_target,
     least_modified_health_target,
 )
