@@ -18,7 +18,16 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Protocol
 
 from repairalloc.errors import NonAbsorbingPolicy, PolicyViolation, TraceMismatch
-from repairalloc.model import Allocation, NodeState, Scenario, step_health
+from repairalloc.model import (
+    Allocation,
+    NodeState,
+    Scenario,
+    Status,
+    health_status,
+    is_active_health,
+    step_health,
+)
+from repairalloc.policies import Scripted
 
 # An action map assigns each entity id a targeted node id, or None for idle.
 Actions = Mapping[str, Optional[str]]
@@ -80,9 +89,9 @@ class Outcome:
     @staticmethod
     def from_trace(trace: Trace) -> Outcome:
         """Read the reward, the absorbed sets and the jumps off a finished trace."""
-        final = trace.steps[-1].healths
-        repaired = frozenset(nid for nid, h in zip(trace.node_ids, final) if h >= 1)
-        failed = frozenset(nid for nid, h in zip(trace.node_ids, final) if h <= 0)
+        final = [health_status(h) for h in trace.steps[-1].healths]
+        repaired = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.REPAIRED)
+        failed = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.FAILED)
         return Outcome(reward=len(repaired), repaired=repaired, failed=failed, jumps=count_jumps(trace))
 
 
@@ -94,6 +103,7 @@ def count_jumps(trace: Trace) -> int:
     j.  Switching away from a node whose health just reached 1 is the
     normal end of a repair, not a jump.
     """
+    column = {node_id: j for j, node_id in enumerate(trace.node_ids)}
     jumps = 0
     for t in range(1, len(trace.steps)):
         prev_actions = trace.steps[t - 1].actions
@@ -101,8 +111,8 @@ def count_jumps(trace: Trace) -> int:
         for entity_id, prev_target in prev_actions.items():
             if prev_target is None:
                 continue
-            health_now = trace.steps[t].healths[trace.node_ids.index(prev_target)]
-            if health_now < 1 and cur_actions.get(entity_id) != prev_target:
+            health_now = trace.steps[t].healths[column[prev_target]]
+            if health_status(health_now) is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
                 jumps += 1
     return jumps
 
@@ -114,10 +124,16 @@ def advance(
 ) -> dict[str, NodeState]:
     """Apply one synchronous step of the health update rule to every node.
 
-    Legality of the actions is the caller's concern; see ``step_health``.
+    Only Active nodes are stepped; an absorbed node's state carries over
+    unchanged, as ``step_health`` would return it.  Legality of the
+    actions is the caller's concern; see ``step_health``.
     """
     targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
-    return {node_id: step_health(state, targeted_by.get(node_id), scenario) for node_id, state in states.items()}
+    stepped = dict(states)
+    for node_id, state in states.items():
+        if state.is_active:
+            stepped[node_id] = step_health(state, targeted_by.get(node_id), scenario)
+    return stepped
 
 
 def _run_to_absorption(
@@ -138,7 +154,7 @@ def _run_to_absorption(
     t = 0
     while True:
         healths = tuple(state.health for state in states.values())
-        if not any(0 < h < 1 for h in healths):
+        if not any(is_active_health(h) for h in healths):
             rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows))
         if time_invariant:
@@ -163,11 +179,20 @@ def simulate(
 ) -> tuple[Trace, Outcome]:
     """Run to absorption and return the exact trace and outcome.
 
+    A time-variant policy has no cycle test, so it needs a step bound:
+    ``Scripted`` derives its own (``Scripted.step_bound``) when
+    ``max_steps`` is None, and any other time-variant policy without
+    ``max_steps`` raises ValueError before the first step.
+
     Raises BudgetExceeded if the allocation does not fit the budget,
     PolicyViolation on an illegal action, and NonAbsorbingPolicy if a
     time-invariant policy provably cycles (or ``max_steps`` runs out).
     """
     allocation.require_budget(scenario)
+    if max_steps is None and not policy.time_invariant:
+        if not isinstance(policy, Scripted):
+            raise ValueError("a time-variant policy cannot be checked for cycles; pass max_steps")
+        max_steps = policy.step_bound(scenario)
 
     def select(t: int, states: dict[str, NodeState]) -> Actions:
         actions = dict(policy.select(t, states, allocation, scenario))
@@ -225,7 +250,7 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
         if tuple(s.health for s in stepped.values()) != trace.steps[t + 1].healths:
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")
     last = trace.steps[-1]
-    if any(0 < h < 1 for h in last.healths):
+    if any(is_active_health(h) for h in last.healths):
         raise TraceMismatch("terminal row still has an Active node")
     if any(target is not None for target in last.actions.values()):
         raise TraceMismatch("terminal row has an action")

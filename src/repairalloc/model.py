@@ -131,15 +131,33 @@ class NodeState:
 
     @property
     def status(self) -> Status:
-        if self.health <= 0:
-            return Status.FAILED
-        if self.health >= 1:
-            return Status.REPAIRED
-        return Status.ACTIVE
+        return health_status(self.health)
 
     @property
     def is_active(self) -> bool:
-        return 0 < self.health < 1
+        return is_active_health(self.health)
+
+
+def is_active_health(health: Fraction) -> bool:
+    """Whether a health lies strictly inside (0, 1), the Active range.
+
+    Compares the numerator with 0 and with the denominator, which is exact
+    for ``Fraction`` and ``int`` because their denominator is always
+    positive, and avoids Fraction's generic comparison with 0 and 1.
+    """
+    return 0 < health.numerator < health.denominator
+
+
+def health_status(health: Fraction) -> Status:
+    """FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between.
+
+    The same integer test as ``is_active_health``.
+    """
+    if health.numerator <= 0:
+        return Status.FAILED
+    if health.numerator >= health.denominator:
+        return Status.REPAIRED
+    return Status.ACTIVE
 
 
 @dataclass(frozen=True)
@@ -197,21 +215,26 @@ class Allocation:
             )
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def step_health(state: NodeState, targeted_by: Optional[str], scenario: Scenario) -> NodeState:
     """Advance one node by one time step.
 
     ``targeted_by`` is the id of the entity targeting the node this step,
-    or None if untargeted.  Absorbing states never change.  This is a total
+    or None if untargeted.  Absorbing states never change.  The clamps at
+    1 and 0 use the integer test of ``health_status``.  This is a total
     function; whether targeting a non-Active node was legal is the
     simulator's concern, not this rule's.
     """
     if not state.is_active:
         return state
     if targeted_by is not None:
-        gain = scenario.entity(targeted_by).rate_for(state.id)
-        return NodeState(state.id, min(Fraction(1), state.health + gain))
-    loss = scenario.node(state.id).delta_dec
-    return NodeState(state.id, max(Fraction(0), state.health - loss))
+        health = state.health + scenario.entity(targeted_by).rate_for(state.id)
+        return NodeState(state.id, _ONE if health.numerator >= health.denominator else health)
+    health = state.health - scenario.node(state.id).delta_dec
+    return NodeState(state.id, _ZERO if health.numerator <= 0 else health)
 
 
 @dataclass(frozen=True)

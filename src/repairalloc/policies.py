@@ -7,6 +7,7 @@ always broken by smallest node id.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repairalloc.model import Allocation, NodeState, Scenario
@@ -117,7 +118,7 @@ class Scripted:
     """Replay a fixed list of action maps, idling after the script ends.
 
     Used to replay search witnesses; the decaying tail after the script is
-    all idle, which always absorbs.
+    all idle, which always absorbs within ``step_bound`` steps.
     """
 
     time_invariant = False
@@ -135,3 +136,12 @@ class Scripted:
         if t < len(self.script):
             return dict(self.script[t])
         return {entity_id: None for entity_id in scenario.entity_ids}
+
+    def step_bound(self, scenario: Scenario) -> int:
+        """Steps within which every run of this script absorbs.
+
+        After the script every entity idles.  A node still Active then has
+        health below 1 and loses its delta_dec each step, so it reaches 0
+        within ceil(1 / delta_dec) more steps.
+        """
+        return len(self.script) + max(math.ceil(1 / node.delta_dec) for node in scenario.nodes)

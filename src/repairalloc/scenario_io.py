@@ -7,7 +7,7 @@ unlimited.
 
 Trace CSV files have header ``t,<node ids...>,<entity ids...>``; each row
 holds the exact health of every node at step t and the node each entity
-targeted at t ("-" for idle).
+targeted at t ("-" for idle, so a node named "-" cannot be written).
 """
 
 from __future__ import annotations
@@ -140,7 +140,12 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
         handle.write("\n")
 
 
+_IDLE = "-"
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
+    if _IDLE in trace.node_ids:
+        raise ScenarioFormatError(f"node id {_IDLE!r} cannot be written: trace CSV files mark idle with it")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", *trace.node_ids, *trace.entity_ids])
@@ -149,7 +154,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
             cells.extend(format_rational(h) for h in row.healths)
             for entity_id in trace.entity_ids:
                 target = row.actions.get(entity_id)
-                cells.append("-" if target is None else target)
+                cells.append(_IDLE if target is None else target)
             writer.writerow(cells)
 
 
@@ -174,7 +179,7 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
             )
             actions: dict[str, Optional[str]] = {}
             for entity_id, cell in zip(scenario.entity_ids, cells[1 + n :]):
-                actions[entity_id] = None if cell == "-" else cell
+                actions[entity_id] = None if cell == _IDLE else cell
             steps.append(TraceStep(healths, actions))
     if not steps:
         raise ScenarioFormatError(f"{path}: no rows")

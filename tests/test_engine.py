@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
+from repairalloc import engine, model
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import repair_dominant
 from repairalloc.engine import Trace, TraceStep, count_jumps, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, NonAbsorbingPolicy, PolicyViolation, TraceMismatch
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, NodeState, Scenario, Status
 from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
 
 F = Fraction
@@ -104,6 +105,43 @@ def test_max_steps_cutoff_raises_non_absorbing():
     with pytest.raises(NonAbsorbingPolicy) as err:
         simulate(scenario, allocation, Scripted(script), max_steps=10)
     assert "within 10 steps" in str(err.value)
+
+
+class _Alternating:
+    """Time-variant: targets a on even steps and b on odd ones, while Active."""
+
+    time_invariant = False
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def select(self, t, states, allocation, scenario):
+        self.calls += 1
+        target = "ab"[t % 2]
+        return {"e": target if states[target].is_active else None}
+
+
+def test_time_variant_policy_needs_max_steps():
+    scenario = pair(v0_a="0.5", v0_b="0.5", dec="0.1", inc="0.1")
+    allocation = Allocation.build(scenario, {"e": {"a", "b"}})
+    policy = _Alternating()
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate(scenario, allocation, policy)
+    assert policy.calls == 0
+    with pytest.raises(NonAbsorbingPolicy, match="within 12 steps"):
+        simulate(scenario, allocation, policy, max_steps=12)
+
+
+def test_scripted_run_ends_within_its_step_bound():
+    """len(script) + max ceil(1/delta_dec) bounds a Scripted run, with
+    equality here: the script lifts a to 0.95, then a idles and dies at
+    step 1 + ceil(0.95/0.1) = 11."""
+    scenario = pair(v0_a="0.85", v0_b="0.3", dec="0.1", inc="0.1")
+    allocation = Allocation.build(scenario, {"e": {"a", "b"}})
+    policy = Scripted([{"e": "a"}])
+    trace, _ = simulate(scenario, allocation, policy)
+    assert trace.health_at(1, "a") == F("0.95")
+    assert trace.terminal_step == policy.step_bound(scenario) == 11
 
 
 def test_count_jumps_switch_before_repair():
@@ -276,3 +314,62 @@ def test_verify_trace_accepts_every_run_and_rejects_any_one_edit():
                     edited = _replace_row(trace, t, TraceStep(row.healths, {**row.actions, entity_id: other}))
                     with pytest.raises((TraceMismatch, PolicyViolation)):
                         verify_trace(scenario, allocation, edited)
+
+
+def _reference_step(state: NodeState, targeted_by, scenario: Scenario) -> NodeState:
+    """The health update spelled with Fraction comparisons and min/max clamps."""
+    if not 0 < state.health < 1:
+        return state
+    if targeted_by is not None:
+        gain = scenario.entity(targeted_by).rate_for(state.id)
+        return NodeState(state.id, min(Fraction(1), state.health + gain))
+    return NodeState(state.id, max(Fraction(0), state.health - scenario.node(state.id).delta_dec))
+
+
+def _reference_advance(scenario: Scenario, states, actions) -> dict[str, NodeState]:
+    """Every node through ``_reference_step``, absorbed ones included."""
+    targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
+    return {nid: _reference_step(state, targeted_by.get(nid), scenario) for nid, state in states.items()}
+
+
+def _reference_status(health) -> Status:
+    if health <= 0:
+        return Status.FAILED
+    if health >= 1:
+        return Status.REPAIRED
+    return Status.ACTIVE
+
+
+def _equivalence_runs(rng: random.Random) -> list:
+    """Traces and outcomes of all four policies and the online run on seeded draws."""
+    runs = []
+    for _ in range(25):
+        scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
+        allocation = allocate_budgeted(scenario)
+        full, _ = simulate(scenario, allocation, LeastModifiedHealth())
+        script = [row.actions for row in full.steps[: rng.randint(0, full.terminal_step)]]
+        for policy in (
+            LeastModifiedHealth(),
+            HealthiestFirst(),
+            FixedOrder(decreasing_initial_health_orders(scenario, allocation)),
+            Scripted(script),
+        ):
+            runs.append(simulate(scenario, allocation, policy))
+        scenario = random_uniform_regime(rng, max_nodes=6, max_entities=3)
+        online = run_online_policy(scenario)
+        runs.append((online.trace, online.outcome, online.allocation, online.assignment_times))
+    return runs
+
+
+def test_integer_step_matches_the_fraction_reference(monkeypatch):
+    """The integer activity test, the absorbed-node skip in ``advance`` and
+    the integer clamps give the same traces and outcomes as the rule
+    spelled with Fraction comparisons, on every policy and the online run.
+    """
+    fast = _equivalence_runs(random.Random(6113))
+    monkeypatch.setattr(engine, "advance", _reference_advance)
+    for module in (engine, model):
+        monkeypatch.setattr(module, "is_active_health", lambda h: 0 < h < 1)
+        monkeypatch.setattr(module, "health_status", _reference_status)
+    reference = _equivalence_runs(random.Random(6113))
+    assert fast == reference

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairalloc.demos import DEMOS, online_suboptimal, repair_dominant
-from repairalloc.engine import simulate, verify_trace
+from repairalloc.engine import Trace, TraceStep, simulate, verify_trace
 from repairalloc.errors import ScenarioFormatError
-from repairalloc.model import Allocation
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 from repairalloc.policies import LeastModifiedHealth
 from repairalloc.rational import format_rational, lcm_denominators, parse_rational
 from repairalloc.scenario_io import (
@@ -71,11 +74,17 @@ def test_format_rational_prefers_terminating_decimals():
     assert format_rational(F(19, 12)) == "19/12"
 
 
-def test_format_then_parse_round_trips_exactly():
-    rng = random.Random(7719)
-    for _ in range(500):
-        value = F(rng.randint(0, 400), rng.randint(1, 120))
-        assert parse_rational(format_rational(value)) == value
+# Denominators 2^a 5^b format as terminating decimals, all others as p/q.
+rationals = st.one_of(
+    st.fractions(),
+    st.builds(lambda n, a, b: F(n, 2**a * 5**b), st.integers(), st.integers(0, 40), st.integers(0, 40)),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(rationals)
+def test_format_then_parse_round_trips_exactly(value):
+    assert parse_rational(format_rational(value)) == value
 
 
 def test_ceil_div_and_lcm_helpers():
@@ -99,6 +108,83 @@ def test_scenario_file_round_trip_on_random_draws(tmp_path):
         path = tmp_path / f"draw{i}.json"
         save_scenario(scenario, path)
         assert load_scenario(path) == scenario
+
+
+positive = st.fractions(min_value=0).filter(lambda x: x > 0)
+ids = st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    """Any valid scenario: free-form ids, any exact values in range."""
+    node_ids = draw(st.lists(ids, min_size=2, max_size=5, unique=True))
+    entity_ids = draw(st.lists(ids, min_size=1, max_size=len(node_ids), unique=True))
+    nodes = tuple(
+        NodeSpec(nid, draw(st.fractions(min_value=0, max_value=1).filter(lambda x: 0 < x < 1)), draw(positive))
+        for nid in node_ids
+    )
+    entities = tuple(
+        EntitySpec(eid, draw(st.fractions(min_value=0)), {nid: draw(positive) for nid in node_ids})
+        for eid in entity_ids
+    )
+    return Scenario(nodes=nodes, entities=entities, budget=draw(st.none() | st.fractions(min_value=0)))
+
+
+@st.composite
+def traces(draw) -> tuple[Scenario, Trace]:
+    """A scenario and any trace over its columns: the CSV format does not
+    check that rows replay, so healths and actions are free."""
+    scenario = draw(scenarios())
+    targets = st.none() | st.sampled_from(scenario.node_ids)
+    rows = draw(
+        st.lists(
+            st.builds(
+                TraceStep,
+                st.tuples(*(rationals for _ in scenario.node_ids)),
+                st.fixed_dictionaries({eid: targets for eid in scenario.entity_ids}),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return scenario, Trace(scenario.node_ids, scenario.entity_ids, tuple(rows))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scenarios())
+def test_scenario_file_round_trip_property(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        save_scenario(scenario, path)
+        assert load_scenario(path) == scenario
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(traces())
+def test_trace_csv_round_trip_property(drawn):
+    scenario, trace = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        if "-" in scenario.node_ids:
+            with pytest.raises(ScenarioFormatError):
+                write_trace_csv(trace, path)
+            return
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path, scenario) == trace
+
+
+def test_trace_csv_refuses_a_node_named_like_idle(tmp_path):
+    """An idle entity is written as "-", so a target named "-" would read back as idle."""
+    scenario = Scenario(
+        nodes=(NodeSpec("-", F(1, 2), F(1, 3)), NodeSpec("b", F(1, 2), F(1, 3))),
+        entities=(EntitySpec("e", F(0), {"-": F(1), "b": F(1)}),),
+        budget=None,
+    )
+    trace = Trace(scenario.node_ids, scenario.entity_ids, (TraceStep((F(1, 2), F(1, 2)), {"e": "-"}),))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ScenarioFormatError, match="cannot be written"):
+        write_trace_csv(trace, path)
+    assert not path.exists()
 
 
 def test_bundled_scenario_files_match_demo_builders():

@@ -103,6 +103,50 @@ def test_node_state_status_thresholds():
     assert not NodeState("a", F(1)).is_active
 
 
+@pytest.mark.parametrize(
+    "health, status",
+    [
+        (F(0), Status.FAILED),
+        (F(1), Status.REPAIRED),
+        (F(1, 10**12), Status.ACTIVE),
+        (1 - F(1, 10**12), Status.ACTIVE),
+        (F(-1, 3), Status.FAILED),
+        (F(4, 3), Status.REPAIRED),
+        (0, Status.FAILED),
+        (1, Status.REPAIRED),
+        (-2, Status.FAILED),
+        (2, Status.REPAIRED),
+    ],
+)
+def test_activity_test_at_the_boundaries(health, status):
+    """The integer test agrees with 0 < h < 1 on Fraction and int healths."""
+    state = NodeState("a", health)
+    assert state.status is status
+    assert state.is_active is (status is Status.ACTIVE) is (0 < health < 1)
+
+
+def test_step_health_clamps_at_the_boundaries():
+    # rate of e is 0.7, decay of a is 0.1
+    scenario = two_node_scenario()
+    tiny = F(1, 10**12)
+    cases = [
+        (F("0.3"), "e", F(1)),  # gains exactly to 1
+        (F("0.3") - tiny, "e", 1 - tiny),  # stops just inside 1
+        (F("0.3") + tiny, "e", F(1)),  # overshoots 1
+        (F("0.1"), None, F(0)),  # decays exactly to 0
+        (F("0.1") + tiny, None, tiny),  # stops just inside 0
+        (F("0.1") - tiny, None, F(0)),  # overshoots 0
+    ]
+    for start, targeted_by, expected in cases:
+        stepped = step_health(NodeState("a", start), targeted_by, scenario)
+        assert stepped.health == expected
+        assert type(stepped.health) is Fraction
+    for absorbed in (0, 1, F(-1, 3), F(4, 3)):
+        state = NodeState("a", absorbed)
+        assert step_health(state, "e", scenario) is state
+        assert step_health(state, None, scenario) is state
+
+
 def test_step_health_targeted_gains_and_clamps():
     scenario = two_node_scenario()
     mid = step_health(NodeState("a", F("0.2")), "e", scenario)
