@@ -1,24 +1,26 @@
-"""Exact search kernel for one fixed allocation.
+"""Exact search kernel for one entity's set under a fixed allocation.
 
-Computes the exact maximum number of allocated nodes that some schedule
-repairs.  All health values are pre-scaled to integers on a common lattice
-(health 1 maps to ``unit``), so the arithmetic is plain int and exact, and
-no value can overflow.
+Computes the exact maximum number of the entity's nodes that some schedule
+of that entity repairs.  The oracle sums these per-entity optima; its
+module docstring proves that the sum is the joint optimum.  All health
+values are pre-scaled to integers on a common lattice (health 1 maps to
+``unit``), so the arithmetic is plain int and exact, and no value can
+overflow.
 
 The state graph can contain cycles (a node targeted and released can
 return to an earlier health when rates match), so plain recursive
 memoization of "best remaining reward" would be unsound.  Instead the
 kernel explores the reachable set once with a seen-dict keyed by the
 health vector and keeps the best repaired count over reachable terminal
-states (no allocated node Active).
+states (no node Active).
 
 Three rules keep that search small without changing its optimum:
 
-* **Idle is dominated.**  An entity with at least one Active node in its
-  set chooses only among those nodes; the idle action is offered only to
-  an entity with none.
+* **Idle is dominated.**  While some node of the set is Active, the
+  entity chooses only among the Active nodes; it never idles.  With no
+  Active node the state is terminal.
 * **Stop at the ceiling.**  The search ends at the first terminal that
-  repairs every allocated node, since nothing can beat it.
+  repairs every node of the set, since nothing can beat it.
 * **Skip what cannot improve.**  A state is not expanded when its nodes
   not at 0 number no more than the best reward found so far.  Health 0
   absorbs, so no terminal reachable from it repairs more, and the best
@@ -28,86 +30,56 @@ Three rules keep that search small without changing its optimum:
 
 Proof that the idle rule is lossless.  Write V(x) for the best reward
 over terminals reachable from health vector x, under the full action
-space (idle always allowed).  Fix the allocation and take x >= y
-componentwise.  Shadow any full-action schedule from y, step by step from
-x: where y's entity targets a node that is Active in x, the entity in x
-targets the same node; where y idles, or y's target is already at 1 in x
-(it cannot be at 0 in x, since x >= y and the target is Active in y), the
-entity in x targets any Active node of its own set, or idles if it has
-none.  Every shadow action obeys the idle rule.  The sets are disjoint,
-so each node has at most one repairer in each run.  Repair only raises
-health, the decay step h -> max(h - dec, 0) is monotone, and 0 and 1
-absorb, so x_t >= y_t holds at every step t: a node repaired in x only
-rises, a node repaired in y but not in x is at 1 in x, and two untargeted
-nodes keep their order under the monotone decay.  When either run reaches
-a terminal, every node at 1 in y (now or later: a node at 0 in the
-terminal x_t is at 0 in y_t and stays there) is at 1 in x.  Rates and
-decays are positive, so from any state the schedule that keeps each
-entity on one node until that node absorbs reaches a terminal, obeys the
-idle rule, and loses no node already at 1.  Therefore the best terminal
-under the idle rule is at least as good as the best full-action terminal
-(take x = y = the initial state), and it is never better, since its
-schedules are full-action schedules too.  This is admissible dominance
-pruning in the sense of Torralba & Hoffmann, "Simulation-Based
-Admissible Dominance Pruning" (IJCAI 2015).  The same argument shows V is
-monotone: V(x) >= V(y) whenever x >= y.
+space (idle always allowed).  Take x >= y componentwise.  Shadow any
+full-action schedule from y, step by step from x: where y's entity
+targets a node that is Active in x, the entity in x targets the same
+node; where y idles, or y's target is already at 1 in x (it cannot be at
+0 in x, since x >= y and the target is Active in y), the entity in x
+targets any Active node, or idles if none is left.  Every shadow action
+obeys the idle rule.  Repair only raises health, the decay step
+h -> max(h - dec, 0) is monotone, and 0 and 1 absorb, so x_t >= y_t
+holds at every step t: a node repaired in x only rises, a node repaired
+in y but not in x is at 1 in x, and two untargeted nodes keep their
+order under the monotone decay.  When either run reaches a terminal,
+every node at 1 in y (now or later: a node at 0 in the terminal x_t is
+at 0 in y_t and stays there) is at 1 in x.  Rates and decays are
+positive, so from any state the schedule that keeps the entity on one
+node until that node absorbs reaches a terminal, obeys the idle rule,
+and loses no node already at 1.  Therefore the best terminal under the
+idle rule is at least as good as the best full-action terminal (take
+x = y = the initial state), and it is never better, since its schedules
+are full-action schedules too.  This is admissible dominance pruning in
+the sense of Torralba & Hoffmann, "Simulation-Based Admissible Dominance
+Pruning" (IJCAI 2015).  The same argument shows V is monotone:
+V(x) >= V(y) whenever x >= y.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from repairalloc.errors import InstanceTooLarge
 
 IntVec = tuple[int, ...]
 
 
-def decode_action(code: int, bases: tuple[int, ...]) -> tuple[int, ...]:
-    """Mixed-radix action code back to per-entity digits.
-
-    Entity k's digit is a position in its node tuple, or ``bases[k] - 1``
-    (the length of that tuple) for idle; the first entity's digit is the
-    least significant.
-    """
-    digits: list[int] = []
-    for base in bases:
-        digits.append(code % base)
-        code //= base
-    return tuple(digits)
-
-
 def solve_allocation(
     healths: IntVec,
     unit: int,
     decs: IntVec,
-    entity_nodes: tuple[IntVec, ...],
-    entity_incs: tuple[IntVec, ...],
+    incs: IntVec,
     memo_cap: int,
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact optimum and one witness action sequence for this allocation.
+    """Exact optimum and one witness target sequence for one entity's set.
 
-    ``healths`` and ``decs`` cover the allocated nodes only, and
-    ``entity_nodes`` partitions their positions among the participating
-    entities.  Returns (best repaired count, mixed-radix action codes
-    along one path from the initial state to a best terminal state).
-    Raises InstanceTooLarge once the search holds ``memo_cap`` states.
+    ``healths``, ``decs`` and ``incs`` (the entity's repair rate for each
+    node) cover that set only.  Returns (best repaired count, the node
+    position targeted at each step along one path from the initial state
+    to a best terminal state).  Raises InstanceTooLarge once the search
+    holds ``memo_cap`` states.
     """
     start = tuple(healths)
     ceiling = len(start)
     if not any(0 < h < unit for h in start):
         return start.count(unit), ()
-    # Per entity, (digit, node position, increment) for each of its nodes,
-    # and the idle digit; weights turn a digit tuple into its action code.
-    moves = [
-        tuple(zip(range(len(nodes)), nodes, incs))
-        for nodes, incs in zip(entity_nodes, entity_incs)
-    ]
-    idles = [((len(nodes), -1, 0),) for nodes in entity_nodes]
-    weights = []
-    weight = 1
-    for nodes in entity_nodes:
-        weights.append(weight)
-        weight *= len(nodes) + 1
     seen: dict[IntVec, tuple[IntVec | None, int]] = {start: (None, -1)}
     stack: list[IntVec] = [start]
     best_reward = -1
@@ -119,24 +91,18 @@ def solve_allocation(
         decayed = [
             (h - d if h > d else 0) if 0 < h < unit else h for h, d in zip(state, decs)
         ]
-        choices = []
-        for options, idle in zip(moves, idles):
-            active = [move for move in options if 0 < state[move[1]] < unit]
-            choices.append(active or idle)
-        for joint in product(*choices):
+        for j, (h, inc) in enumerate(zip(state, incs)):
+            if not 0 < h < unit:
+                continue
             nxt_list = decayed.copy()
-            code = 0
-            for (digit, j, inc), w in zip(joint, weights):
-                code += digit * w
-                if j >= 0:
-                    gained = state[j] + inc
-                    nxt_list[j] = gained if gained < unit else unit
+            gained = h + inc
+            nxt_list[j] = gained if gained < unit else unit
             nxt = tuple(nxt_list)
             if nxt in seen:
                 continue
             if len(seen) >= memo_cap:
                 raise InstanceTooLarge(f"search exceeded the state cap of {memo_cap}")
-            seen[nxt] = (state, code)
+            seen[nxt] = (state, j)
             reward = nxt.count(unit)
             if reward + nxt.count(0) < ceiling:  # some node still Active
                 stack.append(nxt)
@@ -146,12 +112,12 @@ def solve_allocation(
                 best_state = nxt
                 if reward == ceiling:
                     break
-    codes: list[int] = []
+    targets: list[int] = []
     cursor = best_state
     while cursor != start:
-        parent, code = seen[cursor]
-        codes.append(code)
+        parent, j = seen[cursor]
+        targets.append(j)
         assert parent is not None
         cursor = parent
-    codes.reverse()
-    return best_reward, tuple(codes)
+    targets.reverse()
+    return best_reward, tuple(targets)

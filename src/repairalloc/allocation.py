@@ -148,16 +148,21 @@ class _OnlineAssignment:
         for entity_id, target in self.targets.items():
             if target is not None and not states[target].is_active:
                 self.targets[entity_id] = None
-        for entity in self.entities:
-            if self.targets[entity.id] is not None:
-                continue
-            candidates = [s for nid, s in states.items() if s.is_active and nid not in self.assigned]
+        free = [e for e in self.entities if self.targets[e.id] is None]
+        if not free:
+            return dict(self.targets)
+        # within one step only ``assigned`` changes, by the picks below
+        candidates = {
+            nid: s for nid, s in states.items() if s.is_active and nid not in self.assigned
+        }
+        for entity in free:
             if not candidates:
-                continue
+                break
             if self.budget is not None and self.budget < entity.cost:
                 continue
-            pick = healthiest_target(candidates)
+            pick = healthiest_target(candidates.values())
             assert pick is not None  # candidates is non-empty here
+            del candidates[pick]
             self.targets[entity.id] = pick
             self.assigned.add(pick)
             self.assignment_times[pick] = t

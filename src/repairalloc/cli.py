@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memo-cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"maximum number of health vectors per allocation search (default {DEFAULT_CAP})",
+        help=f"maximum number of health vectors per entity search (default {DEFAULT_CAP})",
     )
     p_oracle.add_argument(
         "--force",

@@ -1,31 +1,32 @@
 """Exhaustive ground truth: best possible reward over all schedules.
 
 The oracle enumerates every budget-feasible allocation and, for each one,
-searches the joint schedules for the maximum number of nodes that can be
-driven to health 1.  It assumes nothing about which policies are good:
-every entity may target any Active node of its set at every step, and
-target switches are part of the searched action space.  The idle action
-is searched only for an entity whose set holds no Active node, which is
-lossless: idling is dominated by targeting any Active node of the same
-set.  Fix the allocation and take health vectors x >= y componentwise;
-shadow any full-action schedule from y, step by step from x, letting an
-entity of x target an Active node of its own set (or idle if it has none)
-wherever y's entity idles or targets a node already at 1 in x.  The sets
-are disjoint, so each node has at most one repairer; repair only raises
-health, decay is monotone, and 0 and 1 absorb, so x_t >= y_t holds at
-every step.  Rates and decays are positive, so from any state the
-schedule that keeps each entity on one node until that node absorbs
-reaches a terminal without losing a node at 1.  Therefore the best pruned
-terminal is at least as good as the best full-action terminal.  The
-kernel also skips states that cannot beat the best reward found so far
-and stops once every allocated node is repaired; ``repairalloc._kernel``
-states all three rules with their proofs in full.
+finds the maximum number of nodes that some joint schedule drives to
+health 1.  It assumes nothing about which policies are good: every entity
+may target any Active node of its set at every step, or idle, and target
+switches are part of the searched action space.
 
-Health values are rescaled onto their common denominator lattice so the
-whole search runs in exact integer arithmetic.  Only an allocation that
-beats the best reward so far has its witness replayed through the
-simulator, and the returned witness always has been: a replay that does
-not reproduce the searched reward raises SearchInconsistency.
+Under a fixed allocation the joint search separates into one search per
+entity.  The sets are disjoint, so each node's health moves only under
+its own entity's actions and its own decay, and an unallocated node only
+decays.  Each entity's repaired count therefore depends only on its own
+schedule, and the joint reward of a joint schedule is the sum of those
+counts: the joint optimum is at most the sum of the per-entity optima.
+Conversely, any tuple of per-entity schedules runs in parallel as one
+joint schedule, each entity idling once its own schedule ends, when its
+set has absorbed; an absorbed set stays absorbed under idling, so that
+joint schedule repairs exactly the sum.  Hence the joint optimum is the
+sum of the per-entity optima.  ``repairalloc._kernel`` finds each
+per-entity optimum exactly, with three lossless pruning rules proven in
+its docstring; within one ``oracle_optimal`` call each (entity, set)
+pair is searched once.
+
+Health values are rescaled onto the common denominator lattice of one
+entity's set so each search runs in exact integer arithmetic.  Only an
+allocation that beats the best reward so far has its witness replayed
+through the simulator, and the returned witness always has been: a
+replay that does not reproduce the searched reward raises
+SearchInconsistency.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ from typing import Iterator, Optional
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
-from repairalloc.model import Allocation, Scenario
+from repairalloc.model import Allocation, EntitySpec, Scenario
 from repairalloc.policies import Scripted
 from repairalloc.rational import lcm_denominators
 
 DEFAULT_CAP = 10**6
+
+# (entity id, its set) -> (that entity's optimum, its witness targets)
+_EntityCache = dict[tuple[str, frozenset[str]], tuple[int, tuple[str, ...]]]
 
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
@@ -69,26 +73,6 @@ def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -
             yield allocation
 
 
-def _kernel_inputs(scenario: Scenario, allocation: Allocation):
-    """Rescale one allocation onto its integer lattice for the kernel."""
-    allocated = [n for n in scenario.nodes if n.id in allocation.allocated_nodes]
-    index = {node.id: j for j, node in enumerate(allocated)}
-    participating = [e for e in scenario.entities if allocation.nodes_of(e.id)]
-    values = [n.v0 for n in allocated] + [n.delta_dec for n in allocated]
-    for entity in participating:
-        values.extend(entity.rate_for(nid) for nid in allocation.nodes_of(entity.id))
-    unit = lcm_denominators(values)
-    healths = tuple(int(n.v0 * unit) for n in allocated)
-    decs = tuple(int(n.delta_dec * unit) for n in allocated)
-    entity_nodes = []
-    entity_incs = []
-    for entity in participating:
-        local = tuple(sorted(index[nid] for nid in allocation.nodes_of(entity.id)))
-        entity_nodes.append(local)
-        entity_incs.append(tuple(int(entity.rate_for(allocated[j].id) * unit) for j in local))
-    return allocated, participating, healths, unit, decs, tuple(entity_nodes), tuple(entity_incs)
-
-
 def optimal_sequencing_reward(
     scenario: Scenario,
     allocation: Allocation,
@@ -96,13 +80,14 @@ def optimal_sequencing_reward(
 ) -> tuple[int, Trace]:
     """Best achievable reward for a fixed allocation, with a witness trace.
 
-    Searches the joint per-step action space (every entity: any Active node
-    of its set, or idle once it has none), visiting each reachable health
-    vector once.  The witness trace replays the optimal action sequence
-    through the simulator and therefore reproduces the claimed reward
-    exactly; SearchInconsistency is raised if it does not.
+    Searches each entity's set on its own (any Active node of the set at
+    every step), visiting each reachable health vector of that set once,
+    with at most ``memo_cap`` vectors per entity, and sums the optima.  The
+    witness trace replays the entities' optimal target sequences in
+    parallel through the simulator and therefore reproduces the claimed
+    reward exactly; SearchInconsistency is raised if it does not.
     """
-    reward, script = _search_allocation(scenario, allocation, memo_cap)
+    reward, script = _search_allocation(scenario, allocation, memo_cap, {})
     trace, _ = _replay(scenario, allocation, reward, script)
     return reward, trace
 
@@ -110,28 +95,51 @@ def optimal_sequencing_reward(
 def _search_allocation(
     scenario: Scenario,
     allocation: Allocation,
-    memo_cap: int = DEFAULT_CAP,
+    memo_cap: int,
+    cache: _EntityCache,
 ) -> tuple[int, list[dict[str, Optional[str]]]]:
-    """The kernel's optimum for one allocation and its witness as action maps."""
+    """The summed per-entity optima for one allocation and a joint witness script.
+
+    Searches missing from ``cache`` are run and added to it.
+    """
     allocation.require_budget(scenario)
-    allocated, participating, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
-        scenario, allocation
-    )
-    if not participating:
-        return 0, []
+    total = 0
+    scripts: list[tuple[str, tuple[str, ...]]] = []
+    for entity in scenario.entities:
+        nodes = allocation.nodes_of(entity.id)
+        if not nodes:
+            continue
+        key = (entity.id, nodes)
+        if key not in cache:
+            cache[key] = _search_entity(scenario, entity, nodes, memo_cap)
+        reward, targets = cache[key]
+        total += reward
+        scripts.append((entity.id, targets))
+    length = max((len(targets) for _, targets in scripts), default=0)
+    script: list[dict[str, Optional[str]]] = [
+        {eid: None for eid in scenario.entity_ids} for _ in range(length)
+    ]
+    for entity_id, targets in scripts:
+        for actions, target in zip(script, targets):
+            actions[entity_id] = target
+    return total, script
 
-    best, codes = _kernel.solve_allocation(healths, unit, decs, entity_nodes, entity_incs, memo_cap)
 
-    bases = tuple(len(nodes) + 1 for nodes in entity_nodes)
-    script = []
-    for code in codes:
-        digits = _kernel.decode_action(code, bases)
-        actions: dict[str, Optional[str]] = {eid: None for eid in scenario.entity_ids}
-        for entity, nodes, digit in zip(participating, entity_nodes, digits):
-            if digit < len(nodes):
-                actions[entity.id] = allocated[nodes[digit]].id
-        script.append(actions)
-    return best, script
+def _search_entity(
+    scenario: Scenario,
+    entity: EntitySpec,
+    nodes: frozenset[str],
+    memo_cap: int,
+) -> tuple[int, tuple[str, ...]]:
+    """Rescale one entity's set onto its integer lattice and search it."""
+    members = [n for n in scenario.nodes if n.id in nodes]
+    rates = [entity.rate_for(n.id) for n in members]
+    unit = lcm_denominators([n.v0 for n in members] + [n.delta_dec for n in members] + rates)
+    healths = tuple(int(n.v0 * unit) for n in members)
+    decs = tuple(int(n.delta_dec * unit) for n in members)
+    incs = tuple(int(rate * unit) for rate in rates)
+    reward, positions = _kernel.solve_allocation(healths, unit, decs, incs, memo_cap)
+    return reward, tuple(members[j].id for j in positions)
 
 
 def _replay(
@@ -172,13 +180,16 @@ def oracle_optimal(
     never strictly improve, and a tie would not displace an earlier first
     maximizer.  Only an allocation whose searched reward beats the best so
     far is replayed, so the returned witness is replayed and checked.
+    Each (entity, set) pair is searched once per call, with at most
+    ``memo_cap`` health vectors.
     """
     best: Optional[OracleResult] = None
     n = len(scenario.nodes)
+    cache: _EntityCache = {}
     for allocation in enumerate_feasible_allocations(scenario, cap=cap):
         if best is not None and len(allocation.allocated_nodes) <= best.optimal_reward:
             continue
-        reward, script = _search_allocation(scenario, allocation, memo_cap=memo_cap)
+        reward, script = _search_allocation(scenario, allocation, memo_cap, cache)
         if best is None or reward > best.optimal_reward:
             trace, outcome = _replay(scenario, allocation, reward, script)
             best = OracleResult(reward, allocation, trace, outcome)

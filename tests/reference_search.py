@@ -1,10 +1,15 @@
-"""Unpruned reference searches that cross-check the search kernel.
+"""Unpruned joint reference searches that cross-check the oracle's search.
 
-They search the full joint action space, the idle action included for
-every entity at every step, and share no code with ``repairalloc._kernel``
-beyond the integer lattice the oracle rescales onto.  ``solve_reward_full``
-visits every reachable health vector once; ``solve_reward_no_memo`` keeps
-no seen-set at all, is exponential, and is meant for tiny instances only.
+They search the full joint action space of an allocation, all entities
+at once with the idle action included for every entity at every step.
+The package searches each entity's set on its own and sums the optima,
+so these searches are the independent check of that decomposition as
+well as of the kernel's pruning rules; they share no code with
+``repairalloc._kernel`` or the oracle's rescale.  ``_kernel_inputs``
+rescales one allocation onto its joint integer lattice.
+``solve_reward_full`` visits every reachable health vector once;
+``solve_reward_no_memo`` keeps no seen-set at all, is exponential, and is
+meant for tiny instances only.
 """
 
 from __future__ import annotations
@@ -12,9 +17,34 @@ from __future__ import annotations
 from itertools import product
 
 from repairalloc.model import Allocation, Scenario
-from repairalloc.oracle import _kernel_inputs
+from repairalloc.rational import lcm_denominators
 
 IntVec = tuple[int, ...]
+
+
+def _kernel_inputs(scenario: Scenario, allocation: Allocation):
+    """Rescale one allocation onto its joint integer lattice.
+
+    Returns the allocated nodes and the participating entities in scenario
+    order, the allocated nodes' healths, the unit, their decays, and per
+    entity its node positions and repair increments.
+    """
+    allocated = [n for n in scenario.nodes if n.id in allocation.allocated_nodes]
+    index = {node.id: j for j, node in enumerate(allocated)}
+    participating = [e for e in scenario.entities if allocation.nodes_of(e.id)]
+    values = [n.v0 for n in allocated] + [n.delta_dec for n in allocated]
+    for entity in participating:
+        values.extend(entity.rate_for(nid) for nid in allocation.nodes_of(entity.id))
+    unit = lcm_denominators(values)
+    healths = tuple(int(n.v0 * unit) for n in allocated)
+    decs = tuple(int(n.delta_dec * unit) for n in allocated)
+    entity_nodes = []
+    entity_incs = []
+    for entity in participating:
+        local = tuple(sorted(index[nid] for nid in allocation.nodes_of(entity.id)))
+        entity_nodes.append(local)
+        entity_incs.append(tuple(int(entity.rate_for(allocated[j].id) * unit) for j in local))
+    return allocated, participating, healths, unit, decs, tuple(entity_nodes), tuple(entity_incs)
 
 
 def _is_terminal(state: IntVec, unit: int) -> bool:
@@ -112,3 +142,14 @@ def sequencing_reward_no_memo(scenario: Scenario, allocation: Allocation) -> int
     if not participating:
         return 0
     return solve_reward_no_memo(healths, unit, decs, entity_nodes, entity_incs)
+
+
+def sequencing_reward_full(scenario: Scenario, allocation: Allocation) -> int:
+    """Joint reference optimum for one allocation of a scenario."""
+    allocation.require_budget(scenario)
+    _, participating, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
+        scenario, allocation
+    )
+    if not participating:
+        return 0
+    return solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)

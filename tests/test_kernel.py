@@ -9,34 +9,21 @@ from hypothesis import strategies as st
 from repairalloc import _kernel
 from repairalloc.engine import verify_trace
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
-from repairalloc.oracle import _kernel_inputs, optimal_sequencing_reward, oracle_optimal
+from repairalloc.oracle import optimal_sequencing_reward, oracle_optimal
 
 from generators import random_repair_dominant, random_uniform_regime
-from reference_search import solve_reward_full, step
+from reference_search import sequencing_reward_full, solve_reward_full, step
 
 F = Fraction
-
-
-def test_decode_action_inverts_mixed_radix():
-    assert _kernel.decode_action(5, (3, 2)) == (2, 1)
-    assert _kernel.decode_action(0, (3, 2)) == (0, 0)
-    bases = (3, 2, 4)
-    total = 3 * 2 * 4
-    seen = set()
-    for code in range(total):
-        digits = _kernel.decode_action(code, bases)
-        assert all(0 <= d < b for d, b in zip(digits, bases))
-        seen.add(digits)
-    assert len(seen) == total
 
 
 def test_pruned_search_matches_unpruned_reference_on_random_allocations():
     rng = random.Random(6617)
     for _ in range(60):
         if rng.random() < 0.5:
-            drawn = random_repair_dominant(rng, max_nodes=4, max_entities=2)
+            drawn = random_repair_dominant(rng, max_nodes=4, max_entities=3)
         else:
-            drawn = random_uniform_regime(rng, max_nodes=4, max_entities=2)
+            drawn = random_uniform_regime(rng, max_nodes=4, max_entities=3)
         # drop the budget so arbitrary manual subsets are valid allocations
         scenario = Scenario(nodes=drawn.nodes, entities=drawn.entities, budget=None)
         sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
@@ -47,11 +34,8 @@ def test_pruned_search_matches_unpruned_reference_on_random_allocations():
         allocation = Allocation.build(scenario, sets)
         if not allocation.allocated_nodes:
             continue
-        _, _, healths, unit, decs, entity_nodes, entity_incs = _kernel_inputs(
-            scenario, allocation
-        )
         reward, trace = optimal_sequencing_reward(scenario, allocation)
-        assert reward == solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)
+        assert reward == sequencing_reward_full(scenario, allocation)
         verify_trace(scenario, allocation, trace)
 
 
@@ -60,7 +44,7 @@ def lattice_instances(draw):
     """A small allocation on the integer lattice and two health vectors x >= y."""
     unit = draw(st.integers(2, 7))
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, min(2, n)))
+    m = draw(st.integers(1, min(3, n)))
     # node j belongs to entity owners[j]; every entity owns at least one node
     owners = draw(
         st.lists(st.integers(0, m - 1), min_size=n, max_size=n).filter(lambda o: len(set(o)) == m)
@@ -75,16 +59,12 @@ def lattice_instances(draw):
     return unit, decs, entity_nodes, entity_incs, high, low
 
 
-def _replay_codes(healths, codes, unit, decs, entity_nodes, entity_incs):
-    """Apply witness action codes on the lattice with the reference step rule."""
-    bases = tuple(len(nodes) + 1 for nodes in entity_nodes)
+def _replay_targets(healths, targets, unit, decs, incs):
+    """Apply a witness target sequence on one entity's lattice with the reference step rule."""
     state = tuple(healths)
-    for code in codes:
-        digits = _kernel.decode_action(code, bases)
-        action = tuple(d if d < len(nodes) else None for d, nodes in zip(digits, entity_nodes))
-        for nodes, k in zip(entity_nodes, action):
-            assert k is None or 0 < state[nodes[k]] < unit, "witness targets an absorbed node"
-        state = step(state, action, unit, decs, entity_nodes, entity_incs)
+    for k in targets:
+        assert 0 < state[k] < unit, "witness targets an absorbed node"
+        state = step(state, (k,), unit, decs, (tuple(range(len(state))),), (incs,))
     return state
 
 
@@ -94,16 +74,20 @@ def test_pruned_search_is_exact_and_monotone(instance):
     unit, decs, entity_nodes, entity_incs, high, low = instance
     rewards = []
     for healths in (high, low):
-        reward, codes = _kernel.solve_allocation(
-            healths, unit, decs, entity_nodes, entity_incs, 10**6
-        )
-        assert reward == solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)
-        final = _replay_codes(healths, codes, unit, decs, entity_nodes, entity_incs)
-        assert not any(0 < h < unit for h in final)
-        assert final.count(unit) == reward
-        rewards.append(reward)
-    # V(x) >= V(y) whenever x >= y componentwise
-    assert rewards[0] >= rewards[1]
+        per_entity = []
+        for nodes, incs in zip(entity_nodes, entity_incs):
+            own = tuple(healths[j] for j in nodes)
+            own_decs = tuple(decs[j] for j in nodes)
+            reward, targets = _kernel.solve_allocation(own, unit, own_decs, incs, 10**6)
+            final = _replay_targets(own, targets, unit, own_decs, incs)
+            assert not any(0 < h < unit for h in final)
+            assert final.count(unit) == reward
+            per_entity.append(reward)
+        joint = solve_reward_full(healths, unit, decs, entity_nodes, entity_incs)
+        assert sum(per_entity) == joint
+        rewards.append(per_entity)
+    # V(x) >= V(y) whenever x >= y componentwise, for each entity's set
+    assert all(x >= y for x, y in zip(*rewards))
 
 
 def overflow_pair() -> Scenario:

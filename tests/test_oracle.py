@@ -18,7 +18,7 @@ from repairalloc.oracle import (
 from repairalloc.policies import LeastModifiedHealth
 
 from generators import random_repair_dominant, random_uniform_regime
-from reference_search import sequencing_reward_no_memo
+from reference_search import sequencing_reward_full, sequencing_reward_no_memo
 
 F = Fraction
 
@@ -147,6 +147,26 @@ def test_oracle_pruning_matches_plain_maximum():
             for allocation in enumerate_feasible_allocations(scenario)
         )
         assert oracle_optimal(scenario).optimal_reward == plain
+
+
+def test_oracle_matches_a_plain_scan_with_the_joint_reference():
+    # the oracle sums per-entity optima, cached per (entity, set) within the
+    # call; a scan of every feasible allocation scored by the unpruned joint
+    # search must find the same optimum and the same first maximizer
+    rng = random.Random(7207)
+    for _ in range(20):
+        if rng.random() < 0.5:
+            scenario = random_repair_dominant(rng, max_nodes=5, max_entities=3)
+        else:
+            scenario = random_uniform_regime(rng, max_nodes=5, max_entities=3)
+        best_reward, best_allocation = -1, None
+        for allocation in enumerate_feasible_allocations(scenario):
+            reward = sequencing_reward_full(scenario, allocation)
+            if reward > best_reward:
+                best_reward, best_allocation = reward, allocation
+        result = oracle_optimal(scenario)
+        assert result.optimal_reward == best_reward, scenario
+        assert result.witness_allocation.sets == best_allocation.sets, scenario
 
 
 def short_decay_trio() -> Scenario:
