@@ -47,7 +47,6 @@ from repairalloc.model import (
     UniformRegimeReport,
     check_assumption1,
     check_assumption2,
-    step_health,
 )
 from repairalloc.oracle import (
     DEFAULT_CAP,
@@ -128,7 +127,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "simulate",
-    "step_health",
     "verify_trace",
     "write_trace_csv",
 ]

@@ -2,10 +2,11 @@
 
 Computes the exact maximum number of the entity's nodes that some schedule
 of that entity repairs.  The oracle sums these per-entity optima; its
-module docstring proves that the sum is the joint optimum.  All health
-values are pre-scaled to integers on a common lattice (health 1 maps to
-``unit``), so the arithmetic is plain int and exact, and no value can
-overflow.
+module docstring proves that the sum is the joint optimum.  Healths,
+decays and rates come from the scenario's integer lattice (health 1 maps
+to ``unit``), and every step goes through the lattice rule in
+``repairalloc.model`` (``decayed`` and ``repaired``), so the arithmetic
+is plain int and exact, and no value can overflow.
 
 The state graph can contain cycles (a node targeted and released can
 return to an earlier health when rates match), so plain recursive
@@ -57,8 +58,7 @@ V(x) >= V(y) whenever x >= y.
 from __future__ import annotations
 
 from repairalloc.errors import InstanceTooLarge
-
-IntVec = tuple[int, ...]
+from repairalloc.model import IntVec, decayed, repaired
 
 
 def solve_allocation(
@@ -88,15 +88,12 @@ def solve_allocation(
         state = stack.pop()
         if ceiling - state.count(0) <= best_reward:
             continue  # even repairing every node not yet at 0 cannot beat the best
-        decayed = [
-            (h - d if h > d else 0) if 0 < h < unit else h for h, d in zip(state, decs)
-        ]
+        untargeted = decayed(state, decs, unit)
         for j, (h, inc) in enumerate(zip(state, incs)):
             if not 0 < h < unit:
                 continue
-            nxt_list = decayed.copy()
-            gained = h + inc
-            nxt_list[j] = gained if gained < unit else unit
+            nxt_list = untargeted.copy()
+            nxt_list[j] = repaired(h, inc, unit)
             nxt = tuple(nxt_list)
             if nxt in seen:
                 continue

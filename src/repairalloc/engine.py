@@ -6,9 +6,10 @@ resulting trace records the exact health vector and every entity's action
 at each step, so it can be replayed through the health update rule and
 checked bit for bit.
 
-``advance`` is the one synchronous step and ``_run_to_absorption`` the one
-run loop; ``simulate`` and the online assignment in ``allocation`` both run
-through that loop, and ``verify_trace`` replays rows through ``advance``.
+``advance`` is the one synchronous step, on the scenario's lattice, and
+``_run_to_absorption`` the one run loop; ``simulate`` and the online
+assignment in ``allocation`` both run through that loop, and
+``verify_trace`` replays rows through ``advance``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from typing import Callable, Mapping, Optional, Protocol
 from repairalloc.errors import NonAbsorbingPolicy, PolicyViolation, TraceMismatch
 from repairalloc.model import (
     Allocation,
+    IntVec,
+    Lattice,
     NodeState,
     Scenario,
     Status,
+    decayed,
     health_status,
-    is_active_health,
-    step_health,
+    repaired,
 )
 from repairalloc.policies import Scripted
 
@@ -117,23 +120,16 @@ def count_jumps(trace: Trace) -> int:
     return jumps
 
 
-def advance(
-    scenario: Scenario,
-    states: Mapping[str, NodeState],
-    actions: Actions,
-) -> dict[str, NodeState]:
-    """Apply one synchronous step of the health update rule to every node.
-
-    Only Active nodes are stepped; an absorbed node's state carries over
-    unchanged, as ``step_health`` would return it.  Legality of the
-    actions is the caller's concern; see ``step_health``.
-    """
-    targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
-    stepped = dict(states)
-    for node_id, state in states.items():
-        if state.is_active:
-            stepped[node_id] = step_health(state, targeted_by.get(node_id), scenario)
-    return stepped
+def advance(lattice: Lattice, healths: IntVec, actions: Actions) -> IntVec:
+    """One lattice-rule step: each Active node decays, or is repaired if targeted; legality is the caller's concern."""
+    unit = lattice.unit
+    stepped = decayed(healths, lattice.decs, unit)
+    for entity_id, target in actions.items():
+        if target is not None:
+            j = lattice.positions[target]
+            if 0 < healths[j] < unit:
+                stepped[j] = repaired(healths[j], lattice.incs[entity_id][j], unit)
+    return tuple(stepped)
 
 
 def _run_to_absorption(
@@ -148,26 +144,32 @@ def _run_to_absorption(
     vector, so a repeated vector proves a cycle and raises
     NonAbsorbingPolicy, as does running past ``max_steps``.
     """
+    lattice = scenario.lattice
+    unit, ints = lattice.unit, lattice.v0
     states = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
     rows: list[TraceStep] = []
-    seen_healths: dict[tuple[Fraction, ...], int] = {}
+    seen_healths: dict[IntVec, int] = {}
     t = 0
     while True:
         healths = tuple(state.health for state in states.values())
-        if not any(is_active_health(h) for h in healths):
+        if not any(0 < h < unit for h in ints):
             rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows))
         if time_invariant:
-            if healths in seen_healths:
+            if ints in seen_healths:
                 raise NonAbsorbingPolicy(
-                    f"health vector at step {t} repeats step {seen_healths[healths]}; the run would never absorb"
+                    f"health vector at step {t} repeats step {seen_healths[ints]}; the run would never absorb"
                 )
-            seen_healths[healths] = t
+            seen_healths[ints] = t
         if max_steps is not None and t >= max_steps:
             raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
-        actions = select(t, states)
+        actions = select(t, dict(states))
         rows.append(TraceStep(healths, actions))
-        states = advance(scenario, states, actions)
+        stepped = advance(lattice, ints, actions)
+        for node_id, old, new in zip(scenario.node_ids, ints, stepped):
+            if new != old:
+                states[node_id] = NodeState(node_id, Fraction(new, unit))
+        ints = stepped
         t += 1
 
 
@@ -195,9 +197,9 @@ def simulate(
         max_steps = policy.step_bound(scenario)
 
     def select(t: int, states: dict[str, NodeState]) -> Actions:
-        actions = dict(policy.select(t, states, allocation, scenario))
-        _validate_actions(actions, states, allocation, scenario)
-        return actions
+        actions = policy.select(t, states, allocation, scenario)
+        _validate_actions(actions, lambda nid: states[nid].status, allocation, scenario)
+        return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
 
     trace = _run_to_absorption(scenario, select, policy.time_invariant, max_steps)
     return trace, Outcome.from_trace(trace)
@@ -205,7 +207,7 @@ def simulate(
 
 def _validate_actions(
     actions: Actions,
-    states: Mapping[str, NodeState],
+    status: Callable[[str], Status],
     allocation: Allocation,
     scenario: Scenario,
 ) -> None:
@@ -215,10 +217,8 @@ def _validate_actions(
             continue
         if target not in allocation.nodes_of(entity_id):
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} outside its allocated set")
-        if not states[target].is_active:
-            raise PolicyViolation(
-                f"entity {entity_id!r} targeted {target!r} which is {states[target].status.value}"
-            )
+        if status(target) is not Status.ACTIVE:
+            raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} which is {status(target).value}")
     unknown = set(actions) - set(scenario.entity_ids)
     if unknown:
         raise PolicyViolation(f"actions for unknown entities: {sorted(unknown)}")
@@ -229,8 +229,9 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
 
     Checks the columns against the scenario, the initial row against v0,
     every targeted node's membership and Active status, the exact health
-    evolution, and that the final row (and only the final row) has no
-    Active node and no action.
+    evolution on the scenario's lattice (every row must hold one health per
+    node), and that the final row (and only the final row) has no Active
+    node and no action.
     """
     if trace.node_ids != scenario.node_ids:
         raise TraceMismatch("trace node columns do not match the scenario")
@@ -238,19 +239,20 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
         raise TraceMismatch("trace entity columns do not match the scenario")
     if not trace.steps:
         raise TraceMismatch("trace has no rows")
-    expected0 = tuple(n.v0 for n in scenario.nodes)
-    if trace.steps[0].healths != expected0:
+    if trace.steps[0].healths != tuple(n.v0 for n in scenario.nodes):
         raise TraceMismatch("initial healths differ from the scenario's v0")
+    lattice = scenario.lattice
+    unit, ints = lattice.unit, lattice.v0
     for t, row in enumerate(trace.steps[:-1]):
-        states = {nid: NodeState(nid, h) for nid, h in zip(trace.node_ids, row.healths)}
-        if not any(s.is_active for s in states.values()):
+        if not any(0 < h < unit for h in ints):
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
-        _validate_actions(row.actions, states, allocation, scenario)
-        stepped = advance(scenario, states, row.actions)
-        if tuple(s.health for s in stepped.values()) != trace.steps[t + 1].healths:
+        _validate_actions(row.actions, lambda nid: health_status(row.healths[lattice.positions[nid]]), allocation, scenario)
+        ints = advance(lattice, ints, row.actions)
+        expected = trace.steps[t + 1].healths
+        # each health h must equal its replayed i / unit; cross-multiplying builds no Fraction
+        if len(expected) != len(ints) or any(h.numerator * unit != i * h.denominator for h, i in zip(expected, ints)):
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")
-    last = trace.steps[-1]
-    if any(is_active_health(h) for h in last.healths):
+    if any(0 < h < unit for h in ints):
         raise TraceMismatch("terminal row still has an Active node")
-    if any(target is not None for target in last.actions.values()):
+    if any(target is not None for target in trace.steps[-1].actions.values()):
         raise TraceMismatch("terminal row has an action")

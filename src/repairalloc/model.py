@@ -5,8 +5,8 @@ health lives in [0, 1] with two absorbing boundaries: a node that reaches 0
 has permanently failed, a node that reaches 1 is permanently repaired.  At
 each discrete time step every Active node either gains its targeting
 entity's repair rate (clamped at 1) or loses its own deterioration rate
-(clamped at 0).  All arithmetic is exact; there is no floating point
-anywhere in the decision path.
+(clamped at 0).  All values are exact, so the rule (``decayed``, ``repaired``)
+runs on one integer lattice per scenario, with Fractions only at the boundary.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 from repairalloc.errors import BudgetExceeded
+from repairalloc.rational import lcm_denominators
+
+IntVec = tuple[int, ...]
 
 
 class Status(Enum):
@@ -121,6 +125,42 @@ class Scenario:
     def entity(self, entity_id: str) -> EntitySpec:
         return self._entity_by_id[entity_id]
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """This scenario's integer lattice, worked out on first use."""
+        rates = [[e.rate_for(n.id) for n in self.nodes] for e in self.entities]
+        v0, decs = [n.v0 for n in self.nodes], [n.delta_dec for n in self.nodes]
+        unit = lcm_denominators(v0 + decs + [rate for row in rates for rate in row])
+        def scaled(exact: list[Fraction]) -> IntVec:
+            return tuple(v.numerator * (unit // v.denominator) for v in exact)
+        incs = {e.id: scaled(row) for e, row in zip(self.entities, rates)}
+        return Lattice(unit, scaled(v0), scaled(decs), incs, {nid: j for j, nid in enumerate(self.node_ids)})
+
+
+@dataclass(frozen=True, slots=True)
+class Lattice:
+    """A scenario's values as integers over ``unit``, the lcm of their denominators.
+
+    ``v0``, ``decs`` and each entity's ``incs`` follow node order; ``positions`` maps node id to position.
+    """
+
+    unit: int
+    v0: IntVec
+    decs: IntVec
+    incs: Mapping[str, IntVec]
+    positions: Mapping[str, int]
+
+
+def decayed(healths: Sequence[int], decs: Sequence[int], unit: int) -> list[int]:
+    """Lattice healths one step on, untargeted: Active ones (0 < h < unit) lose their decay, clamped at 0."""
+    return [(h - d if h > d else 0) if 0 < h < unit else h for h, d in zip(healths, decs)]
+
+
+def repaired(health: int, inc: int, unit: int) -> int:
+    """An Active lattice health one step on while targeted: it gains ``inc``, clamped at ``unit``."""
+    gained = health + inc
+    return gained if gained < unit else unit
+
 
 @dataclass(frozen=True, slots=True)
 class NodeState:
@@ -135,24 +175,12 @@ class NodeState:
 
     @property
     def is_active(self) -> bool:
-        return is_active_health(self.health)
-
-
-def is_active_health(health: Fraction) -> bool:
-    """Whether a health lies strictly inside (0, 1), the Active range.
-
-    Compares the numerator with 0 and with the denominator, which is exact
-    for ``Fraction`` and ``int`` because their denominator is always
-    positive, and avoids Fraction's generic comparison with 0 and 1.
-    """
-    return 0 < health.numerator < health.denominator
+        """Whether 0 < health < 1, tested as 0 < numerator < denominator (exact for Fraction and int)."""
+        return 0 < self.health.numerator < self.health.denominator
 
 
 def health_status(health: Fraction) -> Status:
-    """FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between.
-
-    The same integer test as ``is_active_health``.
-    """
+    """FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between, by the test of ``NodeState.is_active``."""
     if health.numerator <= 0:
         return Status.FAILED
     if health.numerator >= health.denominator:
@@ -213,28 +241,6 @@ class Allocation:
             raise BudgetExceeded(
                 f"allocation costs {self.total_cost}, budget is {scenario.budget}"
             )
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def step_health(state: NodeState, targeted_by: Optional[str], scenario: Scenario) -> NodeState:
-    """Advance one node by one time step.
-
-    ``targeted_by`` is the id of the entity targeting the node this step,
-    or None if untargeted.  Absorbing states never change.  The clamps at
-    1 and 0 use the integer test of ``health_status``.  This is a total
-    function; whether targeting a non-Active node was legal is the
-    simulator's concern, not this rule's.
-    """
-    if not state.is_active:
-        return state
-    if targeted_by is not None:
-        health = state.health + scenario.entity(targeted_by).rate_for(state.id)
-        return NodeState(state.id, _ONE if health.numerator >= health.denominator else health)
-    health = state.health - scenario.node(state.id).delta_dec
-    return NodeState(state.id, _ZERO if health.numerator <= 0 else health)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ per-entity optimum exactly, with three lossless pruning rules proven in
 its docstring; within one ``oracle_optimal`` call each (entity, set)
 pair is searched once.
 
-Health values are rescaled onto the common denominator lattice of one
-entity's set so each search runs in exact integer arithmetic.  Only an
+Each search slices its set's healths, decays and rates out of the
+scenario's integer lattice and runs in exact integer arithmetic.  Only an
 allocation that beats the best reward so far has its witness replayed
 through the simulator, and the returned witness always has been: a
 replay that does not reproduce the searched reward raises
@@ -40,7 +40,6 @@ from repairalloc.engine import Outcome, Trace, simulate
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
 from repairalloc.model import Allocation, EntitySpec, Scenario
 from repairalloc.policies import Scripted
-from repairalloc.rational import lcm_denominators
 
 DEFAULT_CAP = 10**6
 
@@ -131,15 +130,12 @@ def _search_entity(
     nodes: frozenset[str],
     memo_cap: int,
 ) -> tuple[int, tuple[str, ...]]:
-    """Rescale one entity's set onto its integer lattice and search it."""
-    members = [n for n in scenario.nodes if n.id in nodes]
-    rates = [entity.rate_for(n.id) for n in members]
-    unit = lcm_denominators([n.v0 for n in members] + [n.delta_dec for n in members] + rates)
-    healths = tuple(int(n.v0 * unit) for n in members)
-    decs = tuple(int(n.delta_dec * unit) for n in members)
-    incs = tuple(int(rate * unit) for rate in rates)
-    reward, positions = _kernel.solve_allocation(healths, unit, decs, incs, memo_cap)
-    return reward, tuple(members[j].id for j in positions)
+    """Search one entity's set on its slice of the scenario's lattice."""
+    lattice = scenario.lattice
+    members = [j for j, n in enumerate(scenario.nodes) if n.id in nodes]
+    healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, lattice.incs[entity.id]))
+    reward, positions = _kernel.solve_allocation(healths, lattice.unit, decs, incs, memo_cap)
+    return reward, tuple(scenario.nodes[members[k]].id for k in positions)
 
 
 def _replay(

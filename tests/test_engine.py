@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
-from repairalloc import engine, model
+from repairalloc import allocation as allocation_module, engine, model
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import repair_dominant
 from repairalloc.engine import Trace, TraceStep, count_jumps, simulate, verify_trace
@@ -207,6 +207,16 @@ def test_verify_trace_catches_wrong_initial_row():
     assert "v0" in str(err.value)
 
 
+def test_verify_trace_rejects_a_row_with_one_health_too_few_or_too_many():
+    scenario, allocation, trace = _repair_dominant_run()
+    verify_trace(scenario, allocation, trace)
+    for t, row in enumerate(trace.steps):
+        for healths in (row.healths[:-1], (*row.healths, row.healths[-1])):
+            edited = _replace_row(trace, t, TraceStep(healths, row.actions))
+            with pytest.raises(TraceMismatch):
+                verify_trace(scenario, allocation, edited)
+
+
 def test_verify_trace_catches_truncated_trace():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
@@ -326,10 +336,28 @@ def _reference_step(state: NodeState, targeted_by, scenario: Scenario) -> NodeSt
     return NodeState(state.id, max(Fraction(0), state.health - scenario.node(state.id).delta_dec))
 
 
-def _reference_advance(scenario: Scenario, states, actions) -> dict[str, NodeState]:
-    """Every node through ``_reference_step``, absorbed ones included."""
-    targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
-    return {nid: _reference_step(state, targeted_by.get(nid), scenario) for nid, state in states.items()}
+def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=None) -> Trace:
+    """The run loop on Fractions: every node through ``_reference_step``, absorbed ones included."""
+    states = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
+    rows = []
+    seen = {}
+    t = 0
+    while True:
+        healths = tuple(state.health for state in states.values())
+        if not any(0 < h < 1 for h in healths):
+            rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
+            return Trace(scenario.node_ids, scenario.entity_ids, tuple(rows))
+        if time_invariant:
+            if healths in seen:
+                raise NonAbsorbingPolicy(f"health vector at step {t} repeats step {seen[healths]}")
+            seen[healths] = t
+        if max_steps is not None and t >= max_steps:
+            raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
+        actions = select(t, dict(states))
+        rows.append(TraceStep(healths, actions))
+        targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
+        states = {nid: _reference_step(state, targeted_by.get(nid), scenario) for nid, state in states.items()}
+        t += 1
 
 
 def _reference_status(health) -> Status:
@@ -362,14 +390,16 @@ def _equivalence_runs(rng: random.Random) -> list:
 
 
 def test_integer_step_matches_the_fraction_reference(monkeypatch):
-    """The integer activity test, the absorbed-node skip in ``advance`` and
-    the integer clamps give the same traces and outcomes as the rule
-    spelled with Fraction comparisons, on every policy and the online run.
+    """The lattice rule, the integer run loop and the integer activity tests
+    give the same traces, outcomes, allocations and assignment times as a
+    run loop and rule spelled with Fraction comparisons, on every policy and
+    the online run.
     """
     fast = _equivalence_runs(random.Random(6113))
-    monkeypatch.setattr(engine, "advance", _reference_advance)
+    for module in (engine, allocation_module):
+        monkeypatch.setattr(module, "_run_to_absorption", _reference_run)
+    monkeypatch.setattr(model.NodeState, "is_active", property(lambda state: 0 < state.health < 1))
     for module in (engine, model):
-        monkeypatch.setattr(module, "is_active_health", lambda h: 0 < h < 1)
         monkeypatch.setattr(module, "health_status", _reference_status)
     reference = _equivalence_runs(random.Random(6113))
     assert fast == reference

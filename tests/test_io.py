@@ -13,7 +13,7 @@ from repairalloc.demos import DEMOS, online_suboptimal, repair_dominant
 from repairalloc.engine import Trace, TraceStep, simulate, verify_trace
 from repairalloc.errors import ScenarioFormatError
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
-from repairalloc.policies import LeastModifiedHealth
+from repairalloc.policies import LeastModifiedHealth, Scripted
 from repairalloc.rational import format_rational, lcm_denominators, parse_rational
 from repairalloc.scenario_io import (
     load_scenario,
@@ -258,6 +258,22 @@ def test_trace_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == "t,a,b,c,d,e,f"
     # entity f has no nodes, so every row shows it idle
     assert text.splitlines()[1].endswith(",-")
+
+
+def test_script_row_without_an_entity_records_it_idle_and_round_trips(tmp_path):
+    """Every trace row names every entity, so the CSV reads the same trace back."""
+    rates = {"a": F("0.7"), "b": F("0.7")}
+    scenario = Scenario(
+        nodes=(NodeSpec("a", F("0.5"), F("0.1")), NodeSpec("b", F("0.5"), F("0.1"))),
+        entities=(EntitySpec("e", F(1), rates), EntitySpec("f", F(1), rates)),
+        budget=None,
+    )
+    allocation = Allocation.build(scenario, {"e": {"a"}, "f": {"b"}})
+    trace, _ = simulate(scenario, allocation, Scripted([{"e": "a"}]))
+    assert trace.steps[0].actions == {"e": "a", "f": None}
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert read_trace_csv(path, scenario) == trace
 
 
 def test_trace_csv_header_mismatch(tmp_path):

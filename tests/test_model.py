@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from generators import random_repair_dominant, random_uniform_regime
+from repairalloc.engine import advance
 from repairalloc.errors import BudgetExceeded
 from repairalloc.model import (
     Allocation,
@@ -16,7 +20,8 @@ from repairalloc.model import (
     Status,
     check_assumption1,
     check_assumption2,
-    step_health,
+    decayed,
+    repaired,
 )
 
 F = Fraction
@@ -126,49 +131,56 @@ def test_activity_test_at_the_boundaries(health, status):
 
 
 def test_step_health_clamps_at_the_boundaries():
-    # rate of e is 0.7, decay of a is 0.1
-    scenario = two_node_scenario()
-    tiny = F(1, 10**12)
-    cases = [
-        (F("0.3"), "e", F(1)),  # gains exactly to 1
-        (F("0.3") - tiny, "e", 1 - tiny),  # stops just inside 1
-        (F("0.3") + tiny, "e", F(1)),  # overshoots 1
-        (F("0.1"), None, F(0)),  # decays exactly to 0
-        (F("0.1") + tiny, None, tiny),  # stops just inside 0
-        (F("0.1") - tiny, None, F(0)),  # overshoots 0
-    ]
-    for start, targeted_by, expected in cases:
-        stepped = step_health(NodeState("a", start), targeted_by, scenario)
-        assert stepped.health == expected
-        assert type(stepped.health) is Fraction
-    for absorbed in (0, 1, F(-1, 3), F(4, 3)):
-        state = NodeState("a", absorbed)
-        assert step_health(state, "e", scenario) is state
-        assert step_health(state, None, scenario) is state
+    """The lattice rule at both clamps, one lattice step (10**-12) either side."""
+    scenario = Scenario(
+        nodes=(NodeSpec("a", F("0.5"), F("0.1")), NodeSpec("b", F(1, 10**12), F("0.1"))),
+        entities=(EntitySpec("e", F(2), {"a": F("0.7"), "b": F("0.7")}),),
+        budget=None,
+    )
+    lattice = scenario.lattice
+    unit, dec, inc = lattice.unit, lattice.decs[0], lattice.incs["e"][0]
+    assert (unit, F(dec, unit), F(inc, unit)) == (10**12, F("0.1"), F("0.7"))
+    assert repaired(unit - inc, inc, unit) == unit  # gains exactly to 1
+    assert repaired(unit - inc - 1, inc, unit) == unit - 1  # stops just inside 1
+    assert repaired(unit - inc + 1, inc, unit) == unit  # overshoots 1
+    assert decayed([dec, dec + 1, dec - 1], [dec] * 3, unit) == [0, 1, 0]  # exactly to 0, just inside, past
+    assert decayed([0, unit, -1, unit + 1], [dec] * 4, unit) == [0, unit, -1, unit + 1]
 
 
 def test_step_health_targeted_gains_and_clamps():
-    scenario = two_node_scenario()
-    mid = step_health(NodeState("a", F("0.2")), "e", scenario)
-    assert mid.health == F("0.9")
-    clamped = step_health(NodeState("a", F("0.5")), "e", scenario)
-    assert clamped.health == F(1)
-    assert clamped.status is Status.REPAIRED
+    lattice = two_node_scenario().lattice  # unit 10; e repairs 7
+    assert advance(lattice, (2, 3), {"e": "a"}) == (9, 1)  # a: 0.2 -> 0.9
+    assert advance(lattice, (5, 3), {"e": "a"}) == (10, 1)  # a: 0.5 -> 1, clamped
 
 
 def test_step_health_untargeted_decays_and_clamps():
-    scenario = two_node_scenario()
-    mid = step_health(NodeState("b", F("0.3")), None, scenario)
-    assert mid.health == F("0.1")
-    floor = step_health(NodeState("b", F("0.1")), None, scenario)
-    assert floor.health == F(0)
-    assert floor.status is Status.FAILED
+    lattice = two_node_scenario().lattice  # unit 10; a decays 1, b decays 2
+    assert advance(lattice, (5, 3), {"e": None}) == (4, 1)  # b: 0.3 -> 0.1
+    assert advance(lattice, (5, 1), {"e": None}) == (4, 0)  # b: 0.1 -> 0, clamped
 
 
 def test_step_health_absorbing_states_never_move():
-    scenario = two_node_scenario()
-    assert step_health(NodeState("a", F(0)), "e", scenario).health == F(0)
-    assert step_health(NodeState("a", F(1)), None, scenario).health == F(1)
+    lattice = two_node_scenario().lattice
+    for target in ("a", "b", None):
+        assert advance(lattice, (0, 10), {"e": target}) == (0, 10)
+        assert advance(lattice, (10, 0), {"e": target}) == (10, 0)
+
+
+def test_lattice_holds_every_value_exactly_on_seeded_draws():
+    """Each v0, decay and rate is its lattice integer over the unit, and no smaller unit would do."""
+    rng = random.Random(8191)
+    for _ in range(100):
+        for scenario in (random_repair_dominant(rng, max_nodes=6, max_entities=3), random_uniform_regime(rng)):
+            lattice = scenario.lattice
+            unit = lattice.unit
+            assert [F(h, unit) for h in lattice.v0] == [n.v0 for n in scenario.nodes]
+            assert [F(d, unit) for d in lattice.decs] == [n.delta_dec for n in scenario.nodes]
+            for entity in scenario.entities:
+                assert [F(i, unit) for i in lattice.incs[entity.id]] == [entity.rate_for(n.id) for n in scenario.nodes]
+            assert lattice.positions == {nid: j for j, nid in enumerate(scenario.node_ids)}
+            values = [*lattice.v0, *lattice.decs, *(i for incs in lattice.incs.values() for i in incs)]
+            assert math.gcd(unit, *values) == 1
+            assert scenario.lattice is lattice
 
 
 def test_allocation_build_and_cost():
