@@ -41,7 +41,6 @@ from repairalloc.model import (
     AssumptionReport,
     EntitySpec,
     NodeSpec,
-    NodeState,
     Scenario,
     Status,
     UniformRegimeReport,
@@ -60,8 +59,6 @@ from repairalloc.policies import (
     HealthiestFirst,
     LeastModifiedHealth,
     Scripted,
-    healthiest_target,
-    least_modified_health_target,
 )
 from repairalloc.rational import format_rational, parse_rational
 from repairalloc.scenario_io import (
@@ -88,7 +85,6 @@ __all__ = [
     "InstanceTooLarge",
     "LeastModifiedHealth",
     "NodeSpec",
-    "NodeState",
     "NonAbsorbingPolicy",
     "OnlineRunResult",
     "OracleResult",
@@ -113,9 +109,7 @@ __all__ = [
     "enumerate_feasible_allocations",
     "feasible_ordered_set",
     "format_rational",
-    "healthiest_target",
     "largest_repairable_subset",
-    "least_modified_health_target",
     "lifetime_index",
     "load_scenario",
     "optimal_sequencing_reward",

@@ -19,13 +19,12 @@ from repairalloc.engine import Outcome, Trace, _run_to_absorption
 from repairalloc.errors import AssumptionViolated
 from repairalloc.model import (
     Allocation,
+    IntVec,
     NodeSpec,
-    NodeState,
     Scenario,
     check_assumption1,
     check_assumption2,
 )
-from repairalloc.policies import healthiest_target
 
 
 def lifetime_index(node: NodeSpec) -> int:
@@ -57,15 +56,16 @@ def largest_repairable_subset(candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
     lifetime index (ties by smallest id).  The pick order runs most urgent
     first; reversing it yields an order accepted by
     ``feasible_ordered_set``.
+
+    One pass over the candidates in that order suffices: a node passed
+    over has an index at most the pick count, which never falls, so it
+    could never be picked later.
     """
-    remaining = sorted(candidates, key=lambda n: (lifetime_index(n), n.id))
     picked: list[NodeSpec] = []
-    while True:
-        choice = next((n for n in remaining if lifetime_index(n) > len(picked)), None)
-        if choice is None:
-            return picked
-        picked.append(choice)
-        remaining.remove(choice)
+    for node in sorted(candidates, key=lambda n: (lifetime_index(n), n.id)):
+        if lifetime_index(node) > len(picked):
+            picked.append(node)
+    return picked
 
 
 def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
@@ -137,6 +137,8 @@ class _OnlineAssignment:
     time_invariant = False
 
     def __init__(self, scenario: Scenario) -> None:
+        self.node_ids = scenario.node_ids
+        self.unit, self.positions = scenario.lattice.unit, scenario.lattice.positions
         self.entities = sorted(scenario.entities, key=lambda e: e.id)
         self.budget = scenario.budget
         self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
@@ -144,25 +146,24 @@ class _OnlineAssignment:
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
 
-    def select(self, t: int, states: Mapping[str, NodeState]) -> dict[str, Optional[str]]:
+    def select(self, t: int, healths: IntVec) -> dict[str, Optional[str]]:
+        unit = self.unit
         for entity_id, target in self.targets.items():
-            if target is not None and not states[target].is_active:
+            if target is not None and not 0 < healths[self.positions[target]] < unit:
                 self.targets[entity_id] = None
         free = [e for e in self.entities if self.targets[e.id] is None]
         if not free:
             return dict(self.targets)
-        # within one step only ``assigned`` changes, by the picks below
-        candidates = {
-            nid: s for nid, s in states.items() if s.is_active and nid not in self.assigned
-        }
+        # never-assigned Active nodes, healthiest first, ties by id
+        candidates = sorted(
+            (-h, nid) for nid, h in zip(self.node_ids, healths) if 0 < h < unit and nid not in self.assigned
+        )
         for entity in free:
             if not candidates:
                 break
             if self.budget is not None and self.budget < entity.cost:
                 continue
-            pick = healthiest_target(candidates.values())
-            assert pick is not None  # candidates is non-empty here
-            del candidates[pick]
+            _, pick = candidates.pop(0)
             self.targets[entity.id] = pick
             self.assigned.add(pick)
             self.assignment_times[pick] = t

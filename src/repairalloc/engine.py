@@ -9,7 +9,9 @@ checked bit for bit.
 ``advance`` is the one synchronous step, on the scenario's lattice, and
 ``_run_to_absorption`` the one run loop; ``simulate`` and the online
 assignment in ``allocation`` both run through that loop, and
-``verify_trace`` replays rows through ``advance``.
+``verify_trace`` replays rows through ``advance``.  The loop hands its
+lattice healths straight to the policy and builds Fractions only for the
+trace rows, and there only for a health that moved.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repairalloc.model import (
     Allocation,
     IntVec,
     Lattice,
-    NodeState,
     Scenario,
     Status,
     decayed,
@@ -39,9 +40,11 @@ Actions = Mapping[str, Optional[str]]
 class SequencingPolicy(Protocol):
     """Decides, per step, which allocated Active node each entity targets.
 
-    ``time_invariant`` declares that the decision depends only on the
-    current health vector (not on t); the simulator uses it to detect
-    cycles that would never absorb.
+    ``healths`` holds the lattice integers of step t in node order, health
+    1 at ``scenario.lattice.unit``, so node j is Active when
+    0 < healths[j] < unit.  ``time_invariant`` declares that the decision
+    depends only on the current health vector (not on t); the simulator
+    uses it to detect cycles that would never absorb.
     """
 
     time_invariant: bool
@@ -49,7 +52,7 @@ class SequencingPolicy(Protocol):
     def select(
         self,
         t: int,
-        states: Mapping[str, NodeState],
+        healths: IntVec,
         allocation: Allocation,
         scenario: Scenario,
     ) -> Actions: ...
@@ -92,7 +95,7 @@ class Outcome:
     @staticmethod
     def from_trace(trace: Trace) -> Outcome:
         """Read the reward, the absorbed sets and the jumps off a finished trace."""
-        final = [health_status(h) for h in trace.steps[-1].healths]
+        final = [health_status(h.numerator, h.denominator) for h in trace.steps[-1].healths]
         repaired = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.REPAIRED)
         failed = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.FAILED)
         return Outcome(reward=len(repaired), repaired=repaired, failed=failed, jumps=count_jumps(trace))
@@ -115,7 +118,8 @@ def count_jumps(trace: Trace) -> int:
             if prev_target is None:
                 continue
             health_now = trace.steps[t].healths[column[prev_target]]
-            if health_status(health_now) is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
+            status = health_status(health_now.numerator, health_now.denominator)
+            if status is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
                 jumps += 1
     return jumps
 
@@ -134,11 +138,11 @@ def advance(lattice: Lattice, healths: IntVec, actions: Actions) -> IntVec:
 
 def _run_to_absorption(
     scenario: Scenario,
-    select: Callable[[int, dict[str, NodeState]], Actions],
+    select: Callable[[int, IntVec], Actions],
     time_invariant: bool,
     max_steps: Optional[int] = None,
 ) -> Trace:
-    """Step from v0 under ``select(t, states)`` until no node is Active.
+    """Step from v0 under ``select(t, lattice healths)`` until no node is Active.
 
     When ``time_invariant`` is set, the actions depend only on the health
     vector, so a repeated vector proves a cycle and raises
@@ -146,12 +150,11 @@ def _run_to_absorption(
     """
     lattice = scenario.lattice
     unit, ints = lattice.unit, lattice.v0
-    states = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
+    healths = tuple(n.v0 for n in scenario.nodes)
     rows: list[TraceStep] = []
     seen_healths: dict[IntVec, int] = {}
     t = 0
     while True:
-        healths = tuple(state.health for state in states.values())
         if not any(0 < h < unit for h in ints):
             rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows))
@@ -163,12 +166,10 @@ def _run_to_absorption(
             seen_healths[ints] = t
         if max_steps is not None and t >= max_steps:
             raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
-        actions = select(t, dict(states))
+        actions = select(t, ints)
         rows.append(TraceStep(healths, actions))
         stepped = advance(lattice, ints, actions)
-        for node_id, old, new in zip(scenario.node_ids, ints, stepped):
-            if new != old:
-                states[node_id] = NodeState(node_id, Fraction(new, unit))
+        healths = tuple(h if new == old else Fraction(new, unit) for h, old, new in zip(healths, ints, stepped))
         ints = stepped
         t += 1
 
@@ -196,9 +197,11 @@ def simulate(
             raise ValueError("a time-variant policy cannot be checked for cycles; pass max_steps")
         max_steps = policy.step_bound(scenario)
 
-    def select(t: int, states: dict[str, NodeState]) -> Actions:
-        actions = policy.select(t, states, allocation, scenario)
-        _validate_actions(actions, lambda nid: states[nid].status, allocation, scenario)
+    unit, positions = scenario.lattice.unit, scenario.lattice.positions
+
+    def select(t: int, healths: IntVec) -> Actions:
+        actions = policy.select(t, healths, allocation, scenario)
+        _validate_actions(actions, lambda nid: health_status(healths[positions[nid]], unit), allocation, scenario)
         return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
 
     trace = _run_to_absorption(scenario, select, policy.time_invariant, max_steps)
@@ -246,7 +249,8 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
     for t, row in enumerate(trace.steps[:-1]):
         if not any(0 < h < unit for h in ints):
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
-        _validate_actions(row.actions, lambda nid: health_status(row.healths[lattice.positions[nid]]), allocation, scenario)
+        # the row's healths equal ``ints`` here: row 0 was checked against v0, every later row by the step before
+        _validate_actions(row.actions, lambda nid: health_status(ints[lattice.positions[nid]], unit), allocation, scenario)
         ints = advance(lattice, ints, row.actions)
         expected = trace.steps[t + 1].healths
         # each health h must equal its replayed i / unit; cross-multiplying builds no Fraction

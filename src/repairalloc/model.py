@@ -6,7 +6,8 @@ has permanently failed, a node that reaches 1 is permanently repaired.  At
 each discrete time step every Active node either gains its targeting
 entity's repair rate (clamped at 1) or loses its own deterioration rate
 (clamped at 0).  All values are exact, so the rule (``decayed``, ``repaired``)
-runs on one integer lattice per scenario, with Fractions only at the boundary.
+and the status test (``health_status``) run on one integer lattice per
+scenario, with Fractions only at the boundary: scenario values and trace rows.
 """
 
 from __future__ import annotations
@@ -162,28 +163,14 @@ def repaired(health: int, inc: int, unit: int) -> int:
     return gained if gained < unit else unit
 
 
-@dataclass(frozen=True, slots=True)
-class NodeState:
-    """Health of one node at one time step, with its derived status."""
+def health_status(level: int, unit: int) -> Status:
+    """The status of health level / unit (unit > 0): FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between.
 
-    id: str
-    health: Fraction
-
-    @property
-    def status(self) -> Status:
-        return health_status(self.health)
-
-    @property
-    def is_active(self) -> bool:
-        """Whether 0 < health < 1, tested as 0 < numerator < denominator (exact for Fraction and int)."""
-        return 0 < self.health.numerator < self.health.denominator
-
-
-def health_status(health: Fraction) -> Status:
-    """FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between, by the test of ``NodeState.is_active``."""
-    if health.numerator <= 0:
+    Lattice callers pass (h, lattice.unit); a Fraction health h passes (h.numerator, h.denominator).
+    """
+    if level <= 0:
         return Status.FAILED
-    if health.numerator >= health.denominator:
+    if level >= unit:
         return Status.REPAIRED
     return Status.ACTIVE
 
@@ -194,11 +181,11 @@ class Allocation:
 
     ``sets`` maps every entity id of the scenario to a frozenset of node
     ids (possibly empty).  ``total_cost`` is sum over entities of
-    cost * set size, computed once at construction.
+    cost * set size; build allocations with ``build``, which computes it.
     """
 
     sets: Mapping[str, frozenset[str]]
-    total_cost: Fraction = field(default=Fraction(0))
+    total_cost: Fraction
 
     @staticmethod
     def build(scenario: Scenario, sets: Mapping[str, frozenset[str] | set[str]]) -> "Allocation":

@@ -46,6 +46,9 @@ DEFAULT_CAP = 10**6
 # (entity id, its set) -> (that entity's optimum, its witness targets)
 _EntityCache = dict[tuple[str, frozenset[str]], tuple[int, tuple[str, ...]]]
 
+# each searched entity's id with its witness targets, one per step
+_Witness = list[tuple[str, tuple[str, ...]]]
+
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
     """Yield every allocation whose total cost fits the budget.
@@ -86,8 +89,8 @@ def optimal_sequencing_reward(
     parallel through the simulator and therefore reproduces the claimed
     reward exactly; SearchInconsistency is raised if it does not.
     """
-    reward, script = _search_allocation(scenario, allocation, memo_cap, {})
-    trace, _ = _replay(scenario, allocation, reward, script)
+    reward, witness = _search_allocation(scenario, allocation, memo_cap, {})
+    trace, _ = _replay(scenario, allocation, reward, witness)
     return reward, trace
 
 
@@ -96,14 +99,14 @@ def _search_allocation(
     allocation: Allocation,
     memo_cap: int,
     cache: _EntityCache,
-) -> tuple[int, list[dict[str, Optional[str]]]]:
-    """The summed per-entity optima for one allocation and a joint witness script.
+) -> tuple[int, _Witness]:
+    """The summed per-entity optima for one allocation and each entity's witness targets.
 
     Searches missing from ``cache`` are run and added to it.
     """
     allocation.require_budget(scenario)
     total = 0
-    scripts: list[tuple[str, tuple[str, ...]]] = []
+    witness: _Witness = []
     for entity in scenario.entities:
         nodes = allocation.nodes_of(entity.id)
         if not nodes:
@@ -113,15 +116,8 @@ def _search_allocation(
             cache[key] = _search_entity(scenario, entity, nodes, memo_cap)
         reward, targets = cache[key]
         total += reward
-        scripts.append((entity.id, targets))
-    length = max((len(targets) for _, targets in scripts), default=0)
-    script: list[dict[str, Optional[str]]] = [
-        {eid: None for eid in scenario.entity_ids} for _ in range(length)
-    ]
-    for entity_id, targets in scripts:
-        for actions, target in zip(script, targets):
-            actions[entity_id] = target
-    return total, script
+        witness.append((entity.id, targets))
+    return total, witness
 
 
 def _search_entity(
@@ -142,9 +138,16 @@ def _replay(
     scenario: Scenario,
     allocation: Allocation,
     reward: int,
-    script: list[dict[str, Optional[str]]],
+    witness: _Witness,
 ) -> tuple[Trace, Outcome]:
-    """Run a witness script through the simulator and check its reward."""
+    """Run the entities' witness targets in parallel through the simulator and check the reward."""
+    length = max((len(targets) for _, targets in witness), default=0)
+    script: list[dict[str, Optional[str]]] = [
+        {eid: None for eid in scenario.entity_ids} for _ in range(length)
+    ]
+    for entity_id, targets in witness:
+        for actions, target in zip(script, targets):
+            actions[entity_id] = target
     trace, outcome = simulate(scenario, allocation, Scripted(script))
     if outcome.reward != reward:
         raise SearchInconsistency(
@@ -185,9 +188,9 @@ def oracle_optimal(
     for allocation in enumerate_feasible_allocations(scenario, cap=cap):
         if best is not None and len(allocation.allocated_nodes) <= best.optimal_reward:
             continue
-        reward, script = _search_allocation(scenario, allocation, memo_cap, cache)
+        reward, witness = _search_allocation(scenario, allocation, memo_cap, cache)
         if best is None or reward > best.optimal_reward:
-            trace, outcome = _replay(scenario, allocation, reward, script)
+            trace, outcome = _replay(scenario, allocation, reward, witness)
             best = OracleResult(reward, allocation, trace, outcome)
             if reward == n:
                 break

@@ -1,5 +1,8 @@
 """Built-in sequencing policies.
 
+``select`` gets the run's lattice healths (see ``engine.SequencingPolicy``);
+the rules only compare healths, so ranking those integers is exact.
+
 Each policy picks, independently per entity and per step, one Active node
 from the entity's allocated set (or idles when none is Active).  Ties are
 always broken by smallest node id.
@@ -7,55 +10,37 @@ always broken by smallest node id.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repairalloc.model import Allocation, NodeState, Scenario
-
-
-def least_modified_health_target(
-    active_allocated: Iterable[NodeState], scenario: Scenario
-) -> Optional[str]:
-    """Pick the Active node minimizing health minus its own decay rate.
-
-    Ties go to the smallest node id; an empty set means idle (None).
-    """
-    states = list(active_allocated)
-    if not states:
-        return None
-    return min(states, key=lambda s: (s.health - scenario.node(s.id).delta_dec, s.id)).id
-
-
-def healthiest_target(active_allocated: Iterable[NodeState]) -> Optional[str]:
-    """Pick the Active node with the highest health, ties by smallest id.
-
-    An empty set means idle (None).
-    """
-    states = list(active_allocated)
-    if not states:
-        return None
-    return min(states, key=lambda s: (-s.health, s.id)).id
+from repairalloc.model import Allocation, IntVec, Scenario
 
 
 class _PerEntityPolicy:
-    """Base: apply a per-entity choice rule over its Active allocated nodes."""
+    """Base: each entity targets its Active allocated node of least ``key(health, decay)``, ties by id."""
 
     time_invariant = True
 
     def select(
         self,
         t: int,
-        states: Mapping[str, NodeState],
+        healths: IntVec,
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:
+        lattice = scenario.lattice
+        unit, decs, positions = lattice.unit, lattice.decs, lattice.positions
         actions: dict[str, Optional[str]] = {}
         for entity_id in scenario.entity_ids:
-            active = [states[nid] for nid in sorted(allocation.nodes_of(entity_id)) if states[nid].is_active]
-            actions[entity_id] = self.pick(entity_id, active, scenario) if active else None
+            ranked = [
+                (self.key(healths[j], decs[j]), nid)
+                for nid in allocation.nodes_of(entity_id)
+                if 0 < healths[j := positions[nid]] < unit
+            ]
+            actions[entity_id] = min(ranked)[1] if ranked else None
         return actions
 
-    def pick(self, entity_id: str, active: list[NodeState], scenario: Scenario) -> str:
+    @staticmethod
+    def key(health: int, dec: int) -> int:
         raise NotImplementedError
 
 
@@ -67,10 +52,9 @@ class LeastModifiedHealth(_PerEntityPolicy):
 
     kind = "least-modified-health"
 
-    def pick(self, entity_id: str, active: list[NodeState], scenario: Scenario) -> str:
-        target = least_modified_health_target(active, scenario)
-        assert target is not None  # base class never calls pick on an empty set
-        return target
+    @staticmethod
+    def key(health: int, dec: int) -> int:
+        return health - dec
 
 
 class HealthiestFirst(_PerEntityPolicy):
@@ -78,10 +62,9 @@ class HealthiestFirst(_PerEntityPolicy):
 
     kind = "healthiest-first"
 
-    def pick(self, entity_id: str, active: list[NodeState], scenario: Scenario) -> str:
-        target = healthiest_target(active)
-        assert target is not None  # base class never calls pick on an empty set
-        return target
+    @staticmethod
+    def key(health: int, dec: int) -> int:
+        return -health
 
 
 class FixedOrder:
@@ -100,15 +83,16 @@ class FixedOrder:
     def select(
         self,
         t: int,
-        states: Mapping[str, NodeState],
+        healths: IntVec,
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:
+        unit, positions = scenario.lattice.unit, scenario.lattice.positions
         actions: dict[str, Optional[str]] = {}
         for entity_id in scenario.entity_ids:
             actions[entity_id] = None
             for node_id in self.orders.get(entity_id, ()):
-                if states[node_id].is_active:
+                if 0 < healths[positions[node_id]] < unit:
                     actions[entity_id] = node_id
                     break
         return actions
@@ -129,7 +113,7 @@ class Scripted:
     def select(
         self,
         t: int,
-        states: Mapping[str, NodeState],
+        healths: IntVec,
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:
@@ -142,6 +126,7 @@ class Scripted:
 
         After the script every entity idles.  A node still Active then has
         health below 1 and loses its delta_dec each step, so it reaches 0
-        within ceil(1 / delta_dec) more steps.
+        within ceil(1 / delta_dec) = ceil(unit / dec) more steps.
         """
-        return len(self.script) + max(math.ceil(1 / node.delta_dec) for node in scenario.nodes)
+        unit = scenario.lattice.unit
+        return len(self.script) + max(-(-unit // dec) for dec in scenario.lattice.decs)

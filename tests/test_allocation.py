@@ -92,6 +92,28 @@ def test_largest_repairable_subset_reversed_is_feasible():
         assert feasible_ordered_set(reversed(picked))
 
 
+def _rescanning_greedy(candidates) -> list:
+    """The greedy as stated: rescan the remaining nodes for the first one whose index exceeds the pick count."""
+    remaining = sorted(candidates, key=lambda n: (lifetime_index(n), n.id))
+    picked: list = []
+    while True:
+        choice = next((n for n in remaining if lifetime_index(n) > len(picked)), None)
+        if choice is None:
+            return picked
+        picked.append(choice)
+        remaining.remove(choice)
+
+
+def test_largest_repairable_subset_matches_the_rescanning_greedy():
+    rng = random.Random(4409)
+    for _ in range(500):
+        candidates = [
+            node(f"n{i}", v0=str(F(rng.randint(1, 99), 100)), dec=str(F(rng.randint(1, 30), 100)))
+            for i in range(rng.randint(0, 9))
+        ]
+        assert largest_repairable_subset(candidates) == _rescanning_greedy(candidates)
+
+
 def test_allocate_budgeted_demo_sets():
     scenario = repair_dominant()
     allocation = allocate_budgeted(scenario)

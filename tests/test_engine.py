@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
-from repairalloc import allocation as allocation_module, engine, model
+from repairalloc import engine
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import repair_dominant
-from repairalloc.engine import Trace, TraceStep, count_jumps, simulate, verify_trace
+from repairalloc.engine import Outcome, Trace, TraceStep, count_jumps, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, NonAbsorbingPolicy, PolicyViolation, TraceMismatch
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, NodeState, Scenario, Status
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, Status
 from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
 
 F = Fraction
@@ -63,6 +63,14 @@ def test_simulate_rejects_over_budget_allocation():
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     with pytest.raises(BudgetExceeded):
         simulate(scenario, allocation, Scripted([]))
+
+
+def test_allocation_cost_has_no_default():
+    """An allocation built without its cost would pass every budget test."""
+    scenario = pair(budget=F(2))
+    with pytest.raises(TypeError):
+        Allocation(sets={"e": frozenset({"a", "b"})})
+    assert Allocation.build(scenario, {"e": {"a", "b"}}).total_cost == 4
 
 
 def test_simulate_rejects_target_outside_allocated_set():
@@ -115,10 +123,11 @@ class _Alternating:
     def __init__(self) -> None:
         self.calls = 0
 
-    def select(self, t, states, allocation, scenario):
+    def select(self, t, healths, allocation, scenario):
         self.calls += 1
         target = "ab"[t % 2]
-        return {"e": target if states[target].is_active else None}
+        active = 0 < healths[scenario.lattice.positions[target]] < scenario.lattice.unit
+        return {"e": target if active else None}
 
 
 def test_time_variant_policy_needs_max_steps():
@@ -326,24 +335,26 @@ def test_verify_trace_accepts_every_run_and_rejects_any_one_edit():
                         verify_trace(scenario, allocation, edited)
 
 
-def _reference_step(state: NodeState, targeted_by, scenario: Scenario) -> NodeState:
+def _reference_step(node_id: str, health: Fraction, targeted_by, scenario: Scenario) -> Fraction:
     """The health update spelled with Fraction comparisons and min/max clamps."""
-    if not 0 < state.health < 1:
-        return state
+    if not 0 < health < 1:
+        return health
     if targeted_by is not None:
-        gain = scenario.entity(targeted_by).rate_for(state.id)
-        return NodeState(state.id, min(Fraction(1), state.health + gain))
-    return NodeState(state.id, max(Fraction(0), state.health - scenario.node(state.id).delta_dec))
+        return min(Fraction(1), health + scenario.entity(targeted_by).rate_for(node_id))
+    return max(Fraction(0), health - scenario.node(node_id).delta_dec)
 
 
 def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=None) -> Trace:
-    """The run loop on Fractions: every node through ``_reference_step``, absorbed ones included."""
-    states = {n.id: NodeState(n.id, n.v0) for n in scenario.nodes}
+    """The run loop on Fractions: every node through ``_reference_step``, absorbed ones included.
+
+    ``select(t, health)`` gets a map of node id to Fraction health.
+    """
+    health = {n.id: n.v0 for n in scenario.nodes}
     rows = []
     seen = {}
     t = 0
     while True:
-        healths = tuple(state.health for state in states.values())
+        healths = tuple(health.values())
         if not any(0 < h < 1 for h in healths):
             rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(scenario.node_ids, scenario.entity_ids, tuple(rows))
@@ -353,14 +364,83 @@ def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=N
             seen[healths] = t
         if max_steps is not None and t >= max_steps:
             raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
-        actions = select(t, dict(states))
+        actions = select(t, dict(health))
         rows.append(TraceStep(healths, actions))
         targeted_by = {target: entity_id for entity_id, target in actions.items() if target is not None}
-        states = {nid: _reference_step(state, targeted_by.get(nid), scenario) for nid, state in states.items()}
+        health = {nid: _reference_step(nid, h, targeted_by.get(nid), scenario) for nid, h in health.items()}
         t += 1
 
 
-def _reference_status(health) -> Status:
+# the per-entity rankings on Fraction healths; the least rank is targeted
+_REFERENCE_RANKS = {
+    LeastModifiedHealth: lambda health, nid, scenario: (health[nid] - scenario.node(nid).delta_dec, nid),
+    HealthiestFirst: lambda health, nid, scenario: (-health[nid], nid),
+}
+
+
+def _reference_actions(policy, t, health, allocation, scenario: Scenario) -> dict:
+    """The built-in policies' choices on Fraction healths: the rankings above, or the first Active node in order."""
+    def active(nid):
+        return 0 < health[nid] < 1
+
+    if isinstance(policy, Scripted):
+        return policy.select(t, None, allocation, scenario)
+    if isinstance(policy, FixedOrder):
+        return {
+            eid: next((nid for nid in policy.orders.get(eid, ()) if active(nid)), None) for eid in scenario.entity_ids
+        }
+    rank = _REFERENCE_RANKS[type(policy)]
+    actions = {}
+    for eid in scenario.entity_ids:
+        candidates = [nid for nid in allocation.nodes_of(eid) if active(nid)]
+        actions[eid] = min(candidates, key=lambda nid: rank(health, nid, scenario)) if candidates else None
+    return actions
+
+
+def _reference_simulate(scenario: Scenario, allocation, policy):
+    max_steps = None if policy.time_invariant else policy.step_bound(scenario)
+
+    def select(t, health):
+        actions = _reference_actions(policy, t, health, allocation, scenario)
+        return {eid: actions.get(eid) for eid in scenario.entity_ids}
+
+    trace = _reference_run(scenario, select, policy.time_invariant, max_steps)
+    return trace, Outcome.from_trace(trace)
+
+
+def _reference_online(scenario: Scenario):
+    """Healthiest-first online assignment with its pick ranked on Fraction healths."""
+    budget = scenario.budget
+    targets = {e.id: None for e in scenario.entities}
+    times = {}
+    sets = {e.id: set() for e in scenario.entities}
+
+    def select(t, health):
+        nonlocal budget
+        for eid, target in targets.items():
+            if target is not None and not 0 < health[target] < 1:
+                targets[eid] = None
+        candidates = [nid for nid, h in health.items() if 0 < h < 1 and nid not in times]
+        for entity in sorted(scenario.entities, key=lambda e: e.id):
+            if targets[entity.id] is not None or not candidates:
+                continue
+            if budget is not None and budget < entity.cost:
+                continue
+            pick = min(candidates, key=lambda nid: _REFERENCE_RANKS[HealthiestFirst](health, nid, scenario))
+            candidates.remove(pick)
+            targets[entity.id] = pick
+            times[pick] = t
+            sets[entity.id].add(pick)
+            if budget is not None:
+                budget -= entity.cost
+        return dict(targets)
+
+    trace = _reference_run(scenario, select, False)
+    return trace, Outcome.from_trace(trace), Allocation.build(scenario, sets), times
+
+
+def _reference_status(level, unit) -> Status:
+    health = Fraction(level, unit)
     if health <= 0:
         return Status.FAILED
     if health >= 1:
@@ -368,7 +448,7 @@ def _reference_status(health) -> Status:
     return Status.ACTIVE
 
 
-def _equivalence_runs(rng: random.Random) -> list:
+def _equivalence_runs(rng: random.Random, simulate, online) -> list:
     """Traces and outcomes of all four policies and the online run on seeded draws."""
     runs = []
     for _ in range(25):
@@ -384,22 +464,21 @@ def _equivalence_runs(rng: random.Random) -> list:
         ):
             runs.append(simulate(scenario, allocation, policy))
         scenario = random_uniform_regime(rng, max_nodes=6, max_entities=3)
-        online = run_online_policy(scenario)
-        runs.append((online.trace, online.outcome, online.allocation, online.assignment_times))
+        runs.append(online(scenario))
     return runs
 
 
 def test_integer_step_matches_the_fraction_reference(monkeypatch):
-    """The lattice rule, the integer run loop and the integer activity tests
-    give the same traces, outcomes, allocations and assignment times as a
-    run loop and rule spelled with Fraction comparisons, on every policy and
-    the online run.
+    """The lattice rule, the integer run loop, the lattice policies and the
+    integer status test give the same traces, outcomes, allocations and
+    assignment times as a run loop, rule and policy rankings spelled with
+    Fraction comparisons, on every policy and the online run.
     """
-    fast = _equivalence_runs(random.Random(6113))
-    for module in (engine, allocation_module):
-        monkeypatch.setattr(module, "_run_to_absorption", _reference_run)
-    monkeypatch.setattr(model.NodeState, "is_active", property(lambda state: 0 < state.health < 1))
-    for module in (engine, model):
-        monkeypatch.setattr(module, "health_status", _reference_status)
-    reference = _equivalence_runs(random.Random(6113))
+    def online(scenario):
+        run = run_online_policy(scenario)
+        return run.trace, run.outcome, run.allocation, run.assignment_times
+
+    fast = _equivalence_runs(random.Random(6113), simulate, online)
+    monkeypatch.setattr(engine, "health_status", _reference_status)
+    reference = _equivalence_runs(random.Random(6113), _reference_simulate, _reference_online)
     assert fast == reference

@@ -15,12 +15,12 @@ from repairalloc.model import (
     Allocation,
     EntitySpec,
     NodeSpec,
-    NodeState,
     Scenario,
     Status,
     check_assumption1,
     check_assumption2,
     decayed,
+    health_status,
     repaired,
 )
 
@@ -100,12 +100,14 @@ def test_scenario_lookups():
         scenario.entity("z")
 
 
-def test_node_state_status_thresholds():
-    assert NodeState("a", F(0)).status is Status.FAILED
-    assert NodeState("a", F(1)).status is Status.REPAIRED
-    assert NodeState("a", F("0.5")).status is Status.ACTIVE
-    assert NodeState("a", F("0.5")).is_active
-    assert not NodeState("a", F(1)).is_active
+def test_health_status_thresholds():
+    unit = 10
+    assert health_status(0, unit) is Status.FAILED
+    assert health_status(unit, unit) is Status.REPAIRED
+    assert health_status(5, unit) is Status.ACTIVE
+    half = F("0.5")
+    assert health_status(half.numerator, half.denominator) is Status.ACTIVE
+    assert health_status(F(1).numerator, F(1).denominator) is Status.REPAIRED
 
 
 @pytest.mark.parametrize(
@@ -124,10 +126,12 @@ def test_node_state_status_thresholds():
     ],
 )
 def test_activity_test_at_the_boundaries(health, status):
-    """The integer test agrees with 0 < h < 1 on Fraction and int healths."""
-    state = NodeState("a", health)
-    assert state.status is status
-    assert state.is_active is (status is Status.ACTIVE) is (0 < health < 1)
+    """The integer test agrees with 0 < h < 1 on Fraction and int healths,
+    passed as (numerator, denominator) and as a level on a lattice."""
+    assert health_status(health.numerator, health.denominator) is status
+    unit = 3 * 10**12  # every health above is a multiple of 1 / unit
+    assert health_status(int(health * unit), unit) is status
+    assert (status is Status.ACTIVE) is (0 < health < 1)
 
 
 def test_step_health_clamps_at_the_boundaries():

@@ -7,15 +7,8 @@ from fractions import Fraction
 
 from generators import decreasing_initial_health_orders, random_uniform_regime
 from repairalloc.engine import simulate
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, NodeState, Scenario
-from repairalloc.policies import (
-    FixedOrder,
-    HealthiestFirst,
-    LeastModifiedHealth,
-    Scripted,
-    healthiest_target,
-    least_modified_health_target,
-)
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
 
 F = Fraction
 
@@ -29,24 +22,42 @@ def trio(decs=("0.1", "0.1", "0.1"), incs=("0.4", "0.4", "0.4")) -> Scenario:
     )
 
 
+def lattice_healths(scenario: Scenario, *healths: str) -> tuple[int, ...]:
+    """Fraction healths in node order, as integers on the scenario's lattice."""
+    scaled = [F(h) * scenario.lattice.unit for h in healths]
+    assert all(level.denominator == 1 for level in scaled), "a health off the lattice"
+    return tuple(int(level) for level in scaled)
+
+
+def pick(policy, scenario: Scenario, nodes, healths) -> str | None:
+    """The target ``policy`` gives entity e, which holds ``nodes``, at ``healths``."""
+    allocation = Allocation.build(scenario, {"e": set(nodes)})
+    return policy.select(0, healths, allocation, scenario)["e"]
+
+
 def test_least_modified_health_target_prefers_fastest_sinking():
     scenario = trio(decs=("0.1", "0.3", "0.2"))
-    states = [NodeState(nid, F("0.5")) for nid in ("a", "b", "c")]
     # equal healths: the largest decay gives the least modified health
-    assert least_modified_health_target(states, scenario) == "b"
+    assert pick(LeastModifiedHealth(), scenario, "abc", lattice_healths(scenario, "0.5", "0.5", "0.5")) == "b"
+    # a decay's lead is weighed against health: 0.4 - 0.1 beats 0.7 - 0.3
+    assert pick(LeastModifiedHealth(), scenario, "abc", lattice_healths(scenario, "0.4", "0.7", "0.9")) == "a"
 
 
 def test_least_modified_health_target_tie_breaks_by_id():
     scenario = trio()
-    states = [NodeState(nid, F("0.5")) for nid in ("c", "b", "a")]
-    assert least_modified_health_target(states, scenario) == "a"
-    assert least_modified_health_target([], scenario) is None
+    assert pick(LeastModifiedHealth(), scenario, "cba", lattice_healths(scenario, "0.5", "0.5", "0.5")) == "a"
+    # no Active allocated node: a and c absorbed, b unallocated
+    assert pick(LeastModifiedHealth(), scenario, "ac", lattice_healths(scenario, "0", "0.5", "1")) is None
 
 
 def test_healthiest_target_and_ties():
-    states = [NodeState("a", F("0.4")), NodeState("b", F("0.8")), NodeState("c", F("0.8"))]
-    assert healthiest_target(states) == "b"
-    assert healthiest_target([]) is None
+    scenario = trio()
+    healths = lattice_healths(scenario, "0.4", "0.8", "0.8")
+    assert pick(HealthiestFirst(), scenario, "abc", healths) == "b"
+    assert pick(HealthiestFirst(), scenario, "ac", healths) == "c"
+    # an absorbed node is never the healthiest Active one
+    assert pick(HealthiestFirst(), scenario, "abc", lattice_healths(scenario, "0.4", "1", "0")) == "a"
+    assert pick(HealthiestFirst(), scenario, "bc", lattice_healths(scenario, "0.4", "1", "0")) is None
 
 
 def test_least_modified_health_policy_run():
