@@ -10,7 +10,6 @@ from __future__ import annotations
 from repairalloc.allocation import (
     OnlineRunResult,
     allocate_budgeted,
-    feasible_ordered_set,
     largest_repairable_subset,
     lifetime_index,
     run_online_policy,
@@ -107,7 +106,6 @@ __all__ = [
     "check_assumption2",
     "count_jumps",
     "enumerate_feasible_allocations",
-    "feasible_ordered_set",
     "format_rational",
     "largest_repairable_subset",
     "lifetime_index",

@@ -32,30 +32,15 @@ def lifetime_index(node: NodeSpec) -> int:
     return math.ceil(node.v0 / node.delta_dec)
 
 
-def feasible_ordered_set(nodes: Iterable[NodeSpec]) -> bool:
-    """Whether an ordered list of nodes can all be saved by one entity.
-
-    The list (n_1, ..., n_z) is feasible when every node outlives the work
-    queued behind it: v0 of the j-th node must strictly exceed
-    (z - j) * delta_dec of that node.  The last element has the weakest
-    constraint, so orderings place the most urgent node last.
-    """
-    ordered = list(nodes)
-    z = len(ordered)
-    for j, node in enumerate(ordered, start=1):
-        if node.v0 <= (z - j) * node.delta_dec:
-            return False
-    return True
-
-
 def largest_repairable_subset(candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
     """Greedy maximum set of nodes one entity can repair, in pick order.
 
     Repeatedly picks, among remaining candidates whose lifetime index
     strictly exceeds the number already picked, the one with the smallest
     lifetime index (ties by smallest id).  The pick order runs most urgent
-    first; reversing it yields an order accepted by
-    ``feasible_ordered_set``.
+    first; reversing it yields a feasible order (n_1, ..., n_z): one in
+    which every node outlives the work queued behind it, v0 of the j-th
+    node strictly exceeding (z - j) times its own delta_dec.
 
     One pass over the candidates in that order suffices: a node passed
     over has an index at most the pick count, which never falls, so it

@@ -9,9 +9,9 @@ checked bit for bit.
 ``advance`` is the one synchronous step, on the scenario's lattice, and
 ``_run_to_absorption`` the one run loop; ``simulate`` and the online
 assignment in ``allocation`` both run through that loop, and
-``verify_trace`` replays rows through ``advance``.  The loop hands its
-lattice healths straight to the policy and builds Fractions only for the
-trace rows, and there only for a health that moved.
+``verify_trace`` replays rows through ``advance``.  Trace rows hold the
+lattice integers the loop stepped, over ``Trace.unit``; a health becomes a
+Fraction only in ``Trace.health_at`` and in the trace CSV.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class SequencingPolicy(Protocol):
 
 @dataclass(frozen=True)
 class TraceStep:
-    healths: tuple[Fraction, ...]
+    healths: IntVec
     actions: Actions
 
 
@@ -69,20 +69,21 @@ class Trace:
     """Rows t = 0 .. terminal_step; the last row has no actions.
 
     ``healths`` in each row is aligned with ``scenario.nodes`` order and
-    holds the value at the start of the step, before that step's actions
-    take effect.
+    holds the lattice levels at the start of the step, before that step's
+    actions take effect; health 1 is ``unit``, the scenario's lattice unit.
     """
 
     node_ids: tuple[str, ...]
     entity_ids: tuple[str, ...]
     steps: tuple[TraceStep, ...]
+    unit: int
 
     @property
     def terminal_step(self) -> int:
         return len(self.steps) - 1
 
     def health_at(self, t: int, node_id: str) -> Fraction:
-        return self.steps[t].healths[self.node_ids.index(node_id)]
+        return Fraction(self.steps[t].healths[self.node_ids.index(node_id)], self.unit)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Outcome:
     @staticmethod
     def from_trace(trace: Trace) -> Outcome:
         """Read the reward, the absorbed sets and the jumps off a finished trace."""
-        final = [health_status(h.numerator, h.denominator) for h in trace.steps[-1].healths]
+        final = [health_status(h, trace.unit) for h in trace.steps[-1].healths]
         repaired = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.REPAIRED)
         failed = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.FAILED)
         return Outcome(reward=len(repaired), repaired=repaired, failed=failed, jumps=count_jumps(trace))
@@ -117,8 +118,7 @@ def count_jumps(trace: Trace) -> int:
         for entity_id, prev_target in prev_actions.items():
             if prev_target is None:
                 continue
-            health_now = trace.steps[t].healths[column[prev_target]]
-            status = health_status(health_now.numerator, health_now.denominator)
+            status = health_status(trace.steps[t].healths[column[prev_target]], trace.unit)
             if status is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
                 jumps += 1
     return jumps
@@ -150,14 +150,13 @@ def _run_to_absorption(
     """
     lattice = scenario.lattice
     unit, ints = lattice.unit, lattice.v0
-    healths = tuple(n.v0 for n in scenario.nodes)
     rows: list[TraceStep] = []
     seen_healths: dict[IntVec, int] = {}
     t = 0
     while True:
         if not any(0 < h < unit for h in ints):
-            rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
-            return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows))
+            rows.append(TraceStep(ints, {entity_id: None for entity_id in scenario.entity_ids}))
+            return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows), unit=unit)
         if time_invariant:
             if ints in seen_healths:
                 raise NonAbsorbingPolicy(
@@ -167,10 +166,8 @@ def _run_to_absorption(
         if max_steps is not None and t >= max_steps:
             raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
         actions = select(t, ints)
-        rows.append(TraceStep(healths, actions))
-        stepped = advance(lattice, ints, actions)
-        healths = tuple(h if new == old else Fraction(new, unit) for h, old, new in zip(healths, ints, stepped))
-        ints = stepped
+        rows.append(TraceStep(ints, actions))
+        ints = advance(lattice, ints, actions)
         t += 1
 
 
@@ -230,11 +227,10 @@ def _validate_actions(
 def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> None:
     """Replay a trace through the health update rule; raise on any drift.
 
-    Checks the columns against the scenario, the initial row against v0,
-    every targeted node's membership and Active status, the exact health
-    evolution on the scenario's lattice (every row must hold one health per
-    node), and that the final row (and only the final row) has no Active
-    node and no action.
+    Checks the columns and the unit against the scenario's lattice, the
+    initial row against v0, every targeted node's membership and Active
+    status, every later row against the replayed levels, and that the final
+    row (and only the final row) has no Active node and no action.
     """
     if trace.node_ids != scenario.node_ids:
         raise TraceMismatch("trace node columns do not match the scenario")
@@ -242,19 +238,18 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
         raise TraceMismatch("trace entity columns do not match the scenario")
     if not trace.steps:
         raise TraceMismatch("trace has no rows")
-    if trace.steps[0].healths != tuple(n.v0 for n in scenario.nodes):
-        raise TraceMismatch("initial healths differ from the scenario's v0")
     lattice = scenario.lattice
     unit, ints = lattice.unit, lattice.v0
+    if trace.unit != unit:
+        raise TraceMismatch(f"trace unit {trace.unit} differs from the scenario's lattice unit {unit}")
+    if trace.steps[0].healths != ints:
+        raise TraceMismatch("initial healths differ from the scenario's v0")
     for t, row in enumerate(trace.steps[:-1]):
         if not any(0 < h < unit for h in ints):
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
-        # the row's healths equal ``ints`` here: row 0 was checked against v0, every later row by the step before
         _validate_actions(row.actions, lambda nid: health_status(ints[lattice.positions[nid]], unit), allocation, scenario)
         ints = advance(lattice, ints, row.actions)
-        expected = trace.steps[t + 1].healths
-        # each health h must equal its replayed i / unit; cross-multiplying builds no Fraction
-        if len(expected) != len(ints) or any(h.numerator * unit != i * h.denominator for h, i in zip(expected, ints)):
+        if trace.steps[t + 1].healths != ints:
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")
     if any(0 < h < unit for h in ints):
         raise TraceMismatch("terminal row still has an Active node")

@@ -5,9 +5,10 @@ health lives in [0, 1] with two absorbing boundaries: a node that reaches 0
 has permanently failed, a node that reaches 1 is permanently repaired.  At
 each discrete time step every Active node either gains its targeting
 entity's repair rate (clamped at 1) or loses its own deterioration rate
-(clamped at 0).  All values are exact, so the rule (``decayed``, ``repaired``)
-and the status test (``health_status``) run on one integer lattice per
-scenario, with Fractions only at the boundary: scenario values and trace rows.
+(clamped at 0).  All values are exact, so the rule (``decayed``, ``repaired``),
+the status test (``health_status``) and the regime checks run on one integer
+lattice per scenario.  Fractions stay at the boundary: scenario values,
+costs, regime messages, and a trace's ``health_at`` and CSV cells.
 """
 
 from __future__ import annotations
@@ -164,10 +165,7 @@ def repaired(health: int, inc: int, unit: int) -> int:
 
 
 def health_status(level: int, unit: int) -> Status:
-    """The status of health level / unit (unit > 0): FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between.
-
-    Lattice callers pass (h, lattice.unit); a Fraction health h passes (h.numerator, h.denominator).
-    """
+    """The status of health level / unit (unit > 0): FAILED at or below 0, REPAIRED at or above 1, ACTIVE in between."""
     if level <= 0:
         return Status.FAILED
     if level >= unit:
@@ -262,19 +260,20 @@ def check_assumption1(scenario: Scenario) -> AssumptionReport:
     regime a targeted node outruns everything it is racing against.
     """
     n = len(scenario.nodes)
-    total_dec = sum((node.delta_dec for node in scenario.nodes), Fraction(0))
+    lattice = scenario.lattice
+    total_dec = sum(lattice.decs)
     violations: list[str] = []
-    for node in scenario.nodes:
-        others = total_dec - node.delta_dec
+    for j, (node, dec) in enumerate(zip(scenario.nodes, lattice.decs)):
+        others = total_dec - dec
         for entity in scenario.entities:
-            inc = entity.rate_for(node.id)
-            if inc <= (n - 1) * node.delta_dec:
+            inc = lattice.incs[entity.id][j]
+            if inc <= (n - 1) * dec:
                 violations.append(
-                    f"rate of {entity.id!r} on {node.id!r} ({inc}) must exceed (N-1)*delta_dec = {(n - 1) * node.delta_dec}"
+                    f"rate of {entity.id!r} on {node.id!r} ({entity.rate_for(node.id)}) must exceed (N-1)*delta_dec = {(n - 1) * node.delta_dec}"
                 )
             if inc <= others:
                 violations.append(
-                    f"rate of {entity.id!r} on {node.id!r} ({inc}) must exceed the other nodes' total decay {others}"
+                    f"rate of {entity.id!r} on {node.id!r} ({entity.rate_for(node.id)}) must exceed the other nodes' total decay {Fraction(others, lattice.unit)}"
                 )
     return AssumptionReport(holds=not violations, violations=tuple(violations))
 
@@ -287,17 +286,19 @@ def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
     decay an integer multiple of each repair rate, and every health deficit
     1 - v0 an integer multiple of each repair rate.
     """
+    lattice = scenario.lattice
+    unit = lattice.unit
     violations: list[str] = []
-    decs = {node.delta_dec for node in scenario.nodes}
+    decs = set(lattice.decs)
     if len(decs) > 1:
-        violations.append(f"delta_dec must be uniform across nodes, got {sorted(map(str, decs))}")
+        violations.append(f"delta_dec must be uniform across nodes, got {sorted({str(n.delta_dec) for n in scenario.nodes})}")
     costs = {entity.cost for entity in scenario.entities}
     if len(costs) > 1:
         violations.append(f"entity costs must be equal, got {sorted(map(str, costs))}")
 
-    entity_rates: dict[str, Fraction] = {}
+    entity_rates: dict[str, int] = {}
     for entity in scenario.entities:
-        rates = {entity.rate_for(node.id) for node in scenario.nodes}
+        rates = set(lattice.incs[entity.id])
         if len(rates) > 1:
             violations.append(f"entity {entity.id!r}: repair rate must be uniform across nodes")
             continue
@@ -309,21 +310,20 @@ def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
         dec = next(iter(decs))
         for entity_id, inc in entity_rates.items():
             if dec < inc:
-                violations.append(f"entity {entity_id!r}: repair rate {inc} exceeds the decay rate {dec}")
+                violations.append(f"entity {entity_id!r}: repair rate {Fraction(inc, unit)} exceeds the decay rate {Fraction(dec, unit)}")
                 continue
-            ratio = dec / inc
-            if ratio.denominator != 1:
-                violations.append(f"entity {entity_id!r}: decay/repair ratio {ratio} is not an integer")
+            if dec % inc:
+                violations.append(f"entity {entity_id!r}: decay/repair ratio {Fraction(dec, inc)} is not an integer")
                 continue
-            steps_per_decay[entity_id] = int(ratio)
-            for node in scenario.nodes:
-                deficit = (1 - node.v0) / inc
-                if deficit.denominator != 1:
+            steps_per_decay[entity_id] = dec // inc
+            for node, v0 in zip(scenario.nodes, lattice.v0):
+                deficit, rest = divmod(unit - v0, inc)
+                if rest:
                     violations.append(
-                        f"node {node.id!r} vs entity {entity_id!r}: (1 - v0)/rate = {deficit} is not an integer"
+                        f"node {node.id!r} vs entity {entity_id!r}: (1 - v0)/rate = {Fraction(unit - v0, inc)} is not an integer"
                     )
                 else:
-                    repair_steps[(node.id, entity_id)] = int(deficit)
+                    repair_steps[(node.id, entity_id)] = deficit
 
     if violations:
         return UniformRegimeReport(holds=False, violations=tuple(violations))

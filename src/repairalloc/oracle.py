@@ -87,8 +87,10 @@ def optimal_sequencing_reward(
     with at most ``memo_cap`` vectors per entity, and sums the optima.  The
     witness trace replays the entities' optimal target sequences in
     parallel through the simulator and therefore reproduces the claimed
-    reward exactly; SearchInconsistency is raised if it does not.
+    reward exactly; SearchInconsistency is raised if it does not, and
+    BudgetExceeded, before any search, if the allocation is over budget.
     """
+    allocation.require_budget(scenario)
     reward, witness = _search_allocation(scenario, allocation, memo_cap, {})
     trace, _ = _replay(scenario, allocation, reward, witness)
     return reward, trace
@@ -104,7 +106,6 @@ def _search_allocation(
 
     Searches missing from ``cache`` are run and added to it.
     """
-    allocation.require_budget(scenario)
     total = 0
     witness: _Witness = []
     for entity in scenario.entities:

@@ -7,7 +7,9 @@ unlimited.
 
 Trace CSV files have header ``t,<node ids...>,<entity ids...>``; each row
 holds the exact health of every node at step t and the node each entity
-targeted at t ("-" for idle, so a node named "-" cannot be written).
+targeted at t ("-" for idle, so a node named "-" cannot be written).  The
+reader maps each health onto the scenario's lattice: it must be a
+multiple of 1/unit.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
         writer.writerow(["t", *trace.node_ids, *trace.entity_ids])
         for t, row in enumerate(trace.steps):
             cells: list[str] = [str(t)]
-            cells.extend(format_rational(h) for h in row.healths)
+            cells.extend(format_rational(Fraction(h, trace.unit)) for h in row.healths)
             for entity_id in trace.entity_ids:
                 target = row.actions.get(entity_id)
                 cells.append(_IDLE if target is None else target)
@@ -159,7 +161,8 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
-    """Load a trace written by ``write_trace_csv`` back into exact form."""
+    """Load a trace written by ``write_trace_csv`` back onto the scenario's lattice."""
+    unit = scenario.lattice.unit
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -174,7 +177,7 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
             if cells[0] != str(t):
                 raise ScenarioFormatError(f"{path}: row {t} is labeled {cells[0]!r}")
             healths = tuple(
-                parse_rational(cell, f"row {t}, node {nid}")
+                _lattice_level(parse_rational(cell, f"row {t}, node {nid}"), unit, f"{path}: row {t}, node {nid}")
                 for nid, cell in zip(scenario.node_ids, cells[1 : 1 + n])
             )
             actions: dict[str, Optional[str]] = {}
@@ -187,4 +190,12 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
         node_ids=scenario.node_ids,
         entity_ids=scenario.entity_ids,
         steps=tuple(steps),
+        unit=unit,
     )
+
+
+def _lattice_level(health: Fraction, unit: int, where: str) -> int:
+    level, rest = divmod(health.numerator * unit, health.denominator)
+    if rest:
+        raise ScenarioFormatError(f"{where}: health {format_rational(health)} is not a multiple of 1/{unit}")
+    return level

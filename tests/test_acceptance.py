@@ -26,7 +26,6 @@ from repairalloc import (
     Scripted,
     allocate_budgeted,
     count_jumps,
-    feasible_ordered_set,
     largest_repairable_subset,
     optimal_sequencing_reward,
     oracle_optimal,
@@ -44,6 +43,7 @@ from repairalloc.demos import (
 )
 from repairalloc.errors import BudgetExceeded, TraceMismatch
 
+from feasibility import feasible_ordered_set
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
 
 F = Fraction
@@ -148,7 +148,7 @@ def test_06_cheap_entity_holding_all_five_nodes_saves_all_five():
     reward, witness = optimal_sequencing_reward(scenario, everything_to_cheap)
     assert reward == 4
     verify_trace(scenario, everything_to_cheap, witness)
-    assert sum(h == 1 for h in witness.steps[-1].healths) == reward
+    assert sum(h == witness.unit for h in witness.steps[-1].healths) == reward
 
 
 def test_07_budgeted_allocator_matches_the_oracle_on_random_draws():

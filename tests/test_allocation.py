@@ -7,7 +7,6 @@ import pytest
 
 from repairalloc.allocation import (
     allocate_budgeted,
-    feasible_ordered_set,
     largest_repairable_subset,
     lifetime_index,
     run_online_policy,
@@ -17,6 +16,7 @@ from repairalloc.engine import verify_trace
 from repairalloc.errors import AssumptionViolated
 from repairalloc.model import EntitySpec, NodeSpec, Scenario
 
+from feasibility import feasible_ordered_set
 from generators import random_repair_dominant, random_uniform_regime
 
 F = Fraction

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,11 +197,9 @@ def test_verify_trace_catches_tampered_health():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, Scripted([{"e": "b"}, {"e": "a"}]))
-    rows = list(trace.steps)
-    healths = list(rows[1].healths)
-    healths[0] += F(1, 100)
-    rows[1] = TraceStep(tuple(healths), rows[1].actions)
-    bad = Trace(trace.node_ids, trace.entity_ids, tuple(rows))
+    healths = list(trace.steps[1].healths)
+    healths[0] += 1
+    bad = _replace_row(trace, 1, TraceStep(tuple(healths), trace.steps[1].actions))
     with pytest.raises(TraceMismatch):
         verify_trace(scenario, allocation, bad)
 
@@ -209,10 +208,9 @@ def test_verify_trace_catches_wrong_initial_row():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, Scripted([{"e": "b"}, {"e": "a"}]))
-    rows = list(trace.steps)
-    rows[0] = TraceStep((F("0.9"), F("0.9")), rows[0].actions)
+    assert trace.unit == 10
     with pytest.raises(TraceMismatch) as err:
-        verify_trace(scenario, allocation, Trace(trace.node_ids, trace.entity_ids, tuple(rows)))
+        verify_trace(scenario, allocation, _replace_row(trace, 0, TraceStep((9, 9), trace.steps[0].actions)))
     assert "v0" in str(err.value)
 
 
@@ -230,7 +228,7 @@ def test_verify_trace_catches_truncated_trace():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, Scripted([{"e": "b"}, {"e": "a"}]))
-    truncated = Trace(trace.node_ids, trace.entity_ids, trace.steps[:-1])
+    truncated = replace(trace, steps=trace.steps[:-1])
     with pytest.raises(TraceMismatch) as err:
         verify_trace(scenario, allocation, truncated)
     assert "Active" in str(err.value)
@@ -249,11 +247,12 @@ def test_count_jumps_on_hand_built_trace():
         node_ids=("a", "b"),
         entity_ids=("e",),
         steps=(
-            TraceStep((F("0.5"), F("0.5")), {"e": "a"}),
-            TraceStep((F("0.6"), F("0.4")), {"e": "b"}),  # a at 0.6 < 1: jump
-            TraceStep((F("0.5"), F("0.5")), {"e": "b"}),
-            TraceStep((F("0.4"), F(1)), {"e": None}),  # b reached 1: no jump
+            TraceStep((5, 5), {"e": "a"}),
+            TraceStep((6, 4), {"e": "b"}),  # a at 0.6 < 1: jump
+            TraceStep((5, 5), {"e": "b"}),
+            TraceStep((4, 10), {"e": None}),  # b reached 1: no jump
         ),
+        unit=10,
     )
     assert count_jumps(trace) == 1
 
@@ -268,7 +267,7 @@ def _repair_dominant_run():
 def test_verify_trace_rejects_empty_trace():
     scenario, allocation, trace = _repair_dominant_run()
     with pytest.raises(TraceMismatch):
-        verify_trace(scenario, allocation, Trace(trace.node_ids, trace.entity_ids, ()))
+        verify_trace(scenario, allocation, replace(trace, steps=()))
 
 
 def test_verify_trace_rejects_reordered_entity_columns():
@@ -276,19 +275,37 @@ def test_verify_trace_rejects_reordered_entity_columns():
     reversed_ids = tuple(reversed(trace.entity_ids))
     assert reversed_ids != trace.entity_ids
     with pytest.raises(TraceMismatch):
-        verify_trace(scenario, allocation, Trace(trace.node_ids, reversed_ids, trace.steps))
+        verify_trace(scenario, allocation, replace(trace, entity_ids=reversed_ids))
 
 
 def test_verify_trace_rejects_action_in_terminal_row():
     scenario, allocation, trace = _repair_dominant_run()
     last = trace.steps[-1]
-    rows = (*trace.steps[:-1], TraceStep(last.healths, {**last.actions, "e": "a"}))
+    edited = _replace_row(trace, trace.terminal_step, TraceStep(last.healths, {**last.actions, "e": "a"}))
     with pytest.raises(TraceMismatch):
-        verify_trace(scenario, allocation, Trace(trace.node_ids, trace.entity_ids, rows))
+        verify_trace(scenario, allocation, edited)
+
+
+def test_verify_trace_rejects_a_unit_other_than_the_lattice_unit():
+    """A trace on another unit is refused, both with every level scaled to spell the same Fractions
+    and with the levels left as they are, which replay as integers but mean other Fractions."""
+    scenario, allocation, trace = _repair_dominant_run()
+    verify_trace(scenario, allocation, trace)
+    scaled = replace(
+        trace,
+        unit=3 * trace.unit,
+        steps=tuple(TraceStep(tuple(3 * h for h in row.healths), row.actions) for row in trace.steps),
+    )
+    assert [scaled.health_at(t, nid) for t in (0, -1) for nid in trace.node_ids] == [
+        trace.health_at(t, nid) for t in (0, -1) for nid in trace.node_ids
+    ]
+    for edited in (scaled, replace(trace, unit=3 * trace.unit)):
+        with pytest.raises(TraceMismatch, match="unit"):
+            verify_trace(scenario, allocation, edited)
 
 
 def _replace_row(trace: Trace, t: int, row: TraceStep) -> Trace:
-    return Trace(trace.node_ids, trace.entity_ids, (*trace.steps[:t], row, *trace.steps[t + 1 :]))
+    return replace(trace, steps=(*trace.steps[:t], row, *trace.steps[t + 1 :]))
 
 
 def test_verify_trace_accepts_every_run_and_rejects_any_one_edit():
@@ -322,7 +339,7 @@ def test_verify_trace_accepts_every_run_and_rejects_any_one_edit():
         for t, row in enumerate(trace.steps):
             for j in range(len(row.healths)):
                 healths = list(row.healths)
-                healths[j] += F(1, 997)
+                healths[j] += 1
                 edited = _replace_row(trace, t, TraceStep(tuple(healths), row.actions))
                 with pytest.raises(TraceMismatch):
                     verify_trace(scenario, allocation, edited)
@@ -347,7 +364,8 @@ def _reference_step(node_id: str, health: Fraction, targeted_by, scenario: Scena
 def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=None) -> Trace:
     """The run loop on Fractions: every node through ``_reference_step``, absorbed ones included.
 
-    ``select(t, health)`` gets a map of node id to Fraction health.
+    ``select(t, health)`` gets a map of node id to Fraction health.  The rows
+    hold those Fractions over unit 1, so ``health_at`` reads them as they are.
     """
     health = {n.id: n.v0 for n in scenario.nodes}
     rows = []
@@ -357,7 +375,7 @@ def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=N
         healths = tuple(health.values())
         if not any(0 < h < 1 for h in healths):
             rows.append(TraceStep(healths, {entity_id: None for entity_id in scenario.entity_ids}))
-            return Trace(scenario.node_ids, scenario.entity_ids, tuple(rows))
+            return Trace(scenario.node_ids, scenario.entity_ids, tuple(rows), 1)
         if time_invariant:
             if healths in seen:
                 raise NonAbsorbingPolicy(f"health vector at step {t} repeats step {seen[healths]}")
@@ -448,8 +466,17 @@ def _reference_status(level, unit) -> Status:
     return Status.ACTIVE
 
 
+def _read_as_fractions(run: tuple) -> tuple:
+    """A run with its trace's rows read through ``health_at``, one Fraction per cell."""
+    trace, *rest = run
+    rows = tuple(
+        (tuple(trace.health_at(t, nid) for nid in trace.node_ids), row.actions) for t, row in enumerate(trace.steps)
+    )
+    return (trace.node_ids, trace.entity_ids, rows, *rest)
+
+
 def _equivalence_runs(rng: random.Random, simulate, online) -> list:
-    """Traces and outcomes of all four policies and the online run on seeded draws."""
+    """Traces (read as Fractions) and outcomes of all four policies and the online run on seeded draws."""
     runs = []
     for _ in range(25):
         scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
@@ -462,9 +489,9 @@ def _equivalence_runs(rng: random.Random, simulate, online) -> list:
             FixedOrder(decreasing_initial_health_orders(scenario, allocation)),
             Scripted(script),
         ):
-            runs.append(simulate(scenario, allocation, policy))
+            runs.append(_read_as_fractions(simulate(scenario, allocation, policy)))
         scenario = random_uniform_regime(rng, max_nodes=6, max_entities=3)
-        runs.append(online(scenario))
+        runs.append(_read_as_fractions(online(scenario)))
     return runs
 
 

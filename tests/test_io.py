@@ -132,22 +132,22 @@ def scenarios(draw) -> Scenario:
 
 @st.composite
 def traces(draw) -> tuple[Scenario, Trace]:
-    """A scenario and any trace over its columns: the CSV format does not
-    check that rows replay, so healths and actions are free."""
+    """A scenario and any trace on its lattice: the CSV format does not
+    check that rows replay, so health levels and actions are free."""
     scenario = draw(scenarios())
     targets = st.none() | st.sampled_from(scenario.node_ids)
     rows = draw(
         st.lists(
             st.builds(
                 TraceStep,
-                st.tuples(*(rationals for _ in scenario.node_ids)),
+                st.tuples(*(st.integers() for _ in scenario.node_ids)),
                 st.fixed_dictionaries({eid: targets for eid in scenario.entity_ids}),
             ),
             min_size=1,
             max_size=4,
         )
     )
-    return scenario, Trace(scenario.node_ids, scenario.entity_ids, tuple(rows))
+    return scenario, Trace(scenario.node_ids, scenario.entity_ids, tuple(rows), scenario.lattice.unit)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -180,7 +180,7 @@ def test_trace_csv_refuses_a_node_named_like_idle(tmp_path):
         entities=(EntitySpec("e", F(0), {"-": F(1), "b": F(1)}),),
         budget=None,
     )
-    trace = Trace(scenario.node_ids, scenario.entity_ids, (TraceStep((F(1, 2), F(1, 2)), {"e": "-"}),))
+    trace = Trace(scenario.node_ids, scenario.entity_ids, (TraceStep((3, 3), {"e": "-"}),), scenario.lattice.unit)
     path = tmp_path / "trace.csv"
     with pytest.raises(ScenarioFormatError, match="cannot be written"):
         write_trace_csv(trace, path)
@@ -303,6 +303,21 @@ def test_trace_csv_short_row(tmp_path):
     lines[1] = lines[1].rsplit(",", 1)[0]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ScenarioFormatError, match="row 0 has 6 cells, expected 7"):
+        read_trace_csv(path, scenario)
+
+
+def test_trace_csv_refuses_a_health_off_the_lattice(tmp_path):
+    """Each health is read as a level over the scenario's lattice unit; one between two levels names its cell."""
+    scenario, _, trace = demo_trace()
+    unit = scenario.lattice.unit
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[3] = format_rational(Fraction(trace.steps[1].healths[2], unit) + Fraction(1, 2 * unit))
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=f"row 1, node c: health .* is not a multiple of 1/{unit}"):
         read_trace_csv(path, scenario)
 
 

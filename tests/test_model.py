@@ -105,9 +105,8 @@ def test_health_status_thresholds():
     assert health_status(0, unit) is Status.FAILED
     assert health_status(unit, unit) is Status.REPAIRED
     assert health_status(5, unit) is Status.ACTIVE
-    half = F("0.5")
-    assert health_status(half.numerator, half.denominator) is Status.ACTIVE
-    assert health_status(F(1).numerator, F(1).denominator) is Status.REPAIRED
+    assert health_status(-1, unit) is Status.FAILED
+    assert health_status(unit + 1, unit) is Status.REPAIRED
 
 
 @pytest.mark.parametrize(
@@ -127,8 +126,7 @@ def test_health_status_thresholds():
 )
 def test_activity_test_at_the_boundaries(health, status):
     """The integer test agrees with 0 < h < 1 on Fraction and int healths,
-    passed as (numerator, denominator) and as a level on a lattice."""
-    assert health_status(health.numerator, health.denominator) is status
+    each passed as its level on a lattice."""
     unit = 3 * 10**12  # every health above is a multiple of 1 / unit
     assert health_status(int(health * unit), unit) is status
     assert (status is Status.ACTIVE) is (0 < health < 1)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from repairalloc import _kernel
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import DEMOS, mixed_costs, online_suboptimal, repair_dominant
 from repairalloc.engine import simulate, verify_trace
-from repairalloc.errors import InstanceTooLarge
+from repairalloc.errors import BudgetExceeded, InstanceTooLarge
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 from repairalloc.oracle import (
     enumerate_feasible_allocations,
@@ -77,6 +78,17 @@ def test_sequencing_reward_empty_allocation():
     reward, trace = optimal_sequencing_reward(scenario, allocation)
     assert reward == 0
     assert all(h == 0 for h in trace.steps[-1].healths)
+
+
+def test_sequencing_reward_refuses_an_over_budget_allocation_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("an allocation over budget reached the kernel")
+
+    monkeypatch.setattr(_kernel, "solve_allocation", no_search)
+    scenario = two_nodes(budget=F(3))
+    allocation = Allocation.build(scenario, {"e": {"a", "b"}})
+    with pytest.raises(BudgetExceeded, match="allocation costs 4, budget is 3"):
+        optimal_sequencing_reward(scenario, allocation)
 
 
 def test_sequencing_reward_single_entity_cannot_save_all_five():
