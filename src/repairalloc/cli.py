@@ -2,7 +2,7 @@
 
 Four subcommands: ``check`` reports which rate regime a scenario
 satisfies, ``solve`` runs one of the two built-in solve pipelines,
-``oracle`` computes the exact optimum by exhaustive search, and
+``oracle`` computes the exact optimum by exhaustive branch and bound, and
 ``examples`` re-runs the bundled reproduction suite.
 
 Exit codes are stable: 0 success, 1 scenario parse failure, 2 rate-regime
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"maximum number of allocation assignments to enumerate (default {DEFAULT_CAP})",
+        help=f"refuse up front a scenario with more than this many assignments, (M+1)^N, before any is visited (default {DEFAULT_CAP})",
     )
     p_oracle.add_argument(
         "--memo-cap",

@@ -80,19 +80,24 @@ class Scenario:
 
     ``budget`` is an exact Fraction, or None for an unlimited budget.
     Node and entity ids are unique within their kind; ties everywhere in
-    the package are broken by plain string order of the id.  ``node`` and
-    ``entity`` look ids up in maps built once at construction.
+    the package are broken by plain string order of the id.  ``node_ids``
+    and ``entity_ids`` are built once at construction, as are the maps that
+    ``node`` and ``entity`` look ids up in.
     """
 
     nodes: tuple[NodeSpec, ...]
     entities: tuple[EntitySpec, ...]
     budget: Optional[Fraction]
+    node_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    entity_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _node_by_id: dict[str, NodeSpec] = field(init=False, repr=False, compare=False)
     _entity_by_id: dict[str, EntitySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "node_ids", tuple(n.id for n in self.nodes))
+        object.__setattr__(self, "entity_ids", tuple(e.id for e in self.entities))
         object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
         object.__setattr__(self, "_entity_by_id", {e.id: e for e in self.entities})
         if len(self.nodes) < 2:
@@ -112,14 +117,6 @@ class Scenario:
                 raise TypeError("budget must be a Fraction or None (unlimited)")
             if self.budget < 0:
                 raise ValueError("budget must be >= 0")
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    @property
-    def entity_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entities)
 
     def node(self, node_id: str) -> NodeSpec:
         return self._node_by_id[node_id]

@@ -9,17 +9,38 @@ well as of the kernel's pruning rules; they share no code with
 rescales one allocation onto its joint integer lattice.
 ``solve_reward_full`` visits every reachable health vector once;
 ``solve_reward_no_memo`` keeps no seen-set at all, is exponential, and is
-meant for tiny instances only.
+meant for tiny instances only.  ``feasible_allocations_by_product`` is the
+unpruned reference for the oracle's assignment walk: it builds every one
+of the (M+1)^N assignments and then filters out those over budget.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator, Optional
 
 from repairalloc.model import Allocation, Scenario
 from repairalloc.rational import lcm_denominators
 
 IntVec = tuple[int, ...]
+
+
+def feasible_allocations_by_product(scenario: Scenario) -> Iterator[Allocation]:
+    """Every allocation within budget, in lexicographic assignment order.
+
+    Each node takes a choice from (unallocated, entity 1, entity 2, ...),
+    node by node in scenario order; every assignment becomes an Allocation
+    before the budget test.
+    """
+    choices: tuple[Optional[str], ...] = (None, *scenario.entity_ids)
+    for assignment in product(choices, repeat=len(scenario.nodes)):
+        sets: dict[str, set[str]] = {eid: set() for eid in scenario.entity_ids}
+        for node, owner in zip(scenario.nodes, assignment):
+            if owner is not None:
+                sets[owner].add(node.id)
+        allocation = Allocation.build(scenario, sets)
+        if allocation.fits_budget(scenario):
+            yield allocation
 
 
 def _kernel_inputs(scenario: Scenario, allocation: Allocation):

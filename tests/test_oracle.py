@@ -19,7 +19,11 @@ from repairalloc.oracle import (
 from repairalloc.policies import LeastModifiedHealth
 
 from generators import random_repair_dominant, random_uniform_regime
-from reference_search import sequencing_reward_full, sequencing_reward_no_memo
+from reference_search import (
+    feasible_allocations_by_product,
+    sequencing_reward_full,
+    sequencing_reward_no_memo,
+)
 
 F = Fraction
 
@@ -54,6 +58,100 @@ def test_enumerate_zero_budget_leaves_only_empty():
 def test_enumerate_respects_cap():
     with pytest.raises(InstanceTooLarge, match="81 assignments exceed the enumeration cap of 80"):
         list(enumerate_feasible_allocations(repair_dominant(), cap=80))
+
+
+def walk_draws() -> list[Scenario]:
+    """Seeded draws of both families with up to 3 entities; every fifth has budget 0."""
+    rng = random.Random(9312)
+    draws = []
+    for i in range(40):
+        family = random_repair_dominant if i % 2 else random_uniform_regime
+        scenario = family(rng, max_nodes=5, max_entities=3)
+        if i % 5 == 0:
+            scenario = Scenario(scenario.nodes, scenario.entities, budget=F(0))
+        draws.append(scenario)
+    return draws
+
+
+def test_walk_yields_the_product_enumeration_in_order():
+    draws = walk_draws()
+    binding = zero_cost_at_zero_budget = 0
+    for scenario in draws:
+        reference = list(feasible_allocations_by_product(scenario))
+        walked = list(enumerate_feasible_allocations(scenario))
+        assert walked == reference, scenario
+        assert [a.total_cost for a in walked] == [a.total_cost for a in reference]
+        binding += any(0 < a.total_cost == scenario.budget for a in reference)
+        zero_cost_at_zero_budget += scenario.budget == 0 and any(e.cost == 0 for e in scenario.entities)
+    # the draws hit the budget's edges: allocations that spend all of it,
+    # a free entity under budget 0, and three entities
+    assert binding >= 5 and zero_cost_at_zero_budget >= 2
+    assert sum(len(s.entities) == 3 for s in draws) >= 5
+
+
+def test_oracle_matches_a_first_maximizer_scan_of_the_product_enumeration():
+    for scenario in walk_draws():
+        best = None
+        for allocation in feasible_allocations_by_product(scenario):
+            reward, trace = optimal_sequencing_reward(scenario, allocation)
+            if best is None or reward > best[0]:
+                best = (reward, allocation, trace)
+        result = oracle_optimal(scenario)
+        assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == best, scenario
+
+
+def bound_overflow_pair(budget) -> Scenario:
+    # with one entity, "a" takes three repair steps and "b" one, so searching
+    # {"a"} alone overflows a memo cap of 2 while searching {"b"} does not
+    ids = ["a", "b"]
+    return Scenario(
+        nodes=(NodeSpec("a", F("1/4"), F("1/100")), NodeSpec("b", F("1/2"), F("1/100"))),
+        entities=(EntitySpec("e", F(1), {"a": F("1/4"), "b": F("1/2")}),),
+        budget=budget,
+    )
+
+
+def overflows(monkeypatch) -> list[int]:
+    """Record the size of every set whose kernel search exceeds its memo cap."""
+    seen: list[int] = []
+    solve = _kernel.solve_allocation
+
+    def recording(healths, *args):
+        try:
+            return solve(healths, *args)
+        except InstanceTooLarge:
+            seen.append(len(healths))
+            raise
+
+    monkeypatch.setattr(_kernel, "solve_allocation", recording)
+    return seen
+
+
+def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(monkeypatch):
+    # budget 1 allows one node: {"b"} scores 1 first, and no allocation that
+    # holds "a" can beat it, so a scan that searches only allocations with
+    # more nodes than the best reward never searches {"a"}; the bound's
+    # search of {"a"} overflows and must not fail the call
+    scenario = bound_overflow_pair(F(1))
+    seen = overflows(monkeypatch)
+    result = oracle_optimal(scenario, memo_cap=2)
+    assert seen == [1]
+    assert result.optimal_reward == 1
+    assert result.witness_allocation.sets == {"e": frozenset({"b"})}
+    unbounded = oracle_optimal(scenario)
+    assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
+
+
+def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
+    # unlimited budget: {"a", "b"} may score 2 and must be searched, so the
+    # subtree below the overflowing {"a"} is kept (U_e + 1) and the leaf's
+    # own search raises, as it would without the bound
+    scenario = bound_overflow_pair(None)
+    assert oracle_optimal(scenario).optimal_reward == 2
+    seen = overflows(monkeypatch)
+    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 2"):
+        oracle_optimal(scenario, memo_cap=2)
+    assert seen[:2] == [1, 2]  # the bound's searches of {"a"}, then of {"a", "b"}
 
 
 def test_sequencing_reward_demo_allocation():
