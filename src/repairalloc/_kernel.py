@@ -23,11 +23,14 @@ Three rules keep that search small without changing its optimum:
 * **Stop at the ceiling.**  The search ends at the first terminal that
   repairs every node of the set, since nothing can beat it.
 * **Skip what cannot improve.**  A state is not expanded when its nodes
-  not at 0 number no more than the best reward found so far.  Health 0
-  absorbs, so no terminal reachable from it repairs more, and the best
-  reward only grows, so the skip stays valid for the rest of the search.
-  Skipped states hold no strict improvement, so the returned witness is
-  the same one the unskipped search returns.
+  not at 0 number no more than the best reward so far, which starts at
+  ``floor``.  Health 0 absorbs, so no terminal reachable from it repairs
+  more, and the best reward only grows, so the skip stays valid for the
+  rest of the search.  Skipped states hold no strict improvement, so the
+  returned witness is the same one the unskipped search returns.  With
+  the default floor of -1 this is the full search; with floor |S| - 1 it
+  is the decision "can the entity repair all of S", which drops every
+  state with a node at 0.
 
 Proof that the idle rule is lossless.  Write V(x) for the best reward
 over terminals reachable from health vector x, under the full action
@@ -67,14 +70,17 @@ def solve_allocation(
     decs: IntVec,
     incs: IntVec,
     memo_cap: int,
+    floor: int = -1,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact optimum and one witness target sequence for one entity's set.
 
     ``healths``, ``decs`` and ``incs`` (the entity's repair rate for each
     node) cover that set only.  Returns (best repaired count, the node
     position targeted at each step along one path from the initial state
-    to a best terminal state).  Raises InstanceTooLarge once the search
-    holds ``memo_cap`` states.
+    to a best terminal state).  Only a terminal that repairs more than
+    ``floor`` counts: when none does, returns (``floor``, ()) unless the
+    initial state is already terminal.  Raises InstanceTooLarge once the
+    search holds ``memo_cap`` states.
     """
     start = tuple(healths)
     ceiling = len(start)
@@ -82,7 +88,7 @@ def solve_allocation(
         return start.count(unit), ()
     seen: dict[IntVec, tuple[IntVec | None, int]] = {start: (None, -1)}
     stack: list[IntVec] = [start]
-    best_reward = -1
+    best_reward = floor
     best_state: IntVec = start
     while stack and best_reward < ceiling:
         state = stack.pop()

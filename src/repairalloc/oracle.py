@@ -18,8 +18,7 @@ set has absorbed; an absorbed set stays absorbed under idling, so that
 joint schedule repairs exactly the sum.  Hence the joint optimum is the
 sum of the per-entity optima V_e(S_e), entity e's optimum on its set S_e.
 ``repairalloc._kernel`` finds each V_e(S_e) exactly, with three lossless
-pruning rules proven in its docstring; within one ``oracle_optimal`` call
-each (entity, set) pair is searched at most once.
+pruning rules proven in its docstring.
 
 The allocations are searched by branch and bound (Land & Doig,
 Econometrica 1960).  ``_walk`` visits the (M+1)^N assignments depth-first
@@ -34,35 +33,64 @@ fixes the owners of the first d nodes; the other N - d are undecided.
   the cost, and every leaf below that child is over budget too.  With
   only this cut the walk yields exactly the feasible allocations, in
   lexicographic order; ``enumerate_feasible_allocations`` is that walk.
-* **Unbeatable cut.**  The oracle's walk also skips a child whose bound
-  sum_e U_e + (N - d) is no better than the best reward found so far,
-  where U_e >= V_e(S_e) for entity e's partial set S_e.  The bound is
-  admissible because V_e(S) <= V_e(S + {j}) <= V_e(S) + 1 for a node j
-  outside S, with V_e over the full action space, idling included, which
-  the kernel's idle rule does not change.  Left: a schedule for S run on
-  S + {j} never targets j, moves the nodes of S exactly as before and, once
-  they absorb, idles until j decays to 0, so it repairs as many.  Right: a
-  schedule for S + {j} with each action on j replaced by idling moves the
-  nodes of S exactly as before, so it repairs every node of S that the
-  original repairs, which is all it repaired but at most j.  A leaf below
-  the tree node gives each entity S_e + T_e, the T_e disjoint sets of
-  undecided nodes, and an unallocated node repairs nothing, so the leaf
-  scores at most sum_e (V_e(S_e) + |T_e|) <= sum_e U_e + (N - d).  When a
-  child hands node j to entity e, U_e becomes V_e(S_e + {j}), searched for
-  that one set and cached, unless the cheaper U_e + 1 (admissible by the
-  right inequality, and leaving the bound unchanged) already cuts the
-  child; if that search exceeds ``memo_cap``, U_e + 1 stands in for it, so
-  a search made only for the bound never fails an oracle call.
-* **First maximizer kept.**  A cut subtree holds no leaf that beats the
-  best reward, and the oracle replaces its best only on a strict
-  improvement, so it meets the same improving leaves in the same order
-  as a scan of every feasible allocation: the same replays, the same
-  first maximizer and the same early stop once the reward is N.  A leaf
-  the walk yields has every U_e searched, so its reward equals its bound
-  and beats the best; or some U_e stands in for a search over
-  ``memo_cap``, and the leaf's own search of that set raises
-  InstanceTooLarge, as it would in a scan that searches every allocation
-  with more allocated nodes than the best reward.
+
+The oracle's walk adds a feasibility cut.  Call entity e's set S *tight*
+when V_e(S) = |S|, that is, when some schedule of e repairs all of S.
+V_e is taken over the full action space, idling included; the kernel's
+idle rule does not change it.  The proofs use one fact: replacing every
+action on a node j with idling leaves every other node's health exactly
+as before, since a node moves only under actions on it and its own decay.
+
+* **(a) Tight sets are downward closed.**  If a schedule repairs all of
+  S, the same schedule with every action on a node outside T replaced
+  by idling repairs all of T, for T a subset of S.  So a superset of a
+  set that is not tight is not tight either.
+* **(b) The first maximizer in enumeration order is tight for every
+  entity.**  Take the first feasible allocation A whose reward,
+  sum_e V_e(S_e), is the maximum R.  Suppose some S_e is not tight, and
+  take an optimal schedule for S_e and a node j of S_e that it leaves
+  unrepaired.  With its actions on j replaced by idling, that schedule
+  repairs as many nodes of S_e - {j}, so A with j unallocated, A', also
+  scores R.  A' costs no more than A, since costs are >= 0, so it is
+  feasible, and it comes earlier in enumeration order: it first differs
+  from A at node j, where "unallocated" comes first.  That contradicts
+  the choice of A.
+* **(c) The cut is lossless.**  The walk does not enter a child that
+  gives an entity a set that is not tight: by (a) no leaf below it is
+  tight for every entity, so by (b) the first maximizer is not below it.
+  A leaf that is tight for every entity scores its allocated count, so
+  the walk also does not enter a child whose allocated nodes so far plus
+  undecided nodes are no more than the best reward so far; no kernel
+  value enters that count bound.  Until the walk reaches the first
+  maximizer F, every leaf it has yielded comes earlier and scores less
+  than R; every set along F's path is a subset of F's sets, hence tight,
+  and every count bound on that path is at least |F| = R, so the walk
+  reaches and yields F.  Every yielded leaf scores its allocated count,
+  which the count bound at its last node made larger than the best
+  reward, so after F no leaf is yielded.  The oracle therefore returns F,
+  the same optimum and witness allocation as a scan of every feasible
+  allocation.
+* **(d) The witness trace does not change.**  The decision "is S tight"
+  is the kernel search with floor |S| - 1, whose skip rule drops every
+  state with a node at 0.  On a tight set the full search (floor -1)
+  ends at its first terminal that repairs every node.  Health 0 absorbs,
+  so a state with a node at 0 never leads to that terminal and generates
+  only states with a node at 0; and no state without a 0 is ever skipped
+  by either search, which both end on reaching the ceiling.  So the two
+  searches expand the states without a 0 in the same order, with the
+  same parent pointers, and stop at the same terminal: the decision
+  search's witness targets are the full search's, and so is the replayed
+  witness trace.
+
+Each decision is made once per (entity, set) within one ``oracle_optimal``
+call and cached.  A decision search that exceeds ``memo_cap`` leaves the
+set unknown, and the walk enters the child, which keeps every leaf a
+scan would reach.  A leaf that holds an unknown set runs the full search
+of that set, which raises InstanceTooLarge as a scan of every allocation
+would: the full search generates every state the decision search
+generates, in the same order of expansions, so it reaches the cap no
+later.  Every leaf the walk yields and scores is therefore tight for
+every entity.
 
 Each search slices its set's healths, decays and rates out of the
 scenario's integer lattice and runs in exact integer arithmetic.  Only a
@@ -87,8 +115,9 @@ from repairalloc.rational import lcm_denominators
 DEFAULT_CAP = 10**6
 
 # An entity's set as a bitmask over node positions: bit j is scenario.nodes[j].
-# (entity index, its set) -> (that entity's optimum, its witness targets)
-_EntityCache = dict[tuple[int, int], tuple[int, tuple[str, ...]]]
+# (entity index, its set) -> the decision search's (reward, witness targets):
+# the set's size when it is tight, less when it is not, None when unknown
+_TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
 
 # each searched entity's id with its witness targets, one per step
 _Witness = list[tuple[str, tuple[str, ...]]]
@@ -184,14 +213,18 @@ def _search_allocation(
     scenario: Scenario,
     masks: tuple[int, ...],
     memo_cap: int,
-    cache: _EntityCache,
+    tight: _TightCache,
 ) -> tuple[int, _Witness]:
-    """The summed per-entity optima for one allocation and each entity's witness targets."""
+    """The summed per-entity optima for one allocation and each entity's witness targets.
+
+    A set's reward and targets come from ``tight`` when it holds them, and
+    from a full search otherwise.
+    """
     total = 0
     witness: _Witness = []
     for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
         if mask:
-            reward, targets = _search_entity(scenario, k, mask, memo_cap, cache)
+            reward, targets = tight.get((k, mask)) or _search_entity(scenario, k, mask, memo_cap)
             total += reward
             witness.append((eid, targets))
     return total, witness
@@ -202,18 +235,15 @@ def _search_entity(
     k: int,
     mask: int,
     memo_cap: int,
-    cache: _EntityCache,
+    floor: int = -1,
 ) -> tuple[int, tuple[str, ...]]:
-    """Search the k-th entity's set on its slice of the scenario's lattice, once per ``cache``."""
-    key = (k, mask)
-    if key not in cache:
-        lattice = scenario.lattice
-        members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
-        incs = lattice.incs[scenario.entity_ids[k]]
-        healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, incs))
-        reward, positions = _kernel.solve_allocation(healths, lattice.unit, decs, incs, memo_cap)
-        cache[key] = reward, tuple(scenario.node_ids[members[i]] for i in positions)
-    return cache[key]
+    """Search the k-th entity's set on its slice of the scenario's lattice, counting only rewards above ``floor``."""
+    lattice = scenario.lattice
+    members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
+    incs = lattice.incs[scenario.entity_ids[k]]
+    healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, incs))
+    reward, positions = _kernel.solve_allocation(healths, lattice.unit, decs, incs, memo_cap, floor)
+    return reward, tuple(scenario.node_ids[members[i]] for i in positions)
 
 
 def _replay(
@@ -255,63 +285,46 @@ def oracle_optimal(
 ) -> OracleResult:
     """Maximum reward over every feasible allocation and every schedule.
 
-    Walks the assignment tree depth-first and cuts two kinds of subtree,
-    with the proofs in the module docstring.  An over-budget subtree holds
-    only over-budget leaves, since every cost is >= 0.  A subtree whose
-    bound, sum_e U_e plus its undecided nodes, does not beat the best
-    reward so far holds no strict improvement, since
-    V_e(S) <= V_e(S + {j}) <= V_e(S) + 1 makes the bound admissible.  The
-    witness is the first maximizer in enumeration order: no cut subtree
-    holds a strict improvement and a tie never displaces an earlier
-    maximizer, so the walk meets the same improving allocations as a scan
-    of every feasible one.  Each of them is replayed, so the returned
-    witness is replayed and checked.  Each (entity, set) pair is searched
-    at most once per call, with at most ``memo_cap`` health vectors; a
-    search made only for the bound that exceeds ``memo_cap`` falls back to
-    U_e + 1.  Raises InstanceTooLarge when (M+1)^N exceeds ``cap``.
+    Walks the assignment tree depth-first, with the proofs in the module
+    docstring.  It does not enter a child that goes over budget (every
+    cost is >= 0), that gives an entity a set it cannot repair in full
+    (a superset of such a set cannot be repaired in full either, and the
+    first maximizer repairs every set in full), or whose allocated nodes
+    so far plus undecided nodes are no more than the best reward so far.
+    So every leaf the walk yields scores its allocated count, beats the
+    best reward and is replayed, and the last one is the first maximizer
+    in enumeration order, with the same witness trace as a scan of every
+    feasible allocation.  Whether an entity can repair all of a set S is
+    one kernel search with floor |S| - 1, made at most once per (entity,
+    set) per call with at most ``memo_cap`` health vectors; one that
+    exceeds ``memo_cap`` marks the set unknown and keeps the subtree, and
+    a leaf holding an unknown set runs the full search, which raises.
+    Raises InstanceTooLarge when (M+1)^N exceeds ``cap``.
     """
     n = len(scenario.nodes)
-    cache: _EntityCache = {}
-    bound = _Bound(scenario, memo_cap, cache)
+    tight: _TightCache = {}
     best: Optional[OracleResult] = None
-    for masks in _walk(scenario, cap, bound.admit):
-        reward, witness = _search_allocation(scenario, masks, memo_cap, cache)
-        assert reward > bound.best  # a yielded leaf's reward is its bound
+    best_reward = -1
+
+    def admit(depth: int, owner: int, masks: list[int]) -> bool:
+        if sum(mask.bit_count() for mask in masks) + n - 1 - depth <= best_reward:
+            return False  # the count bound
+        if owner == 0:
+            return True
+        key = (owner - 1, masks[owner - 1])
+        size = key[1].bit_count()
+        if key not in tight:
+            try:
+                tight[key] = _search_entity(scenario, *key, memo_cap, size - 1)
+            except InstanceTooLarge:
+                tight[key] = None
+        decided = tight[key]
+        return decided is None or decided[0] == size
+
+    for masks in _walk(scenario, cap, admit):
+        best_reward, witness = _search_allocation(scenario, masks, memo_cap, tight)
         allocation = _allocation(scenario, masks)
-        trace, outcome = _replay(scenario, allocation, reward, witness)
-        best = OracleResult(reward, allocation, trace, outcome)
-        bound.best = reward
-        if reward == n:
-            break
+        trace, outcome = _replay(scenario, allocation, best_reward, witness)
+        best = OracleResult(best_reward, allocation, trace, outcome)
     assert best is not None  # the all-unallocated assignment is always feasible
     return best
-
-
-class _Bound:
-    """The unbeatable cut: a tree node's bound sum_e U_e + (N - d) against the best reward so far."""
-
-    def __init__(self, scenario: Scenario, memo_cap: int, cache: _EntityCache) -> None:
-        n = len(scenario.nodes)
-        self.scenario, self.memo_cap, self.cache = scenario, memo_cap, cache
-        self.best = -1
-        self.at = [n] * (n + 1)  # at[d]: the bound of the tree node the walk is in at depth d
-        self.upper = {(k, 0): 0 for k in range(len(scenario.entities))}  # (entity index, set) -> U_e
-
-    def admit(self, depth: int, owner: int, masks: list[int]) -> bool:
-        parent = self.at[depth]
-        if owner == 0:
-            bound = parent - 1
-        elif parent <= self.best:
-            return False  # with U_e + 1 the bound stays the parent's, which already cuts
-        else:
-            k = owner - 1
-            mask = masks[k]
-            old = self.upper[k, mask ^ (1 << depth)]
-            if (k, mask) not in self.upper:
-                try:
-                    self.upper[k, mask] = _search_entity(self.scenario, k, mask, self.memo_cap, self.cache)[0]
-                except InstanceTooLarge:
-                    self.upper[k, mask] = old + 1
-            bound = parent - 1 - old + self.upper[k, mask]
-        self.at[depth + 1] = bound
-        return bound > self.best

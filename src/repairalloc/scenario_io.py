@@ -18,7 +18,7 @@ import csv
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Optional
 
 from repairalloc.engine import Trace, TraceStep
 from repairalloc.errors import ScenarioFormatError
@@ -40,8 +40,8 @@ def scenario_from_dict(data: object) -> Scenario:
         nodes.append(
             NodeSpec(
                 id=_expect_id(raw, "id", where),
-                v0=parse_rational(raw.get("v0"), f"{where}.v0"),
-                delta_dec=parse_rational(raw.get("delta_dec"), f"{where}.delta_dec"),
+                v0=_parse_in(raw.get("v0"), f"{where}.v0", _OPEN_UNIT),
+                delta_dec=_parse_in(raw.get("delta_dec"), f"{where}.delta_dec", _POSITIVE),
             )
         )
     node_ids = [n.id for n in nodes]
@@ -54,7 +54,7 @@ def scenario_from_dict(data: object) -> Scenario:
         entities.append(
             EntitySpec(
                 id=_expect_id(raw, "id", where),
-                cost=parse_rational(raw.get("cost"), f"{where}.cost"),
+                cost=_parse_in(raw.get("cost"), f"{where}.cost", _NONNEGATIVE),
                 repair_rate=_parse_rates(raw.get("delta_inc"), node_ids, f"{where}.delta_inc"),
             )
         )
@@ -68,6 +68,22 @@ def scenario_from_dict(data: object) -> Scenario:
         return Scenario(nodes=tuple(nodes), entities=tuple(entities), budget=budget)
     except (ValueError, TypeError) as exc:
         raise ScenarioFormatError(str(exc)) from exc
+
+
+# the ranges ``NodeSpec`` and ``EntitySpec`` enforce, checked here so that
+# an error names the field's path in the file
+_Range = tuple[Callable[[Fraction], bool], str]
+_OPEN_UNIT: _Range = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
+_POSITIVE: _Range = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE: _Range = (lambda v: v >= 0, "must be >= 0")
+
+
+def _parse_in(raw: object, where: str, allowed: _Range) -> Fraction:
+    value = parse_rational(raw, where)
+    test, rule = allowed
+    if not test(value):
+        raise ScenarioFormatError(f"{where}: {rule}, got {format_rational(value)}")
+    return value
 
 
 def _expect_list(data: dict, key: str) -> list:
@@ -93,12 +109,12 @@ def _parse_rates(raw: object, node_ids: list[str], where: str) -> dict[str, Frac
         raise ScenarioFormatError(f"{where}: unknown node ids {sorted(unknown)}")
     rates: dict[str, Fraction] = {}
     if "default" in raw:
-        default = parse_rational(raw["default"], f"{where}.default")
+        default = _parse_in(raw["default"], f"{where}.default", _POSITIVE)
         rates = {nid: default for nid in node_ids}
     for key, value in raw.items():
         if key == "default":
             continue
-        rates[key] = parse_rational(value, f"{where}.{key}")
+        rates[key] = _parse_in(value, f"{where}.{key}", _POSITIVE)
     missing = set(node_ids) - set(rates)
     if missing:
         raise ScenarioFormatError(f"{where}: missing rates for {sorted(missing)}")

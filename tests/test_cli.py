@@ -55,6 +55,17 @@ def test_check_invalid_json_is_parse_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_out_of_range_field_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "negative_cost.json"
+    text = Path(scenario_path("repair_dominant")).read_text(encoding="utf-8")
+    path.write_text(text.replace('"cost": "6"', '"cost": "-1"', 1), encoding="utf-8")
+    for command in ("check", "oracle"):
+        rc = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: entities[0].cost: must be >= 0, got -1\n"
+
+
 def test_solve_budgeted_pipeline(tmp_path, capsys):
     trace_path = tmp_path / "run.csv"
     rc = main(
@@ -177,13 +188,15 @@ def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):
 
 
 def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
+    # the kernel keeps its reward but drops the last witness step, so the
+    # replay of a set it claims to repair in full leaves a node unrepaired
     real = _kernel.solve_allocation
 
-    def overclaim(*args):
-        reward, codes = real(*args)
-        return reward + 1, codes
+    def truncated(*args):
+        reward, targets = real(*args)
+        return reward, targets[:-1]
 
-    monkeypatch.setattr(_kernel, "solve_allocation", overclaim)
+    monkeypatch.setattr(_kernel, "solve_allocation", truncated)
     rc = main(["oracle", scenario_path("repair_dominant")])
     err = capsys.readouterr().err
     assert rc == 5

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -208,6 +209,27 @@ def test_raw_number_in_file_names_its_path():
     data = minimal_dict()
     data["nodes"][0]["v0"] = 0.5
     with pytest.raises(ScenarioFormatError, match=r"nodes\[0\].v0"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("entities", 0, "cost"), "-1", "entities[0].cost: must be >= 0, got -1"),
+        (("nodes", 0, "delta_dec"), "0", "nodes[0].delta_dec: must be positive, got 0"),
+        (("nodes", 1, "v0"), "3/2", "nodes[1].v0: must lie strictly in (0, 1), got 1.5"),
+        (("nodes", 0, "v0"), "0", "nodes[0].v0: must lie strictly in (0, 1), got 0"),
+        (("entities", 0, "delta_inc", "default"), "0", "entities[0].delta_inc.default: must be positive, got 0"),
+        (("entities", 0, "delta_inc", "b"), "-1/2", "entities[0].delta_inc.b: must be positive, got -0.5"),
+    ],
+)
+def test_out_of_range_field_names_its_path(keys, value, message):
+    data = minimal_dict()
+    holder = data
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = value
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(data)
 
 

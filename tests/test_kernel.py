@@ -19,6 +19,7 @@ F = Fraction
 
 def test_pruned_search_matches_unpruned_reference_on_random_allocations():
     rng = random.Random(6617)
+    tight = loose = 0
     for _ in range(60):
         if rng.random() < 0.5:
             drawn = random_repair_dominant(rng, max_nodes=4, max_entities=3)
@@ -37,6 +38,24 @@ def test_pruned_search_matches_unpruned_reference_on_random_allocations():
         reward, trace = optimal_sequencing_reward(scenario, allocation)
         assert reward == sequencing_reward_full(scenario, allocation)
         verify_trace(scenario, allocation, trace)
+        # floor |S| - 1 decides whether the entity repairs all of S: it finds
+        # the full search's witness when it does, and nothing above the floor
+        # when it does not
+        lattice = scenario.lattice
+        for entity in scenario.entities:
+            members = [j for j, nid in enumerate(scenario.node_ids) if nid in sets[entity.id]]
+            if not members:
+                continue
+            healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, lattice.incs[entity.id]))
+            full = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6)
+            decided = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6, len(members) - 1)
+            if full[0] == len(members):
+                assert decided == full
+                tight += 1
+            else:
+                assert decided[0] <= len(members) - 1
+                loose += 1
+    assert tight >= 20 and loose >= 10, (tight, loose)  # both outcomes are exercised
 
 
 @st.composite

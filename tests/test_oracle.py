@@ -100,6 +100,23 @@ def test_oracle_matches_a_first_maximizer_scan_of_the_product_enumeration():
         assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == best, scenario
 
 
+def test_the_first_maximizer_repairs_every_allocated_node():
+    # claim (b) of the oracle's proofs: in the first maximizer of a scan of
+    # every feasible allocation, each entity repairs its whole set
+    allocated = 0
+    for scenario in walk_draws():
+        best_reward, best = -1, None
+        for allocation in feasible_allocations_by_product(scenario):
+            reward, _ = optimal_sequencing_reward(scenario, allocation)
+            if reward > best_reward:
+                best_reward, best = reward, allocation
+        for entity_id, nodes in best.sets.items():
+            alone = Allocation.build(scenario, {entity_id: nodes})
+            assert optimal_sequencing_reward(scenario, alone)[0] == len(nodes), scenario
+            allocated += len(nodes)
+    assert allocated >= 60  # the maximizers hold sets to check
+
+
 def bound_overflow_pair(budget) -> Scenario:
     # with one entity, "a" takes three repair steps and "b" one, so searching
     # {"a"} alone overflows a memo cap of 2 while searching {"b"} does not
@@ -130,7 +147,7 @@ def overflows(monkeypatch) -> list[int]:
 def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(monkeypatch):
     # budget 1 allows one node: {"b"} scores 1 first, and no allocation that
     # holds "a" can beat it, so a scan that searches only allocations with
-    # more nodes than the best reward never searches {"a"}; the bound's
+    # more nodes than the best reward never searches {"a"}; the decision
     # search of {"a"} overflows and must not fail the call
     scenario = bound_overflow_pair(F(1))
     seen = overflows(monkeypatch)
@@ -144,14 +161,14 @@ def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(mon
 
 def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
     # unlimited budget: {"a", "b"} may score 2 and must be searched, so the
-    # subtree below the overflowing {"a"} is kept (U_e + 1) and the leaf's
-    # own search raises, as it would without the bound
+    # subtree below the overflowing {"a"} is kept (the set is unknown) and
+    # the leaf's own full search raises, as it would in a plain scan
     scenario = bound_overflow_pair(None)
     assert oracle_optimal(scenario).optimal_reward == 2
     seen = overflows(monkeypatch)
     with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 2"):
         oracle_optimal(scenario, memo_cap=2)
-    assert seen[:2] == [1, 2]  # the bound's searches of {"a"}, then of {"a", "b"}
+    assert seen[:2] == [1, 2]  # the decision searches of {"a"}, then of {"a", "b"}
 
 
 def test_sequencing_reward_demo_allocation():
