@@ -5,8 +5,10 @@ of that entity repairs.  The oracle sums these per-entity optima; its
 module docstring proves that the sum is the joint optimum.  Healths,
 decays and rates come from the scenario's integer lattice (health 1 maps
 to ``unit``), and every step goes through the lattice rule in
-``repairalloc.model`` (``decayed`` and ``repaired``), so the arithmetic
-is plain int and exact, and no value can overflow.
+``repairalloc.model`` (``decayed`` and ``repaired``): each popped state's
+Active positions are found once, ``decayed`` steps only those, and
+children are expanded only over them, in increasing position.  The
+arithmetic is plain int and exact, and no value can overflow.
 
 The state graph can contain cycles (a node targeted and released can
 return to an earlier health when rates match), so plain recursive
@@ -61,7 +63,7 @@ V(x) >= V(y) whenever x >= y.
 from __future__ import annotations
 
 from repairalloc.errors import InstanceTooLarge
-from repairalloc.model import IntVec, decayed, repaired
+from repairalloc.model import IntVec, active_positions, decayed, repaired
 
 
 def solve_allocation(
@@ -94,12 +96,11 @@ def solve_allocation(
         state = stack.pop()
         if ceiling - state.count(0) <= best_reward:
             continue  # even repairing every node not yet at 0 cannot beat the best
-        untargeted = decayed(state, decs, unit)
-        for j, (h, inc) in enumerate(zip(state, incs)):
-            if not 0 < h < unit:
-                continue
+        active = active_positions(state, unit)
+        untargeted = decayed(state, decs, active)
+        for j in active:
             nxt_list = untargeted.copy()
-            nxt_list[j] = repaired(h, inc, unit)
+            nxt_list[j] = repaired(state[j], incs[j], unit)
             nxt = tuple(nxt_list)
             if nxt in seen:
                 continue

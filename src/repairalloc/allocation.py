@@ -131,7 +131,7 @@ class _OnlineAssignment:
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
 
-    def select(self, t: int, healths: IntVec) -> dict[str, Optional[str]]:
+    def select(self, t: int, healths: IntVec, active: list[int]) -> dict[str, Optional[str]]:
         unit = self.unit
         for entity_id, target in self.targets.items():
             if target is not None and not 0 < healths[self.positions[target]] < unit:
@@ -140,9 +140,8 @@ class _OnlineAssignment:
         if not free:
             return dict(self.targets)
         # never-assigned Active nodes, healthiest first, ties by id
-        candidates = sorted(
-            (-h, nid) for nid, h in zip(self.node_ids, healths) if 0 < h < unit and nid not in self.assigned
-        )
+        node_ids, assigned = self.node_ids, self.assigned
+        candidates = sorted((-healths[j], node_ids[j]) for j in active if node_ids[j] not in assigned)
         for entity in free:
             if not candidates:
                 break

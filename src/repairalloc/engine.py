@@ -6,10 +6,14 @@ resulting trace records the exact health vector and every entity's action
 at each step, so it can be replayed through the health update rule and
 checked bit for bit.
 
-``advance`` is the one synchronous step, on the scenario's lattice, and
-``_run_to_absorption`` the one run loop; ``simulate`` and the online
-assignment in ``allocation`` both run through that loop, and
-``verify_trace`` replays rows through ``advance``.  Trace rows hold the
+``advance`` is the one synchronous step, on the scenario's lattice: it
+steps only the Active positions it is handed and returns those still
+Active.  ``_run_to_absorption`` is the one run loop; ``simulate`` and the
+online assignment in ``allocation`` both run through that loop, and
+``verify_trace`` replays rows through ``advance``.  The loop and the
+replay build the Active positions once from v0 and carry them from step
+to step, so an absorbed node costs nothing after the step that absorbs
+it.  Trace rows hold the
 lattice integers the loop stepped, over ``Trace.unit``; a health becomes a
 Fraction only in ``Trace.health_at`` and in the trace CSV.
 """
@@ -27,6 +31,7 @@ from repairalloc.model import (
     Lattice,
     Scenario,
     Status,
+    active_positions,
     decayed,
     health_status,
     repaired,
@@ -124,25 +129,32 @@ def count_jumps(trace: Trace) -> int:
     return jumps
 
 
-def advance(lattice: Lattice, healths: IntVec, actions: Actions) -> IntVec:
-    """One lattice-rule step: each Active node decays, or is repaired if targeted; legality is the caller's concern."""
+def advance(lattice: Lattice, healths: IntVec, active: list[int], actions: Actions) -> tuple[IntVec, list[int]]:
+    """One lattice-rule step: each Active node decays, or is repaired if targeted; legality is the caller's concern.
+
+    ``active`` lists every Active position of ``healths`` in increasing
+    order; returns the stepped healths and, in the same order, the
+    positions still Active.
+    """
     unit = lattice.unit
-    stepped = decayed(healths, lattice.decs, unit)
+    stepped = decayed(healths, lattice.decs, active)
     for entity_id, target in actions.items():
         if target is not None:
             j = lattice.positions[target]
             if 0 < healths[j] < unit:
                 stepped[j] = repaired(healths[j], lattice.incs[entity_id][j], unit)
-    return tuple(stepped)
+    return tuple(stepped), [j for j in active if 0 < stepped[j] < unit]
 
 
 def _run_to_absorption(
     scenario: Scenario,
-    select: Callable[[int, IntVec], Actions],
+    select: Callable[[int, IntVec, list[int]], Actions],
     time_invariant: bool,
     max_steps: Optional[int] = None,
 ) -> Trace:
-    """Step from v0 under ``select(t, lattice healths)`` until no node is Active.
+    """Step from v0 under ``select(t, lattice healths, Active positions)`` until no node is Active.
+
+    ``select`` must not change the Active positions it is handed.
 
     When ``time_invariant`` is set, the actions depend only on the health
     vector, so a repeated vector proves a cycle and raises
@@ -150,11 +162,12 @@ def _run_to_absorption(
     """
     lattice = scenario.lattice
     unit, ints = lattice.unit, lattice.v0
+    active = active_positions(ints, unit)
     rows: list[TraceStep] = []
     seen_healths: dict[IntVec, int] = {}
     t = 0
     while True:
-        if not any(0 < h < unit for h in ints):
+        if not active:
             rows.append(TraceStep(ints, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows), unit=unit)
         if time_invariant:
@@ -165,9 +178,9 @@ def _run_to_absorption(
             seen_healths[ints] = t
         if max_steps is not None and t >= max_steps:
             raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
-        actions = select(t, ints)
+        actions = select(t, ints, active)
         rows.append(TraceStep(ints, actions))
-        ints = advance(lattice, ints, actions)
+        ints, active = advance(lattice, ints, active, actions)
         t += 1
 
 
@@ -196,7 +209,7 @@ def simulate(
 
     unit, positions = scenario.lattice.unit, scenario.lattice.positions
 
-    def select(t: int, healths: IntVec) -> Actions:
+    def select(t: int, healths: IntVec, active: list[int]) -> Actions:
         actions = policy.select(t, healths, allocation, scenario)
         _validate_actions(actions, lambda nid: health_status(healths[positions[nid]], unit), allocation, scenario)
         return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
@@ -244,14 +257,15 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
         raise TraceMismatch(f"trace unit {trace.unit} differs from the scenario's lattice unit {unit}")
     if trace.steps[0].healths != ints:
         raise TraceMismatch("initial healths differ from the scenario's v0")
+    active = active_positions(ints, unit)
     for t, row in enumerate(trace.steps[:-1]):
-        if not any(0 < h < unit for h in ints):
+        if not active:
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
         _validate_actions(row.actions, lambda nid: health_status(ints[lattice.positions[nid]], unit), allocation, scenario)
-        ints = advance(lattice, ints, row.actions)
+        ints, active = advance(lattice, ints, active, row.actions)
         if trace.steps[t + 1].healths != ints:
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")
-    if any(0 < h < unit for h in ints):
+    if active:
         raise TraceMismatch("terminal row still has an Active node")
     if any(target is not None for target in trace.steps[-1].actions.values()):
         raise TraceMismatch("terminal row has an action")

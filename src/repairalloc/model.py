@@ -5,7 +5,9 @@ health lives in [0, 1] with two absorbing boundaries: a node that reaches 0
 has permanently failed, a node that reaches 1 is permanently repaired.  At
 each discrete time step every Active node either gains its targeting
 entity's repair rate (clamped at 1) or loses its own deterioration rate
-(clamped at 0).  All values are exact, so the rule (``decayed``, ``repaired``),
+(clamped at 0).  Absorbed nodes never move, so the rule is positional:
+``decayed`` steps only the Active positions it is handed and copies the
+rest.  All values are exact, so the rule (``decayed``, ``repaired``),
 the status test (``health_status``) and the regime checks run on one integer
 lattice per scenario.  Fractions stay at the boundary: scenario values,
 costs, regime messages, and a trace's ``health_at`` and CSV cells.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repairalloc.errors import BudgetExceeded
 from repairalloc.rational import lcm_denominators
@@ -150,9 +152,22 @@ class Lattice:
     positions: Mapping[str, int]
 
 
-def decayed(healths: Sequence[int], decs: Sequence[int], unit: int) -> list[int]:
-    """Lattice healths one step on, untargeted: Active ones (0 < h < unit) lose their decay, clamped at 0."""
-    return [(h - d if h > d else 0) if 0 < h < unit else h for h, d in zip(healths, decs)]
+def active_positions(healths: Sequence[int], unit: int) -> list[int]:
+    """The positions of the Active lattice healths (0 < h < unit), in increasing order."""
+    return [j for j, h in enumerate(healths) if 0 < h < unit]
+
+
+def decayed(healths: Sequence[int], decs: Sequence[int], active: Iterable[int]) -> list[int]:
+    """Lattice healths one step on, untargeted: the positions in ``active`` lose their decay, clamped at 0.
+
+    Every other position is copied unchanged, so ``active`` must hold every
+    Active position (0 < h < unit) for this to be the model's step.
+    """
+    stepped = list(healths)
+    for j in active:
+        h, d = healths[j], decs[j]
+        stepped[j] = h - d if h > d else 0
+    return stepped
 
 
 def repaired(health: int, inc: int, unit: int) -> int:

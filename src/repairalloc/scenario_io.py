@@ -31,6 +31,7 @@ def scenario_from_dict(data: object) -> Scenario:
         raise ScenarioFormatError("top level: expected an object")
     nodes_raw = _expect_list(data, "nodes")
     entities_raw = _expect_list(data, "entities")
+    parsed: dict[str, Fraction] = {}  # each distinct numeric string is parsed once per call
 
     nodes = []
     for i, raw in enumerate(nodes_raw):
@@ -40,8 +41,8 @@ def scenario_from_dict(data: object) -> Scenario:
         nodes.append(
             NodeSpec(
                 id=_expect_id(raw, "id", where),
-                v0=_parse_in(raw.get("v0"), f"{where}.v0", _OPEN_UNIT),
-                delta_dec=_parse_in(raw.get("delta_dec"), f"{where}.delta_dec", _POSITIVE),
+                v0=_parse_in(raw.get("v0"), f"{where}.v0", _OPEN_UNIT, parsed),
+                delta_dec=_parse_in(raw.get("delta_dec"), f"{where}.delta_dec", _POSITIVE, parsed),
             )
         )
     node_ids = [n.id for n in nodes]
@@ -54,8 +55,8 @@ def scenario_from_dict(data: object) -> Scenario:
         entities.append(
             EntitySpec(
                 id=_expect_id(raw, "id", where),
-                cost=_parse_in(raw.get("cost"), f"{where}.cost", _NONNEGATIVE),
-                repair_rate=_parse_rates(raw.get("delta_inc"), node_ids, f"{where}.delta_inc"),
+                cost=_parse_in(raw.get("cost"), f"{where}.cost", _NONNEGATIVE, parsed),
+                repair_rate=_parse_rates(raw.get("delta_inc"), node_ids, f"{where}.delta_inc", parsed),
             )
         )
 
@@ -78,8 +79,13 @@ _POSITIVE: _Range = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE: _Range = (lambda v: v >= 0, "must be >= 0")
 
 
-def _parse_in(raw: object, where: str, allowed: _Range) -> Fraction:
-    value = parse_rational(raw, where)
+def _parse_in(raw: object, where: str, allowed: _Range, parsed: dict[str, Fraction]) -> Fraction:
+    """``raw`` parsed (through ``parsed``, the call's cache of strings already parsed) and checked against ``allowed``."""
+    if isinstance(raw, str) and raw in parsed:
+        value = parsed[raw]
+    else:
+        value = parse_rational(raw, where)
+        parsed[raw] = value  # only a string parses, so only strings are keys
     test, rule = allowed
     if not test(value):
         raise ScenarioFormatError(f"{where}: {rule}, got {format_rational(value)}")
@@ -100,7 +106,7 @@ def _expect_id(raw: dict, key: str, where: str) -> str:
     return value
 
 
-def _parse_rates(raw: object, node_ids: list[str], where: str) -> dict[str, Fraction]:
+def _parse_rates(raw: object, node_ids: list[str], where: str, parsed: dict[str, Fraction]) -> dict[str, Fraction]:
     """A full node-id map, or {"default": rate} with optional per-node overrides."""
     if not isinstance(raw, dict) or not raw:
         raise ScenarioFormatError(f"{where}: expected an object of rates")
@@ -109,12 +115,12 @@ def _parse_rates(raw: object, node_ids: list[str], where: str) -> dict[str, Frac
         raise ScenarioFormatError(f"{where}: unknown node ids {sorted(unknown)}")
     rates: dict[str, Fraction] = {}
     if "default" in raw:
-        default = _parse_in(raw["default"], f"{where}.default", _POSITIVE)
+        default = _parse_in(raw["default"], f"{where}.default", _POSITIVE, parsed)
         rates = {nid: default for nid in node_ids}
     for key, value in raw.items():
         if key == "default":
             continue
-        rates[key] = _parse_in(value, f"{where}.{key}", _POSITIVE)
+        rates[key] = _parse_in(value, f"{where}.{key}", _POSITIVE, parsed)
     missing = set(node_ids) - set(rates)
     if missing:
         raise ScenarioFormatError(f"{where}: missing rates for {sorted(missing)}")

@@ -185,6 +185,35 @@ def test_08_online_policy_half_bound_and_single_entity_optimality():
     assert elapsed < 300
 
 
+def test_budgeted_allocator_matches_the_oracle_up_to_eight_nodes_and_four_entities():
+    """test_07's claim on wider draws; each run's trace also replays through ``verify_trace``."""
+    rng = random.Random(20261018)
+    sizes = set()
+    for i in range(400):
+        scenario = random_repair_dominant(rng, max_nodes=8, max_entities=4)
+        allocation = allocate_budgeted(scenario)
+        trace, outcome = simulate(scenario, allocation, LeastModifiedHealth())
+        verify_trace(scenario, allocation, trace)
+        optimal = oracle_optimal(scenario).optimal_reward
+        assert outcome.reward == optimal, (i, outcome.reward, optimal, scenario)
+        sizes.add((len(scenario.nodes), len(scenario.entities)))
+    assert (8, 4) in sizes
+
+
+def test_online_policy_keeps_half_the_optimum_up_to_eight_nodes_and_four_entities():
+    """test_08's half bound on wider draws; each run's trace also replays through ``verify_trace``."""
+    rng = random.Random(20261019)
+    sizes = set()
+    for i in range(250):
+        scenario = random_uniform_regime(rng, max_nodes=8, max_entities=4)
+        run = run_online_policy(scenario)
+        verify_trace(scenario, run.allocation, run.trace)
+        optimal = oracle_optimal(scenario).optimal_reward
+        assert 2 * run.outcome.reward >= optimal, (i, run.outcome.reward, optimal, scenario)
+        sizes.add((len(scenario.nodes), len(scenario.entities)))
+    assert (8, 4) in sizes
+
+
 def test_09_greedy_subset_is_maximal_and_matches_repairability():
     rng = random.Random(11)
     oracle_checks = 0

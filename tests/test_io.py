@@ -233,6 +233,43 @@ def test_out_of_range_field_names_its_path(keys, value, message):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        (
+            ((("nodes", 0, "delta_dec"), "1"), (("nodes", 1, "v0"), "1")),
+            "nodes[1].v0: must lie strictly in (0, 1), got 1",
+        ),
+        (
+            ((("nodes", 0, "delta_dec"), "3/2"), (("nodes", 1, "v0"), "3/2")),
+            "nodes[1].v0: must lie strictly in (0, 1), got 1.5",
+        ),
+        (
+            ((("entities", 0, "cost"), "0"), (("entities", 0, "delta_inc", "b"), "0")),
+            "entities[0].delta_inc.b: must be positive, got 0",
+        ),
+        (
+            ((("entities", 0, "cost"), "0"), (("entities", 0, "delta_inc", "default"), "0")),
+            "entities[0].delta_inc.default: must be positive, got 0",
+        ),
+        (
+            ((("nodes", 0, "v0"), "0.5"), (("nodes", 1, "v0"), 0.5)),
+            'nodes[1].v0: numeric fields must be strings like "0.25" or "1/4", got float',
+        ),
+    ],
+)
+def test_a_string_parsed_for_an_earlier_field_is_range_checked_again_at_a_later_path(edits, message):
+    """Each distinct numeric string is parsed once per call, but every field keeps its own rule and its own path."""
+    data = minimal_dict()
+    for keys, value in edits:
+        holder = data
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
 def test_unknown_node_in_rates_is_rejected():
     data = minimal_dict()
     data["entities"][0]["delta_inc"]["z"] = "0.7"

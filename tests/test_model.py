@@ -145,27 +145,79 @@ def test_step_health_clamps_at_the_boundaries():
     assert repaired(unit - inc, inc, unit) == unit  # gains exactly to 1
     assert repaired(unit - inc - 1, inc, unit) == unit - 1  # stops just inside 1
     assert repaired(unit - inc + 1, inc, unit) == unit  # overshoots 1
-    assert decayed([dec, dec + 1, dec - 1], [dec] * 3, unit) == [0, 1, 0]  # exactly to 0, just inside, past
-    assert decayed([0, unit, -1, unit + 1], [dec] * 4, unit) == [0, unit, -1, unit + 1]
+    assert decayed([dec, dec + 1, dec - 1], [dec] * 3, [0, 1, 2]) == [0, 1, 0]  # exactly to 0, just inside, past
+    assert decayed([0, unit, -1, unit + 1], [dec] * 4, []) == [0, unit, -1, unit + 1]  # no position handed: copied
+    assert decayed([0, dec + 1, unit], [dec] * 3, [1]) == [0, 1, unit]  # only the handed position moves
 
 
 def test_step_health_targeted_gains_and_clamps():
     lattice = two_node_scenario().lattice  # unit 10; e repairs 7
-    assert advance(lattice, (2, 3), {"e": "a"}) == (9, 1)  # a: 0.2 -> 0.9
-    assert advance(lattice, (5, 3), {"e": "a"}) == (10, 1)  # a: 0.5 -> 1, clamped
+    assert advance(lattice, (2, 3), [0, 1], {"e": "a"}) == ((9, 1), [0, 1])  # a: 0.2 -> 0.9
+    assert advance(lattice, (5, 3), [0, 1], {"e": "a"}) == ((10, 1), [1])  # a: 0.5 -> 1, clamped, absorbed
 
 
 def test_step_health_untargeted_decays_and_clamps():
     lattice = two_node_scenario().lattice  # unit 10; a decays 1, b decays 2
-    assert advance(lattice, (5, 3), {"e": None}) == (4, 1)  # b: 0.3 -> 0.1
-    assert advance(lattice, (5, 1), {"e": None}) == (4, 0)  # b: 0.1 -> 0, clamped
+    assert advance(lattice, (5, 3), [0, 1], {"e": None}) == ((4, 1), [0, 1])  # b: 0.3 -> 0.1
+    assert advance(lattice, (5, 1), [0, 1], {"e": None}) == ((4, 0), [0])  # b: 0.1 -> 0, clamped, absorbed
 
 
 def test_step_health_absorbing_states_never_move():
     lattice = two_node_scenario().lattice
     for target in ("a", "b", None):
-        assert advance(lattice, (0, 10), {"e": target}) == (0, 10)
-        assert advance(lattice, (10, 0), {"e": target}) == (10, 0)
+        assert advance(lattice, (0, 10), [], {"e": target}) == ((0, 10), [])
+        assert advance(lattice, (10, 0), [], {"e": target}) == ((10, 0), [])
+
+
+def _full_vector_advance(lattice, healths, actions):
+    """The step as it was before it went positional: every node is tested for Activity on every step."""
+    unit = lattice.unit
+    stepped = [(h - d if h > d else 0) if 0 < h < unit else h for h, d in zip(healths, lattice.decs)]
+    for entity_id, target in actions.items():
+        if target is not None:
+            j = lattice.positions[target]
+            if 0 < healths[j] < unit:
+                stepped[j] = min(unit, healths[j] + lattice.incs[entity_id][j])
+    return tuple(stepped)
+
+
+def test_positional_step_matches_the_full_vector_step_on_seeded_draws():
+    """``advance`` handed the Active positions equals the full-vector step and returns exactly those still Active.
+
+    Vectors mix entries at 0 and at ``unit`` with entries one step from
+    either clamp; each entity targets a distinct Active node or idles.
+    """
+    rng = random.Random(4241)
+    absorbed_after = 0
+    for _ in range(300):
+        draw = rng.choice((random_repair_dominant, random_uniform_regime))
+        scenario = draw(rng, max_nodes=8, max_entities=4)
+        lattice = scenario.lattice
+        unit, n = lattice.unit, len(scenario.nodes)
+        for _ in range(10):
+            healths = []
+            for j in range(n):
+                near = (lattice.decs[j], lattice.decs[j] + 1, unit - lattice.incs[scenario.entity_ids[0]][j])
+                kind = rng.randrange(4)
+                if kind == 0:
+                    healths.append(rng.choice((0, unit)))
+                elif kind == 1:
+                    healths.append(min(max(rng.choice(near), 1), unit - 1))
+                else:
+                    healths.append(rng.randint(1, unit - 1))
+            healths = tuple(healths)
+            active = [j for j, h in enumerate(healths) if 0 < h < unit]
+            free = rng.sample(active, len(active))
+            actions = {
+                entity_id: scenario.node_ids[free.pop()] if free and rng.random() < 0.7 else None
+                for entity_id in scenario.entity_ids
+            }
+            expected = _full_vector_advance(lattice, healths, actions)
+            stepped, still_active = advance(lattice, healths, active, actions)
+            assert stepped == expected, (scenario, healths, actions)
+            assert still_active == [j for j, h in enumerate(expected) if 0 < h < unit], (scenario, healths, actions)
+            absorbed_after += len(active) - len(still_active)
+    assert absorbed_after > 0  # the draws do absorb nodes, so the returned list is tested
 
 
 def test_lattice_holds_every_value_exactly_on_seeded_draws():
