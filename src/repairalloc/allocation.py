@@ -112,11 +112,8 @@ class _OnlineAssignment:
     entity's current target, every node assigned so far with its step, the
     per-entity sets and the remaining budget.  Its choice depends on that
     memory, so a repeated health vector does not mean a cycle and
-    ``time_invariant`` is False.  The run still always absorbs: each node
-    switches from decay to repair at most once, since it is assigned at
-    most once, and a targeted node keeps its entity until it absorbs.  So
-    every node decays, then possibly rises, by a positive rate each step,
-    and reaches 0 or 1 within ceil(v0 / delta_dec) + ceil(1 / rate) steps.
+    ``time_invariant`` is False.  The run still always absorbs, within
+    ``step_bound`` steps.
     """
 
     time_invariant = False
@@ -156,6 +153,23 @@ class _OnlineAssignment:
                 self.budget -= entity.cost
         return dict(self.targets)
 
+    @staticmethod
+    def step_bound(scenario: Scenario) -> int:
+        """Steps within which every online run on ``scenario`` absorbs: max ceil(v0 / dec) + max ceil(unit / inc).
+
+        Each node switches from decay to repair at most once, since it is
+        assigned at most once, and a targeted node keeps its entity until it
+        absorbs.  Left alone, node j loses dec_j a step and reaches 0 within
+        ceil(v0_j / dec_j) steps.  So if it is assigned, that happens at a
+        step t < ceil(v0_j / dec_j) where it is still Active, and from then
+        on it gains its entity's inc_j > 0 a step from a positive
+        health, reaching unit within ceil(unit / inc_j) more steps.
+        """
+        lattice = scenario.lattice
+        decaying = max(-(-v0 // dec) for v0, dec in zip(lattice.v0, lattice.decs))
+        rising = max(-(-lattice.unit // inc) for incs in lattice.incs.values() for inc in incs)
+        return decaying + rising
+
 
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:
     """Assign nodes to entities on the fly and run to absorption.
@@ -169,6 +183,9 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
     outside it the run refuses to start unless ``force`` is set.  With
     heterogeneous costs (force only) each assignment deducts the receiving
     entity's own cost.
+
+    The run is bounded by ``_OnlineAssignment.step_bound``, so a step that
+    fails to absorb raises NonAbsorbingPolicy instead of looping.
     """
     report = check_assumption2(scenario)
     if not report.holds and not force:
@@ -177,7 +194,7 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
             + "\n  ".join(report.violations)
         )
     policy = _OnlineAssignment(scenario)
-    trace = _run_to_absorption(scenario, policy.select, policy.time_invariant)
+    trace = _run_to_absorption(scenario, policy.select, policy.time_invariant, policy.step_bound(scenario))
     return OnlineRunResult(
         allocation=Allocation.build(scenario, policy.sets),
         assignment_times=policy.assignment_times,

@@ -4,150 +4,51 @@ Six small scenarios exercise the interesting corners of the model: a
 repair-dominant instance solved by the budgeted allocator, a
 decay-dominant instance solved by the online policy, two instances where
 one strategy beats another, and two force-run instances with mixed rates
-or mixed costs.  ``run_reproduction_suite`` re-runs all of them and
-compares the results against recorded expected values, including exact
-health table rows, so any behavioral regression is caught immediately.
+or mixed costs.  Each one is defined once, as a JSON file shipped with
+the package under ``repairalloc/scenarios/``; ``DEMOS`` maps each name to
+a loader that reads that file.  ``run_reproduction_suite`` re-runs all of
+them and compares the results against recorded expected values,
+including exact health table rows, so any behavioral regression is
+caught immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from importlib.resources import as_file, files
 from typing import Callable
 
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.engine import Trace, simulate
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, Scenario
 from repairalloc.oracle import optimal_sequencing_reward, oracle_optimal
 from repairalloc.policies import FixedOrder, LeastModifiedHealth
 from repairalloc.rational import format_rational
+from repairalloc.scenario_io import load_scenario
 
 F = Fraction
 
 
-def _uniform(node_ids: list[str], rate: Fraction) -> dict[str, Fraction]:
-    return {nid: rate for nid in node_ids}
+def _bundled(name: str) -> Scenario:
+    """The bundled scenario ``name``, read from the package data file ``scenarios/<name>.json``."""
+    with as_file(files("repairalloc") / "scenarios" / f"{name}.json") as path:
+        return load_scenario(path)
 
 
-def repair_dominant() -> Scenario:
-    """Four weak nodes, strong repair rates, two entities with unequal costs."""
-    ids = ["a", "b", "c", "d"]
-    return Scenario(
-        nodes=(
-            NodeSpec("a", F("0.05"), F("0.1")),
-            NodeSpec("b", F("0.15"), F("0.1")),
-            NodeSpec("c", F("0.06"), F("0.1")),
-            NodeSpec("d", F("0.07"), F("0.1")),
-        ),
-        entities=(
-            EntitySpec("e", F(6), _uniform(ids, F("0.4"))),
-            EntitySpec("f", F(8), _uniform(ids, F("0.4"))),
-        ),
-        budget=F(19),
-    )
-
-
-def decay_dominant() -> Scenario:
-    """Decay twice the repair rate; online assignment drops the weakest node."""
-    ids = ["a", "b", "c", "d"]
-    return Scenario(
-        nodes=(
-            NodeSpec("a", F("0.9"), F("0.2")),
-            NodeSpec("b", F("0.8"), F("0.2")),
-            NodeSpec("c", F("0.6"), F("0.2")),
-            NodeSpec("d", F("0.5"), F("0.2")),
-        ),
-        entities=(
-            EntitySpec("e", F(6), _uniform(ids, F("0.1"))),
-            EntitySpec("f", F(6), _uniform(ids, F("0.1"))),
-        ),
-        budget=F(23),
-    )
-
-
-def online_suboptimal() -> Scenario:
-    """The online rule loses a fragile node an offline split would save."""
-    ids = ["a", "b", "c"]
-    return Scenario(
-        nodes=(
-            NodeSpec("a", F("0.9"), F("0.2")),
-            NodeSpec("b", F("0.8"), F("0.2")),
-            NodeSpec("c", F("0.2"), F("0.2")),
-        ),
-        entities=(
-            EntitySpec("d", F(6), _uniform(ids, F("0.1"))),
-            EntitySpec("e", F(6), _uniform(ids, F("0.1"))),
-        ),
-        budget=F(25),
-    )
-
-
-def largest_first_suboptimal() -> Scenario:
-    """Handing each entity its largest repairable set strands a node."""
-    ids = ["a", "b", "c", "d"]
-    return Scenario(
-        nodes=(
-            NodeSpec("a", F("0.9"), F("0.1")),
-            NodeSpec("b", F("0.8"), F("0.1")),
-            NodeSpec("c", F("0.4"), F("0.1")),
-            NodeSpec("d", F("0.3"), F("0.1")),
-        ),
-        entities=(
-            EntitySpec("e", F(6), _uniform(ids, F("0.1"))),
-            EntitySpec("f", F(6), _uniform(ids, F("0.1"))),
-        ),
-        budget=F(25),
-    )
-
-
-def mixed_rates() -> Scenario:
-    """Per-node rates; the online rule starves the fast-decaying nodes."""
-    return Scenario(
-        nodes=(
-            NodeSpec("a", F("0.8"), F("0.05")),
-            NodeSpec("b", F("0.8"), F("0.05")),
-            NodeSpec("c", F("0.6"), F("0.2")),
-            NodeSpec("d", F("0.6"), F("0.2")),
-            NodeSpec("e", F("0.6"), F("0.6")),
-        ),
-        entities=(
-            EntitySpec("f", F(1), _mixed_rate_map()),
-            EntitySpec("g", F(1), _mixed_rate_map()),
-        ),
-        budget=F(6),
-    )
-
-
-def _mixed_rate_map() -> dict[str, Fraction]:
-    return {
-        "a": F("0.05"),
-        "b": F("0.05"),
-        "c": F("0.2"),
-        "d": F("0.2"),
-        "e": F("0.4"),
-    }
-
-
-def mixed_costs() -> Scenario:
-    """Equal rates but a cheap and an expensive entity sharing one budget."""
-    ids = ["a", "b", "c", "d", "e"]
-    return Scenario(
-        nodes=tuple(NodeSpec(nid, F("0.95"), F("0.1")) for nid in ids),
-        entities=(
-            EntitySpec("f", F(1), _uniform(ids, F("0.1"))),
-            EntitySpec("g", F(5), _uniform(ids, F("0.1"))),
-        ),
-        budget=F(6),
-    )
-
-
+# Each loader reads its file through ``load_scenario``, so a bundled
+# scenario passes the same checks as a user's file.
 DEMOS: dict[str, Callable[[], Scenario]] = {
-    "repair_dominant": repair_dominant,
-    "decay_dominant": decay_dominant,
-    "online_suboptimal": online_suboptimal,
-    "largest_first_suboptimal": largest_first_suboptimal,
-    "mixed_rates": mixed_rates,
-    "mixed_costs": mixed_costs,
+    name: partial(_bundled, name)
+    for name in (
+        "repair_dominant",
+        "decay_dominant",
+        "online_suboptimal",
+        "largest_first_suboptimal",
+        "mixed_rates",
+        "mixed_costs",
+    )
 }
 
 # Recorded expected values for every reproduction check.  These are
@@ -247,7 +148,7 @@ def _trace_rows(trace: Trace, node_ids: list[str], steps: list[int]) -> dict[int
 
 
 def _check_repair_dominant_allocation() -> CheckResult:
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     _, outcome = simulate(scenario, allocation, LeastModifiedHealth())
     return _compare(
@@ -261,7 +162,7 @@ def _check_repair_dominant_allocation() -> CheckResult:
 
 
 def _check_decay_dominant_online() -> CheckResult:
-    scenario = decay_dominant()
+    scenario = DEMOS["decay_dominant"]()
     run = run_online_policy(scenario)
     return _compare(
         "decay_dominant_online",
@@ -274,7 +175,7 @@ def _check_decay_dominant_online() -> CheckResult:
 
 
 def _check_online_vs_optimal_gap() -> CheckResult:
-    scenario = online_suboptimal()
+    scenario = DEMOS["online_suboptimal"]()
     run = run_online_policy(scenario)
     result = oracle_optimal(scenario)
     return _compare(
@@ -284,7 +185,7 @@ def _check_online_vs_optimal_gap() -> CheckResult:
 
 
 def _check_largest_first_gap() -> CheckResult:
-    scenario = largest_first_suboptimal()
+    scenario = DEMOS["largest_first_suboptimal"]()
     run = run_online_policy(scenario)
     manual = Allocation.build(scenario, {"e": {"a", "b"}, "f": {"c"}})
     reward, _ = optimal_sequencing_reward(scenario, manual)
@@ -295,13 +196,13 @@ def _check_largest_first_gap() -> CheckResult:
 
 
 def _check_mixed_rates_online() -> CheckResult:
-    scenario = mixed_rates()
+    scenario = DEMOS["mixed_rates"]()
     run = run_online_policy(scenario, force=True)
     return _compare("mixed_rates_online", {"reward": run.outcome.reward})
 
 
 def _check_mixed_costs_gap() -> CheckResult:
-    scenario = mixed_costs()
+    scenario = DEMOS["mixed_costs"]()
     run = run_online_policy(scenario, force=True)
     everything_to_cheap = Allocation.build(scenario, {"f": set(scenario.node_ids)})
     reward, _ = optimal_sequencing_reward(scenario, everything_to_cheap)
@@ -312,7 +213,7 @@ def _check_mixed_costs_gap() -> CheckResult:
 
 
 def _check_mixed_rates_online_trace() -> CheckResult:
-    scenario = mixed_rates()
+    scenario = DEMOS["mixed_rates"]()
     run = run_online_policy(scenario, force=True)
     steps = sorted(EXPECTED["mixed_rates_online_trace"]["rows"])
     rows = _trace_rows(run.trace, list(scenario.node_ids), steps)
@@ -320,7 +221,7 @@ def _check_mixed_rates_online_trace() -> CheckResult:
 
 
 def _mixed_rates_split_trace() -> tuple[Scenario, Trace, int]:
-    scenario = mixed_rates()
+    scenario = DEMOS["mixed_rates"]()
     allocation = Allocation.build(scenario, MIXED_RATES_SPLIT)
     trace, outcome = simulate(scenario, allocation, FixedOrder(MIXED_RATES_ORDERS))
     return scenario, trace, outcome.reward

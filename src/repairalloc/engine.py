@@ -207,11 +207,11 @@ def simulate(
             raise ValueError("a time-variant policy cannot be checked for cycles; pass max_steps")
         max_steps = policy.step_bound(scenario)
 
-    unit, positions = scenario.lattice.unit, scenario.lattice.positions
+    lattice = scenario.lattice
 
     def select(t: int, healths: IntVec, active: list[int]) -> Actions:
         actions = policy.select(t, healths, allocation, scenario)
-        _validate_actions(actions, lambda nid: health_status(healths[positions[nid]], unit), allocation, scenario)
+        _validate_actions(actions, healths, lattice, allocation, scenario)
         return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
 
     trace = _run_to_absorption(scenario, select, policy.time_invariant, max_steps)
@@ -220,18 +220,22 @@ def simulate(
 
 def _validate_actions(
     actions: Actions,
-    status: Callable[[str], Status],
+    healths: IntVec,
+    lattice: Lattice,
     allocation: Allocation,
     scenario: Scenario,
 ) -> None:
+    """Raise PolicyViolation unless every target is an Active node of its entity's set, and every entity is known."""
+    unit = lattice.unit
     for entity_id in scenario.entity_ids:
         target = actions.get(entity_id)
         if target is None:
             continue
         if target not in allocation.nodes_of(entity_id):
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} outside its allocated set")
-        if status(target) is not Status.ACTIVE:
-            raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} which is {status(target).value}")
+        health = healths[lattice.positions[target]]
+        if not 0 < health < unit:
+            raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} which is {health_status(health, unit).value}")
     unknown = set(actions) - set(scenario.entity_ids)
     if unknown:
         raise PolicyViolation(f"actions for unknown entities: {sorted(unknown)}")
@@ -261,7 +265,7 @@ def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> No
     for t, row in enumerate(trace.steps[:-1]):
         if not active:
             raise TraceMismatch(f"no Active node at non-terminal step {t}")
-        _validate_actions(row.actions, lambda nid: health_status(ints[lattice.positions[nid]], unit), allocation, scenario)
+        _validate_actions(row.actions, ints, lattice, allocation, scenario)
         ints, active = advance(lattice, ints, active, row.actions)
         if trace.steps[t + 1].healths != ints:
             raise TraceMismatch(f"healths at step {t + 1} do not replay exactly")

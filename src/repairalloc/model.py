@@ -83,8 +83,7 @@ class Scenario:
     ``budget`` is an exact Fraction, or None for an unlimited budget.
     Node and entity ids are unique within their kind; ties everywhere in
     the package are broken by plain string order of the id.  ``node_ids``
-    and ``entity_ids`` are built once at construction, as are the maps that
-    ``node`` and ``entity`` look ids up in.
+    and ``entity_ids`` are built once at construction.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -92,26 +91,22 @@ class Scenario:
     budget: Optional[Fraction]
     node_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     entity_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _node_by_id: dict[str, NodeSpec] = field(init=False, repr=False, compare=False)
-    _entity_by_id: dict[str, EntitySpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "node_ids", tuple(n.id for n in self.nodes))
         object.__setattr__(self, "entity_ids", tuple(e.id for e in self.entities))
-        object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_entity_by_id", {e.id: e for e in self.entities})
         if len(self.nodes) < 2:
             raise ValueError("a scenario needs at least 2 nodes")
         if not (1 <= len(self.entities) <= len(self.nodes)):
             raise ValueError("entity count must satisfy 1 <= M <= N")
-        if len(self._node_by_id) != len(self.nodes):
+        if len(set(self.node_ids)) != len(self.nodes):
             raise ValueError("node ids must be unique")
-        if len(self._entity_by_id) != len(self.entities):
+        if len(set(self.entity_ids)) != len(self.entities):
             raise ValueError("entity ids must be unique")
         for entity in self.entities:
-            missing = set(self._node_by_id) - set(entity.repair_rate)
+            missing = set(self.node_ids) - set(entity.repair_rate)
             if missing:
                 raise ValueError(f"entity {entity.id!r}: missing repair rate for {sorted(missing)}")
         if self.budget is not None:
@@ -119,12 +114,6 @@ class Scenario:
                 raise TypeError("budget must be a Fraction or None (unlimited)")
             if self.budget < 0:
                 raise ValueError("budget must be >= 0")
-
-    def node(self, node_id: str) -> NodeSpec:
-        return self._node_by_id[node_id]
-
-    def entity(self, entity_id: str) -> EntitySpec:
-        return self._entity_by_id[entity_id]
 
     @cached_property
     def lattice(self) -> Lattice:
@@ -223,13 +212,6 @@ class Allocation:
     def nodes_of(self, entity_id: str) -> frozenset[str]:
         return self.sets[entity_id]
 
-    @property
-    def allocated_nodes(self) -> frozenset[str]:
-        out: set[str] = set()
-        for nodes in self.sets.values():
-            out |= nodes
-        return frozenset(out)
-
     def fits_budget(self, scenario: Scenario) -> bool:
         return scenario.budget is None or self.total_cost <= scenario.budget
 
@@ -253,15 +235,12 @@ class UniformRegimeReport:
     """Outcome of the uniform-rate regime check.
 
     When the regime holds, ``steps_per_decay`` maps each entity id to the
-    integer n with delta_dec = n * delta_inc, and ``repair_steps`` maps
-    (node id, entity id) to the integer number of repair steps from full
-    initial health, (1 - v0) / delta_inc.
+    integer n with delta_dec = n * delta_inc.
     """
 
     holds: bool
     violations: tuple[str, ...] = ()
     steps_per_decay: Mapping[str, int] = field(default_factory=dict)
-    repair_steps: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
 
 def check_assumption1(scenario: Scenario) -> AssumptionReport:
@@ -317,7 +296,6 @@ def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
         entity_rates[entity.id] = next(iter(rates))
 
     steps_per_decay: dict[str, int] = {}
-    repair_steps: dict[tuple[str, str], int] = {}
     if not violations:
         dec = next(iter(decs))
         for entity_id, inc in entity_rates.items():
@@ -329,18 +307,11 @@ def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
                 continue
             steps_per_decay[entity_id] = dec // inc
             for node, v0 in zip(scenario.nodes, lattice.v0):
-                deficit, rest = divmod(unit - v0, inc)
-                if rest:
+                if (unit - v0) % inc:
                     violations.append(
                         f"node {node.id!r} vs entity {entity_id!r}: (1 - v0)/rate = {Fraction(unit - v0, inc)} is not an integer"
                     )
-                else:
-                    repair_steps[(node.id, entity_id)] = deficit
 
     if violations:
         return UniformRegimeReport(holds=False, violations=tuple(violations))
-    return UniformRegimeReport(
-        holds=True,
-        steps_per_decay=steps_per_decay,
-        repair_steps=repair_steps,
-    )
+    return UniformRegimeReport(holds=True, steps_per_decay=steps_per_decay)

@@ -50,8 +50,6 @@ class LeastModifiedHealth(_PerEntityPolicy):
     The node that would sink lowest if left alone gets attention first.
     """
 
-    kind = "least-modified-health"
-
     @staticmethod
     def key(health: int, dec: int) -> int:
         return health - dec
@@ -59,8 +57,6 @@ class LeastModifiedHealth(_PerEntityPolicy):
 
 class HealthiestFirst(_PerEntityPolicy):
     """Target the Active node with the highest health."""
-
-    kind = "healthiest-first"
 
     @staticmethod
     def key(health: int, dec: int) -> int:

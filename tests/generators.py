@@ -109,11 +109,12 @@ def _random_budget(rng: random.Random, entities: list[EntitySpec], n: int) -> Op
 
 def decreasing_initial_health_orders(scenario: Scenario, allocation: Allocation) -> dict[str, tuple[str, ...]]:
     """Static per-entity orders: allocated nodes by decreasing v0, ties by id."""
+    v0 = {node.id: node.v0 for node in scenario.nodes}
     orders: dict[str, tuple[str, ...]] = {}
     for entity_id in scenario.entity_ids:
         nodes = sorted(
             allocation.nodes_of(entity_id),
-            key=lambda nid: (-scenario.node(nid).v0, nid),
+            key=lambda nid: (-v0[nid], nid),
         )
         orders[entity_id] = tuple(nodes)
     return orders

@@ -50,7 +50,7 @@ def _kernel_inputs(scenario: Scenario, allocation: Allocation):
     order, the allocated nodes' healths, the unit, their decays, and per
     entity its node positions and repair increments.
     """
-    allocated = [n for n in scenario.nodes if n.id in allocation.allocated_nodes]
+    allocated = [n for n in scenario.nodes if any(n.id in nodes for nodes in allocation.sets.values())]
     index = {node.id: j for j, node in enumerate(allocated)}
     participating = [e for e in scenario.entities if allocation.nodes_of(e.id)]
     values = [n.v0 for n in allocated] + [n.delta_dec for n in allocated]

@@ -33,14 +33,7 @@ from repairalloc import (
     simulate,
     verify_trace,
 )
-from repairalloc.demos import (
-    decay_dominant,
-    largest_first_suboptimal,
-    mixed_costs,
-    mixed_rates,
-    online_suboptimal,
-    repair_dominant,
-)
+from repairalloc.demos import DEMOS
 from repairalloc.errors import BudgetExceeded, TraceMismatch
 
 from feasibility import feasible_ordered_set
@@ -51,7 +44,7 @@ F = Fraction
 
 def test_01_budgeted_allocation_on_the_four_node_example():
     started = time.perf_counter()
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     _, outcome = simulate(scenario, allocation, LeastModifiedHealth())
     elapsed = time.perf_counter() - started
@@ -64,7 +57,7 @@ def test_01_budgeted_allocation_on_the_four_node_example():
 
 
 def test_02_online_assignment_on_the_four_node_example():
-    run = run_online_policy(decay_dominant())
+    run = run_online_policy(DEMOS["decay_dominant"]())
     assert run.assignment_times == {"a": 0, "b": 0, "c": 1}
     assert "d" not in run.assignment_times
     assert run.budget_remaining == F(5)
@@ -72,7 +65,7 @@ def test_02_online_assignment_on_the_four_node_example():
 
 
 def test_03_online_reward_stays_within_half_of_optimal():
-    scenario = online_suboptimal()
+    scenario = DEMOS["online_suboptimal"]()
     online = run_online_policy(scenario).outcome.reward
     optimal = oracle_optimal(scenario).optimal_reward
     assert online == 2
@@ -81,7 +74,7 @@ def test_03_online_reward_stays_within_half_of_optimal():
 
 
 def test_04_online_beats_largest_subset_first_allocation():
-    scenario = largest_first_suboptimal()
+    scenario = DEMOS["largest_first_suboptimal"]()
     online = run_online_policy(scenario).outcome.reward
     manual = Allocation.build(scenario, {"e": {"a", "b"}, "f": {"c"}})
     largest_first, _ = optimal_sequencing_reward(scenario, manual)
@@ -90,7 +83,7 @@ def test_04_online_beats_largest_subset_first_allocation():
 
 
 def test_05_two_entity_split_reproduces_the_health_tables():
-    scenario = mixed_rates()
+    scenario = DEMOS["mixed_rates"]()
 
     forced = run_online_policy(scenario, force=True)
     assert forced.outcome.reward == 2
@@ -141,7 +134,7 @@ def test_06_cheap_entity_holding_all_five_nodes_saves_all_five():
     the optimum for this allocation (``demos.EXPECTED`` still records 5,
     which ``repairalloc examples`` reports as its known mismatch).
     """
-    scenario = mixed_costs()
+    scenario = DEMOS["mixed_costs"]()
     online = run_online_policy(scenario, force=True).outcome.reward
     assert online == 2
     everything_to_cheap = Allocation.build(scenario, {"f": set(scenario.node_ids)})
@@ -451,7 +444,7 @@ def test_11_simulation_invariants_hold_exactly():
     #     Either non-jumping order loses one node; least-modified-health
     #     chooses afresh each step, makes no non-jumping promise, and saves
     #     both.
-    demo = repair_dominant()
+    demo = DEMOS["repair_dominant"]()
     demo_alloc = allocate_budgeted(demo)
     for order in (("a", "b"), ("b", "a")):
         _, fixed = simulate(demo, demo_alloc, FixedOrder({"e": order}))

@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from repairalloc import engine
 from repairalloc.allocation import (
     allocate_budgeted,
     largest_repairable_subset,
     lifetime_index,
     run_online_policy,
 )
-from repairalloc.demos import decay_dominant, mixed_costs, mixed_rates, repair_dominant
+from repairalloc.demos import DEMOS
 from repairalloc.engine import verify_trace
-from repairalloc.errors import AssumptionViolated
+from repairalloc.errors import AssumptionViolated, NonAbsorbingPolicy
 from repairalloc.model import EntitySpec, NodeSpec, Scenario
 
 from feasibility import feasible_ordered_set
@@ -115,7 +116,7 @@ def test_largest_repairable_subset_matches_the_rescanning_greedy():
 
 
 def test_allocate_budgeted_demo_sets():
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     assert allocation.sets == {"e": frozenset({"a", "b"}), "f": frozenset()}
     assert allocation.total_cost == F(12)
@@ -159,11 +160,11 @@ def test_allocate_budgeted_null_budget_is_unlimited():
 
 def test_allocate_budgeted_refuses_outside_regime():
     with pytest.raises(AssumptionViolated, match="repair-dominant"):
-        allocate_budgeted(decay_dominant())
+        allocate_budgeted(DEMOS["decay_dominant"]())
 
 
 def test_allocate_budgeted_force_runs_anyway():
-    allocation = allocate_budgeted(decay_dominant(), force=True)
+    allocation = allocate_budgeted(DEMOS["decay_dominant"](), force=True)
     assert allocation.sets == {"e": frozenset({"b", "c", "d"}), "f": frozenset()}
     assert allocation.total_cost == F(18)
 
@@ -181,13 +182,35 @@ def test_allocate_budgeted_random_draws_stay_within_budget():
 
 
 def test_online_policy_demo_run():
-    result = run_online_policy(decay_dominant())
+    result = run_online_policy(DEMOS["decay_dominant"]())
     assert result.assignment_times == {"a": 0, "b": 0, "c": 1}
     assert result.budget_remaining == F(5)
     assert result.outcome.reward == 3
     assert result.outcome.jumps == 0
     assert result.allocation.sets == {"e": frozenset({"a", "c"}), "f": frozenset({"b"})}
-    verify_trace(decay_dominant(), result.allocation, result.trace)
+    verify_trace(DEMOS["decay_dominant"](), result.allocation, result.trace)
+
+
+def test_online_policy_stops_at_its_step_bound_when_the_step_never_absorbs(monkeypatch):
+    """A step that keeps absorbed positions in the Active list never ends the
+    run; the online run's step bound, max ceil(v0 / dec) + max ceil(unit / inc)
+    = 5 + 10 on this demo, turns that into NonAbsorbingPolicy.  The call
+    counter fails the test, instead of hanging it, when no bound is in place.
+    """
+    real_advance = engine.advance
+    calls = 0
+
+    def unfiltered(lattice, healths, active, actions):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            pytest.fail("the online run stepped 10,000 times without raising NonAbsorbingPolicy")
+        stepped, _ = real_advance(lattice, healths, active, actions)
+        return stepped, active
+
+    monkeypatch.setattr(engine, "advance", unfiltered)
+    with pytest.raises(NonAbsorbingPolicy, match="no absorption within 15 steps"):
+        run_online_policy(DEMOS["decay_dominant"]())
 
 
 def test_online_policy_budget_below_cost_assigns_nothing():
@@ -220,11 +243,11 @@ def test_online_policy_assigned_nodes_all_repaired():
 
 def test_online_policy_refuses_outside_regime():
     with pytest.raises(AssumptionViolated, match="decay-dominant"):
-        run_online_policy(mixed_rates())
+        run_online_policy(DEMOS["mixed_rates"]())
 
 
 def test_online_policy_force_charges_each_entitys_own_cost():
-    result = run_online_policy(mixed_costs(), force=True)
+    result = run_online_policy(DEMOS["mixed_costs"](), force=True)
     assert result.assignment_times == {"a": 0, "b": 0}
     assert result.allocation.sets["f"] == frozenset({"a"})
     assert result.allocation.sets["g"] == frozenset({"b"})

@@ -12,7 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def scenario_path(name: str) -> str:
-    return str(REPO_ROOT / "scenarios" / f"{name}.json")
+    return str(REPO_ROOT / "src" / "repairalloc" / "scenarios" / f"{name}.json")
 
 
 def test_check_reports_repair_dominant(capsys):

@@ -11,7 +11,7 @@ import pytest
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
 from repairalloc import engine
 from repairalloc.allocation import allocate_budgeted, run_online_policy
-from repairalloc.demos import repair_dominant
+from repairalloc.demos import DEMOS
 from repairalloc.engine import Outcome, Trace, TraceStep, count_jumps, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, NonAbsorbingPolicy, PolicyViolation, TraceMismatch
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, Status
@@ -258,7 +258,7 @@ def test_count_jumps_on_hand_built_trace():
 
 
 def _repair_dominant_run():
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     trace, _ = simulate(scenario, allocation, LeastModifiedHealth())
     return scenario, allocation, trace
@@ -357,8 +357,13 @@ def _reference_step(node_id: str, health: Fraction, targeted_by, scenario: Scena
     if not 0 < health < 1:
         return health
     if targeted_by is not None:
-        return min(Fraction(1), health + scenario.entity(targeted_by).rate_for(node_id))
-    return max(Fraction(0), health - scenario.node(node_id).delta_dec)
+        entity = {e.id: e for e in scenario.entities}[targeted_by]
+        return min(Fraction(1), health + entity.rate_for(node_id))
+    return max(Fraction(0), health - _delta_dec(scenario, node_id))
+
+
+def _delta_dec(scenario: Scenario, node_id: str) -> Fraction:
+    return {n.id: n.delta_dec for n in scenario.nodes}[node_id]
 
 
 def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=None) -> Trace:
@@ -391,7 +396,7 @@ def _reference_run(scenario: Scenario, select, time_invariant: bool, max_steps=N
 
 # the per-entity rankings on Fraction healths; the least rank is targeted
 _REFERENCE_RANKS = {
-    LeastModifiedHealth: lambda health, nid, scenario: (health[nid] - scenario.node(nid).delta_dec, nid),
+    LeastModifiedHealth: lambda health, nid, scenario: (health[nid] - _delta_dec(scenario, nid), nid),
     HealthiestFirst: lambda health, nid, scenario: (-health[nid], nid),
 }
 

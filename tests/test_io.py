@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairalloc.demos import DEMOS, online_suboptimal, repair_dominant
+from repairalloc.demos import DEMOS
 from repairalloc.engine import Trace, TraceStep, simulate, verify_trace
 from repairalloc.errors import ScenarioFormatError
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
@@ -28,8 +28,6 @@ from repairalloc.scenario_io import (
 from generators import random_repair_dominant, random_uniform_regime
 
 F = Fraction
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def minimal_dict() -> dict:
@@ -188,12 +186,6 @@ def test_trace_csv_refuses_a_node_named_like_idle(tmp_path):
     assert not path.exists()
 
 
-def test_bundled_scenario_files_match_demo_builders():
-    for name, build in DEMOS.items():
-        path = REPO_ROOT / "scenarios" / f"{name}.json"
-        assert load_scenario(path) == build(), name
-
-
 def test_missing_budget_key_is_rejected():
     data = minimal_dict()
     del data["budget"]
@@ -300,7 +292,7 @@ def test_load_scenario_reports_invalid_json(tmp_path):
 
 
 def demo_trace():
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, LeastModifiedHealth())
     return scenario, allocation, trace
@@ -340,7 +332,7 @@ def test_trace_csv_header_mismatch(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     with pytest.raises(ScenarioFormatError, match="does not match"):
-        read_trace_csv(path, online_suboptimal())
+        read_trace_csv(path, DEMOS["online_suboptimal"]())
 
 
 def test_trace_csv_bad_row_label(tmp_path):

@@ -33,7 +33,7 @@ def test_pruned_search_matches_unpruned_reference_on_random_allocations():
             if pick:
                 sets[scenario.entities[pick - 1].id].add(node.id)
         allocation = Allocation.build(scenario, sets)
-        if not allocation.allocated_nodes:
+        if not any(allocation.sets.values()):
             continue
         reward, trace = optimal_sequencing_reward(scenario, allocation)
         assert reward == sequencing_reward_full(scenario, allocation)

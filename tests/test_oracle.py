@@ -7,7 +7,7 @@ import pytest
 
 from repairalloc import _kernel
 from repairalloc.allocation import allocate_budgeted, run_online_policy
-from repairalloc.demos import DEMOS, mixed_costs, online_suboptimal, repair_dominant
+from repairalloc.demos import DEMOS
 from repairalloc.engine import simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, InstanceTooLarge
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
@@ -46,18 +46,18 @@ def test_enumerate_counts_unbudgeted_pair():
 
 
 def test_enumerate_counts_three_node_two_entity_demo():
-    assert len(list(enumerate_feasible_allocations(online_suboptimal()))) == 27
+    assert len(list(enumerate_feasible_allocations(DEMOS["online_suboptimal"]()))) == 27
 
 
 def test_enumerate_zero_budget_leaves_only_empty():
     allocations = list(enumerate_feasible_allocations(two_nodes(budget=F(0))))
     assert len(allocations) == 1
-    assert allocations[0].allocated_nodes == frozenset()
+    assert not any(allocations[0].sets.values())
 
 
 def test_enumerate_respects_cap():
     with pytest.raises(InstanceTooLarge, match="81 assignments exceed the enumeration cap of 80"):
-        list(enumerate_feasible_allocations(repair_dominant(), cap=80))
+        list(enumerate_feasible_allocations(DEMOS["repair_dominant"](), cap=80))
 
 
 def walk_draws() -> list[Scenario]:
@@ -172,7 +172,7 @@ def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
 
 
 def test_sequencing_reward_demo_allocation():
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     reward, trace = optimal_sequencing_reward(scenario, allocation)
     assert reward == 2
@@ -180,7 +180,7 @@ def test_sequencing_reward_demo_allocation():
 
 
 def test_sequencing_reward_offline_split_saves_all_three():
-    scenario = online_suboptimal()
+    scenario = DEMOS["online_suboptimal"]()
     allocation = Allocation.build(scenario, {"d": {"a", "b"}, "e": {"c"}})
     reward, trace = optimal_sequencing_reward(scenario, allocation)
     assert reward == 3
@@ -188,7 +188,7 @@ def test_sequencing_reward_offline_split_saves_all_three():
 
 
 def test_sequencing_reward_empty_allocation():
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = Allocation.build(scenario, {})
     reward, trace = optimal_sequencing_reward(scenario, allocation)
     assert reward == 0
@@ -208,7 +208,7 @@ def test_sequencing_reward_refuses_an_over_budget_allocation_before_searching(mo
 
 def test_sequencing_reward_single_entity_cannot_save_all_five():
     # one cheap entity holding every node: the best schedule still loses one
-    scenario = mixed_costs()
+    scenario = DEMOS["mixed_costs"]()
     allocation = Allocation.build(scenario, {"f": {"a", "b", "c", "d", "e"}})
     reward, _ = optimal_sequencing_reward(scenario, allocation)
     assert reward == 4
@@ -222,10 +222,10 @@ def test_sequencing_reward_respects_memo_cap():
 
 
 def test_oracle_demo_optima():
-    assert oracle_optimal(repair_dominant()).optimal_reward == 2
-    assert oracle_optimal(mixed_costs()).optimal_reward == 4
+    assert oracle_optimal(DEMOS["repair_dominant"]()).optimal_reward == 2
+    assert oracle_optimal(DEMOS["mixed_costs"]()).optimal_reward == 4
 
-    result = oracle_optimal(online_suboptimal())
+    result = oracle_optimal(DEMOS["online_suboptimal"]())
     assert result.optimal_reward == 3
     assert result.witness_allocation.sets == {
         "d": frozenset({"a", "b"}),
@@ -256,7 +256,7 @@ def test_oracle_dominates_bundled_strategies():
         online = run_online_policy(scenario, force=True)
         assert optimal >= online.outcome.reward, name
 
-    scenario = repair_dominant()
+    scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     _, outcome = simulate(scenario, allocation, LeastModifiedHealth())
     assert oracle_optimal(scenario).optimal_reward >= outcome.reward
@@ -337,8 +337,8 @@ def test_memoized_search_agrees_with_no_memo_reference():
 
 
 def test_oracle_witness_is_deterministic():
-    first = oracle_optimal(online_suboptimal())
-    second = oracle_optimal(online_suboptimal())
+    first = oracle_optimal(DEMOS["online_suboptimal"]())
+    second = oracle_optimal(DEMOS["online_suboptimal"]())
     assert first.witness_allocation.sets == second.witness_allocation.sets
     assert first.witness_trace == second.witness_trace
     assert first.optimal_reward == second.optimal_reward
