@@ -42,7 +42,6 @@ from repairalloc.model import (
     NodeSpec,
     Scenario,
     Status,
-    UniformRegimeReport,
     check_assumption1,
     check_assumption2,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Trace",
     "TraceMismatch",
     "TraceStep",
-    "UniformRegimeReport",
     "__version__",
     "allocate_budgeted",
     "check_assumption1",

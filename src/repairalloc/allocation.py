@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from repairalloc.engine import Outcome, Trace, _run_to_absorption
-from repairalloc.errors import AssumptionViolated
 from repairalloc.model import (
     Allocation,
     IntVec,
@@ -65,12 +64,8 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
     Outside the repair-dominant regime this construction loses its
     optimality guarantee, so it refuses to run unless ``force`` is set.
     """
-    report = check_assumption1(scenario)
-    if not report.holds and not force:
-        raise AssumptionViolated(
-            "the repair-dominant rate condition fails; pass force=True to run anyway:\n  "
-            + "\n  ".join(report.violations)
-        )
+    if not force:
+        check_assumption1(scenario).require("repair-dominant rate condition")
     remaining_nodes: list[NodeSpec] = list(scenario.nodes)
     remaining_entities = sorted(scenario.entities, key=lambda e: (e.cost, e.id))
     budget = scenario.budget
@@ -111,12 +106,9 @@ class _OnlineAssignment:
     A stateful policy for ``engine._run_to_absorption``: it remembers each
     entity's current target, every node assigned so far with its step, the
     per-entity sets and the remaining budget.  Its choice depends on that
-    memory, so a repeated health vector does not mean a cycle and
-    ``time_invariant`` is False.  The run still always absorbs, within
-    ``step_bound`` steps.
+    memory, so a repeated health vector does not mean a cycle; the run is
+    bounded by ``step_bound`` instead, within which it always absorbs.
     """
-
-    time_invariant = False
 
     def __init__(self, scenario: Scenario) -> None:
         self.node_ids = scenario.node_ids
@@ -187,14 +179,10 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
     The run is bounded by ``_OnlineAssignment.step_bound``, so a step that
     fails to absorb raises NonAbsorbingPolicy instead of looping.
     """
-    report = check_assumption2(scenario)
-    if not report.holds and not force:
-        raise AssumptionViolated(
-            "the decay-dominant uniform rate condition fails; pass force=True to run anyway:\n  "
-            + "\n  ".join(report.violations)
-        )
+    if not force:
+        check_assumption2(scenario).require("decay-dominant uniform rate condition")
     policy = _OnlineAssignment(scenario)
-    trace = _run_to_absorption(scenario, policy.select, policy.time_invariant, policy.step_bound(scenario))
+    trace = _run_to_absorption(scenario, policy.select, policy.step_bound(scenario))
     return OnlineRunResult(
         allocation=Allocation.build(scenario, policy.sets),
         assignment_times=policy.assignment_times,

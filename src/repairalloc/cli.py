@@ -3,12 +3,16 @@
 Four subcommands: ``check`` reports which rate regime a scenario
 satisfies, ``solve`` runs one of the two built-in solve pipelines,
 ``oracle`` computes the exact optimum by exhaustive branch and bound, and
-``examples`` re-runs the bundled reproduction suite.
+``examples`` re-runs the bundled reproduction suite.  ``_PIPELINES`` pairs
+each pipeline with the regime that guards it, and all three scenario
+commands read it.
 
-Exit codes are stable: 0 success, 1 scenario parse failure, 2 rate-regime
-violation without --force, 3 instance too large for the oracle caps,
-4 reproduction suite mismatch, 5 internal inconsistency (an oracle witness
-that does not replay to the searched reward; always a bug).
+Exit codes are stable, one row of ``_EXITS`` each: 0 success, 1 scenario
+parse failure, 2 rate-regime violation without --force (or a forced run
+that never absorbs), 3 instance too large for the oracle caps,
+4 reproduction suite mismatch, 5 internal inconsistency (any other
+package error, such as an oracle witness that does not replay to the
+searched reward or a policy that breaks the rules; always a bug).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from repairalloc import demos
 from repairalloc.allocation import allocate_budgeted, run_online_policy
@@ -25,10 +29,10 @@ from repairalloc.errors import (
     AssumptionViolated,
     InstanceTooLarge,
     NonAbsorbingPolicy,
+    RepairAllocError,
     ScenarioFormatError,
-    SearchInconsistency,
 )
-from repairalloc.model import Allocation, Scenario, check_assumption1, check_assumption2
+from repairalloc.model import Allocation, AssumptionReport, Scenario, check_assumption1, check_assumption2
 from repairalloc.oracle import DEFAULT_CAP, oracle_optimal
 from repairalloc.policies import LeastModifiedHealth
 from repairalloc.rational import format_rational
@@ -41,30 +45,27 @@ EXIT_TOO_LARGE = 3
 EXIT_MISMATCH = 4
 EXIT_INCONSISTENT = 5
 
+# error type -> (exit code, message prefix); the first row the error is an
+# instance of wins, so the last row takes every other package error
+_EXITS: dict[type[Exception], tuple[int, str]] = {
+    ScenarioFormatError: (EXIT_PARSE, ""),
+    OSError: (EXIT_PARSE, ""),
+    AssumptionViolated: (EXIT_ASSUMPTION, ""),
+    NonAbsorbingPolicy: (EXIT_ASSUMPTION, "the run never absorbs: "),
+    InstanceTooLarge: (EXIT_TOO_LARGE, ""),
+    RepairAllocError: (EXIT_INCONSISTENT, "internal inconsistency: "),
+}
+
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AssumptionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except NonAbsorbingPolicy as exc:
-        print(f"error: the run never absorbs: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except SearchInconsistency as exc:
-        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    except tuple(_EXITS) as exc:
+        code, prefix = next(row for kind, row in _EXITS.items() if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("scenario", help="path to a scenario JSON file")
     p_solve.add_argument(
         "--policy",
-        choices=("alg2", "online"),
+        choices=[name for _, _, name, _ in _PIPELINES],
         required=True,
         help="alg2: budgeted allocation plus least-modified-health sequencing; online: incremental healthiest-first assignment",
     )
@@ -141,53 +142,64 @@ def _print_outcome(outcome: Outcome, trace: Trace) -> None:
     print(f"terminal step: {trace.terminal_step}")
 
 
+# A pipeline's run returns its allocation, trace and outcome, and the lines
+# ``solve`` prints between the allocation and the outcome.
+_Run = tuple[Allocation, Trace, Outcome, list[str]]
+
+
+def _run_alg2(scenario: Scenario, force: bool) -> _Run:
+    allocation = allocate_budgeted(scenario, force=force)
+    trace, outcome = simulate(scenario, allocation, LeastModifiedHealth())
+    remaining = None if scenario.budget is None else scenario.budget - allocation.total_cost
+    return allocation, trace, outcome, [f"remaining budget: {_fmt(remaining)}"]
+
+
+def _run_online(scenario: Scenario, force: bool) -> _Run:
+    run = run_online_policy(scenario, force=force)
+    assigned = ", ".join(
+        f"{nid}@t={t}" for nid, t in sorted(run.assignment_times.items(), key=lambda kv: (kv[1], kv[0]))
+    )
+    notes = [f"remaining budget: {_fmt(run.budget_remaining)}", f"assigned: {assigned or '(none)'}"]
+    return run.allocation, run.trace, run.outcome, notes
+
+
+# (regime, its check, pipeline name, the pipeline's run): each pipeline is
+# guaranteed only under its regime, and refuses to run outside it unforced
+_PIPELINES: tuple[tuple[str, Callable[[Scenario], AssumptionReport], str, Callable[[Scenario, bool], _Run]], ...] = (
+    ("Assumption 1", check_assumption1, "alg2", _run_alg2),
+    ("Assumption 2", check_assumption2, "online", _run_online),
+)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    report1 = check_assumption1(scenario)
-    report2 = check_assumption2(scenario)
-    if report1.holds:
-        print("Assumption 1 holds")
-    else:
-        print("Assumption 1 fails:")
-        for violation in report1.violations:
-            print(f"  - {violation}")
-    if report2.holds:
-        values = sorted(set(report2.steps_per_decay.values()))
-        if len(values) == 1:
-            print(f"Assumption 2 holds (n={values[0]})")
+    any_holds = False
+    for regime, check, _, _ in _PIPELINES:
+        report = check(scenario)
+        any_holds |= report.holds
+        if not report.holds:
+            print(f"{regime} fails:")
+            for violation in report.violations:
+                print(f"  - {violation}")
+            continue
+        steps = report.steps_per_decay
+        if len(set(steps.values())) == 1:
+            print(f"{regime} holds (n={next(iter(steps.values()))})")
+        elif steps:
+            print(f"{regime} holds (n: {', '.join(f'{eid}={n}' for eid, n in sorted(steps.items()))})")
         else:
-            per_entity = ", ".join(
-                f"{eid}={n}" for eid, n in sorted(report2.steps_per_decay.items())
-            )
-            print(f"Assumption 2 holds (n: {per_entity})")
-    else:
-        print("Assumption 2 fails:")
-        for violation in report2.violations:
-            print(f"  - {violation}")
-    return EXIT_OK if report1.holds or report2.holds else EXIT_ASSUMPTION
+            print(f"{regime} holds")
+    return EXIT_OK if any_holds else EXIT_ASSUMPTION
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.policy == "alg2":
-        allocation = allocate_budgeted(scenario, force=args.force)
-        trace, outcome = simulate(scenario, allocation, LeastModifiedHealth())
-        _print_allocation(allocation, scenario)
-        if scenario.budget is not None:
-            print(f"remaining budget: {_fmt(scenario.budget - allocation.total_cost)}")
-        else:
-            print("remaining budget: inf")
-        _print_outcome(outcome, trace)
-    else:
-        run = run_online_policy(scenario, force=args.force)
-        allocation, trace, outcome = run.allocation, run.trace, run.outcome
-        _print_allocation(allocation, scenario)
-        print(f"remaining budget: {_fmt(run.budget_remaining)}")
-        assigned = ", ".join(
-            f"{nid}@t={t}" for nid, t in sorted(run.assignment_times.items(), key=lambda kv: (kv[1], kv[0]))
-        )
-        print(f"assigned: {assigned or '(none)'}")
-        _print_outcome(outcome, trace)
+    run = next(run for _, _, name, run in _PIPELINES if name == args.policy)
+    allocation, trace, outcome, notes = run(scenario, args.force)
+    _print_allocation(allocation, scenario)
+    for line in notes:
+        print(line)
+    _print_outcome(outcome, trace)
     if args.trace:
         write_trace_csv(trace, args.trace)
         print(f"trace written to {args.trace}")
@@ -197,60 +209,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = oracle_optimal(scenario, cap=args.cap, memo_cap=args.memo_cap)
-    print(f"optimal reward: {result.optimal_reward}")
+    optimal = result.optimal_reward
+    print(f"optimal reward: {optimal}")
     print("witness ", end="")
     _print_allocation(result.witness_allocation, scenario)
     print(f"witness terminal step: {result.witness_trace.terminal_step}")
-    _print_policy_ratio(
-        "alg2",
-        scenario,
-        check_assumption1(scenario).holds,
-        "Assumption 1",
-        result.optimal_reward,
-        args.force,
-    )
-    _print_policy_ratio(
-        "online",
-        scenario,
-        check_assumption2(scenario).holds,
-        "Assumption 2",
-        result.optimal_reward,
-        args.force,
-    )
-    return EXIT_OK
-
-
-def _print_policy_ratio(
-    name: str,
-    scenario: Scenario,
-    regime_holds: bool,
-    regime_name: str,
-    optimal: int,
-    force: bool,
-) -> None:
-    if not regime_holds and not force:
-        print(f"{name}: skipped ({regime_name} does not hold; pass --force to rate it anyway)")
-        return
-    try:
-        if name == "alg2":
-            allocation = allocate_budgeted(scenario, force=True)
-            _, outcome = simulate(scenario, allocation, LeastModifiedHealth())
-            reward = outcome.reward
+    for regime, check, name, run in _PIPELINES:
+        holds = check(scenario).holds
+        if not holds and not args.force:
+            print(f"{name}: skipped ({regime} does not hold; pass --force to rate it anyway)")
+            continue
+        try:
+            _, _, outcome, _ = run(scenario, True)
+        except NonAbsorbingPolicy:
+            print(f"{name}: never absorbs outside the {regime} regime (health vector cycles), not rated")
+            continue
+        reward = outcome.reward
+        if optimal == 0:
+            rating = "ratio n/a (optimal reward is 0)"
         else:
-            reward = run_online_policy(scenario, force=True).outcome.reward
-    except NonAbsorbingPolicy:
-        print(f"{name}: never absorbs outside the {regime_name} regime (health vector cycles), not rated")
-        return
-    if optimal == 0:
-        ratio_text = "ratio n/a (optimal reward is 0)"
-    else:
-        ratio = Fraction(reward, optimal)
-        ratio_text = f"ratio {ratio}"
-        if not regime_holds and ratio < Fraction(1, 2):
-            ratio_text += f" < 1/2 (outside the {regime_name} regime)"
-        elif not regime_holds:
-            ratio_text += f" (outside the {regime_name} regime)"
-    print(f"{name}: reward {reward}, {ratio_text}")
+            ratio = Fraction(reward, optimal)
+            rating = f"ratio {ratio}"
+            if not holds:
+                rating += f"{' < 1/2' if ratio < Fraction(1, 2) else ''} (outside the {regime} regime)"
+        print(f"{name}: reward {reward}, {rating}")
+    return EXIT_OK
 
 
 def cmd_examples(args: argparse.Namespace) -> int:

@@ -36,7 +36,6 @@ from repairalloc.model import (
     health_status,
     repaired,
 )
-from repairalloc.policies import Scripted
 
 # An action map assigns each entity id a targeted node id, or None for idle.
 Actions = Mapping[str, Optional[str]]
@@ -49,7 +48,10 @@ class SequencingPolicy(Protocol):
     1 at ``scenario.lattice.unit``, so node j is Active when
     0 < healths[j] < unit.  ``time_invariant`` declares that the decision
     depends only on the current health vector (not on t); the simulator
-    uses it to detect cycles that would never absorb.
+    uses it to detect cycles that would never absorb.  A time-variant
+    policy has no such test, so it must also state
+    ``step_bound(scenario)``, the steps within which every run of it
+    absorbs; ``simulate`` raises NonAbsorbingPolicy past that bound.
     """
 
     time_invariant: bool
@@ -149,16 +151,15 @@ def advance(lattice: Lattice, healths: IntVec, active: list[int], actions: Actio
 def _run_to_absorption(
     scenario: Scenario,
     select: Callable[[int, IntVec, list[int]], Actions],
-    time_invariant: bool,
-    max_steps: Optional[int] = None,
+    step_bound: Optional[int],
 ) -> Trace:
     """Step from v0 under ``select(t, lattice healths, Active positions)`` until no node is Active.
 
     ``select`` must not change the Active positions it is handed.
 
-    When ``time_invariant`` is set, the actions depend only on the health
+    With ``step_bound`` None, the actions must depend only on the health
     vector, so a repeated vector proves a cycle and raises
-    NonAbsorbingPolicy, as does running past ``max_steps``.
+    NonAbsorbingPolicy; otherwise running past ``step_bound`` steps does.
     """
     lattice = scenario.lattice
     unit, ints = lattice.unit, lattice.v0
@@ -170,14 +171,14 @@ def _run_to_absorption(
         if not active:
             rows.append(TraceStep(ints, {entity_id: None for entity_id in scenario.entity_ids}))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows), unit=unit)
-        if time_invariant:
+        if step_bound is None:
             if ints in seen_healths:
                 raise NonAbsorbingPolicy(
                     f"health vector at step {t} repeats step {seen_healths[ints]}; the run would never absorb"
                 )
             seen_healths[ints] = t
-        if max_steps is not None and t >= max_steps:
-            raise NonAbsorbingPolicy(f"no absorption within {max_steps} steps")
+        elif t >= step_bound:
+            raise NonAbsorbingPolicy(f"no absorption within {step_bound} steps")
         actions = select(t, ints, active)
         rows.append(TraceStep(ints, actions))
         ints, active = advance(lattice, ints, active, actions)
@@ -188,24 +189,24 @@ def simulate(
     scenario: Scenario,
     allocation: Allocation,
     policy: SequencingPolicy,
-    max_steps: Optional[int] = None,
 ) -> tuple[Trace, Outcome]:
     """Run to absorption and return the exact trace and outcome.
 
-    A time-variant policy has no cycle test, so it needs a step bound:
-    ``Scripted`` derives its own (``Scripted.step_bound``) when
-    ``max_steps`` is None, and any other time-variant policy without
-    ``max_steps`` raises ValueError before the first step.
+    A time-invariant policy is checked for cycles; a time-variant one runs
+    to its own ``step_bound(scenario)``, and one that states none raises
+    ValueError before the first step.
 
     Raises BudgetExceeded if the allocation does not fit the budget,
     PolicyViolation on an illegal action, and NonAbsorbingPolicy if a
-    time-invariant policy provably cycles (or ``max_steps`` runs out).
+    time-invariant policy provably cycles or a time-variant one runs past
+    its step bound.
     """
     allocation.require_budget(scenario)
-    if max_steps is None and not policy.time_invariant:
-        if not isinstance(policy, Scripted):
-            raise ValueError("a time-variant policy cannot be checked for cycles; pass max_steps")
-        max_steps = policy.step_bound(scenario)
+    step_bound = None
+    if not policy.time_invariant:
+        if not hasattr(policy, "step_bound"):
+            raise ValueError("a time-variant policy cannot be checked for cycles; it must state step_bound(scenario)")
+        step_bound = policy.step_bound(scenario)
 
     lattice = scenario.lattice
 
@@ -214,7 +215,7 @@ def simulate(
         _validate_actions(actions, healths, lattice, allocation, scenario)
         return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
 
-    trace = _run_to_absorption(scenario, select, policy.time_invariant, max_steps)
+    trace = _run_to_absorption(scenario, select, step_bound)
     return trace, Outcome.from_trace(trace)
 
 

@@ -35,7 +35,8 @@ class NonAbsorbingPolicy(RepairAllocError):
     """A simulation failed to reach absorption.
 
     Raised when a time-invariant policy revisits a health state (a provable
-    infinite loop) or when an explicit step cap is exhausted.
+    infinite loop) or when a time-variant run passes its policy's step
+    bound.
     """
 
 

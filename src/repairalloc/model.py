@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repairalloc.errors import BudgetExceeded
+from repairalloc.errors import AssumptionViolated, BudgetExceeded
 from repairalloc.rational import lcm_denominators
 
 IntVec = tuple[int, ...]
@@ -224,23 +224,23 @@ class Allocation:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of a rate-regime check: overall verdict plus violations."""
+    """Outcome of a rate-regime check: overall verdict plus violations.
 
-    holds: bool
-    violations: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class UniformRegimeReport:
-    """Outcome of the uniform-rate regime check.
-
-    When the regime holds, ``steps_per_decay`` maps each entity id to the
-    integer n with delta_dec = n * delta_inc.
+    When the uniform regime (Assumption 2) holds, ``steps_per_decay`` maps
+    each entity id to the integer n with delta_dec = n * delta_inc; it is
+    empty for Assumption 1 and whenever the regime fails.
     """
 
     holds: bool
     violations: tuple[str, ...] = ()
     steps_per_decay: Mapping[str, int] = field(default_factory=dict)
+
+    def require(self, condition: str) -> None:
+        """Raise AssumptionViolated, naming ``condition`` and every violation, unless the regime holds."""
+        if not self.holds:
+            raise AssumptionViolated(
+                f"the {condition} fails; pass force=True to run anyway:\n  " + "\n  ".join(self.violations)
+            )
 
 
 def check_assumption1(scenario: Scenario) -> AssumptionReport:
@@ -269,7 +269,7 @@ def check_assumption1(scenario: Scenario) -> AssumptionReport:
     return AssumptionReport(holds=not violations, violations=tuple(violations))
 
 
-def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
+def check_assumption2(scenario: Scenario) -> AssumptionReport:
     """Check the decay-dominant uniform regime.
 
     Requires: one repair rate per entity (uniform over nodes), one decay
@@ -313,5 +313,5 @@ def check_assumption2(scenario: Scenario) -> UniformRegimeReport:
                     )
 
     if violations:
-        return UniformRegimeReport(holds=False, violations=tuple(violations))
-    return UniformRegimeReport(holds=True, steps_per_decay=steps_per_decay)
+        return AssumptionReport(holds=False, violations=tuple(violations))
+    return AssumptionReport(holds=True, steps_per_decay=steps_per_decay)

@@ -97,8 +97,10 @@ class FixedOrder:
 class Scripted:
     """Replay a fixed list of action maps, idling after the script ends.
 
-    Used to replay search witnesses; the decaying tail after the script is
-    all idle, which always absorbs within ``step_bound`` steps.
+    Used to replay search witnesses.  The action depends on t, so the
+    policy is time-variant and states ``step_bound``, which ``simulate``
+    runs it to: the decaying tail after the script is all idle, which
+    always absorbs within that many steps.
     """
 
     time_invariant = False

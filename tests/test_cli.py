@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from repairalloc import _kernel, demos
 from repairalloc.cli import main
 from repairalloc.engine import verify_trace
+from repairalloc.errors import InstanceTooLarge
 from repairalloc.model import Allocation
+from repairalloc.policies import LeastModifiedHealth
 from repairalloc.scenario_io import load_scenario, read_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +19,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def scenario_path(name: str) -> str:
     return str(REPO_ROOT / "src" / "repairalloc" / "scenarios" / f"{name}.json")
+
+
+def edited_copy(tmp_path: Path, name: str, **fields) -> str:
+    """A copy of bundled scenario ``name`` with top-level ``fields`` replaced."""
+    data = json.loads(Path(scenario_path(name)).read_text(encoding="utf-8"))
+    path = tmp_path / f"{name}.edited.json"
+    path.write_text(json.dumps({**data, **fields}), encoding="utf-8")
+    return str(path)
 
 
 def test_check_reports_repair_dominant(capsys):
@@ -37,6 +51,59 @@ def test_check_rejects_neither_regime(capsys):
     assert rc == 2
     assert "Assumption 1 fails:" in out
     assert "Assumption 2 fails:" in out
+
+
+def test_check_names_each_entitys_steps_per_decay_when_they_differ(tmp_path, capsys):
+    path = tmp_path / "uniform.json"
+    path.write_text(
+        json.dumps(
+            {
+                "nodes": [
+                    {"id": "a", "v0": "0.8", "delta_dec": "0.2"},
+                    {"id": "b", "v0": "0.6", "delta_dec": "0.2"},
+                ],
+                "entities": [
+                    {"id": "e", "cost": "6", "delta_inc": {"default": "0.1"}},
+                    {"id": "f", "cost": "6", "delta_inc": {"default": "0.2"}},
+                ],
+                "budget": None,
+            }
+        ),
+        encoding="utf-8",
+    )
+    rc = main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "Assumption 2 holds (n: e=2, f=1)\n" in out
+
+
+@pytest.mark.parametrize(
+    "node_ids, entity_ids, budget, message",
+    [
+        (["a", "a"], ["e"], None, "node ids must be unique"),
+        (["a"], ["e"], None, "a scenario needs at least 2 nodes"),
+        (["a", "b"], ["e", "f", "g"], None, "entity count must satisfy 1 <= M <= N"),
+        (["a", "b"], ["e"], "-1", "budget must be >= 0"),
+    ],
+)
+def test_scenario_level_errors_are_parse_errors(tmp_path, capsys, node_ids, entity_ids, budget, message):
+    """Errors that only ``Scenario`` itself detects leave the reader as one parse error."""
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "nodes": [{"id": nid, "v0": "0.5", "delta_dec": "0.1"} for nid in node_ids],
+                "entities": [{"id": eid, "cost": "1", "delta_inc": {"default": "0.4"}} for eid in entity_ids],
+                "budget": budget,
+            }
+        ),
+        encoding="utf-8",
+    )
+    rc = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_check_missing_file_is_parse_error(capsys):
@@ -98,6 +165,23 @@ def test_solve_budgeted_pipeline(tmp_path, capsys):
     verify_trace(scenario, allocation, loaded)
 
 
+def test_solve_budgeted_pipeline_with_unlimited_budget(tmp_path, capsys):
+    rc = main(["solve", edited_copy(tmp_path, "repair_dominant", budget=None), "--policy", "alg2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "remaining budget: inf\n" in out
+
+
+def test_solve_policy_violation_is_an_internal_inconsistency(monkeypatch, capsys):
+    """A policy that breaks the rules is a bug in the package: exit 5 with a message, no traceback."""
+    monkeypatch.setattr(LeastModifiedHealth, "select", lambda self, t, healths, allocation, scenario: {"e": "c"})
+    rc = main(["solve", scenario_path("repair_dominant"), "--policy", "alg2"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err == "error: internal inconsistency: entity 'e' targeted 'c' outside its allocated set\n"
+    assert "Traceback" not in err
+
+
 def test_solve_online_pipeline(capsys):
     rc = main(["solve", scenario_path("decay_dominant"), "--policy", "online"])
     out = capsys.readouterr().out
@@ -149,6 +233,35 @@ def test_oracle_force_rates_policies_out_of_regime(capsys):
     assert "online: reward 2, ratio 2/5 < 1/2 (outside the Assumption 2 regime)" in out
 
 
+def test_oracle_rates_alg2_in_regime_and_online_only_when_forced(capsys):
+    rc = main(["oracle", scenario_path("repair_dominant")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "alg2: reward 2, ratio 1\n" in out
+    assert "online: skipped (Assumption 2 does not hold; pass --force to rate it anyway)\n" in out
+    rc = main(["oracle", scenario_path("repair_dominant"), "--force"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "alg2: reward 2, ratio 1\n" in out
+    assert "online: reward 2, ratio 1 (outside the Assumption 2 regime)\n" in out
+
+
+def test_oracle_ratio_of_exactly_one_half_is_not_below_it(capsys):
+    rc = main(["oracle", scenario_path("mixed_costs"), "--force"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "online: reward 2, ratio 1/2 (outside the Assumption 2 regime)\n" in out
+
+
+def test_oracle_with_zero_optimum_rates_no_ratio(tmp_path, capsys):
+    rc = main(["oracle", edited_copy(tmp_path, "repair_dominant", budget="0"), "--force"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "optimal reward: 0\n" in out
+    assert "alg2: reward 0, ratio n/a (optimal reward is 0)\n" in out
+    assert "online: reward 0, ratio n/a (optimal reward is 0)\n" in out
+
+
 def test_oracle_cap_exceeded(capsys):
     rc = main(["oracle", scenario_path("repair_dominant"), "--cap", "10"])
     err = capsys.readouterr().err
@@ -174,6 +287,30 @@ def test_examples_detects_deeper_corruption(monkeypatch, capsys):
     assert rc == 4
     assert "FAIL repair_dominant_allocation:" in captured.out
     assert "7/9 checks passed" in captured.out
+
+
+def test_examples_shows_mismatched_fractions_and_sets_exactly(monkeypatch, capsys):
+    """A Fraction is shown as its decimal and a set as {a,b}, never as a Python repr."""
+    monkeypatch.setitem(demos.EXPECTED["decay_dominant_online"], "budget_remaining", Fraction(11, 2))
+    monkeypatch.setitem(demos.EXPECTED["repair_dominant_allocation"], "total_cost", frozenset({"b", "a"}))
+    rc = main(["examples"])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL decay_dominant_online: budget_remaining: expected 5.5, got 5\n" in out
+    assert "FAIL repair_dominant_allocation: total_cost: expected {a,b}, got 12\n" in out
+
+
+def test_examples_reports_a_check_that_raises(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise InstanceTooLarge("refused for the test")
+
+    monkeypatch.setattr(demos, "oracle_optimal", refuse)
+    rc = main(["examples"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "FAIL online_vs_optimal_gap: raised InstanceTooLarge: refused for the test\n" in captured.out
+    assert "7/9 checks passed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):

@@ -107,12 +107,21 @@ def test_cycle_detection_raises_non_absorbing():
     assert "repeats" in str(err.value)
 
 
+class _ScriptedWithinTen(Scripted):
+    """A script that states a tighter step bound than ``Scripted`` derives."""
+
+    def step_bound(self, scenario):
+        return 10
+
+
 def test_max_steps_cutoff_raises_non_absorbing():
+    """A time-variant policy runs to its own ``step_bound``: this script
+    keeps both nodes Active past step 10, so the run stops there."""
     scenario = pair(v0_a="0.5", v0_b="0.5", dec="0.1", inc="0.1")
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     script = [{"e": "a"}, {"e": "b"}] * 50
     with pytest.raises(NonAbsorbingPolicy) as err:
-        simulate(scenario, allocation, Scripted(script), max_steps=10)
+        simulate(scenario, allocation, _ScriptedWithinTen(script))
     assert "within 10 steps" in str(err.value)
 
 
@@ -132,14 +141,17 @@ class _Alternating:
 
 
 def test_time_variant_policy_needs_max_steps():
+    """A time-variant policy has no cycle test: without a ``step_bound`` of
+    its own it is refused before its first call, and with one it runs to it."""
     scenario = pair(v0_a="0.5", v0_b="0.5", dec="0.1", inc="0.1")
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     policy = _Alternating()
-    with pytest.raises(ValueError, match="max_steps"):
+    with pytest.raises(ValueError, match="step_bound"):
         simulate(scenario, allocation, policy)
     assert policy.calls == 0
+    policy.step_bound = lambda scenario: 12
     with pytest.raises(NonAbsorbingPolicy, match="within 12 steps"):
-        simulate(scenario, allocation, policy, max_steps=12)
+        simulate(scenario, allocation, policy)
 
 
 def test_scripted_run_ends_within_its_step_bound():
@@ -225,6 +237,8 @@ def test_verify_trace_rejects_a_row_with_one_health_too_few_or_too_many():
 
 
 def test_verify_trace_catches_truncated_trace():
+    """The terminal row is the first one without an Active node: a trace cut
+    short, or one with a copy of the terminal row appended, is refused."""
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     trace, _ = simulate(scenario, allocation, Scripted([{"e": "b"}, {"e": "a"}]))
@@ -232,6 +246,9 @@ def test_verify_trace_catches_truncated_trace():
     with pytest.raises(TraceMismatch) as err:
         verify_trace(scenario, allocation, truncated)
     assert "Active" in str(err.value)
+    extended = replace(trace, steps=(*trace.steps, trace.steps[-1]))
+    with pytest.raises(TraceMismatch, match=f"no Active node at non-terminal step {trace.terminal_step}"):
+        verify_trace(scenario, allocation, extended)
 
 
 def test_scripted_actions_replays_identically():
@@ -271,11 +288,13 @@ def test_verify_trace_rejects_empty_trace():
 
 
 def test_verify_trace_rejects_reordered_entity_columns():
+    """Reversed entity columns are refused, and so are reversed node columns."""
     scenario, allocation, trace = _repair_dominant_run()
-    reversed_ids = tuple(reversed(trace.entity_ids))
-    assert reversed_ids != trace.entity_ids
-    with pytest.raises(TraceMismatch):
-        verify_trace(scenario, allocation, replace(trace, entity_ids=reversed_ids))
+    for field, kind in (("entity_ids", "entity"), ("node_ids", "node")):
+        reversed_ids = tuple(reversed(getattr(trace, field)))
+        assert reversed_ids != getattr(trace, field)
+        with pytest.raises(TraceMismatch, match=f"trace {kind} columns do not match"):
+            verify_trace(scenario, allocation, replace(trace, **{field: reversed_ids}))
 
 
 def test_verify_trace_rejects_action_in_terminal_row():
