@@ -67,14 +67,11 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
     if not force:
         check_assumption1(scenario).require("repair-dominant rate condition")
     remaining_nodes: list[NodeSpec] = list(scenario.nodes)
-    remaining_entities = sorted(scenario.entities, key=lambda e: (e.cost, e.id))
     budget = scenario.budget
     sets: dict[str, frozenset[str]] = {}
-    while remaining_entities:
-        cheapest = remaining_entities[0].cost
-        if budget is not None and budget < cheapest:
+    for entity in sorted(scenario.entities, key=lambda e: (e.cost, e.id)):
+        if budget is not None and budget < entity.cost:
             break
-        entity = remaining_entities.pop(0)
         subset = largest_repairable_subset(remaining_nodes)
         if budget is None or entity.cost == 0:
             take = len(subset)
@@ -116,7 +113,6 @@ class _OnlineAssignment:
         self.entities = sorted(scenario.entities, key=lambda e: e.id)
         self.budget = scenario.budget
         self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
-        self.assigned: set[str] = set()
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
 
@@ -129,7 +125,7 @@ class _OnlineAssignment:
         if not free:
             return dict(self.targets)
         # never-assigned Active nodes, healthiest first, ties by id
-        node_ids, assigned = self.node_ids, self.assigned
+        node_ids, assigned = self.node_ids, self.assignment_times
         candidates = sorted((-healths[j], node_ids[j]) for j in active if node_ids[j] not in assigned)
         for entity in free:
             if not candidates:
@@ -138,7 +134,6 @@ class _OnlineAssignment:
                 continue
             _, pick = candidates.pop(0)
             self.targets[entity.id] = pick
-            self.assigned.add(pick)
             self.assignment_times[pick] = t
             self.sets[entity.id].add(pick)
             if self.budget is not None:

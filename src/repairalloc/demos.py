@@ -6,10 +6,15 @@ decay-dominant instance solved by the online policy, two instances where
 one strategy beats another, and two force-run instances with mixed rates
 or mixed costs.  Each one is defined once, as a JSON file shipped with
 the package under ``repairalloc/scenarios/``; ``DEMOS`` maps each name to
-a loader that reads that file.  ``run_reproduction_suite`` re-runs all of
-them and compares the results against recorded expected values,
-including exact health table rows, so any behavioral regression is
-caught immediately.
+a loader that reads that file.
+
+The reproduction suite is one table: ``_CHECKS`` maps each check's name
+to a function that re-runs a demo and returns the values it works out,
+and ``EXPECTED`` records, under the same name, the values they must
+equal, including exact health table rows.  ``run_reproduction_suite``
+compares each check on the keys its record lists, and a trace on the
+steps and nodes its recorded rows list, so any behavioral regression
+shows up as a failed check.
 """
 
 from __future__ import annotations
@@ -104,11 +109,6 @@ EXPECTED: dict[str, dict] = {
     },
 }
 
-# The two-entity split of the mixed_rates demo that repairs all five nodes,
-# with the per-entity work orders that achieve it.
-MIXED_RATES_SPLIT = {"f": frozenset({"a", "c", "e"}), "g": frozenset({"b", "d"})}
-MIXED_RATES_ORDERS = {"f": ("e", "c", "a"), "g": ("d", "b")}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -117,150 +117,119 @@ class CheckResult:
     detail: str
 
 
-def _compare(name: str, actual: dict) -> CheckResult:
-    expected = EXPECTED[name]
-    mismatches = []
-    for key, want in expected.items():
-        got = actual.get(key)
-        if got != want:
-            mismatches.append(f"{key}: expected {_show(want)}, got {_show(got)}")
-    if mismatches:
-        return CheckResult(name, False, "; ".join(mismatches))
-    return CheckResult(name, True, "ok")
-
-
 def _show(value: object) -> str:
+    """``value`` as a mismatch detail shows it: a Fraction as its decimal, a set as {a,b}, a dict by sorted key."""
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, frozenset):
         return "{" + ",".join(sorted(value)) + "}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key}: {_show(item)}" for key, item in sorted(value.items())) + "}"
     return repr(value)
 
 
-def _trace_rows(trace: Trace, node_ids: list[str], steps: list[int]) -> dict[int, dict[str, Fraction]]:
-    rows: dict[int, dict[str, Fraction]] = {}
-    for t in steps:
-        if t > trace.terminal_step:
-            rows[t] = {}
-            continue
-        rows[t] = {nid: trace.health_at(t, nid) for nid in node_ids}
-    return rows
+def _trace_rows(trace: Trace, recorded: dict[int, dict]) -> dict[int, dict[str, Fraction]]:
+    """The health at each step ``recorded`` lists of each node it lists there; a step past the terminal step reads {}."""
+    return {
+        t: {nid: trace.health_at(t, nid) for nid in nodes} if t <= trace.terminal_step else {}
+        for t, nodes in recorded.items()
+    }
 
 
-def _check_repair_dominant_allocation() -> CheckResult:
+def _repair_dominant_allocation() -> dict:
     scenario = DEMOS["repair_dominant"]()
     allocation = allocate_budgeted(scenario)
     _, outcome = simulate(scenario, allocation, LeastModifiedHealth())
-    return _compare(
-        "repair_dominant_allocation",
-        {
-            "sets": {eid: allocation.nodes_of(eid) for eid in scenario.entity_ids},
-            "total_cost": allocation.total_cost,
-            "reward": outcome.reward,
-        },
-    )
+    return {
+        "sets": {eid: allocation.nodes_of(eid) for eid in scenario.entity_ids},
+        "total_cost": allocation.total_cost,
+        "reward": outcome.reward,
+    }
 
 
-def _check_decay_dominant_online() -> CheckResult:
-    scenario = DEMOS["decay_dominant"]()
-    run = run_online_policy(scenario)
-    return _compare(
-        "decay_dominant_online",
-        {
-            "assignment_times": dict(run.assignment_times),
-            "budget_remaining": run.budget_remaining,
-            "reward": run.outcome.reward,
-        },
-    )
+def _decay_dominant_online() -> dict:
+    run = run_online_policy(DEMOS["decay_dominant"]())
+    return {
+        "assignment_times": run.assignment_times,
+        "budget_remaining": run.budget_remaining,
+        "reward": run.outcome.reward,
+    }
 
 
-def _check_online_vs_optimal_gap() -> CheckResult:
+def _online_vs_optimal_gap() -> dict:
     scenario = DEMOS["online_suboptimal"]()
-    run = run_online_policy(scenario)
-    result = oracle_optimal(scenario)
-    return _compare(
-        "online_vs_optimal_gap",
-        {"online_reward": run.outcome.reward, "optimal_reward": result.optimal_reward},
-    )
+    return {
+        "online_reward": run_online_policy(scenario).outcome.reward,
+        "optimal_reward": oracle_optimal(scenario).optimal_reward,
+    }
 
 
-def _check_largest_first_gap() -> CheckResult:
+def _largest_first_gap() -> dict:
     scenario = DEMOS["largest_first_suboptimal"]()
-    run = run_online_policy(scenario)
     manual = Allocation.build(scenario, {"e": {"a", "b"}, "f": {"c"}})
-    reward, _ = optimal_sequencing_reward(scenario, manual)
-    return _compare(
-        "largest_first_gap",
-        {"online_reward": run.outcome.reward, "largest_first_reward": reward},
-    )
+    return {
+        "online_reward": run_online_policy(scenario).outcome.reward,
+        "largest_first_reward": optimal_sequencing_reward(scenario, manual)[0],
+    }
 
 
-def _check_mixed_rates_online() -> CheckResult:
-    scenario = DEMOS["mixed_rates"]()
-    run = run_online_policy(scenario, force=True)
-    return _compare("mixed_rates_online", {"reward": run.outcome.reward})
+def _mixed_rates_online() -> dict:
+    run = run_online_policy(DEMOS["mixed_rates"](), force=True)
+    return {"reward": run.outcome.reward, "rows": run.trace}
 
 
-def _check_mixed_costs_gap() -> CheckResult:
+def _mixed_costs_gap() -> dict:
     scenario = DEMOS["mixed_costs"]()
-    run = run_online_policy(scenario, force=True)
     everything_to_cheap = Allocation.build(scenario, {"f": set(scenario.node_ids)})
-    reward, _ = optimal_sequencing_reward(scenario, everything_to_cheap)
-    return _compare(
-        "mixed_costs_gap",
-        {"online_reward": run.outcome.reward, "single_entity_optimal": reward},
-    )
+    return {
+        "online_reward": run_online_policy(scenario, force=True).outcome.reward,
+        "single_entity_optimal": optimal_sequencing_reward(scenario, everything_to_cheap)[0],
+    }
 
 
-def _check_mixed_rates_online_trace() -> CheckResult:
+def _mixed_rates_split() -> dict:
+    """The two-entity split of mixed_rates that repairs all five nodes, run with the work orders that achieve it."""
     scenario = DEMOS["mixed_rates"]()
-    run = run_online_policy(scenario, force=True)
-    steps = sorted(EXPECTED["mixed_rates_online_trace"]["rows"])
-    rows = _trace_rows(run.trace, list(scenario.node_ids), steps)
-    return _compare("mixed_rates_online_trace", {"rows": rows})
+    allocation = Allocation.build(scenario, {"f": {"a", "c", "e"}, "g": {"b", "d"}})
+    trace, outcome = simulate(scenario, allocation, FixedOrder({"f": ("e", "c", "a"), "g": ("d", "b")}))
+    return {"reward": outcome.reward, "rows": trace}
 
 
-def _mixed_rates_split_trace() -> tuple[Scenario, Trace, int]:
-    scenario = DEMOS["mixed_rates"]()
-    allocation = Allocation.build(scenario, MIXED_RATES_SPLIT)
-    trace, outcome = simulate(scenario, allocation, FixedOrder(MIXED_RATES_ORDERS))
-    return scenario, trace, outcome.reward
-
-
-def _check_mixed_rates_trace_entity_f() -> CheckResult:
-    _, trace, reward = _mixed_rates_split_trace()
-    steps = sorted(EXPECTED["mixed_rates_trace_entity_f"]["rows"])
-    rows = _trace_rows(trace, ["a", "c", "e"], steps)
-    return _compare("mixed_rates_trace_entity_f", {"reward": reward, "rows": rows})
-
-
-def _check_mixed_rates_trace_entity_g() -> CheckResult:
-    _, trace, _ = _mixed_rates_split_trace()
-    steps = sorted(EXPECTED["mixed_rates_trace_entity_g"]["rows"])
-    rows = _trace_rows(trace, ["b", "d"], steps)
-    return _compare("mixed_rates_trace_entity_g", {"rows": rows})
-
-
-_CHECKS: list[Callable[[], CheckResult]] = [
-    _check_repair_dominant_allocation,
-    _check_decay_dominant_online,
-    _check_online_vs_optimal_gap,
-    _check_largest_first_gap,
-    _check_mixed_rates_online,
-    _check_mixed_costs_gap,
-    _check_mixed_rates_online_trace,
-    _check_mixed_rates_trace_entity_f,
-    _check_mixed_rates_trace_entity_g,
-]
+# Each check's values are compared with its ``EXPECTED`` record on the keys
+# that record lists, so one run serves two checks that record different
+# keys, or different trace steps and nodes.
+_CHECKS: dict[str, Callable[[], dict]] = {
+    "repair_dominant_allocation": _repair_dominant_allocation,
+    "decay_dominant_online": _decay_dominant_online,
+    "online_vs_optimal_gap": _online_vs_optimal_gap,
+    "largest_first_gap": _largest_first_gap,
+    "mixed_rates_online": _mixed_rates_online,
+    "mixed_costs_gap": _mixed_costs_gap,
+    "mixed_rates_online_trace": _mixed_rates_online,
+    "mixed_rates_trace_entity_f": _mixed_rates_split,
+    "mixed_rates_trace_entity_g": _mixed_rates_split,
+}
 
 
 def run_reproduction_suite() -> list[CheckResult]:
-    """Run all nine checks; a check that raises counts as failed."""
+    """Run every check in ``_CHECKS`` and compare its values with its ``EXPECTED`` record.
+
+    Only the keys the record lists are compared, and a trace is read only
+    at the steps, and for the nodes, that its recorded rows list.  A check
+    that raises counts as failed.
+    """
     results = []
-    for check in _CHECKS:
+    for name, check in _CHECKS.items():
         try:
-            results.append(check())
+            actual = check()
+            mismatches = []
+            for key, want in EXPECTED[name].items():
+                got = actual.get(key)
+                if isinstance(got, Trace):
+                    got = _trace_rows(got, want)
+                if got != want:
+                    mismatches.append(f"{key}: expected {_show(want)}, got {_show(got)}")
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            name = check.__name__.removeprefix("_check_")
-            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+            mismatches = [f"raised {type(exc).__name__}: {exc}"]
+        results.append(CheckResult(name, not mismatches, "; ".join(mismatches) or "ok"))
     return results

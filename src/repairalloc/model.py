@@ -239,7 +239,7 @@ class AssumptionReport:
         """Raise AssumptionViolated, naming ``condition`` and every violation, unless the regime holds."""
         if not self.holds:
             raise AssumptionViolated(
-                f"the {condition} fails; pass force=True to run anyway:\n  " + "\n  ".join(self.violations)
+                f"the {condition} fails; pass force=True (--force on the command line) to run anyway:\n  " + "\n  ".join(self.violations)
             )
 
 

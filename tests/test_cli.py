@@ -84,6 +84,7 @@ def test_check_names_each_entitys_steps_per_decay_when_they_differ(tmp_path, cap
         (["a"], ["e"], None, "a scenario needs at least 2 nodes"),
         (["a", "b"], ["e", "f", "g"], None, "entity count must satisfy 1 <= M <= N"),
         (["a", "b"], ["e"], "-1", "budget must be >= 0"),
+        (["a", "b"], ["e", "e"], None, "entity ids must be unique"),
     ],
 )
 def test_scenario_level_errors_are_parse_errors(tmp_path, capsys, node_ids, entity_ids, budget, message):
@@ -200,6 +201,7 @@ def test_solve_refuses_regime_violation(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "repair-dominant rate condition fails" in err
+    assert "--force" in err
 
 
 def test_solve_forced_run_that_never_absorbs(capsys):
@@ -298,6 +300,20 @@ def test_examples_shows_mismatched_fractions_and_sets_exactly(monkeypatch, capsy
     assert rc == 4
     assert "FAIL decay_dominant_online: budget_remaining: expected 5.5, got 5\n" in out
     assert "FAIL repair_dominant_allocation: total_cost: expected {a,b}, got 12\n" in out
+
+
+def test_examples_shows_nested_mismatches_by_sorted_key(monkeypatch, capsys):
+    """Sets and rows inside a dict are shown by sorted key, whatever the hash seed; a step past the terminal step as {}."""
+    monkeypatch.setitem(demos.EXPECTED["repair_dominant_allocation"], "sets", {"f": frozenset(), "e": frozenset({"a"})})
+    monkeypatch.setitem(demos.EXPECTED["mixed_rates_trace_entity_g"]["rows"], 13, {"d": Fraction(1), "b": Fraction(1)})
+    rc = main(["examples"])
+    out = capsys.readouterr().out
+    assert rc == 4
+    assert "FAIL repair_dominant_allocation: sets: expected {e: {a}, f: {}}, got {e: {a,b}, f: {}}\n" in out
+    expected = "{0: {b: 0.8, d: 0.6}, 2: {b: 0.7, d: 1}, 8: {b: 1, d: 1}, 13: {b: 1, d: 1}}"
+    got = "{0: {b: 0.8, d: 0.6}, 2: {b: 0.7, d: 1}, 8: {b: 1, d: 1}, 13: {}}"
+    assert f"FAIL mixed_rates_trace_entity_g: rows: expected {expected}, got {got}\n" in out
+    assert "6/9 checks passed" in out
 
 
 def test_examples_reports_a_check_that_raises(monkeypatch, capsys):

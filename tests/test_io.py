@@ -41,6 +41,17 @@ def minimal_dict() -> dict:
     }
 
 
+def edited_dict(*edits) -> dict:
+    """``minimal_dict()`` with each (key path, value) edit applied in turn."""
+    data = minimal_dict()
+    for keys, value in edits:
+        holder = data
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+    return data
+
+
 def test_parse_rational_accepts_both_literal_forms():
     assert parse_rational("0.25") == F(1, 4)
     assert parse_rational("1/4") == F(1, 4)
@@ -216,13 +227,30 @@ def test_raw_number_in_file_names_its_path():
     ],
 )
 def test_out_of_range_field_names_its_path(keys, value, message):
-    data = minimal_dict()
-    holder = data
-    for key in keys[:-1]:
-        holder = holder[key]
-    holder[keys[-1]] = value
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
-        scenario_from_dict(data)
+        scenario_from_dict(edited_dict((keys, value)))
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ScenarioFormatError, match=r"^top level: expected an object$"):
+        scenario_from_dict([minimal_dict()])
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("nodes", 1), "b", "nodes[1]: expected an object"),
+        (("entities", 0), ["e"], "entities[0]: expected an object"),
+        (("nodes",), [], "nodes: expected a non-empty array"),
+        (("entities",), [], "entities: expected a non-empty array"),
+        (("nodes", 0, "id"), "", "nodes[0].id: expected a non-empty string"),
+        (("entities", 0, "id"), 7, "entities[0].id: expected a non-empty string"),
+        (("entities", 0, "delta_inc"), "0.7", "entities[0].delta_inc: expected an object of rates"),
+    ],
+)
+def test_malformed_structure_names_its_path(keys, value, message):
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(edited_dict((keys, value)))
 
 
 @pytest.mark.parametrize(
@@ -252,14 +280,8 @@ def test_out_of_range_field_names_its_path(keys, value, message):
 )
 def test_a_string_parsed_for_an_earlier_field_is_range_checked_again_at_a_later_path(edits, message):
     """Each distinct numeric string is parsed once per call, but every field keeps its own rule and its own path."""
-    data = minimal_dict()
-    for keys, value in edits:
-        holder = data
-        for key in keys[:-1]:
-            holder = holder[key]
-        holder[keys[-1]] = value
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
-        scenario_from_dict(data)
+        scenario_from_dict(edited_dict(*edits))
 
 
 def test_unknown_node_in_rates_is_rejected():
