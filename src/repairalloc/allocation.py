@@ -46,8 +46,9 @@ def largest_repairable_subset(candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
     could never be picked later.
     """
     picked: list[NodeSpec] = []
-    for node in sorted(candidates, key=lambda n: (lifetime_index(n), n.id)):
-        if lifetime_index(node) > len(picked):
+    indexed = sorted(((lifetime_index(n), n) for n in candidates), key=lambda pair: (pair[0], pair[1].id))
+    for index, node in indexed:
+        if index > len(picked):
             picked.append(node)
     return picked
 

@@ -93,11 +93,12 @@ later.  Every leaf the walk yields and scores is therefore tight for
 every entity.
 
 Each search slices its set's healths, decays and rates out of the
-scenario's integer lattice and runs in exact integer arithmetic.  Only a
-leaf the walk yields becomes an ``Allocation``; each one beats the best
-reward so far and has its witness replayed through the simulator, so the
-returned witness always has been, and a replay that does not reproduce
-the searched reward raises SearchInconsistency.
+scenario's integer lattice and runs in exact integer arithmetic.  Every
+leaf the walk yields is scored, and each one beats the best reward so
+far.  Only the returned leaf, the first maximizer, becomes an
+``Allocation`` and has its witness replayed through the simulator; a
+replay that does not reproduce the searched reward raises
+SearchInconsistency.
 """
 
 from __future__ import annotations
@@ -122,10 +123,11 @@ _TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
 # each searched entity's id with its witness targets, one per step
 _Witness = list[tuple[str, tuple[str, ...]]]
 
-# (depth, owner, masks) -> whether the walk enters the child that hands node
-# ``depth`` to ``owner`` (0 unallocated, k the k-th entity); ``masks`` already
-# holds that assignment
-_Admit = Callable[[int, int, list[int]], bool]
+# (depth, owner, masks, count) -> whether the walk enters the child that hands
+# node ``depth`` to ``owner`` (0 unallocated, k the k-th entity); ``masks``
+# already holds that assignment, and ``count`` is the number of nodes it
+# allocates among the first depth + 1
+_Admit = Callable[[int, int, list[int], int], bool]
 
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
@@ -160,22 +162,22 @@ def _walk(scenario: Scenario, cap: int, admit: Optional[_Admit] = None) -> Itera
     room = None if scenario.budget is None else int(scenario.budget * scale)
     masks = [0] * m
 
-    def visit(depth: int, spent: int) -> Iterator[tuple[int, ...]]:
+    def visit(depth: int, spent: int, count: int) -> Iterator[tuple[int, ...]]:
         if depth == n:
             yield tuple(masks)
             return
-        if admit is None or admit(depth, 0, masks):
-            yield from visit(depth + 1, spent)
+        if admit is None or admit(depth, 0, masks, count):
+            yield from visit(depth + 1, spent, count)
         bit = 1 << depth
         for k, cost in enumerate(costs):
             if room is not None and spent + cost > room:
                 continue
             masks[k] |= bit
-            if admit is None or admit(depth, k + 1, masks):
-                yield from visit(depth + 1, spent + cost)
+            if admit is None or admit(depth, k + 1, masks, count + 1):
+                yield from visit(depth + 1, spent + cost, count + 1)
             masks[k] ^= bit
 
-    yield from visit(0, 0)
+    yield from visit(0, 0, 0)
 
 
 def _allocation(scenario: Scenario, masks: tuple[int, ...]) -> Allocation:
@@ -291,23 +293,24 @@ def oracle_optimal(
     (a superset of such a set cannot be repaired in full either, and the
     first maximizer repairs every set in full), or whose allocated nodes
     so far plus undecided nodes are no more than the best reward so far.
-    So every leaf the walk yields scores its allocated count, beats the
-    best reward and is replayed, and the last one is the first maximizer
-    in enumeration order, with the same witness trace as a scan of every
-    feasible allocation.  Whether an entity can repair all of a set S is
-    one kernel search with floor |S| - 1, made at most once per (entity,
-    set) per call with at most ``memo_cap`` health vectors; one that
-    exceeds ``memo_cap`` marks the set unknown and keeps the subtree, and
-    a leaf holding an unknown set runs the full search, which raises.
+    So every leaf the walk yields scores its allocated count and beats the
+    best reward, and the last one is the first maximizer in enumeration
+    order, with the same witness trace as a scan of every feasible
+    allocation.  Every yielded leaf is scored; only the returned one is
+    replayed through the simulator and checked.  Whether an entity can
+    repair all of a set S is one kernel search with floor |S| - 1, made
+    at most once per (entity, set) per call with at most ``memo_cap``
+    health vectors; one that exceeds ``memo_cap`` marks the set unknown
+    and keeps the subtree, and a leaf holding an unknown set runs the full
+    search, which raises.
     Raises InstanceTooLarge when (M+1)^N exceeds ``cap``.
     """
     n = len(scenario.nodes)
     tight: _TightCache = {}
-    best: Optional[OracleResult] = None
     best_reward = -1
 
-    def admit(depth: int, owner: int, masks: list[int]) -> bool:
-        if sum(mask.bit_count() for mask in masks) + n - 1 - depth <= best_reward:
+    def admit(depth: int, owner: int, masks: list[int], count: int) -> bool:
+        if count + n - 1 - depth <= best_reward:
             return False  # the count bound
         if owner == 0:
             return True
@@ -321,10 +324,10 @@ def oracle_optimal(
         decided = tight[key]
         return decided is None or decided[0] == size
 
+    # each yielded leaf beats the one before, so only the last is replayed;
+    # the all-unallocated leaf always comes first, so the loop runs at least once
     for masks in _walk(scenario, cap, admit):
         best_reward, witness = _search_allocation(scenario, masks, memo_cap, tight)
-        allocation = _allocation(scenario, masks)
-        trace, outcome = _replay(scenario, allocation, best_reward, witness)
-        best = OracleResult(best_reward, allocation, trace, outcome)
-    assert best is not None  # the all-unallocated assignment is always feasible
-    return best
+    allocation = _allocation(scenario, masks)
+    trace, outcome = _replay(scenario, allocation, best_reward, witness)
+    return OracleResult(best_reward, allocation, trace, outcome)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repairalloc import _kernel
+from repairalloc import _kernel, oracle
 from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import DEMOS
 from repairalloc.engine import simulate, verify_trace
@@ -169,6 +169,52 @@ def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
     with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 2"):
         oracle_optimal(scenario, memo_cap=2)
     assert seen[:2] == [1, 2]  # the decision searches of {"a"}, then of {"a", "b"}
+
+
+def counted(monkeypatch, owner, name: str) -> list[None]:
+    """Replace ``owner.name`` with a wrapper that appends to the returned list on every call."""
+    calls: list[None] = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
+    # every yielded leaf beats the one before, so a replay of any leaf but
+    # the last is thrown away; the one replay still checks the witness
+    replays = counted(monkeypatch, oracle, "simulate")
+    for scenario in [build() for build in DEMOS.values()] + walk_draws():
+        replays.clear()
+        oracle_optimal(scenario)
+        assert len(replays) == 1, scenario
+
+
+# kernel searches per oracle_optimal call on each bundled scenario, at most:
+# a count bound that reads too high enters more children and searches more
+# sets without changing any optimum, witness or trace, so only these counts
+# catch it
+KERNEL_SEARCHES = {
+    "repair_dominant": 18,
+    "decay_dominant": 18,
+    "online_suboptimal": 7,
+    "largest_first_suboptimal": 17,
+    "mixed_rates": 17,
+    "mixed_costs": 17,
+}
+
+
+def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    assert set(KERNEL_SEARCHES) == set(DEMOS)
+    for name, build in DEMOS.items():
+        searches.clear()
+        oracle_optimal(build())
+        assert len(searches) <= KERNEL_SEARCHES[name], name
 
 
 def test_sequencing_reward_demo_allocation():
