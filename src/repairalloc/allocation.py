@@ -78,10 +78,8 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
             take = len(subset)
         else:
             take = min(int(budget / entity.cost), len(subset))
-        chosen = subset[:take]
-        sets[entity.id] = frozenset(n.id for n in chosen)
-        for node in chosen:
-            remaining_nodes.remove(node)
+        chosen = sets[entity.id] = frozenset(n.id for n in subset[:take])
+        remaining_nodes = [n for n in remaining_nodes if n.id not in chosen]
         if budget is not None:
             budget -= entity.cost * take
     return Allocation.build(scenario, sets)

@@ -46,7 +46,9 @@ class SequencingPolicy(Protocol):
 
     ``healths`` holds the lattice integers of step t in node order, health
     1 at ``scenario.lattice.unit``, so node j is Active when
-    0 < healths[j] < unit.  ``time_invariant`` declares that the decision
+    0 < healths[j] < unit.  ``active`` lists every such position, in
+    increasing order; it is the run loop's own list, so a policy must not
+    change it.  ``time_invariant`` declares that the decision
     depends only on the current health vector (not on t); the simulator
     uses it to detect cycles that would never absorb.  A time-variant
     policy has no such test, so it must also state
@@ -60,6 +62,7 @@ class SequencingPolicy(Protocol):
         self,
         t: int,
         healths: IntVec,
+        active: list[int],
         allocation: Allocation,
         scenario: Scenario,
     ) -> Actions: ...
@@ -118,15 +121,12 @@ def count_jumps(trace: Trace) -> int:
     normal end of a repair, not a jump.
     """
     column = {node_id: j for j, node_id in enumerate(trace.node_ids)}
+    unit = trace.unit
     jumps = 0
-    for t in range(1, len(trace.steps)):
-        prev_actions = trace.steps[t - 1].actions
-        cur_actions = trace.steps[t].actions
-        for entity_id, prev_target in prev_actions.items():
-            if prev_target is None:
-                continue
-            status = health_status(trace.steps[t].healths[column[prev_target]], trace.unit)
-            if status is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
+    for prev, cur in zip(trace.steps, trace.steps[1:]):
+        healths, actions = cur.healths, cur.actions
+        for entity_id, target in prev.actions.items():
+            if target is not None and healths[column[target]] < unit and actions.get(entity_id) != target:
                 jumps += 1
     return jumps
 
@@ -211,7 +211,7 @@ def simulate(
     lattice = scenario.lattice
 
     def select(t: int, healths: IntVec, active: list[int]) -> Actions:
-        actions = policy.select(t, healths, allocation, scenario)
+        actions = policy.select(t, healths, active, allocation, scenario)
         _validate_actions(actions, healths, lattice, allocation, scenario)
         return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
 
@@ -227,19 +227,22 @@ def _validate_actions(
     scenario: Scenario,
 ) -> None:
     """Raise PolicyViolation unless every target is an Active node of its entity's set, and every entity is known."""
-    unit = lattice.unit
+    unit, owner = lattice.unit, allocation.owner
+    known = 0
     for entity_id in scenario.entity_ids:
-        target = actions.get(entity_id)
+        if entity_id not in actions:
+            continue
+        known += 1
+        target = actions[entity_id]
         if target is None:
             continue
-        if target not in allocation.nodes_of(entity_id):
+        if owner.get(target) != entity_id:
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} outside its allocated set")
         health = healths[lattice.positions[target]]
         if not 0 < health < unit:
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} which is {health_status(health, unit).value}")
-    unknown = set(actions) - set(scenario.entity_ids)
-    if unknown:
-        raise PolicyViolation(f"actions for unknown entities: {sorted(unknown)}")
+    if known != len(actions):
+        raise PolicyViolation(f"actions for unknown entities: {sorted(set(actions) - set(scenario.entity_ids))}")
 
 
 def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> None:

@@ -212,6 +212,11 @@ class Allocation:
     def nodes_of(self, entity_id: str) -> frozenset[str]:
         return self.sets[entity_id]
 
+    @cached_property
+    def owner(self) -> dict[str, str]:
+        """Node id to the id of the entity whose set holds it, built on first use; unallocated nodes are absent."""
+        return {node_id: entity_id for entity_id, nodes in self.sets.items() for node_id in nodes}
+
     def fits_budget(self, scenario: Scenario) -> bool:
         return scenario.budget is None or self.total_cost <= scenario.budget
 

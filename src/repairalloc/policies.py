@@ -1,11 +1,14 @@
 """Built-in sequencing policies.
 
-``select`` gets the run's lattice healths (see ``engine.SequencingPolicy``);
-the rules only compare healths, so ranking those integers is exact.
+``select`` gets the run's lattice healths and its Active positions (see
+``engine.SequencingPolicy``); the rules only compare healths, so ranking
+those integers is exact.
 
 Each policy picks, independently per entity and per step, one Active node
 from the entity's allocated set (or idles when none is Active).  Ties are
-always broken by smallest node id.
+always broken by smallest node id.  The ranking policies look only at the
+Active positions, each credited to its entity through
+``Allocation.owner``, so an absorbed node costs them nothing.
 """
 
 from __future__ import annotations
@@ -24,20 +27,20 @@ class _PerEntityPolicy:
         self,
         t: int,
         healths: IntVec,
+        active: Sequence[int],
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:
-        lattice = scenario.lattice
-        unit, decs, positions = lattice.unit, lattice.decs, lattice.positions
-        actions: dict[str, Optional[str]] = {}
-        for entity_id in scenario.entity_ids:
-            ranked = [
-                (self.key(healths[j], decs[j]), nid)
-                for nid in allocation.nodes_of(entity_id)
-                if 0 < healths[j := positions[nid]] < unit
-            ]
-            actions[entity_id] = min(ranked)[1] if ranked else None
-        return actions
+        node_ids, decs, owner, key = scenario.node_ids, scenario.lattice.decs, allocation.owner, self.key
+        best: dict[str, tuple[int, str]] = {}
+        for j in active:
+            entity_id = owner.get(nid := node_ids[j])
+            if entity_id is not None:
+                ranked = (key(healths[j], decs[j]), nid)
+                held = best.get(entity_id)
+                if held is None or ranked < held:
+                    best[entity_id] = ranked
+        return {entity_id: best[entity_id][1] if entity_id in best else None for entity_id in scenario.entity_ids}
 
     @staticmethod
     def key(health: int, dec: int) -> int:
@@ -80,6 +83,7 @@ class FixedOrder:
         self,
         t: int,
         healths: IntVec,
+        active: Sequence[int],
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:
@@ -112,6 +116,7 @@ class Scripted:
         self,
         t: int,
         healths: IntVec,
+        active: Sequence[int],
         allocation: Allocation,
         scenario: Scenario,
     ) -> dict[str, Optional[str]]:

@@ -175,7 +175,7 @@ def test_solve_budgeted_pipeline_with_unlimited_budget(tmp_path, capsys):
 
 def test_solve_policy_violation_is_an_internal_inconsistency(monkeypatch, capsys):
     """A policy that breaks the rules is a bug in the package: exit 5 with a message, no traceback."""
-    monkeypatch.setattr(LeastModifiedHealth, "select", lambda self, t, healths, allocation, scenario: {"e": "c"})
+    monkeypatch.setattr(LeastModifiedHealth, "select", lambda self, t, healths, active, allocation, scenario: {"e": "c"})
     rc = main(["solve", scenario_path("repair_dominant"), "--policy", "alg2"])
     err = capsys.readouterr().err
     assert rc == 5

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from generators import decreasing_initial_health_orders, random_repair_dominant, random_uniform_regime
 from repairalloc import engine
@@ -14,8 +18,9 @@ from repairalloc.allocation import allocate_budgeted, run_online_policy
 from repairalloc.demos import DEMOS
 from repairalloc.engine import Outcome, Trace, TraceStep, count_jumps, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, NonAbsorbingPolicy, PolicyViolation, TraceMismatch
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, Status
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, Status, active_positions, health_status
 from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
+from repairalloc.scenario_io import read_trace_csv, write_trace_csv
 
 F = Fraction
 
@@ -97,6 +102,45 @@ def test_simulate_rejects_unknown_entity_action():
         simulate(scenario, allocation, Scripted([{"e": "a", "q": "b"}]))
 
 
+def _two_entities() -> tuple[Scenario, Allocation]:
+    """Nodes a and b, entity e holding a and entity f holding b."""
+    ids = ["a", "b"]
+    scenario = build(
+        [NodeSpec("a", F("0.5"), F("0.1")), NodeSpec("b", F("0.3"), F("0.1"))],
+        [EntitySpec(eid, F(1), {nid: F("0.7") for nid in ids}) for eid in ("e", "f")],
+    )
+    return scenario, Allocation.build(scenario, {"e": {"a"}, "f": {"b"}})
+
+
+@pytest.mark.parametrize(
+    "actions, message",
+    [
+        ({"q": "a"}, "actions for unknown entities: ['q']"),
+        ({"e": "zz"}, "entity 'e' targeted 'zz' outside its allocated set"),
+        ({"e": "b"}, "entity 'e' targeted 'b' outside its allocated set"),
+        # a bad target is reported before an unknown entity
+        ({"q": "a", "f": "a"}, "entity 'f' targeted 'a' outside its allocated set"),
+    ],
+)
+def test_action_checks_name_the_violation_in_simulate_and_verify_trace(actions, message):
+    scenario, allocation = _two_entities()
+    with pytest.raises(PolicyViolation) as err:
+        simulate(scenario, allocation, Scripted([actions]))
+    assert str(err.value) == message
+    idle, _ = simulate(scenario, allocation, Scripted([]))
+    with pytest.raises(PolicyViolation) as err:
+        verify_trace(scenario, allocation, _replace_row(idle, 0, TraceStep(idle.steps[0].healths, actions)))
+    assert str(err.value) == message
+
+
+def test_an_entity_missing_from_the_action_map_idles():
+    scenario, allocation = _two_entities()
+    trace, _ = simulate(scenario, allocation, Scripted([{"e": "a"}]))
+    assert trace.steps[0].actions == {"e": "a", "f": None}
+    assert trace.health_at(1, "a") == F("1")
+    verify_trace(scenario, allocation, _replace_row(trace, 0, TraceStep(trace.steps[0].healths, {"e": "a"})))
+
+
 def test_cycle_detection_raises_non_absorbing():
     # equal decay, repair rate equal to decay: least-modified-health
     # alternates between the two nodes and the health vector repeats
@@ -133,11 +177,10 @@ class _Alternating:
     def __init__(self) -> None:
         self.calls = 0
 
-    def select(self, t, healths, allocation, scenario):
+    def select(self, t, healths, active, allocation, scenario):
         self.calls += 1
         target = "ab"[t % 2]
-        active = 0 < healths[scenario.lattice.positions[target]] < scenario.lattice.unit
-        return {"e": target if active else None}
+        return {"e": target if scenario.lattice.positions[target] in active else None}
 
 
 def test_time_variant_policy_needs_max_steps():
@@ -272,6 +315,67 @@ def test_count_jumps_on_hand_built_trace():
         unit=10,
     )
     assert count_jumps(trace) == 1
+
+
+def _reference_jumps(trace: Trace) -> int:
+    """``count_jumps`` spelled with ``health_status`` on every previous target."""
+    column = {node_id: j for j, node_id in enumerate(trace.node_ids)}
+    jumps = 0
+    for t in range(1, len(trace.steps)):
+        prev_actions = trace.steps[t - 1].actions
+        cur_actions = trace.steps[t].actions
+        for entity_id, prev_target in prev_actions.items():
+            if prev_target is None:
+                continue
+            status = health_status(trace.steps[t].healths[column[prev_target]], trace.unit)
+            if status is not Status.REPAIRED and cur_actions.get(entity_id) != prev_target:
+                jumps += 1
+    return jumps
+
+
+@st.composite
+def _scripted_runs(draw) -> tuple[Scenario, Allocation, list]:
+    """A scenario of 2-4 nodes and 1-2 entities on tenths, an allocation, and a legal script
+    in which each entity picks idle or any Active node of its set at random.  Repair rates stay
+    at most 0.4, so a repair takes more than one step and a switch can abandon it."""
+    tenths = st.integers(1, 9).map(lambda k: F(k, 10))
+    rates = st.integers(1, 4).map(lambda k: F(k, 10))
+    node_ids = draw(st.permutations("abcd"))[: draw(st.integers(2, 4))]
+    entity_ids = ["e", "f"][: draw(st.integers(1, 2))]
+    scenario = build(
+        [NodeSpec(nid, draw(tenths), draw(tenths)) for nid in node_ids],
+        [EntitySpec(eid, F(1), {nid: draw(rates) for nid in node_ids}) for eid in entity_ids],
+    )
+    owners = {nid: draw(st.sampled_from([None, *entity_ids])) for nid in node_ids}
+    allocation = Allocation.build(scenario, {eid: {nid for nid in node_ids if owners[nid] == eid} for eid in entity_ids})
+    lattice = scenario.lattice
+    healths = lattice.v0
+    active = active_positions(healths, lattice.unit)
+    script = []
+    for _ in range(draw(st.integers(2, 12))):
+        if not active:
+            break
+        actions = {}
+        for eid in entity_ids:
+            held = sorted(nid for nid in allocation.nodes_of(eid) if lattice.positions[nid] in active)
+            actions[eid] = draw(st.sampled_from([None, *held]))
+        script.append(actions)
+        healths, active = engine.advance(lattice, healths, active, actions)
+    return scenario, allocation, script
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_scripted_runs())
+def test_count_jumps_matches_the_status_reference_before_and_after_a_csv_round_trip(drawn):
+    scenario, allocation, script = drawn
+    trace, outcome = simulate(scenario, allocation, Scripted(script))
+    assume(_reference_jumps(trace) > 0)
+    assert outcome.jumps == count_jumps(trace) == _reference_jumps(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        loaded = read_trace_csv(path, scenario)
+    assert count_jumps(loaded) == _reference_jumps(loaded) == outcome.jumps
 
 
 def _repair_dominant_run():
@@ -426,7 +530,7 @@ def _reference_actions(policy, t, health, allocation, scenario: Scenario) -> dic
         return 0 < health[nid] < 1
 
     if isinstance(policy, Scripted):
-        return policy.select(t, None, allocation, scenario)
+        return policy.select(t, None, None, allocation, scenario)
     if isinstance(policy, FixedOrder):
         return {
             eid: next((nid for nid in policy.orders.get(eid, ()) if active(nid)), None) for eid in scenario.entity_ids

@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from generators import decreasing_initial_health_orders, random_uniform_regime
+from test_engine import _reference_actions
 from repairalloc.engine import simulate
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, active_positions
 from repairalloc.policies import FixedOrder, HealthiestFirst, LeastModifiedHealth, Scripted
 
 F = Fraction
@@ -32,7 +36,7 @@ def lattice_healths(scenario: Scenario, *healths: str) -> tuple[int, ...]:
 def pick(policy, scenario: Scenario, nodes, healths) -> str | None:
     """The target ``policy`` gives entity e, which holds ``nodes``, at ``healths``."""
     allocation = Allocation.build(scenario, {"e": set(nodes)})
-    return policy.select(0, healths, allocation, scenario)["e"]
+    return policy.select(0, healths, active_positions(healths, scenario.lattice.unit), allocation, scenario)["e"]
 
 
 def test_least_modified_health_target_prefers_fastest_sinking():
@@ -58,6 +62,41 @@ def test_healthiest_target_and_ties():
     # an absorbed node is never the healthiest Active one
     assert pick(HealthiestFirst(), scenario, "abc", lattice_healths(scenario, "0.4", "1", "0")) == "a"
     assert pick(HealthiestFirst(), scenario, "bc", lattice_healths(scenario, "0.4", "1", "0")) is None
+
+
+@st.composite
+def ranking_states(draw) -> tuple[Scenario, Allocation, tuple[int, ...]]:
+    """A scenario, an allocation and any lattice health vector, absorbed levels included.
+
+    Node ids are drawn out of order, so position order is not id order.
+    Decays come from three values and levels from a unit of 10, so both
+    rankings often tie.  Each node is unallocated or held by any
+    entity, so Active nodes of other entities and unallocated ones occur.
+    """
+    node_ids = draw(st.permutations("abcdef"))[: draw(st.integers(2, 6))]
+    entity_ids = ["e", "f", "g"][: draw(st.integers(1, min(3, len(node_ids))))]
+    scenario = Scenario(
+        nodes=tuple(NodeSpec(nid, F("0.5"), draw(st.sampled_from([F("0.1"), F("0.2"), F("0.3")]))) for nid in node_ids),
+        entities=tuple(EntitySpec(eid, F(1), {nid: F("0.4") for nid in node_ids}) for eid in entity_ids),
+        budget=None,
+    )
+    owners = {nid: draw(st.sampled_from([None, *entity_ids])) for nid in node_ids}
+    allocation = Allocation.build(scenario, {eid: {nid for nid in node_ids if owners[nid] == eid} for eid in entity_ids})
+    unit = scenario.lattice.unit
+    return scenario, allocation, tuple(draw(st.integers(0, unit)) for _ in node_ids)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ranking_states(), st.sampled_from([LeastModifiedHealth, HealthiestFirst]))
+def test_active_position_ranking_matches_the_per_set_fraction_ranking(state, policy_type):
+    """Ranking only the Active positions, each credited to its owner, picks
+    what ranking each entity's whole set on Fraction healths picks."""
+    scenario, allocation, levels = state
+    unit = scenario.lattice.unit
+    health = {nid: F(level, unit) for nid, level in zip(scenario.node_ids, levels)}
+    policy = policy_type()
+    chosen = policy.select(0, levels, active_positions(levels, unit), allocation, scenario)
+    assert chosen == _reference_actions(policy, 0, health, allocation, scenario)
 
 
 def test_least_modified_health_policy_run():
