@@ -10,7 +10,6 @@ guarantee in the decay-dominant uniform regime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -28,7 +27,8 @@ from repairalloc.model import (
 
 def lifetime_index(node: NodeSpec) -> int:
     """Steps until an untargeted node hits health 0: ceil(v0 / delta_dec)."""
-    return math.ceil(node.v0 / node.delta_dec)
+    v0, dec = node.v0, node.delta_dec
+    return -(-(v0.numerator * dec.denominator) // (v0.denominator * dec.numerator))
 
 
 def largest_repairable_subset(candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
@@ -68,20 +68,21 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
     if not force:
         check_assumption1(scenario).require("repair-dominant rate condition")
     remaining_nodes: list[NodeSpec] = list(scenario.nodes)
-    budget = scenario.budget
+    ledger = scenario.ledger
+    budget = ledger.budget
     sets: dict[str, frozenset[str]] = {}
-    for entity in sorted(scenario.entities, key=lambda e: (e.cost, e.id)):
-        if budget is not None and budget < entity.cost:
+    for cost, entity_id in sorted(zip(ledger.costs, scenario.entity_ids)):
+        if budget is not None and budget < cost:
             break
         subset = largest_repairable_subset(remaining_nodes)
-        if budget is None or entity.cost == 0:
+        if budget is None or cost == 0:
             take = len(subset)
         else:
-            take = min(int(budget / entity.cost), len(subset))
-        chosen = sets[entity.id] = frozenset(n.id for n in subset[:take])
+            take = min(budget // cost, len(subset))
+        chosen = sets[entity_id] = frozenset(n.id for n in subset[:take])
         remaining_nodes = [n for n in remaining_nodes if n.id not in chosen]
         if budget is not None:
-            budget -= entity.cost * take
+            budget -= cost * take
     return Allocation.build(scenario, sets)
 
 
@@ -101,7 +102,8 @@ class _OnlineAssignment:
 
     A stateful policy for ``engine._run_to_absorption``: it remembers each
     entity's current target, every node assigned so far with its step, the
-    per-entity sets and the remaining budget.  Its choice depends on that
+    per-entity sets and the remaining budget, on the scenario's integer
+    ledger.  Its choice depends on that
     memory, so a repeated health vector does not mean a cycle; the run is
     bounded by ``step_bound`` instead, within which it always absorbs.
     """
@@ -109,8 +111,9 @@ class _OnlineAssignment:
     def __init__(self, scenario: Scenario) -> None:
         self.node_ids = scenario.node_ids
         self.unit, self.positions = scenario.lattice.unit, scenario.lattice.positions
-        self.entities = sorted(scenario.entities, key=lambda e: e.id)
-        self.budget = scenario.budget
+        ledger = scenario.ledger
+        self.entities = sorted(zip(scenario.entity_ids, ledger.costs))  # (id, cost), by id
+        self.scale, self.budget = ledger.scale, ledger.budget
         self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
@@ -120,23 +123,23 @@ class _OnlineAssignment:
         for entity_id, target in self.targets.items():
             if target is not None and not 0 < healths[self.positions[target]] < unit:
                 self.targets[entity_id] = None
-        free = [e for e in self.entities if self.targets[e.id] is None]
+        free = [(eid, cost) for eid, cost in self.entities if self.targets[eid] is None]
         if not free:
             return dict(self.targets)
         # never-assigned Active nodes, healthiest first, ties by id
         node_ids, assigned = self.node_ids, self.assignment_times
         candidates = sorted((-healths[j], node_ids[j]) for j in active if node_ids[j] not in assigned)
-        for entity in free:
+        for entity_id, cost in free:
             if not candidates:
                 break
-            if self.budget is not None and self.budget < entity.cost:
+            if self.budget is not None and self.budget < cost:
                 continue
             _, pick = candidates.pop(0)
-            self.targets[entity.id] = pick
+            self.targets[entity_id] = pick
             self.assignment_times[pick] = t
-            self.sets[entity.id].add(pick)
+            self.sets[entity_id].add(pick)
             if self.budget is not None:
-                self.budget -= entity.cost
+                self.budget -= cost
         return dict(self.targets)
 
     @staticmethod
@@ -182,5 +185,5 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
         assignment_times=policy.assignment_times,
         trace=trace,
         outcome=Outcome.from_trace(trace),
-        budget_remaining=policy.budget,
+        budget_remaining=None if policy.budget is None else Fraction(policy.budget, policy.scale),
     )

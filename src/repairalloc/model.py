@@ -9,8 +9,10 @@ entity's repair rate (clamped at 1) or loses its own deterioration rate
 ``decayed`` steps only the Active positions it is handed and copies the
 rest.  All values are exact, so the rule (``decayed``, ``repaired``),
 the status test (``health_status``) and the regime checks run on one integer
-lattice per scenario.  Fractions stay at the boundary: scenario values,
-costs, regime messages, and a trace's ``health_at`` and CSV cells.
+lattice per scenario, and costs and the budget are summed and compared on
+one integer ledger per scenario.  Fractions stay at the boundary: scenario
+values, an allocation's total cost, a remaining budget, regime messages,
+and a trace's ``health_at`` and CSV cells.
 """
 
 from __future__ import annotations
@@ -126,6 +128,15 @@ class Scenario:
         incs = {e.id: scaled(row) for e, row in zip(self.entities, rates)}
         return Lattice(unit, scaled(v0), scaled(decs), incs, {nid: j for j, nid in enumerate(self.node_ids)})
 
+    @cached_property
+    def ledger(self) -> Ledger:
+        """This scenario's costs and budget as integers, worked out on first use."""
+        exact = [e.cost for e in self.entities]
+        scale = lcm_denominators(exact if self.budget is None else [*exact, self.budget])
+        costs = tuple(c.numerator * (scale // c.denominator) for c in exact)
+        budget = None if self.budget is None else self.budget.numerator * (scale // self.budget.denominator)
+        return Ledger(scale, costs, budget)
+
 
 @dataclass(frozen=True, slots=True)
 class Lattice:
@@ -139,6 +150,18 @@ class Lattice:
     decs: IntVec
     incs: Mapping[str, IntVec]
     positions: Mapping[str, int]
+
+
+@dataclass(frozen=True, slots=True)
+class Ledger:
+    """A scenario's entity costs and budget as integers over ``scale``, the lcm of their denominators.
+
+    ``costs`` follows entity order; ``budget`` is None for an unlimited budget.
+    """
+
+    scale: int
+    costs: IntVec
+    budget: Optional[int]
 
 
 def active_positions(healths: Sequence[int], unit: int) -> list[int]:
@@ -204,10 +227,9 @@ class Allocation:
         unknown_entities = set(sets) - set(scenario.entity_ids)
         if unknown_entities:
             raise ValueError(f"unknown entities in allocation: {sorted(unknown_entities)}")
-        cost = Fraction(0)
-        for entity in scenario.entities:
-            cost += entity.cost * len(full[entity.id])
-        return Allocation(sets=full, total_cost=cost)
+        ledger = scenario.ledger
+        spent = sum(cost * len(full[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids))
+        return Allocation(sets=full, total_cost=Fraction(spent, ledger.scale))
 
     def nodes_of(self, entity_id: str) -> frozenset[str]:
         return self.sets[entity_id]

@@ -81,23 +81,35 @@ as before, since a node moves only under actions on it and its own decay.
   same parent pointers, and stop at the same terminal: the decision
   search's witness targets are the full search's, and so is the replayed
   witness trace.
+* **(e) A lone node is tight.**  The schedule that targets node j every
+  step while it is Active never lets j decay, and raises it by e's rate
+  on j, which is positive, so from v0 > 0 it reaches 1.  Hence
+  V_e({j}) = 1 for every entity e and node j, and the walk admits a
+  one-node set without a search.
 
-Each decision is made once per (entity, set) within one ``oracle_optimal``
-call and cached.  A decision search that exceeds ``memo_cap`` leaves the
-set unknown, and the walk enters the child, which keeps every leaf a
-scan would reach.  A leaf that holds an unknown set runs the full search
-of that set, which raises InstanceTooLarge as a scan of every allocation
-would: the full search generates every state the decision search
-generates, in the same order of expansions, so it reaches the cap no
-later.  Every leaf the walk yields and scores is therefore tight for
-every entity.
+Each decision is made once per (entity, set of two or more nodes) within
+one ``oracle_optimal`` call and cached.  A decision search that exceeds
+``memo_cap`` leaves the set unknown, and the walk enters the child, which
+keeps every leaf a scan would reach.  A leaf that holds an unknown set
+runs the full search of that set, which raises InstanceTooLarge as a scan
+of every allocation would: the full search generates every state the
+decision search generates, in the same order of expansions, so it
+reaches the cap no later.  Every leaf the walk yields past that check is
+therefore tight for every entity.  A one-node set is never searched
+during the walk, so ``memo_cap`` bounds only the searches that are made:
+a lone node's climb fails a call only when the returned allocation holds
+it.
 
 Each search slices its set's healths, decays and rates out of the
-scenario's integer lattice and runs in exact integer arithmetic.  Every
-leaf the walk yields is scored, and each one beats the best reward so
-far.  Only the returned leaf, the first maximizer, becomes an
-``Allocation`` and has its witness replayed through the simulator; a
-replay that does not reproduce the searched reward raises
+scenario's integer lattice and runs in exact integer arithmetic, and the
+walk sums costs against the budget on the scenario's integer ledger.
+Every leaf the walk yields scores its allocated count, as (c) shows, and
+each one beats the best reward so far.  Only the returned leaf, the
+first maximizer, becomes an ``Allocation``.  Its sets with no cached
+targets, the lone nodes among them, get their full search; by (d) the
+cached targets are the full searches' too, so its witness trace is the
+one a scan finds.  That witness is replayed through the simulator, and a
+replay that does not repair the allocated count raises
 SearchInconsistency.
 """
 
@@ -111,13 +123,13 @@ from repairalloc.engine import Outcome, Trace, simulate
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
 from repairalloc.model import Allocation, Scenario
 from repairalloc.policies import Scripted
-from repairalloc.rational import lcm_denominators
 
 DEFAULT_CAP = 10**6
 
 # An entity's set as a bitmask over node positions: bit j is scenario.nodes[j].
-# (entity index, its set) -> the decision search's (reward, witness targets):
-# the set's size when it is tight, less when it is not, None when unknown
+# (entity index, its set of two or more nodes) -> the decision search's (reward,
+# witness targets): the set's size when it is tight, less when it is not, None
+# when unknown
 _TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
 
 # each searched entity's id with its witness targets, one per step
@@ -155,11 +167,7 @@ def _walk(scenario: Scenario, cap: int, admit: Optional[_Admit] = None) -> Itera
     total = (m + 1) ** n
     if total > cap:
         raise InstanceTooLarge(f"{total} assignments exceed the enumeration cap of {cap}")
-    # costs and budget as integers over a common denominator, so the sums stay exact
-    exact = [e.cost for e in scenario.entities]
-    scale = lcm_denominators(exact if scenario.budget is None else [*exact, scenario.budget])
-    costs = [int(cost * scale) for cost in exact]
-    room = None if scenario.budget is None else int(scenario.budget * scale)
+    costs, room = scenario.ledger.costs, scenario.ledger.budget
     masks = [0] * m
 
     def visit(depth: int, spent: int, count: int) -> Iterator[tuple[int, ...]]:
@@ -296,13 +304,16 @@ def oracle_optimal(
     So every leaf the walk yields scores its allocated count and beats the
     best reward, and the last one is the first maximizer in enumeration
     order, with the same witness trace as a scan of every feasible
-    allocation.  Every yielded leaf is scored; only the returned one is
-    replayed through the simulator and checked.  Whether an entity can
-    repair all of a set S is one kernel search with floor |S| - 1, made
-    at most once per (entity, set) per call with at most ``memo_cap``
+    allocation.  Every yielded leaf is scored by its allocated count; only
+    the returned one has its witness searched, replayed through the
+    simulator and checked.  An entity can always repair a lone node, so a
+    one-node set is admitted without a search.  Whether an entity can
+    repair all of a larger set S is one kernel search with floor |S| - 1,
+    made at most once per (entity, set) per call with at most ``memo_cap``
     health vectors; one that exceeds ``memo_cap`` marks the set unknown
     and keeps the subtree, and a leaf holding an unknown set runs the full
-    search, which raises.
+    search, which raises.  A lone node's search, made only for the
+    returned allocation, raises when its climb exceeds ``memo_cap``.
     Raises InstanceTooLarge when (M+1)^N exceeds ``cap``.
     """
     n = len(scenario.nodes)
@@ -316,6 +327,8 @@ def oracle_optimal(
             return True
         key = (owner - 1, masks[owner - 1])
         size = key[1].bit_count()
+        if size == 1:
+            return True  # proof (e): a lone node is always tight
         if key not in tight:
             try:
                 tight[key] = _search_entity(scenario, *key, memo_cap, size - 1)
@@ -324,10 +337,15 @@ def oracle_optimal(
         decided = tight[key]
         return decided is None or decided[0] == size
 
-    # each yielded leaf beats the one before, so only the last is replayed;
-    # the all-unallocated leaf always comes first, so the loop runs at least once
+    # each yielded leaf scores its allocated count and beats the one before, so
+    # only the last is searched and replayed; the all-unallocated leaf always
+    # comes first, so the loop runs at least once
     for masks in _walk(scenario, cap, admit):
-        best_reward, witness = _search_allocation(scenario, masks, memo_cap, tight)
+        for key in enumerate(masks):
+            if key in tight and tight[key] is None:
+                tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
+        best_reward = sum(mask.bit_count() for mask in masks)
     allocation = _allocation(scenario, masks)
+    _, witness = _search_allocation(scenario, masks, memo_cap, tight)
     trace, outcome = _replay(scenario, allocation, best_reward, witness)
     return OracleResult(best_reward, allocation, trace, outcome)

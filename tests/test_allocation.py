@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairalloc import engine
 from repairalloc.allocation import (
@@ -15,7 +18,7 @@ from repairalloc.allocation import (
 from repairalloc.demos import DEMOS
 from repairalloc.engine import verify_trace
 from repairalloc.errors import AssumptionViolated, NonAbsorbingPolicy
-from repairalloc.model import EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 
 from feasibility import feasible_ordered_set
 from generators import random_repair_dominant, random_uniform_regime
@@ -253,3 +256,107 @@ def test_online_policy_force_charges_each_entitys_own_cost():
     assert result.allocation.sets["g"] == frozenset({"b"})
     assert result.budget_remaining == F(0)
     assert result.outcome.reward == 2
+
+
+# The integer ledger: costs and budget run as integers over one scale per
+# scenario.  Each check below compares it with the same arithmetic on Fractions.
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(2, 1000).flatmap(lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))),
+    st.fractions(min_value=F(1, 1000), max_value=2, max_denominator=1000),
+)
+def test_lifetime_index_is_the_fraction_ceiling(v0, dec):
+    assert lifetime_index(NodeSpec("a", v0, dec)) == math.ceil(v0 / dec)
+
+
+def recosted(rng: random.Random, scenario: Scenario, budget) -> Scenario:
+    """``scenario`` under ``budget``, each entity's cost redrawn as a fraction, zero among them."""
+    entities = tuple(
+        EntitySpec(e.id, F(rng.choice((0, 1, 2, 3, 5)), rng.choice((1, 2, 3, 4, 6))), e.repair_rate)
+        for e in scenario.entities
+    )
+    return Scenario(scenario.nodes, entities, budget)
+
+
+def with_budget(scenario: Scenario, budget) -> Scenario:
+    return Scenario(scenario.nodes, scenario.entities, budget)
+
+
+def fraction_cost(scenario: Scenario, sets) -> Fraction:
+    return sum((e.cost * len(sets.get(e.id, ())) for e in scenario.entities), F(0))
+
+
+def fraction_allocate_budgeted(scenario: Scenario) -> dict[str, frozenset[str]]:
+    """``allocate_budgeted``'s construction with the budget kept as a Fraction."""
+    remaining = list(scenario.nodes)
+    budget = scenario.budget
+    sets = {e.id: frozenset() for e in scenario.entities}
+    for entity in sorted(scenario.entities, key=lambda e: (e.cost, e.id)):
+        if budget is not None and budget < entity.cost:
+            break
+        subset = largest_repairable_subset(remaining)
+        take = len(subset) if budget is None or entity.cost == 0 else min(int(budget / entity.cost), len(subset))
+        sets[entity.id] = frozenset(n.id for n in subset[:take])
+        remaining = [n for n in remaining if n.id not in sets[entity.id]]
+        if budget is not None:
+            budget -= entity.cost * take
+    return sets
+
+
+def ledger_draws(family, seed: int, spend) -> list[Scenario]:
+    """Draws with fractional costs, each under no budget, a drawn budget and the budget ``spend`` says an unlimited run spends."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(120):
+        unlimited = recosted(rng, family(rng, max_nodes=6, max_entities=3), None)
+        drawn = F(rng.randint(0, 40), rng.choice((1, 2, 3, 5)))
+        draws += [unlimited, with_budget(unlimited, drawn), with_budget(unlimited, spend(unlimited))]
+    return draws
+
+
+def budgeted_spend(scenario: Scenario) -> Fraction:
+    return fraction_cost(scenario, fraction_allocate_budgeted(scenario))
+
+
+def online_spend(scenario: Scenario) -> Fraction:
+    return fraction_cost(scenario, run_online_policy(scenario, force=True).allocation.sets)
+
+
+def test_allocation_total_cost_matches_the_fraction_sum():
+    rng = random.Random(6611)
+    for scenario in ledger_draws(random_repair_dominant, 6607, budgeted_spend):
+        owners = [rng.choice((None, *scenario.entity_ids)) for _ in scenario.nodes]
+        sets = {eid: frozenset(nid for nid, owner in zip(scenario.node_ids, owners) if owner == eid) for eid in scenario.entity_ids}
+        assert Allocation.build(scenario, sets).total_cost == fraction_cost(scenario, sets), scenario
+
+
+def test_allocate_budgeted_matches_the_fraction_ledger():
+    binding = zero_cost = 0
+    for scenario in ledger_draws(random_repair_dominant, 6607, budgeted_spend):
+        reference = fraction_allocate_budgeted(scenario)
+        allocation = allocate_budgeted(scenario)
+        assert allocation.sets == reference, scenario
+        assert allocation.total_cost == fraction_cost(scenario, reference), scenario
+        binding += 0 < allocation.total_cost == scenario.budget
+        zero_cost += any(e.cost == 0 and allocation.sets[e.id] for e in scenario.entities)
+    assert binding >= 50 and zero_cost >= 20  # the draws spend whole budgets and hand sets to free entities
+
+
+def test_online_budget_remaining_matches_the_fraction_ledger():
+    binding = unlimited = 0
+    for scenario in ledger_draws(random_uniform_regime, 6619, online_spend):
+        result = run_online_policy(scenario, force=True)
+        if scenario.budget is None:
+            assert result.budget_remaining is None
+            unlimited += 1
+            continue
+        remaining = scenario.budget - fraction_cost(scenario, result.allocation.sets)
+        assert result.budget_remaining == remaining >= 0, scenario
+        # the budget the unlimited run spends buys the same run, to the last unit
+        spent = online_spend(with_budget(scenario, None))
+        if scenario.budget == spent:
+            assert result.budget_remaining == 0, scenario
+            binding += spent > 0
+    assert binding >= 50 and unlimited >= 50

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairalloc import _kernel, oracle
 from repairalloc.allocation import allocate_budgeted, run_online_policy
@@ -117,27 +119,32 @@ def test_the_first_maximizer_repairs_every_allocated_node():
     assert allocated >= 60  # the maximizers hold sets to check
 
 
-def bound_overflow_pair(budget) -> Scenario:
-    # with one entity, "a" takes three repair steps and "b" one, so searching
-    # {"a"} alone overflows a memo cap of 2 while searching {"b"} does not
-    ids = ["a", "b"]
+def bound_overflow_trio(budget) -> Scenario:
+    # with one entity, "a" takes three repair steps and "b" and "c" one each,
+    # so deciding {"a", "b"} overflows a memo cap of 5 while deciding
+    # {"b", "c"} does not; a lone node is never searched during the walk
+    ids = ["a", "b", "c"]
     return Scenario(
-        nodes=(NodeSpec("a", F("1/4"), F("1/100")), NodeSpec("b", F("1/2"), F("1/100"))),
-        entities=(EntitySpec("e", F(1), {"a": F("1/4"), "b": F("1/2")}),),
+        nodes=(
+            NodeSpec("a", F("1/4"), F("1/100")),
+            NodeSpec("b", F("1/2"), F("1/100")),
+            NodeSpec("c", F("1/2"), F("1/100")),
+        ),
+        entities=(EntitySpec("e", F(1), {"a": F("1/4"), "b": F("1/2"), "c": F("1/2")}),),
         budget=budget,
     )
 
 
-def overflows(monkeypatch) -> list[int]:
-    """Record the size of every set whose kernel search exceeds its memo cap."""
-    seen: list[int] = []
+def overflows(monkeypatch) -> list[tuple[int, int]]:
+    """Record the size and floor of every set search that exceeds its memo cap."""
+    seen: list[tuple[int, int]] = []
     solve = _kernel.solve_allocation
 
-    def recording(healths, *args):
+    def recording(healths, unit, decs, incs, memo_cap, floor=-1):
         try:
-            return solve(healths, *args)
+            return solve(healths, unit, decs, incs, memo_cap, floor)
         except InstanceTooLarge:
-            seen.append(len(healths))
+            seen.append((len(healths), floor))
             raise
 
     monkeypatch.setattr(_kernel, "solve_allocation", recording)
@@ -145,30 +152,55 @@ def overflows(monkeypatch) -> list[int]:
 
 
 def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(monkeypatch):
-    # budget 1 allows one node: {"b"} scores 1 first, and no allocation that
-    # holds "a" can beat it, so a scan that searches only allocations with
-    # more nodes than the best reward never searches {"a"}; the decision
-    # search of {"a"} overflows and must not fail the call
-    scenario = bound_overflow_pair(F(1))
+    # budget 2 allows two nodes: {"b", "c"} scores 2 first, and no allocation
+    # that holds "a" can beat it, so a scan that searches only allocations
+    # with more nodes than the best reward never searches {"a", "b"}; the
+    # decision search of {"a", "b"} overflows and must not fail the call
+    scenario = bound_overflow_trio(F(2))
     seen = overflows(monkeypatch)
-    result = oracle_optimal(scenario, memo_cap=2)
-    assert seen == [1]
-    assert result.optimal_reward == 1
-    assert result.witness_allocation.sets == {"e": frozenset({"b"})}
+    result = oracle_optimal(scenario, memo_cap=5)
+    assert seen == [(2, 1)]
+    assert result.optimal_reward == 2
+    assert result.witness_allocation.sets == {"e": frozenset({"b", "c"})}
     unbounded = oracle_optimal(scenario)
     assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
 
 
 def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
-    # unlimited budget: {"a", "b"} may score 2 and must be searched, so the
-    # subtree below the overflowing {"a"} is kept (the set is unknown) and
-    # the leaf's own full search raises, as it would in a plain scan
-    scenario = bound_overflow_pair(None)
-    assert oracle_optimal(scenario).optimal_reward == 2
+    # unlimited budget: {"a", "b", "c"} may score 3 and must be searched, so
+    # the subtree below the overflowing {"a", "b"} is kept (the set is
+    # unknown), and the leaf's own full search raises, as it would in a scan
+    scenario = bound_overflow_trio(None)
+    assert oracle_optimal(scenario).optimal_reward == 3
     seen = overflows(monkeypatch)
-    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 2"):
-        oracle_optimal(scenario, memo_cap=2)
-    assert seen[:2] == [1, 2]  # the decision searches of {"a"}, then of {"a", "b"}
+    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 5"):
+        oracle_optimal(scenario, memo_cap=5)
+    # the decision searches of {"a", "b"} and {"a", "b", "c"}, then the leaf's full search
+    assert seen == [(2, 1), (3, 2), (3, -1)]
+
+
+def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monkeypatch):
+    # "c" climbs slowly under "e", so deciding e's {"b", "c"} overflows a memo
+    # cap of 7; its leaf is yielded before the maximizer, which holds no
+    # unknown set, and the leaf's full search fails the call there
+    scenario = Scenario(
+        nodes=(
+            NodeSpec("a", F("1/2"), F("1/100")),
+            NodeSpec("b", F("1/2"), F("1/100")),
+            NodeSpec("c", F("1/4"), F("1/100")),
+        ),
+        entities=(
+            EntitySpec("e", F(2), {"a": F("1/2"), "b": F("1/2"), "c": F("1/4")}),
+            EntitySpec("f", F(1), {nid: F("1/2") for nid in "abc"}),
+        ),
+        budget=F(4),
+    )
+    unbounded = oracle_optimal(scenario)
+    assert unbounded.witness_allocation.sets == {"e": frozenset({"a"}), "f": frozenset({"b", "c"})}
+    seen = overflows(monkeypatch)
+    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 7"):
+        oracle_optimal(scenario, memo_cap=7)
+    assert seen == [(2, 1), (2, -1)]
 
 
 def counted(monkeypatch, owner, name: str) -> list[None]:
@@ -199,12 +231,12 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 # sets without changing any optimum, witness or trace, so only these counts
 # catch it
 KERNEL_SEARCHES = {
-    "repair_dominant": 18,
-    "decay_dominant": 18,
-    "online_suboptimal": 7,
-    "largest_first_suboptimal": 17,
-    "mixed_rates": 17,
-    "mixed_costs": 17,
+    "repair_dominant": 12,
+    "decay_dominant": 11,
+    "online_suboptimal": 4,
+    "largest_first_suboptimal": 10,
+    "mixed_rates": 11,
+    "mixed_costs": 10,
 }
 
 
@@ -215,6 +247,42 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
         searches.clear()
         oracle_optimal(build())
         assert len(searches) <= KERNEL_SEARCHES[name], name
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_lone_node_is_always_tight(seed, repair_dominant):
+    # proof (e): an entity that targets its only node every step raises it to 1
+    family = random_repair_dominant if repair_dominant else random_uniform_regime
+    scenario = family(random.Random(seed), max_nodes=5, max_entities=3)
+    lattice = scenario.lattice
+    for incs in lattice.incs.values():
+        for v0, dec, inc in zip(lattice.v0, lattice.decs, incs):
+            for floor in (0, -1):
+                reward, targets = _kernel.solve_allocation((v0,), lattice.unit, (dec,), (inc,), 10**6, floor)
+                assert reward == 1
+                assert set(targets) == {0}
+
+
+def test_lone_nodes_are_searched_only_in_the_returned_allocation(monkeypatch):
+    # the walk takes a one-node set as tight without a search, so a one-node
+    # search runs only for a set of the returned witness allocation
+    searches = []
+    solve = _kernel.solve_allocation
+
+    def recording(healths, *args):
+        searches.append(len(healths))
+        return solve(healths, *args)
+
+    monkeypatch.setattr(_kernel, "solve_allocation", recording)
+    lone_sets = 0
+    for scenario in [build() for build in DEMOS.values()] + walk_draws():
+        searches.clear()
+        result = oracle_optimal(scenario)
+        lone = sum(len(nodes) == 1 for nodes in result.witness_allocation.sets.values())
+        assert searches.count(1) <= lone, scenario
+        lone_sets += lone
+    assert lone_sets >= 20  # the witnesses hold lone nodes to search
 
 
 def test_sequencing_reward_demo_allocation():
