@@ -111,9 +111,8 @@ class _OnlineAssignment:
     def __init__(self, scenario: Scenario) -> None:
         self.node_ids = scenario.node_ids
         self.unit, self.positions = scenario.lattice.unit, scenario.lattice.positions
-        ledger = scenario.ledger
-        self.entities = sorted(zip(scenario.entity_ids, ledger.costs))  # (id, cost), by id
-        self.scale, self.budget = ledger.scale, ledger.budget
+        self.entities = sorted(zip(scenario.entity_ids, scenario.ledger.costs))  # (id, cost), by id
+        self.budget = scenario.ledger.budget
         self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
@@ -185,5 +184,5 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
         assignment_times=policy.assignment_times,
         trace=trace,
         outcome=Outcome.from_trace(trace),
-        budget_remaining=None if policy.budget is None else Fraction(policy.budget, policy.scale),
+        budget_remaining=None if policy.budget is None else Fraction(policy.budget, scenario.ledger.scale),
     )
