@@ -72,17 +72,13 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
     budget = ledger.budget
     sets: dict[str, frozenset[str]] = {}
     for cost, entity_id in sorted(zip(ledger.costs, scenario.entity_ids)):
-        if budget is not None and budget < cost:
+        if budget < cost:
             break
         subset = largest_repairable_subset(remaining_nodes)
-        if budget is None or cost == 0:
-            take = len(subset)
-        else:
-            take = min(budget // cost, len(subset))
+        take = len(subset) if cost == 0 else min(budget // cost, len(subset))
         chosen = sets[entity_id] = frozenset(n.id for n in subset[:take])
         remaining_nodes = [n for n in remaining_nodes if n.id not in chosen]
-        if budget is not None:
-            budget -= cost * take
+        budget -= cost * take
     return Allocation.build(scenario, sets)
 
 
@@ -131,19 +127,18 @@ class _OnlineAssignment:
         for entity_id, cost in free:
             if not candidates:
                 break
-            if self.budget is not None and self.budget < cost:
+            if self.budget < cost:
                 continue
             _, pick = candidates.pop(0)
             self.targets[entity_id] = pick
             self.assignment_times[pick] = t
             self.sets[entity_id].add(pick)
-            if self.budget is not None:
-                self.budget -= cost
+            self.budget -= cost
         return dict(self.targets)
 
     @staticmethod
     def step_bound(scenario: Scenario) -> int:
-        """Steps within which every online run on ``scenario`` absorbs: max ceil(v0 / dec) + max ceil(unit / inc).
+        """Steps within which every online run on ``scenario`` absorbs: max ``lifetime_index`` + max ceil(unit / inc).
 
         Each node switches from decay to repair at most once, since it is
         assigned at most once, and a targeted node keeps its entity until it
@@ -154,9 +149,8 @@ class _OnlineAssignment:
         health, reaching unit within ceil(unit / inc_j) more steps.
         """
         lattice = scenario.lattice
-        decaying = max(-(-v0 // dec) for v0, dec in zip(lattice.v0, lattice.decs))
         rising = max(-(-lattice.unit // inc) for incs in lattice.incs.values() for inc in incs)
-        return decaying + rising
+        return max(map(lifetime_index, scenario.nodes)) + rising
 
 
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:
@@ -184,5 +178,5 @@ def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResul
         assignment_times=policy.assignment_times,
         trace=trace,
         outcome=Outcome.from_trace(trace),
-        budget_remaining=None if policy.budget is None else Fraction(policy.budget, scenario.ledger.scale),
+        budget_remaining=None if scenario.budget is None else Fraction(policy.budget, scenario.ledger.scale),
     )

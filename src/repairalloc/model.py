@@ -10,9 +10,10 @@ entity's repair rate (clamped at 1) or loses its own deterioration rate
 rest.  All values are exact, so the rule (``decayed``, ``repaired``),
 the status test (``health_status``) and the regime checks run on one integer
 lattice per scenario, and costs and the budget are summed and compared on
-one integer ledger per scenario.  Fractions stay at the boundary: scenario
-values, an allocation's total cost, a remaining budget, regime messages,
-and a trace's ``health_at`` and CSV cells.
+one integer ledger per scenario.  Fractions and None stay at the boundary:
+scenario values, an unlimited budget (None, which the ledger turns into an
+integer no allocation can spend), an allocation's total cost, a remaining
+budget, regime messages, and a trace's ``health_at`` and CSV cells.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class EntitySpec:
 class Scenario:
     """An immutable problem instance.
 
-    ``budget`` is an exact Fraction, or None for an unlimited budget.
+    ``budget`` is an exact Fraction, or None for an unlimited budget;
+    ``ledger`` turns either into an integer.
     Node and entity ids are unique within their kind; ties everywhere in
     the package are broken by plain string order of the id.  ``node_ids``
     and ``entity_ids`` are built once at construction.
@@ -130,12 +132,13 @@ class Scenario:
 
     @cached_property
     def ledger(self) -> Ledger:
-        """This scenario's costs and budget as integers, worked out on first use."""
+        """This scenario's costs and budget as integers, worked out on first use; an unlimited budget is N times the dearest cost."""
         exact = [e.cost for e in self.entities]
         scale = lcm_denominators(exact if self.budget is None else [*exact, self.budget])
         costs = tuple(c.numerator * (scale // c.denominator) for c in exact)
-        budget = None if self.budget is None else self.budget.numerator * (scale // self.budget.denominator)
-        return Ledger(scale, costs, budget)
+        if self.budget is None:
+            return Ledger(scale, costs, len(self.nodes) * max(costs))
+        return Ledger(scale, costs, self.budget.numerator * (scale // self.budget.denominator))
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,12 +159,25 @@ class Lattice:
 class Ledger:
     """A scenario's entity costs and budget as integers over ``scale``, the lcm of their denominators.
 
-    ``costs`` follows entity order; ``budget`` is None for an unlimited budget.
+    ``costs`` follows entity order.  ``budget`` is the scenario's budget,
+    or N * max(costs) when it is unlimited.  That number never binds, since
+    each node has at most one owner and so k owned nodes cost at most
+    k * max:
+
+    * the oracle's walk, at depth d < N, tests the owners fixed so far plus
+      one more, which cost at most (d + 1) * max <= N * max;
+    * ``allocate_budgeted`` and the online run find the remainder short of
+      a cost only once every node is taken.  With k < N nodes taken, at
+      least (N - k) * max >= max remains, so a positive cost also fits
+      N - k times, as many nodes as are left.  The online run tests only
+      while a node is left; the allocator stops once all are taken, when
+      every later entity would get nothing anyway;
+    * ``Allocation.fits_budget`` compares a total of at most N * max.
     """
 
     scale: int
     costs: IntVec
-    budget: Optional[int]
+    budget: int
 
 
 def active_positions(healths: Sequence[int], unit: int) -> list[int]:
@@ -240,7 +256,8 @@ class Allocation:
         return {node_id: entity_id for entity_id, nodes in self.sets.items() for node_id in nodes}
 
     def fits_budget(self, scenario: Scenario) -> bool:
-        return scenario.budget is None or self.total_cost <= scenario.budget
+        cost, ledger = self.total_cost, scenario.ledger
+        return cost.numerator * ledger.scale <= ledger.budget * cost.denominator  # cost <= budget / scale
 
     def require_budget(self, scenario: Scenario) -> None:
         if not self.fits_budget(scenario):

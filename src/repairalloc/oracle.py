@@ -28,18 +28,22 @@ all-unallocated assignment is the first leaf.  A tree node at depth d
 fixes the owners of the first d nodes; the other N - d are undecided.
 
 * **Over-budget cut.**  The walk carries the exact cost of the owners
-  fixed so far and does not enter a child whose cost exceeds the budget.
-  ``EntitySpec`` enforces cost >= 0, so fixing more owners never lowers
-  the cost, and every leaf below that child is over budget too.  With
-  only this cut the walk yields exactly the feasible allocations, in
-  lexicographic order; ``enumerate_feasible_allocations`` is that walk.
+  fixed so far and does not enter a child whose cost exceeds the budget,
+  both integers on the scenario's ledger (an unlimited budget is one too,
+  and ``model.Ledger`` proves that it never cuts).  ``EntitySpec``
+  enforces cost >= 0, so fixing more owners never lowers the cost, and
+  every leaf below that child is over budget too.  The walk always takes
+  a second cut rule, ``admit``; ``enumerate_feasible_allocations`` passes
+  one that admits every child, so it yields exactly the feasible
+  allocations, in lexicographic order.
 
-The oracle's walk adds a feasibility cut.  Call entity e's set S *tight*
-when V_e(S) = |S|, that is, when some schedule of e repairs all of S.
-V_e is taken over the full action space, idling included; the kernel's
-idle rule does not change it.  The proofs use one fact: replacing every
-action on a node j with idling leaves every other node's health exactly
-as before, since a node moves only under actions on it and its own decay.
+The oracle's ``admit`` adds a feasibility cut.  Call entity e's set S
+*tight* when V_e(S) = |S|, that is, when some schedule of e repairs all
+of S.  V_e is taken over the full action space, idling included; the
+kernel's idle rule does not change it.  The proofs use one fact:
+replacing every action on a node j with idling leaves every other node's
+health exactly as before, since a node moves only under actions on it
+and its own decay.
 
 * **(a) Tight sets are downward closed.**  If a schedule repairs all of
   S, the same schedule with every action on a node outside T replaced
@@ -101,16 +105,15 @@ a lone node's climb fails a call only when the returned allocation holds
 it.
 
 Each search slices its set's healths, decays and rates out of the
-scenario's integer lattice and runs in exact integer arithmetic, and the
-walk sums costs against the budget on the scenario's integer ledger.
-Every leaf the walk yields scores its allocated count, as (c) shows, and
-each one beats the best reward so far.  Only the returned leaf, the
-first maximizer, becomes an ``Allocation``.  Its sets with no cached
-targets, the lone nodes among them, get their full search; by (d) the
-cached targets are the full searches' too, so its witness trace is the
-one a scan finds.  That witness is replayed through the simulator, and a
-replay that does not repair the allocated count raises
-SearchInconsistency.
+scenario's integer lattice and runs in exact integer arithmetic.  Every
+leaf the walk yields scores its allocated count, as (c) shows, which the
+walk carries down the tree and yields with the leaf, and each one beats
+the best reward so far.  Only the returned leaf, the first maximizer,
+becomes an ``Allocation``.  Its sets with no cached targets, the lone
+nodes among them, get their full search; by (d) the cached targets are
+the full searches' too, so its witness trace is the one a scan finds.
+That witness is replayed through the simulator, and a replay that does
+not repair the allocated count raises SearchInconsistency.
 """
 
 from __future__ import annotations
@@ -152,16 +155,16 @@ def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -
     assignment tree are cut, not visited.  Raises InstanceTooLarge when
     (M+1)^N exceeds ``cap``.
     """
-    for masks in _walk(scenario, cap):
+    for masks, _ in _walk(scenario, cap, lambda *_: True):
         yield _allocation(scenario, masks)
 
 
-def _walk(scenario: Scenario, cap: int, admit: Optional[_Admit] = None) -> Iterator[tuple[int, ...]]:
-    """Depth-first walk over the assignment tree; yields each leaf's per-entity node bitmasks.
+def _walk(scenario: Scenario, cap: int, admit: _Admit) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Depth-first walk over the assignment tree; yields each leaf's per-entity node bitmasks and allocated count.
 
     Visits children in lexicographic order and cuts a child that goes over
-    budget or, if given, that ``admit`` rejects.  Raises InstanceTooLarge,
-    before any visit, when (M+1)^N exceeds ``cap``.
+    budget or that ``admit`` rejects.  Raises InstanceTooLarge, before any
+    visit, when (M+1)^N exceeds ``cap``.
     """
     n, m = len(scenario.nodes), len(scenario.entities)
     total = (m + 1) ** n
@@ -170,18 +173,18 @@ def _walk(scenario: Scenario, cap: int, admit: Optional[_Admit] = None) -> Itera
     costs, room = scenario.ledger.costs, scenario.ledger.budget
     masks = [0] * m
 
-    def visit(depth: int, spent: int, count: int) -> Iterator[tuple[int, ...]]:
+    def visit(depth: int, spent: int, count: int) -> Iterator[tuple[tuple[int, ...], int]]:
         if depth == n:
-            yield tuple(masks)
+            yield tuple(masks), count
             return
-        if admit is None or admit(depth, 0, masks, count):
+        if admit(depth, 0, masks, count):
             yield from visit(depth + 1, spent, count)
         bit = 1 << depth
         for k, cost in enumerate(costs):
-            if room is not None and spent + cost > room:
+            if spent + cost > room:
                 continue
             masks[k] |= bit
-            if admit is None or admit(depth, k + 1, masks, count + 1):
+            if admit(depth, k + 1, masks, count + 1):
                 yield from visit(depth + 1, spent + cost, count + 1)
             masks[k] ^= bit
 
@@ -340,11 +343,10 @@ def oracle_optimal(
     # each yielded leaf scores its allocated count and beats the one before, so
     # only the last is searched and replayed; the all-unallocated leaf always
     # comes first, so the loop runs at least once
-    for masks in _walk(scenario, cap, admit):
+    for masks, best_reward in _walk(scenario, cap, admit):
         for key in enumerate(masks):
             if key in tight and tight[key] is None:
                 tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
-        best_reward = sum(mask.bit_count() for mask in masks)
     allocation = _allocation(scenario, masks)
     _, witness = _search_allocation(scenario, masks, memo_cap, tight)
     trace, outcome = _replay(scenario, allocation, best_reward, witness)

@@ -63,7 +63,7 @@ def scenario_from_dict(data: object) -> Scenario:
     if "budget" not in data:
         raise ScenarioFormatError("budget: missing (use null for unlimited)")
     budget_raw = data["budget"]
-    budget = None if budget_raw is None else parse_rational(budget_raw, "budget")
+    budget = None if budget_raw is None else _parse_in(budget_raw, "budget", _NONNEGATIVE, parsed)
 
     try:
         return Scenario(nodes=tuple(nodes), entities=tuple(entities), budget=budget)

@@ -16,9 +16,11 @@ from repairalloc.allocation import (
     run_online_policy,
 )
 from repairalloc.demos import DEMOS
-from repairalloc.engine import verify_trace
+from repairalloc.engine import simulate, verify_trace
 from repairalloc.errors import AssumptionViolated, NonAbsorbingPolicy
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.oracle import oracle_optimal
+from repairalloc.policies import LeastModifiedHealth
 
 from feasibility import feasible_ordered_set
 from generators import random_repair_dominant, random_uniform_regime
@@ -329,7 +331,10 @@ def test_allocation_total_cost_matches_the_fraction_sum():
     for scenario in ledger_draws(random_repair_dominant, 6607, budgeted_spend):
         owners = [rng.choice((None, *scenario.entity_ids)) for _ in scenario.nodes]
         sets = {eid: frozenset(nid for nid, owner in zip(scenario.node_ids, owners) if owner == eid) for eid in scenario.entity_ids}
-        assert Allocation.build(scenario, sets).total_cost == fraction_cost(scenario, sets), scenario
+        allocation = Allocation.build(scenario, sets)
+        assert allocation.total_cost == fraction_cost(scenario, sets), scenario
+        fits = scenario.budget is None or fraction_cost(scenario, sets) <= scenario.budget
+        assert allocation.fits_budget(scenario) == fits, scenario
 
 
 def test_allocate_budgeted_matches_the_fraction_ledger():
@@ -360,3 +365,50 @@ def test_online_budget_remaining_matches_the_fraction_ledger():
             assert result.budget_remaining == 0, scenario
             binding += spent > 0
     assert binding >= 50 and unlimited >= 50
+
+
+# On the ledger an unlimited budget is N times the dearest cost, which no
+# allocation can spend past; that budget written out gives the same runs.
+
+
+def solver_results(scenario: Scenario) -> dict:
+    """alg2's allocation and trace (or its error), the online run's results and the oracle's optimum and witness."""
+    allocation = allocate_budgeted(scenario, force=True)
+    try:
+        alg2_trace = simulate(scenario, allocation, LeastModifiedHealth())[0]
+    except NonAbsorbingPolicy as exc:
+        alg2_trace = str(exc)
+    online = run_online_policy(scenario, force=True)
+    best = oracle_optimal(scenario)
+    return {
+        "alg2": allocation,
+        "alg2 trace": alg2_trace,
+        "online": online.allocation,
+        "online times": online.assignment_times,
+        "online trace": online.trace,
+        "online remaining": online.budget_remaining,
+        "optimum": best.optimal_reward,
+        "witness": best.witness_allocation,
+        "witness trace": best.witness_trace,
+    }
+
+
+def test_an_unlimited_budget_runs_as_n_times_the_dearest_cost():
+    rng = random.Random(6637)
+    zero_cost = spent_in_full = 0
+    for i in range(240):
+        unlimited = (random_repair_dominant if i % 2 else random_uniform_regime)(rng)
+        unlimited = recosted(rng, unlimited, None) if i % 3 == 0 else with_budget(unlimited, None)
+        dearest = len(unlimited.nodes) * max(e.cost for e in unlimited.entities)
+        explicit = with_budget(unlimited, dearest)
+        assert unlimited.ledger.budget == dearest * unlimited.ledger.scale, unlimited
+        assert explicit.ledger == unlimited.ledger, unlimited
+        results, explicit_results = solver_results(unlimited), solver_results(explicit)
+        assert results.pop("online remaining") is None
+        remaining = explicit_results.pop("online remaining")
+        assert explicit_results == results, unlimited
+        assert remaining == dearest - results["online"].total_cost >= 0, unlimited
+        zero_cost += any(e.cost == 0 for e in unlimited.entities)
+        spent_in_full += dearest > 0 and dearest in {results[key].total_cost for key in ("alg2", "online", "witness")}
+    # the draws hold free entities, and runs that spend the whole explicit budget
+    assert zero_cost >= 30 and spent_in_full >= 50

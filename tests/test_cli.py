@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from repairalloc import _kernel, demos
 from repairalloc.cli import main
 from repairalloc.engine import verify_trace
 from repairalloc.errors import InstanceTooLarge
-from repairalloc.model import Allocation
+from repairalloc.model import Allocation, Scenario
 from repairalloc.policies import LeastModifiedHealth
 from repairalloc.scenario_io import load_scenario, read_trace_csv
 
@@ -83,7 +86,6 @@ def test_check_names_each_entitys_steps_per_decay_when_they_differ(tmp_path, cap
         (["a", "a"], ["e"], None, "node ids must be unique"),
         (["a"], ["e"], None, "a scenario needs at least 2 nodes"),
         (["a", "b"], ["e", "f", "g"], None, "entity count must satisfy 1 <= M <= N"),
-        (["a", "b"], ["e"], "-1", "budget must be >= 0"),
         (["a", "b"], ["e", "e"], None, "entity ids must be unique"),
     ],
 )
@@ -355,3 +357,58 @@ def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
     assert rc == 5
     assert "internal inconsistency: witness replay yielded" in err
     assert "Traceback" not in err
+
+
+NEITHER_REGIME = {"mixed_costs", "mixed_rates"}
+ALG2_NEVER_ABSORBS = {"largest_first_suboptimal", "mixed_costs", "mixed_rates"}
+
+
+def printed_allocation(out: str, scenario: Scenario) -> Allocation:
+    """The allocation a ``solve`` run printed, read back from its ``allocation:`` block."""
+    lines = out.split("allocation:\n", 1)[1].splitlines()[: len(scenario.entities)]
+    sets = {}
+    for line in lines:
+        entity_id, nodes = line.strip().split(": ", 1)
+        sets[entity_id] = set() if nodes == "(none)" else set(nodes.split(", "))
+    return Allocation.build(scenario, sets)
+
+
+@pytest.mark.parametrize("name", sorted(demos.DEMOS))
+def test_every_command_on_a_bundled_scenario(name, tmp_path, capsys):
+    """check, forced oracle and both forced solve pipelines exit as recorded; each written trace replays."""
+    path = scenario_path(name)
+    scenario = load_scenario(path)
+    assert main(["check", path]) == (2 if name in NEITHER_REGIME else 0)
+    assert main(["oracle", path, "--force"]) == 0
+    capsys.readouterr()
+    for policy in ("online", "alg2"):
+        trace_path = tmp_path / f"{policy}.csv"
+        rc = main(["solve", path, "--policy", policy, "--force", "--trace", str(trace_path)])
+        out, err = capsys.readouterr()
+        if policy == "alg2" and name in ALG2_NEVER_ABSORBS:
+            assert rc == 2 and err.startswith("error: the run never absorbs:"), err
+            assert not trace_path.exists()
+            continue
+        assert rc == 0, err
+        verify_trace(scenario, printed_allocation(out, scenario), read_trace_csv(trace_path, scenario))
+
+
+def test_demos_names_every_bundled_file():
+    assert sorted(path.stem for path in (REPO_ROOT / "src" / "repairalloc" / "scenarios").glob("*.json")) == sorted(demos.DEMOS)
+
+
+def test_oracle_memo_cap_on_a_bundled_scenario(capsys):
+    rc = main(["oracle", scenario_path("repair_dominant"), "--memo-cap", "3"])
+    assert rc == 3
+    assert "search exceeded the state cap of 3" in capsys.readouterr().err
+    assert main(["oracle", scenario_path("repair_dominant"), "--memo-cap", "5"]) == 0
+
+
+def test_module_entry_point_runs_the_reproduction_suite(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "repairalloc", "examples"], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 4, run.stderr
+    assert "8/9 checks passed" in run.stdout.splitlines()
+    assert run.stderr == "mismatched checks: mixed_costs_gap\n"

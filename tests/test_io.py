@@ -224,6 +224,7 @@ def test_raw_number_in_file_names_its_path():
         (("nodes", 0, "v0"), "0", "nodes[0].v0: must lie strictly in (0, 1), got 0"),
         (("entities", 0, "delta_inc", "default"), "0", "entities[0].delta_inc.default: must be positive, got 0"),
         (("entities", 0, "delta_inc", "b"), "-1/2", "entities[0].delta_inc.b: must be positive, got -0.5"),
+        (("budget",), "-1", "budget: must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_field_names_its_path(keys, value, message):

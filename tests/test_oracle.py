@@ -385,7 +385,7 @@ def test_oracle_pruning_matches_plain_maximum():
             scenario = random_uniform_regime(rng, max_nodes=3, max_entities=2)
         plain = max(
             optimal_sequencing_reward(scenario, allocation)[0]
-            for allocation in enumerate_feasible_allocations(scenario)
+            for allocation in feasible_allocations_by_product(scenario)
         )
         assert oracle_optimal(scenario).optimal_reward == plain
 
@@ -401,7 +401,7 @@ def test_oracle_matches_a_plain_scan_with_the_joint_reference():
         else:
             scenario = random_uniform_regime(rng, max_nodes=5, max_entities=3)
         best_reward, best_allocation = -1, None
-        for allocation in enumerate_feasible_allocations(scenario):
+        for allocation in feasible_allocations_by_product(scenario):
             reward = sequencing_reward_full(scenario, allocation)
             if reward > best_reward:
                 best_reward, best_allocation = reward, allocation
@@ -426,7 +426,7 @@ def short_decay_trio() -> Scenario:
 
 def test_memoized_search_agrees_with_no_memo_reference():
     for scenario in (two_nodes(), short_decay_trio()):
-        for allocation in enumerate_feasible_allocations(scenario):
+        for allocation in feasible_allocations_by_product(scenario):
             memoized, _ = optimal_sequencing_reward(scenario, allocation)
             assert memoized == sequencing_reward_no_memo(scenario, allocation)
 
@@ -444,7 +444,7 @@ def test_memoized_search_agrees_with_no_memo_reference():
         if not quick:
             continue
         accepted += 1
-        allocations = list(enumerate_feasible_allocations(scenario))
+        allocations = list(feasible_allocations_by_product(scenario))
         for allocation in rng.sample(allocations, min(3, len(allocations))):
             memoized, _ = optimal_sequencing_reward(scenario, allocation)
             assert memoized == sequencing_reward_no_memo(scenario, allocation)
