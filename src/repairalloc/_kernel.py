@@ -88,7 +88,7 @@ def solve_allocation(
     ceiling = len(start)
     if not any(0 < h < unit for h in start):
         return start.count(unit), ()
-    seen: dict[IntVec, tuple[IntVec | None, int]] = {start: (None, -1)}
+    seen: dict[IntVec, tuple[IntVec, int]] = {start: (start, -1)}  # the start is its own parent
     stack: list[IntVec] = [start]
     best_reward = floor
     best_state: IntVec = start
@@ -119,9 +119,7 @@ def solve_allocation(
     targets: list[int] = []
     cursor = best_state
     while cursor != start:
-        parent, j = seen[cursor]
+        cursor, j = seen[cursor]
         targets.append(j)
-        assert parent is not None
-        cursor = parent
     targets.reverse()
     return best_reward, tuple(targets)

@@ -113,6 +113,9 @@ class Scenario:
             missing = set(self.node_ids) - set(entity.repair_rate)
             if missing:
                 raise ValueError(f"entity {entity.id!r}: missing repair rate for {sorted(missing)}")
+            unknown = set(entity.repair_rate) - set(self.node_ids)
+            if unknown:
+                raise ValueError(f"entity {entity.id!r}: repair rate for unknown nodes {sorted(unknown)}")
         if self.budget is not None:
             if not isinstance(self.budget, Fraction):
                 raise TypeError("budget must be a Fraction or None (unlimited)")

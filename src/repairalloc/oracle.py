@@ -112,8 +112,10 @@ the best reward so far.  Only the returned leaf, the first maximizer,
 becomes an ``Allocation``.  Its sets with no cached targets, the lone
 nodes among them, get their full search; by (d) the cached targets are
 the full searches' too, so its witness trace is the one a scan finds.
-That witness is replayed through the simulator, and a replay that does
-not repair the allocated count raises SearchInconsistency.
+That witness is replayed once through the simulator.  Two checks hold
+the result to the proofs, and either raises SearchInconsistency: the
+replay must repair the summed per-entity optima, and that sum must equal
+the allocated count the walk carried.
 """
 
 from __future__ import annotations
@@ -134,9 +136,6 @@ DEFAULT_CAP = 10**6
 # witness targets): the set's size when it is tight, less when it is not, None
 # when unknown
 _TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
-
-# each searched entity's id with its witness targets, one per step
-_Witness = list[tuple[str, tuple[str, ...]]]
 
 # (depth, owner, masks, count) -> whether the walk enters the child that hands
 # node ``depth`` to ``owner`` (0 unallocated, k the k-th entity); ``masks``
@@ -217,30 +216,8 @@ def optimal_sequencing_reward(
     allocation.require_budget(scenario)
     positions = scenario.lattice.positions
     masks = tuple(sum(1 << positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids)
-    reward, witness = _search_allocation(scenario, masks, memo_cap, {})
-    trace, _ = _replay(scenario, allocation, reward, witness)
+    reward, trace, _ = _witness(scenario, allocation, masks, memo_cap, {})
     return reward, trace
-
-
-def _search_allocation(
-    scenario: Scenario,
-    masks: tuple[int, ...],
-    memo_cap: int,
-    tight: _TightCache,
-) -> tuple[int, _Witness]:
-    """The summed per-entity optima for one allocation and each entity's witness targets.
-
-    A set's reward and targets come from ``tight`` when it holds them, and
-    from a full search otherwise.
-    """
-    total = 0
-    witness: _Witness = []
-    for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
-        if mask:
-            reward, targets = tight.get((k, mask)) or _search_entity(scenario, k, mask, memo_cap)
-            total += reward
-            witness.append((eid, targets))
-    return total, witness
 
 
 def _search_entity(
@@ -259,26 +236,33 @@ def _search_entity(
     return reward, tuple(scenario.node_ids[members[i]] for i in positions)
 
 
-def _replay(
+def _witness(
     scenario: Scenario,
     allocation: Allocation,
-    reward: int,
-    witness: _Witness,
-) -> tuple[Trace, Outcome]:
-    """Run the entities' witness targets in parallel through the simulator and check the reward."""
-    length = max((len(targets) for _, targets in witness), default=0)
-    script: list[dict[str, Optional[str]]] = [
-        {eid: None for eid in scenario.entity_ids} for _ in range(length)
-    ]
-    for entity_id, targets in witness:
-        for actions, target in zip(script, targets):
-            actions[entity_id] = target
+    masks: tuple[int, ...],
+    memo_cap: int,
+    tight: _TightCache,
+) -> tuple[int, Trace, Outcome]:
+    """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
+
+    A set's reward and targets come from ``tight`` when it holds them, and
+    from a full search otherwise.  Step t of the script holds the entities
+    whose targets run past t; ``simulate`` records the others as idle.
+    Raises SearchInconsistency unless the replay repairs the summed optima.
+    """
+    reward = 0
+    script: list[dict[str, Optional[str]]] = []
+    for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
+        if mask:
+            optimum, targets = tight.get((k, mask)) or _search_entity(scenario, k, mask, memo_cap)
+            reward += optimum
+            script.extend({} for _ in range(len(targets) - len(script)))
+            for actions, target in zip(script, targets):
+                actions[eid] = target
     trace, outcome = simulate(scenario, allocation, Scripted(script))
     if outcome.reward != reward:
-        raise SearchInconsistency(
-            f"witness replay yielded {outcome.reward}, search claimed {reward}"
-        )
-    return trace, outcome
+        raise SearchInconsistency(f"witness replay yielded {outcome.reward}, search claimed {reward}")
+    return reward, trace, outcome
 
 
 @dataclass(frozen=True)
@@ -298,26 +282,16 @@ def oracle_optimal(
 ) -> OracleResult:
     """Maximum reward over every feasible allocation and every schedule.
 
-    Walks the assignment tree depth-first, with the proofs in the module
-    docstring.  It does not enter a child that goes over budget (every
-    cost is >= 0), that gives an entity a set it cannot repair in full
-    (a superset of such a set cannot be repaired in full either, and the
-    first maximizer repairs every set in full), or whose allocated nodes
-    so far plus undecided nodes are no more than the best reward so far.
-    So every leaf the walk yields scores its allocated count and beats the
-    best reward, and the last one is the first maximizer in enumeration
-    order, with the same witness trace as a scan of every feasible
-    allocation.  Every yielded leaf is scored by its allocated count; only
-    the returned one has its witness searched, replayed through the
-    simulator and checked.  An entity can always repair a lone node, so a
-    one-node set is admitted without a search.  Whether an entity can
-    repair all of a larger set S is one kernel search with floor |S| - 1,
-    made at most once per (entity, set) per call with at most ``memo_cap``
-    health vectors; one that exceeds ``memo_cap`` marks the set unknown
-    and keeps the subtree, and a leaf holding an unknown set runs the full
-    search, which raises.  A lone node's search, made only for the
-    returned allocation, raises when its climb exceeds ``memo_cap``.
-    Raises InstanceTooLarge when (M+1)^N exceeds ``cap``.
+    Returns the optimum with the first allocation in enumeration order
+    that reaches it, and that allocation's witness trace and outcome from
+    one replay through the simulator.  The module docstring proves, in
+    (a)-(e), that the walk's cuts lose neither the optimum nor that
+    witness.  Raises InstanceTooLarge when (M+1)^N exceeds ``cap``, or
+    when a search needed for the result holds ``memo_cap`` health
+    vectors; a decision search that reaches ``memo_cap`` during the walk
+    only leaves its set undecided.  Raises SearchInconsistency when the
+    replay does not repair the summed per-entity optima, or that sum is
+    not the walk's allocated count.
     """
     n = len(scenario.nodes)
     tight: _TightCache = {}
@@ -348,6 +322,7 @@ def oracle_optimal(
             if key in tight and tight[key] is None:
                 tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
     allocation = _allocation(scenario, masks)
-    _, witness = _search_allocation(scenario, masks, memo_cap, tight)
-    trace, outcome = _replay(scenario, allocation, best_reward, witness)
+    reward, trace, outcome = _witness(scenario, allocation, masks, memo_cap, tight)
+    if reward != best_reward:
+        raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

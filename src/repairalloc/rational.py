@@ -33,6 +33,8 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
                 return Fraction(stripped)
             except ZeroDivisionError:
                 raise ScenarioFormatError(f"{where}: zero denominator in {text!r}") from None
+            except ValueError:  # more digits than Python converts to an int
+                raise ScenarioFormatError(f"{where}: {len(stripped)} characters exceed Python's integer-string limit") from None
         raise ScenarioFormatError(f"{where}: not a decimal or p/q string: {text!r}")
     raise ScenarioFormatError(
         f"{where}: numeric fields must be strings like \"0.25\" or \"1/4\", got {type(text).__name__}"

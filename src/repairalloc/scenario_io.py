@@ -133,6 +133,10 @@ def load_scenario(path: str | Path) -> Scenario:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply to read") from None
     return scenario_from_dict(data)
 
 
@@ -185,27 +189,30 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
 def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
     """Load a trace written by ``write_trace_csv`` back onto the scenario's lattice."""
     unit = scenario.lattice.unit
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = ["t", *scenario.node_ids, *scenario.entity_ids]
-        if header != expected:
-            raise ScenarioFormatError(f"{path}: header {header} does not match {expected}")
-        n = len(scenario.node_ids)
-        steps: list[TraceStep] = []
-        for t, cells in enumerate(reader):
-            if len(cells) != len(expected):
-                raise ScenarioFormatError(f"{path}: row {t} has {len(cells)} cells, expected {len(expected)}")
-            if cells[0] != str(t):
-                raise ScenarioFormatError(f"{path}: row {t} is labeled {cells[0]!r}")
-            healths = tuple(
-                _lattice_level(parse_rational(cell, f"row {t}, node {nid}"), unit, f"{path}: row {t}, node {nid}")
-                for nid, cell in zip(scenario.node_ids, cells[1 : 1 + n])
-            )
-            actions: dict[str, Optional[str]] = {}
-            for entity_id, cell in zip(scenario.entity_ids, cells[1 + n :]):
-                actions[entity_id] = None if cell == _IDLE else cell
-            steps.append(TraceStep(healths, actions))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8: {exc}") from exc
+    header = rows[0] if rows else None
+    expected = ["t", *scenario.node_ids, *scenario.entity_ids]
+    if header != expected:
+        raise ScenarioFormatError(f"{path}: header {header} does not match {expected}")
+    n = len(scenario.node_ids)
+    steps: list[TraceStep] = []
+    for t, cells in enumerate(rows[1:]):
+        if len(cells) != len(expected):
+            raise ScenarioFormatError(f"{path}: row {t} has {len(cells)} cells, expected {len(expected)}")
+        if cells[0] != str(t):
+            raise ScenarioFormatError(f"{path}: row {t} is labeled {cells[0]!r}")
+        healths = tuple(
+            _lattice_level(parse_rational(cell, f"row {t}, node {nid}"), unit, f"{path}: row {t}, node {nid}")
+            for nid, cell in zip(scenario.node_ids, cells[1 : 1 + n])
+        )
+        actions: dict[str, Optional[str]] = {}
+        for entity_id, cell in zip(scenario.entity_ids, cells[1 + n :]):
+            actions[entity_id] = None if cell == _IDLE else cell
+        steps.append(TraceStep(healths, actions))
     if not steps:
         raise ScenarioFormatError(f"{path}: no rows")
     return Trace(

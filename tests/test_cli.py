@@ -12,8 +12,9 @@ import pytest
 from repairalloc import _kernel, demos
 from repairalloc.cli import main
 from repairalloc.engine import verify_trace
-from repairalloc.errors import InstanceTooLarge
+from repairalloc.errors import InstanceTooLarge, SearchInconsistency
 from repairalloc.model import Allocation, Scenario
+from repairalloc.oracle import oracle_optimal
 from repairalloc.policies import LeastModifiedHealth
 from repairalloc.scenario_io import load_scenario, read_trace_csv
 
@@ -83,10 +84,11 @@ def test_check_names_each_entitys_steps_per_decay_when_they_differ(tmp_path, cap
 @pytest.mark.parametrize(
     "node_ids, entity_ids, budget, message",
     [
-        (["a", "a"], ["e"], None, "node ids must be unique"),
-        (["a"], ["e"], None, "a scenario needs at least 2 nodes"),
-        (["a", "b"], ["e", "f", "g"], None, "entity count must satisfy 1 <= M <= N"),
-        (["a", "b"], ["e", "e"], None, "entity ids must be unique"),
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param(["a", "a"], ["e"], None, "node ids must be unique", id="node_ids0-entity_ids0-None-node ids must be unique"),
+        pytest.param(["a"], ["e"], None, "a scenario needs at least 2 nodes", id="node_ids1-entity_ids1-None-a scenario needs at least 2 nodes"),
+        pytest.param(["a", "b"], ["e", "f", "g"], None, "entity count must satisfy 1 <= M <= N", id="node_ids2-entity_ids2-None-entity count must satisfy 1 <= M <= N"),
+        pytest.param(["a", "b"], ["e", "e"], None, "entity ids must be unique", id="node_ids3-entity_ids3-None-entity ids must be unique"),
     ],
 )
 def test_scenario_level_errors_are_parse_errors(tmp_path, capsys, node_ids, entity_ids, budget, message):
@@ -123,6 +125,33 @@ def test_check_invalid_json_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "invalid JSON" in err
+
+
+REPAIR_DOMINANT = Path(scenario_path("repair_dominant")).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(REPAIR_DOMINANT.replace(b'"id": "a"', b'"id": "\xff"', 1), "bad.json: not UTF-8", id="not-utf8"),
+        pytest.param(
+            REPAIR_DOMINANT.replace(b'"v0": "0.05"', b'"v0": "0.' + b"5" * 5000 + b'"', 1),
+            "nodes[0].v0: 5002 characters exceed Python's integer-string limit",
+            id="over-long-digits",
+        ),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "bad.json: JSON nested too deeply", id="deep-nesting"),
+    ],
+)
+def test_malformed_file_is_parse_error_without_traceback(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_out_of_range_field_is_parse_error(tmp_path, capsys):
@@ -357,6 +386,24 @@ def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
     assert rc == 5
     assert "internal inconsistency: witness replay yielded" in err
     assert "Traceback" not in err
+
+
+def test_oracle_count_inconsistency_exits_5(monkeypatch, capsys):
+    # the kernel claims nothing for a one-node set; the oracle's witness gives
+    # e the lone node c, so the replay and the summed optima agree at 2, and
+    # only the walk's allocated count of 3 disagrees
+    real = _kernel.solve_allocation
+
+    def blind_to_lone_nodes(healths, *args):
+        return (0, ()) if len(healths) == 1 else real(healths, *args)
+
+    monkeypatch.setattr(_kernel, "solve_allocation", blind_to_lone_nodes)
+    with pytest.raises(SearchInconsistency, match="the witness sets repair 2, the walk counted 3"):
+        oracle_optimal(demos.DEMOS["online_suboptimal"]())
+    rc = main(["oracle", scenario_path("online_suboptimal")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err == "error: internal inconsistency: the witness sets repair 2, the walk counted 3\n"
 
 
 NEITHER_REGIME = {"mixed_costs", "mixed_rates"}

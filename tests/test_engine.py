@@ -115,11 +115,12 @@ def _two_entities() -> tuple[Scenario, Allocation]:
 @pytest.mark.parametrize(
     "actions, message",
     [
-        ({"q": "a"}, "actions for unknown entities: ['q']"),
-        ({"e": "zz"}, "entity 'e' targeted 'zz' outside its allocated set"),
-        ({"e": "b"}, "entity 'e' targeted 'b' outside its allocated set"),
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param({"q": "a"}, "actions for unknown entities: ['q']", id="actions0-actions for unknown entities: ['q']"),
+        pytest.param({"e": "zz"}, "entity 'e' targeted 'zz' outside its allocated set", id="actions1-entity 'e' targeted 'zz' outside its allocated set"),
+        pytest.param({"e": "b"}, "entity 'e' targeted 'b' outside its allocated set", id="actions2-entity 'e' targeted 'b' outside its allocated set"),
         # a bad target is reported before an unknown entity
-        ({"q": "a", "f": "a"}, "entity 'f' targeted 'a' outside its allocated set"),
+        pytest.param({"q": "a", "f": "a"}, "entity 'f' targeted 'a' outside its allocated set", id="actions3-entity 'f' targeted 'a' outside its allocated set"),
     ],
 )
 def test_action_checks_name_the_violation_in_simulate_and_verify_trace(actions, message):

@@ -74,6 +74,12 @@ def test_parse_rational_rejects_junk():
         parse_rational("1/0", "budget")
 
 
+def test_parse_rational_names_its_field_for_an_over_long_number():
+    """A string of more digits than Python converts to an int is a format error at its field, not a ValueError."""
+    with pytest.raises(ScenarioFormatError, match=r"^nodes\[2\]\.v0: 5001 characters exceed"):
+        parse_rational("1" * 5001, "nodes[2].v0")
+
+
 def test_format_rational_prefers_terminating_decimals():
     assert format_rational(F(1, 4)) == "0.25"
     assert format_rational(F(7, 20)) == "0.35"
@@ -218,13 +224,14 @@ def test_raw_number_in_file_names_its_path():
 @pytest.mark.parametrize(
     "keys, value, message",
     [
-        (("entities", 0, "cost"), "-1", "entities[0].cost: must be >= 0, got -1"),
-        (("nodes", 0, "delta_dec"), "0", "nodes[0].delta_dec: must be positive, got 0"),
-        (("nodes", 1, "v0"), "3/2", "nodes[1].v0: must lie strictly in (0, 1), got 1.5"),
-        (("nodes", 0, "v0"), "0", "nodes[0].v0: must lie strictly in (0, 1), got 0"),
-        (("entities", 0, "delta_inc", "default"), "0", "entities[0].delta_inc.default: must be positive, got 0"),
-        (("entities", 0, "delta_inc", "b"), "-1/2", "entities[0].delta_inc.b: must be positive, got -0.5"),
-        (("budget",), "-1", "budget: must be >= 0, got -1"),
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param(("entities", 0, "cost"), "-1", "entities[0].cost: must be >= 0, got -1", id="keys0--1-entities[0].cost: must be >= 0, got -1"),
+        pytest.param(("nodes", 0, "delta_dec"), "0", "nodes[0].delta_dec: must be positive, got 0", id="keys1-0-nodes[0].delta_dec: must be positive, got 0"),
+        pytest.param(("nodes", 1, "v0"), "3/2", "nodes[1].v0: must lie strictly in (0, 1), got 1.5", id="keys2-3/2-nodes[1].v0: must lie strictly in (0, 1), got 1.5"),
+        pytest.param(("nodes", 0, "v0"), "0", "nodes[0].v0: must lie strictly in (0, 1), got 0", id="keys3-0-nodes[0].v0: must lie strictly in (0, 1), got 0"),
+        pytest.param(("entities", 0, "delta_inc", "default"), "0", "entities[0].delta_inc.default: must be positive, got 0", id="keys4-0-entities[0].delta_inc.default: must be positive, got 0"),
+        pytest.param(("entities", 0, "delta_inc", "b"), "-1/2", "entities[0].delta_inc.b: must be positive, got -0.5", id="keys5--1/2-entities[0].delta_inc.b: must be positive, got -0.5"),
+        pytest.param(("budget",), "-1", "budget: must be >= 0, got -1", id="keys6--1-budget: must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_field_names_its_path(keys, value, message):
@@ -240,13 +247,14 @@ def test_top_level_must_be_an_object():
 @pytest.mark.parametrize(
     "keys, value, message",
     [
-        (("nodes", 1), "b", "nodes[1]: expected an object"),
-        (("entities", 0), ["e"], "entities[0]: expected an object"),
-        (("nodes",), [], "nodes: expected a non-empty array"),
-        (("entities",), [], "entities: expected a non-empty array"),
-        (("nodes", 0, "id"), "", "nodes[0].id: expected a non-empty string"),
-        (("entities", 0, "id"), 7, "entities[0].id: expected a non-empty string"),
-        (("entities", 0, "delta_inc"), "0.7", "entities[0].delta_inc: expected an object of rates"),
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param(("nodes", 1), "b", "nodes[1]: expected an object", id="keys0-b-nodes[1]: expected an object"),
+        pytest.param(("entities", 0), ["e"], "entities[0]: expected an object", id="keys1-value1-entities[0]: expected an object"),
+        pytest.param(("nodes",), [], "nodes: expected a non-empty array", id="keys2-value2-nodes: expected a non-empty array"),
+        pytest.param(("entities",), [], "entities: expected a non-empty array", id="keys3-value3-entities: expected a non-empty array"),
+        pytest.param(("nodes", 0, "id"), "", "nodes[0].id: expected a non-empty string", id="keys4--nodes[0].id: expected a non-empty string"),
+        pytest.param(("entities", 0, "id"), 7, "entities[0].id: expected a non-empty string", id="keys5-7-entities[0].id: expected a non-empty string"),
+        pytest.param(("entities", 0, "delta_inc"), "0.7", "entities[0].delta_inc: expected an object of rates", id="keys6-0.7-entities[0].delta_inc: expected an object of rates"),
     ],
 )
 def test_malformed_structure_names_its_path(keys, value, message):
@@ -257,25 +265,31 @@ def test_malformed_structure_names_its_path(keys, value, message):
 @pytest.mark.parametrize(
     "edits, message",
     [
-        (
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param(
             ((("nodes", 0, "delta_dec"), "1"), (("nodes", 1, "v0"), "1")),
             "nodes[1].v0: must lie strictly in (0, 1), got 1",
+            id="edits0-nodes[1].v0: must lie strictly in (0, 1), got 1",
         ),
-        (
+        pytest.param(
             ((("nodes", 0, "delta_dec"), "3/2"), (("nodes", 1, "v0"), "3/2")),
             "nodes[1].v0: must lie strictly in (0, 1), got 1.5",
+            id="edits1-nodes[1].v0: must lie strictly in (0, 1), got 1.5",
         ),
-        (
+        pytest.param(
             ((("entities", 0, "cost"), "0"), (("entities", 0, "delta_inc", "b"), "0")),
             "entities[0].delta_inc.b: must be positive, got 0",
+            id="edits2-entities[0].delta_inc.b: must be positive, got 0",
         ),
-        (
+        pytest.param(
             ((("entities", 0, "cost"), "0"), (("entities", 0, "delta_inc", "default"), "0")),
             "entities[0].delta_inc.default: must be positive, got 0",
+            id="edits3-entities[0].delta_inc.default: must be positive, got 0",
         ),
-        (
+        pytest.param(
             ((("nodes", 0, "v0"), "0.5"), (("nodes", 1, "v0"), 0.5)),
             'nodes[1].v0: numeric fields must be strings like "0.25" or "1/4", got float',
+            id='edits4-nodes[1].v0: numeric fields must be strings like "0.25" or "1/4", got float',
         ),
     ],
 )
@@ -392,6 +406,14 @@ def test_trace_csv_refuses_a_health_off_the_lattice(tmp_path):
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ScenarioFormatError, match=f"row 1, node c: health .* is not a multiple of 1/{unit}"):
+        read_trace_csv(path, scenario)
+
+
+def test_trace_csv_that_is_not_utf8_is_a_format_error(tmp_path):
+    scenario, _, _ = demo_trace()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,a,b,c,d,e,f\n0,\xff\n")
+    with pytest.raises(ScenarioFormatError, match="trace.csv: not UTF-8"):
         read_trace_csv(path, scenario)
 
 

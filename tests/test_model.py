@@ -82,6 +82,12 @@ def test_scenario_validation():
             entities=(EntitySpec("e", F(1), {"a": F("0.3")}),),
             budget=None,
         )
+    with pytest.raises(ValueError, match=r"entity 'e': repair rate for unknown nodes \['zz'\]"):
+        Scenario(
+            nodes=(node_a, node_b),
+            entities=(EntitySpec("e", F(1), {**rates, "zz": F("0.3")}),),
+            budget=None,
+        )
     with pytest.raises(ValueError):
         Scenario(nodes=(node_a, node_b), entities=(EntitySpec("e", F(1), rates),), budget=F(-1))
     with pytest.raises(TypeError):
@@ -106,16 +112,17 @@ def test_health_status_thresholds():
 @pytest.mark.parametrize(
     "health, status",
     [
-        (F(0), Status.FAILED),
-        (F(1), Status.REPAIRED),
-        (F(1, 10**12), Status.ACTIVE),
-        (1 - F(1, 10**12), Status.ACTIVE),
-        (F(-1, 3), Status.FAILED),
-        (F(4, 3), Status.REPAIRED),
-        (0, Status.FAILED),
-        (1, Status.REPAIRED),
-        (-2, Status.FAILED),
-        (2, Status.REPAIRED),
+        # ids pinned to the names pytest first generated, so removing a row renames no other
+        pytest.param(F(0), Status.FAILED, id="health0-Status.FAILED"),
+        pytest.param(F(1), Status.REPAIRED, id="health1-Status.REPAIRED"),
+        pytest.param(F(1, 10**12), Status.ACTIVE, id="health2-Status.ACTIVE"),
+        pytest.param(1 - F(1, 10**12), Status.ACTIVE, id="health3-Status.ACTIVE"),
+        pytest.param(F(-1, 3), Status.FAILED, id="health4-Status.FAILED"),
+        pytest.param(F(4, 3), Status.REPAIRED, id="health5-Status.REPAIRED"),
+        pytest.param(0, Status.FAILED, id="0-Status.FAILED"),
+        pytest.param(1, Status.REPAIRED, id="1-Status.REPAIRED"),
+        pytest.param(-2, Status.FAILED, id="-2-Status.FAILED"),
+        pytest.param(2, Status.REPAIRED, id="2-Status.REPAIRED"),
     ],
 )
 def test_activity_test_at_the_boundaries(health, status):
