@@ -21,24 +21,23 @@ sum of the per-entity optima V_e(S_e), entity e's optimum on its set S_e.
 pruning rules proven in its docstring.
 
 The allocations are searched by branch and bound (Land & Doig,
-Econometrica 1960).  ``_walk`` visits the (M+1)^N assignments depth-first
-in lexicographic order: node by node in scenario order, each node taking
-unallocated first and then the entities in scenario order, so the
-all-unallocated assignment is the first leaf.  A tree node at depth d
-fixes the owners of the first d nodes; the other N - d are undecided.
+Econometrica 1960).  One recursion in ``oracle_optimal`` walks the (M+1)^N
+assignments depth-first in lexicographic order: node by node in scenario
+order, each node taking unallocated first and then the entities in
+scenario order, so the all-unallocated assignment is the first leaf.  A
+tree node at depth d fixes the owners of the first d nodes; the other
+N - d are undecided.  ``enumerate_feasible_allocations`` yields the
+feasible assignments in the same order by a plain scan of the product.
 
 * **Over-budget cut.**  The walk carries the exact cost of the owners
   fixed so far and does not enter a child whose cost exceeds the budget,
   both integers on the scenario's ledger (an unlimited budget is one too,
   and ``model.Ledger`` proves that it never cuts).  ``EntitySpec``
   enforces cost >= 0, so fixing more owners never lowers the cost, and
-  every leaf below that child is over budget too.  The walk always takes
-  a second cut rule, ``admit``; ``enumerate_feasible_allocations`` passes
-  one that admits every child, so it yields exactly the feasible
-  allocations, in lexicographic order.
+  every leaf below that child is over budget too.
 
-The oracle's ``admit`` adds a feasibility cut.  Call entity e's set S
-*tight* when V_e(S) = |S|, that is, when some schedule of e repairs all
+The walk adds a feasibility cut and a count bound.  Call entity e's set
+S *tight* when V_e(S) = |S|, that is, when some schedule of e repairs all
 of S.  V_e is taken over the full action space, idling included; the
 kernel's idle rule does not change it.  The proofs use one fact:
 replacing every action on a node j with idling leaves every other node's
@@ -66,14 +65,14 @@ and its own decay.
   the walk also does not enter a child whose allocated nodes so far plus
   undecided nodes are no more than the best reward so far; no kernel
   value enters that count bound.  Until the walk reaches the first
-  maximizer F, every leaf it has yielded comes earlier and scores less
+  maximizer F, every leaf it has reached comes earlier and scores less
   than R; every set along F's path is a subset of F's sets, hence tight,
   and every count bound on that path is at least |F| = R, so the walk
-  reaches and yields F.  Every yielded leaf scores its allocated count,
-  which the count bound at its last node made larger than the best
-  reward, so after F no leaf is yielded.  The oracle therefore returns F,
-  the same optimum and witness allocation as a scan of every feasible
-  allocation.
+  reaches F and records it as the best.  Every leaf reached scores its
+  allocated count, which the count bound at its last node made larger
+  than the best reward, so after F no leaf is reached.  The oracle
+  therefore returns F, the same optimum and witness allocation as a scan
+  of every feasible allocation.
 * **(d) The witness trace does not change.**  The decision "is S tight"
   is the kernel search with floor |S| - 1, whose skip rule drops every
   state with a node at 0.  On a tight set the full search (floor -1)
@@ -88,26 +87,30 @@ and its own decay.
 * **(e) A lone node is tight.**  The schedule that targets node j every
   step while it is Active never lets j decay, and raises it by e's rate
   on j, which is positive, so from v0 > 0 it reaches 1.  Hence
-  V_e({j}) = 1 for every entity e and node j, and the walk admits a
-  one-node set without a search.
+  V_e({j}) = 1 for every entity e and node j, and the walk enters a
+  child that gives an entity a one-node set without a search.
 
-Each decision is made once per (entity, set of two or more nodes) within
-one ``oracle_optimal`` call and cached.  A decision search that exceeds
-``memo_cap`` leaves the set unknown, and the walk enters the child, which
-keeps every leaf a scan would reach.  A leaf that holds an unknown set
+At each tree node the walk tries the unallocated child under the count
+bound, then each entity's child under the count bound, the budget and the
+tightness decision, in that order; only the decision runs a search, so
+this order fixes the sequence of kernel searches.  Each decision is made
+once per (entity, set of two or more nodes) within one ``oracle_optimal``
+call and cached.  A decision search that exceeds ``memo_cap`` leaves the
+set unknown, and the walk enters the child, which keeps every leaf a scan
+would reach.  A leaf that holds an unknown set
 runs the full search of that set, which raises InstanceTooLarge as a scan
 of every allocation would: the full search generates every state the
 decision search generates, in the same order of expansions, so it
-reaches the cap no later.  Every leaf the walk yields past that check is
-therefore tight for every entity.  A one-node set is never searched
+reaches the cap no later.  Every leaf the walk records past that check
+is therefore tight for every entity.  A one-node set is never searched
 during the walk, so ``memo_cap`` bounds only the searches that are made:
 a lone node's climb fails a call only when the returned allocation holds
 it.
 
 Each search slices its set's healths, decays and rates out of the
 scenario's integer lattice and runs in exact integer arithmetic.  Every
-leaf the walk yields scores its allocated count, as (c) shows, which the
-walk carries down the tree and yields with the leaf, and each one beats
+leaf the walk reaches scores its allocated count, as (c) shows, which the
+walk carries down the tree and records with the leaf, and each one beats
 the best reward so far.  Only the returned leaf, the first maximizer,
 becomes an ``Allocation``.  Its sets with no cached targets, the lone
 nodes among them, get their full search; by (d) the cached targets are
@@ -121,7 +124,8 @@ the allocated count the walk carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from itertools import product
+from typing import Iterator, Optional
 
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
@@ -137,12 +141,6 @@ DEFAULT_CAP = 10**6
 # when unknown
 _TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
 
-# (depth, owner, masks, count) -> whether the walk enters the child that hands
-# node ``depth`` to ``owner`` (0 unallocated, k the k-th entity); ``masks``
-# already holds that assignment, and ``count`` is the number of nodes it
-# allocates among the first depth + 1
-_Admit = Callable[[int, int, list[int], int], bool]
-
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
     """Yield every allocation whose total cost fits the budget.
@@ -150,44 +148,21 @@ def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -
     Deterministic order: each node independently takes a choice from
     (unallocated, entity 1, entity 2, ...) in scenario entity order, and
     assignments are enumerated lexicographically node by node, so the
-    all-unallocated assignment comes first.  Over-budget subtrees of the
-    assignment tree are cut, not visited.  Raises InstanceTooLarge when
+    all-unallocated assignment comes first.  Raises InstanceTooLarge when
     (M+1)^N exceeds ``cap``.
     """
-    for masks, _ in _walk(scenario, cap, lambda *_: True):
-        yield _allocation(scenario, masks)
+    _require_cap(scenario, cap)
+    costs, room = (0, *scenario.ledger.costs), scenario.ledger.budget  # owner 0, unallocated, costs nothing
+    for owners in product(range(len(costs)), repeat=len(scenario.nodes)):
+        if sum(costs[owner] for owner in owners) <= room:
+            masks = tuple(sum(1 << j for j, owner in enumerate(owners) if owner == k) for k in range(1, len(costs)))
+            yield _allocation(scenario, masks)
 
 
-def _walk(scenario: Scenario, cap: int, admit: _Admit) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Depth-first walk over the assignment tree; yields each leaf's per-entity node bitmasks and allocated count.
-
-    Visits children in lexicographic order and cuts a child that goes over
-    budget or that ``admit`` rejects.  Raises InstanceTooLarge, before any
-    visit, when (M+1)^N exceeds ``cap``.
-    """
-    n, m = len(scenario.nodes), len(scenario.entities)
-    total = (m + 1) ** n
+def _require_cap(scenario: Scenario, cap: int) -> None:
+    total = (len(scenario.entities) + 1) ** len(scenario.nodes)
     if total > cap:
         raise InstanceTooLarge(f"{total} assignments exceed the enumeration cap of {cap}")
-    costs, room = scenario.ledger.costs, scenario.ledger.budget
-    masks = [0] * m
-
-    def visit(depth: int, spent: int, count: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if depth == n:
-            yield tuple(masks), count
-            return
-        if admit(depth, 0, masks, count):
-            yield from visit(depth + 1, spent, count)
-        bit = 1 << depth
-        for k, cost in enumerate(costs):
-            if spent + cost > room:
-                continue
-            masks[k] |= bit
-            if admit(depth, k + 1, masks, count + 1):
-                yield from visit(depth + 1, spent + cost, count + 1)
-            masks[k] ^= bit
-
-    yield from visit(0, 0, 0)
 
 
 def _allocation(scenario: Scenario, masks: tuple[int, ...]) -> Allocation:
@@ -293,36 +268,47 @@ def oracle_optimal(
     replay does not repair the summed per-entity optima, or that sum is
     not the walk's allocated count.
     """
+    _require_cap(scenario, cap)
     n = len(scenario.nodes)
+    costs, room = scenario.ledger.costs, scenario.ledger.budget
+    masks = [0] * len(costs)
     tight: _TightCache = {}
-    best_reward = -1
+    best_reward, best_masks = -1, tuple(masks)
 
-    def admit(depth: int, owner: int, masks: list[int], count: int) -> bool:
-        if count + n - 1 - depth <= best_reward:
-            return False  # the count bound
-        if owner == 0:
-            return True
-        key = (owner - 1, masks[owner - 1])
-        size = key[1].bit_count()
-        if size == 1:
-            return True  # proof (e): a lone node is always tight
-        if key not in tight:
-            try:
-                tight[key] = _search_entity(scenario, *key, memo_cap, size - 1)
-            except InstanceTooLarge:
-                tight[key] = None
-        decided = tight[key]
-        return decided is None or decided[0] == size
+    def visit(depth: int, spent: int, count: int) -> None:
+        nonlocal best_reward, best_masks
+        if depth == n:
+            for key in enumerate(masks):
+                if key in tight and tight[key] is None:
+                    tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
+            best_reward, best_masks = count, tuple(masks)
+            return
+        if count + n - 1 - depth > best_reward:  # the count bound
+            visit(depth + 1, spent, count)
+        bit = 1 << depth
+        for k, cost in enumerate(costs):
+            if count + n - depth <= best_reward:
+                return  # the count bound, for this entity and every later one
+            if spent + cost > room:
+                continue
+            mask = masks[k] | bit
+            size = mask.bit_count()
+            if size > 1 and (k, mask) not in tight:
+                try:
+                    tight[k, mask] = _search_entity(scenario, k, mask, memo_cap, size - 1)
+                except InstanceTooLarge:
+                    tight[k, mask] = None
+            # no cache entry for a lone node, tight by proof (e), and None for an unknown set
+            if (decided := tight.get((k, mask))) is None or decided[0] == size:
+                masks[k] = mask
+                visit(depth + 1, spent + cost, count + 1)
+                masks[k] ^= bit
 
-    # each yielded leaf scores its allocated count and beats the one before, so
-    # only the last is searched and replayed; the all-unallocated leaf always
-    # comes first, so the loop runs at least once
-    for masks, best_reward in _walk(scenario, cap, admit):
-        for key in enumerate(masks):
-            if key in tight and tight[key] is None:
-                tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
-    allocation = _allocation(scenario, masks)
-    reward, trace, outcome = _witness(scenario, allocation, masks, memo_cap, tight)
+    # every leaf scores its allocated count and beats the one before, so only the
+    # last is replayed; the all-unallocated leaf always comes first
+    visit(0, 0, 0)
+    allocation = _allocation(scenario, best_masks)
+    reward, trace, outcome = _witness(scenario, allocation, best_masks, memo_cap, tight)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

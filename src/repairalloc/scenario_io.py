@@ -198,7 +198,7 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
     expected = ["t", *scenario.node_ids, *scenario.entity_ids]
     if header != expected:
         raise ScenarioFormatError(f"{path}: header {header} does not match {expected}")
-    n = len(scenario.node_ids)
+    n, known = len(scenario.node_ids), scenario.lattice.positions
     steps: list[TraceStep] = []
     for t, cells in enumerate(rows[1:]):
         if len(cells) != len(expected):
@@ -206,11 +206,13 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
         if cells[0] != str(t):
             raise ScenarioFormatError(f"{path}: row {t} is labeled {cells[0]!r}")
         healths = tuple(
-            _lattice_level(parse_rational(cell, f"row {t}, node {nid}"), unit, f"{path}: row {t}, node {nid}")
+            _lattice_level(cell, unit, f"{path}: row {t}, node {nid}")
             for nid, cell in zip(scenario.node_ids, cells[1 : 1 + n])
         )
         actions: dict[str, Optional[str]] = {}
         for entity_id, cell in zip(scenario.entity_ids, cells[1 + n :]):
+            if cell != _IDLE and cell not in known:
+                raise ScenarioFormatError(f"{path}: row {t}, entity {entity_id}: unknown node {cell!r}")
             actions[entity_id] = None if cell == _IDLE else cell
         steps.append(TraceStep(healths, actions))
     if not steps:
@@ -223,7 +225,8 @@ def read_trace_csv(path: str | Path, scenario: Scenario) -> Trace:
     )
 
 
-def _lattice_level(health: Fraction, unit: int, where: str) -> int:
+def _lattice_level(cell: str, unit: int, where: str) -> int:
+    health = parse_rational(cell, where)
     level, rest = divmod(health.numerator * unit, health.denominator)
     if rest:
         raise ScenarioFormatError(f"{where}: health {format_rational(health)} is not a multiple of 1/{unit}")

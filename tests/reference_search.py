@@ -10,8 +10,10 @@ rescales one allocation onto its joint integer lattice.
 ``solve_reward_full`` visits every reachable health vector once;
 ``solve_reward_no_memo`` keeps no seen-set at all, is exponential, and is
 meant for tiny instances only.  ``feasible_allocations_by_product`` is the
-unpruned reference for the oracle's assignment walk: it builds every one
-of the (M+1)^N assignments and then filters out those over budget.
+reference for ``enumerate_feasible_allocations`` and for the
+first-maximizer scans that check the oracle's walk: it builds every one
+of the (M+1)^N assignments as an ``Allocation`` and then filters out those
+that ``Allocation.fits_budget`` refuses.
 """
 
 from __future__ import annotations

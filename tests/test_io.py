@@ -409,6 +409,27 @@ def test_trace_csv_refuses_a_health_off_the_lattice(tmp_path):
         read_trace_csv(path, scenario)
 
 
+@pytest.mark.parametrize(
+    "row, column, cell, message",
+    [
+        pytest.param(1, 1, "abc", r"row 0, node a: not a decimal or p/q string: 'abc'", id="unparsable-health"),
+        # without this check the file reads, and count_jumps on its trace raises a bare KeyError
+        pytest.param(2, -2, "zz", r"row 1, entity e: unknown node 'zz'", id="action-on-unknown-node"),
+    ],
+)
+def test_trace_csv_names_the_file_row_and_cell_of_a_malformed_cell(tmp_path, row, column, cell, message):
+    scenario, _, trace = demo_trace()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[row].split(",")
+    cells[column] = cell
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=rf"trace\.csv: {message}"):
+        read_trace_csv(path, scenario)
+
+
 def test_trace_csv_that_is_not_utf8_is_a_format_error(tmp_path):
     scenario, _, _ = demo_trace()
     path = tmp_path / "trace.csv"

@@ -76,6 +76,7 @@ def walk_draws() -> list[Scenario]:
 
 
 def test_walk_yields_the_product_enumeration_in_order():
+    """The enumerator's sum of ledger costs keeps what ``Allocation.fits_budget`` keeps, in product order."""
     draws = walk_draws()
     binding = zero_cost_at_zero_budget = 0
     for scenario in draws:
@@ -181,7 +182,7 @@ def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
 
 def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monkeypatch):
     # "c" climbs slowly under "e", so deciding e's {"b", "c"} overflows a memo
-    # cap of 7; its leaf is yielded before the maximizer, which holds no
+    # cap of 7; its leaf is reached before the maximizer, which holds no
     # unknown set, and the leaf's full search fails the call there
     scenario = Scenario(
         nodes=(
@@ -217,8 +218,8 @@ def counted(monkeypatch, owner, name: str) -> list[None]:
 
 
 def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
-    # every yielded leaf beats the one before, so a replay of any leaf but
-    # the last is thrown away; the one replay still checks the witness
+    # every leaf the walk reaches beats the one before, so a replay of any
+    # leaf but the last is thrown away; the one replay still checks the witness
     replays = counted(monkeypatch, oracle, "simulate")
     for scenario in [build() for build in DEMOS.values()] + walk_draws():
         replays.clear()
@@ -226,10 +227,10 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
         assert len(replays) == 1, scenario
 
 
-# kernel searches per oracle_optimal call on each bundled scenario, at most:
+# kernel searches per oracle_optimal call on each bundled scenario, exactly:
 # a count bound that reads too high enters more children and searches more
-# sets without changing any optimum, witness or trace, so only these counts
-# catch it
+# sets, and cuts taken in another order search other sets, without changing
+# any optimum, witness or trace, so only these counts catch either
 KERNEL_SEARCHES = {
     "repair_dominant": 12,
     "decay_dominant": 11,
@@ -246,7 +247,7 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
     for name, build in DEMOS.items():
         searches.clear()
         oracle_optimal(build())
-        assert len(searches) <= KERNEL_SEARCHES[name], name
+        assert len(searches) == KERNEL_SEARCHES[name], name
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

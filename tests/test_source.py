@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import repairalloc
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repairalloc"
 
 
@@ -17,3 +19,18 @@ def test_no_check_lives_in_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    """``__all__`` names each public import of ``__init__.py`` once, plus ``__version__``, and nothing stale."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert len(repairalloc.__all__) == len(set(repairalloc.__all__))
+    assert set(repairalloc.__all__) == imported | {"__version__"}
+    assert all(hasattr(repairalloc, name) for name in repairalloc.__all__)
