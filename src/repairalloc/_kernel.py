@@ -7,8 +7,11 @@ decays and rates come from the scenario's integer lattice (health 1 maps
 to ``unit``), and every step goes through the lattice rule in
 ``repairalloc.model`` (``decayed`` and ``repaired``): each popped state's
 Active positions are found once, ``decayed`` steps only those, and
-children are expanded only over them, in increasing position.  The
-arithmetic is plain int and exact, and no value can overflow.
+children are expanded only over them, in increasing position.  A child
+still has an Active node when its target stays below ``unit`` or some
+other position is in the list ``decayed`` returns of the positions it
+leaves Active, so only a terminal child has its repaired nodes counted.
+The arithmetic is plain int and exact, and no value can overflow.
 
 The state graph can contain cycles (a node targeted and released can
 return to an earlier health when rates match), so plain recursive
@@ -97,20 +100,20 @@ def solve_allocation(
         if ceiling - state.count(0) <= best_reward:
             continue  # even repairing every node not yet at 0 cannot beat the best
         active = active_positions(state, unit)
-        untargeted = decayed(state, decs, active)
+        untargeted, alive = decayed(state, decs, active)
         for j in active:
             nxt_list = untargeted.copy()
-            nxt_list[j] = repaired(state[j], incs[j], unit)
+            lifted = nxt_list[j] = repaired(state[j], incs[j], unit)
             nxt = tuple(nxt_list)
             if nxt in seen:
                 continue
             if len(seen) >= memo_cap:
                 raise InstanceTooLarge(f"search exceeded the state cap of {memo_cap}")
             seen[nxt] = (state, j)
-            reward = nxt.count(unit)
-            if reward + nxt.count(0) < ceiling:  # some node still Active
+            if lifted < unit or len(alive) > (j in alive):  # some node still Active
                 stack.append(nxt)
                 continue
+            reward = nxt.count(unit)
             if reward > best_reward:
                 best_reward = reward
                 best_state = nxt

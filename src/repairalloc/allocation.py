@@ -138,7 +138,7 @@ class _OnlineAssignment:
 
     @staticmethod
     def step_bound(scenario: Scenario) -> int:
-        """Steps within which every online run on ``scenario`` absorbs: max ``lifetime_index`` + max ceil(unit / inc).
+        """Steps within which every online run on ``scenario`` absorbs: max ceil(v0 / dec) + max ceil(unit / inc).
 
         Each node switches from decay to repair at most once, since it is
         assigned at most once, and a targeted node keeps its entity until it
@@ -146,11 +146,14 @@ class _OnlineAssignment:
         ceil(v0_j / dec_j) steps.  So if it is assigned, that happens at a
         step t < ceil(v0_j / dec_j) where it is still Active, and from then
         on it gains its entity's inc_j > 0 a step from a positive
-        health, reaching unit within ceil(unit / inc_j) more steps.
+        health, reaching unit within ceil(unit / inc_j) more steps.  Both
+        ceilings are taken on the lattice integers: v0, dec and inc share
+        one ``unit``, so each ratio is the exact Fraction's.
         """
         lattice = scenario.lattice
+        falling = max(-(-v0 // dec) for v0, dec in zip(lattice.v0, lattice.decs))
         rising = max(-(-lattice.unit // inc) for incs in lattice.incs.values() for inc in incs)
-        return max(map(lifetime_index, scenario.nodes)) + rising
+        return falling + rising
 
 
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:

@@ -8,7 +8,10 @@ checked bit for bit.
 
 ``advance`` is the one synchronous step, on the scenario's lattice: it
 steps only the Active positions it is handed and returns those still
-Active.  ``_run_to_absorption`` is the one run loop; ``simulate`` and the
+Active, in one pass over them.  ``decayed`` hands back the positions
+decay leaves Active, and ``advance`` corrects that list only at the
+step's targets, of which there are at most M.  ``_run_to_absorption``
+is the one run loop; ``simulate`` and the
 online assignment in ``allocation`` both run through that loop, and
 ``verify_trace`` replays rows through ``advance``.  The loop and the
 replay build the Active positions once from v0 and carry them from step
@@ -20,6 +23,7 @@ Fraction only in ``Trace.health_at`` and in the trace CSV.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Protocol
@@ -136,16 +140,28 @@ def advance(lattice: Lattice, healths: IntVec, active: list[int], actions: Actio
 
     ``active`` lists every Active position of ``healths`` in increasing
     order; returns the stepped healths and, in the same order, the
-    positions still Active.
+    positions still Active.  One pass over ``active``: ``decayed`` steps
+    every position and lists those it leaves Active, and only the targets
+    of ``actions`` correct that list.  A target that decay alone would
+    have left Active leaves it when ``repaired`` lifts it to ``unit``; one
+    that decay alone would have taken to 0 goes back in, in order, when
+    its repaired health is below ``unit``.  A non-Active target is ignored.
     """
     unit = lattice.unit
-    stepped = decayed(healths, lattice.decs, active)
+    stepped, alive = decayed(healths, lattice.decs, active)
     for entity_id, target in actions.items():
         if target is not None:
             j = lattice.positions[target]
-            if 0 < healths[j] < unit:
-                stepped[j] = repaired(healths[j], lattice.incs[entity_id][j], unit)
-    return tuple(stepped), [j for j in active if 0 < stepped[j] < unit]
+            h = healths[j]
+            if 0 < h < unit:
+                was_alive = 0 < stepped[j] < unit
+                lifted = stepped[j] = repaired(h, lattice.incs[entity_id][j], unit)
+                if lifted < unit:
+                    if not was_alive:
+                        insort(alive, j)
+                elif was_alive:
+                    alive.remove(j)
+    return tuple(stepped), alive
 
 
 def _run_to_absorption(

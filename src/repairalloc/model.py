@@ -6,9 +6,10 @@ has permanently failed, a node that reaches 1 is permanently repaired.  At
 each discrete time step every Active node either gains its targeting
 entity's repair rate (clamped at 1) or loses its own deterioration rate
 (clamped at 0).  Absorbed nodes never move, so the rule is positional:
-``decayed`` steps only the Active positions it is handed and copies the
-rest.  All values are exact, so the rule (``decayed``, ``repaired``),
-the status test (``health_status``) and the regime checks run on one integer
+``decayed`` steps only the Active positions it is handed, copies the
+rest, and in the same pass lists the positions it leaves Active.  All
+values are exact, so the rule (``decayed``, ``repaired``), the status
+test (``health_status``) and the regime checks run on one integer
 lattice per scenario, and costs and the budget are summed and compared on
 one integer ledger per scenario.  Fractions and None stay at the boundary:
 scenario values, an unlimited budget (None, which the ledger turns into an
@@ -188,17 +189,26 @@ def active_positions(healths: Sequence[int], unit: int) -> list[int]:
     return [j for j, h in enumerate(healths) if 0 < h < unit]
 
 
-def decayed(healths: Sequence[int], decs: Sequence[int], active: Iterable[int]) -> list[int]:
+def decayed(healths: Sequence[int], decs: Sequence[int], active: Iterable[int]) -> tuple[list[int], list[int]]:
     """Lattice healths one step on, untargeted: the positions in ``active`` lose their decay, clamped at 0.
 
     Every other position is copied unchanged, so ``active`` must hold every
-    Active position (0 < h < unit) for this to be the model's step.
+    Active position (0 < h < unit) for this to be the model's step.  Also
+    returns, in the order of ``active`` (increasing, as every caller hands
+    it), the positions it leaves above 0.  Each of them decayed from below
+    ``unit``, so it stays below ``unit``: the list is the positions still
+    Active after an untargeted step, found in the same pass.
     """
     stepped = list(healths)
+    alive: list[int] = []
     for j in active:
         h, d = healths[j], decs[j]
-        stepped[j] = h - d if h > d else 0
-    return stepped
+        if h > d:
+            stepped[j] = h - d
+            alive.append(j)
+        else:
+            stepped[j] = 0
+    return stepped, alive
 
 
 def repaired(health: int, inc: int, unit: int) -> int:

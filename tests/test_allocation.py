@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repairalloc import engine
 from repairalloc.allocation import (
+    _OnlineAssignment,
     allocate_budgeted,
     largest_repairable_subset,
     lifetime_index,
@@ -216,6 +217,24 @@ def test_online_policy_stops_at_its_step_bound_when_the_step_never_absorbs(monke
     monkeypatch.setattr(engine, "advance", unfiltered)
     with pytest.raises(NonAbsorbingPolicy, match="no absorption within 15 steps"):
         run_online_policy(DEMOS["decay_dominant"]())
+
+
+def test_online_step_bound_is_the_fraction_ceilings_on_seeded_draws():
+    """``step_bound``, taken on lattice integers, equals max ceil(v0 / dec) +
+    max ceil(1 / inc) taken on the scenario's Fractions, and the online run
+    ends within it.  The repair-dominant draws lie outside the online run's
+    regime (every rate exceeds the decay), so they run forced.
+    """
+    rng = random.Random(5087)
+    for i in range(200):
+        draw = random_repair_dominant if i % 2 else random_uniform_regime
+        scenario = draw(rng, max_nodes=8, max_entities=3)
+        falling = max(math.ceil(n.v0 / n.delta_dec) for n in scenario.nodes)
+        rising = max(math.ceil(1 / e.rate_for(n.id)) for e in scenario.entities for n in scenario.nodes)
+        bound = _OnlineAssignment.step_bound(scenario)
+        assert bound == falling + rising, scenario
+        run = run_online_policy(scenario, force=draw is random_repair_dominant)
+        assert run.trace.terminal_step <= bound, scenario
 
 
 def test_online_policy_budget_below_cost_assigns_nothing():

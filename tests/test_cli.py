@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -438,6 +439,30 @@ def test_every_command_on_a_bundled_scenario(name, tmp_path, capsys):
             continue
         assert rc == 0, err
         verify_trace(scenario, printed_allocation(out, scenario), read_trace_csv(trace_path, scenario))
+
+
+# SHA-256 of the trace CSV each absorbing ``solve --force --trace`` run writes;
+# alg2 never absorbs on the other three bundled scenarios.
+TRACE_CSV_SHA256 = {
+    ("decay_dominant", "alg2"): "322ca6d76e155335c1f21c27870d59ddeac62d3232679f94a76bdb38cfdc8c4e",
+    ("decay_dominant", "online"): "967cd80fd8744d22ca81735ff8089c1ee75a944b19916363fe2f8b7a1a132974",
+    ("repair_dominant", "alg2"): "762b1b26d11f3c06f3a2eff91dfa07132fbb455f8277b6f68c7d5d65dfc0baa6",
+    ("repair_dominant", "online"): "229bc2b6fa244332f5e8dab5637e549dedfac6b51f6b5b3f00e012837284dbf8",
+    ("online_suboptimal", "alg2"): "0a944dc70c89bc01d7252aaee67e841cba77b3e6fb9baff415cb1a097fe45a14",
+    ("online_suboptimal", "online"): "33c6d212432c9f8b63eaa867877580c3ce673f0bc35d3365506293773da7e077",
+    ("largest_first_suboptimal", "online"): "4f9858fe6345b76eb40ed630e9ad1ec0db88c789e71fe7d176dd332244d75c58",
+    ("mixed_costs", "online"): "cd16d5d6ae11cb0f545c119478c2d94d60b910ff1cd19e9284e982e309115d6e",
+    ("mixed_rates", "online"): "a6e2e2d755c937374f9c829a941f2dd5d5fb181de534b3d2d0c00dd0df8b73ad",
+}
+
+
+@pytest.mark.parametrize("name, policy", sorted(TRACE_CSV_SHA256))
+def test_solve_trace_csv_of_a_bundled_scenario_is_pinned(name, policy, tmp_path, capsys):
+    """A forced ``solve --trace`` writes, byte for byte, the CSV recorded for that scenario and pipeline."""
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", scenario_path(name), "--policy", policy, "--force", "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == TRACE_CSV_SHA256[name, policy]
 
 
 def test_demos_names_every_bundled_file():

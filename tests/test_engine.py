@@ -605,22 +605,27 @@ def _read_as_fractions(run: tuple) -> tuple:
 
 
 def _equivalence_runs(rng: random.Random, simulate, online) -> list:
-    """Traces (read as Fractions) and outcomes of all four policies and the online run on seeded draws."""
+    """Traces (read as Fractions) and outcomes of all four policies and the online run on seeded draws.
+
+    25 draws of each family hold at most 6 nodes; 6 more hold up to 40, so
+    a step's targets sit in the middle of long lists of Active positions.
+    """
     runs = []
-    for _ in range(25):
-        scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
-        allocation = allocate_budgeted(scenario)
-        full, _ = simulate(scenario, allocation, LeastModifiedHealth())
-        script = [row.actions for row in full.steps[: rng.randint(0, full.terminal_step)]]
-        for policy in (
-            LeastModifiedHealth(),
-            HealthiestFirst(),
-            FixedOrder(decreasing_initial_health_orders(scenario, allocation)),
-            Scripted(script),
-        ):
-            runs.append(_read_as_fractions(simulate(scenario, allocation, policy)))
-        scenario = random_uniform_regime(rng, max_nodes=6, max_entities=3)
-        runs.append(_read_as_fractions(online(scenario)))
+    for draws, max_nodes, max_entities in ((25, 6, 3), (6, 40, 6)):
+        for _ in range(draws):
+            scenario = random_repair_dominant(rng, max_nodes=max_nodes, max_entities=max_entities)
+            allocation = allocate_budgeted(scenario)
+            full, _ = simulate(scenario, allocation, LeastModifiedHealth())
+            script = [row.actions for row in full.steps[: rng.randint(0, full.terminal_step)]]
+            for policy in (
+                LeastModifiedHealth(),
+                HealthiestFirst(),
+                FixedOrder(decreasing_initial_health_orders(scenario, allocation)),
+                Scripted(script),
+            ):
+                runs.append(_read_as_fractions(simulate(scenario, allocation, policy)))
+            scenario = random_uniform_regime(rng, max_nodes=max_nodes, max_entities=max_entities)
+            runs.append(_read_as_fractions(online(scenario)))
     return runs
 
 

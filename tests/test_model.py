@@ -146,9 +146,11 @@ def test_step_health_clamps_at_the_boundaries():
     assert repaired(unit - inc, inc, unit) == unit  # gains exactly to 1
     assert repaired(unit - inc - 1, inc, unit) == unit - 1  # stops just inside 1
     assert repaired(unit - inc + 1, inc, unit) == unit  # overshoots 1
-    assert decayed([dec, dec + 1, dec - 1], [dec] * 3, [0, 1, 2]) == [0, 1, 0]  # exactly to 0, just inside, past
-    assert decayed([0, unit, -1, unit + 1], [dec] * 4, []) == [0, unit, -1, unit + 1]  # no position handed: copied
-    assert decayed([0, dec + 1, unit], [dec] * 3, [1]) == [0, 1, unit]  # only the handed position moves
+    # exactly to 0, not listed; just inside, listed; past 0, not listed
+    assert decayed([dec, dec + 1, dec - 1], [dec] * 3, [0, 1, 2]) == ([0, 1, 0], [1])
+    assert decayed([0, unit, -1, unit + 1], [dec] * 4, []) == ([0, unit, -1, unit + 1], [])  # no position handed: copied
+    assert decayed([0, dec + 1, unit], [dec] * 3, [1]) == ([0, 1, unit], [1])  # only the handed position moves
+    assert decayed([dec + 1, dec + 1, unit - 1], [dec] * 3, [1]) == ([dec + 1, 1, unit - 1], [1])  # unhanded: never listed
 
 
 def test_step_health_targeted_gains_and_clamps():
@@ -187,9 +189,13 @@ def test_positional_step_matches_the_full_vector_step_on_seeded_draws():
 
     Vectors mix entries at 0 and at ``unit`` with entries one step from
     either clamp; each entity targets a distinct Active node or idles.
+    Both corrections ``advance`` makes to the list ``decayed`` returns are
+    taken: a target that decay alone would take to 0 but repair leaves
+    Active goes back in, and one that decay alone would leave Active but
+    repair lifts to ``unit`` comes out.
     """
     rng = random.Random(4241)
-    absorbed_after = 0
+    absorbed_after = reinserted = removed = 0
     for _ in range(300):
         draw = rng.choice((random_repair_dominant, random_uniform_regime))
         scenario = draw(rng, max_nodes=8, max_entities=4)
@@ -218,7 +224,14 @@ def test_positional_step_matches_the_full_vector_step_on_seeded_draws():
             assert stepped == expected, (scenario, healths, actions)
             assert still_active == [j for j, h in enumerate(expected) if 0 < h < unit], (scenario, healths, actions)
             absorbed_after += len(active) - len(still_active)
+            for entity_id, target in actions.items():
+                if target is not None:
+                    j = lattice.positions[target]
+                    h, dec, inc = healths[j], lattice.decs[j], lattice.incs[entity_id][j]
+                    reinserted += h <= dec and h + inc < unit
+                    removed += h > dec and h + inc >= unit
     assert absorbed_after > 0  # the draws do absorb nodes, so the returned list is tested
+    assert reinserted > 0 and removed > 0  # both corrections of the decayed list are taken
 
 
 def test_lattice_holds_every_value_exactly_on_seeded_draws():
