@@ -92,33 +92,78 @@ and its own decay.
 
 At each tree node the walk tries the unallocated child under the count
 bound, then each entity's child under the count bound, the budget and the
-tightness decision, in that order; only the decision runs a search, so
-this order fixes the sequence of kernel searches.  Each decision is made
-once per (entity, set of two or more nodes) within one ``oracle_optimal``
-call and cached.  A decision search that exceeds ``memo_cap`` leaves the
-set unknown, and the walk enters the child, which keeps every leaf a scan
-would reach.  A leaf that holds an unknown set
-runs the full search of that set, which raises InstanceTooLarge as a scan
-of every allocation would: the full search generates every state the
-decision search generates, in the same order of expansions, so it
-reaches the cap no later.  Every leaf the walk records past that check
-is therefore tight for every entity.  A one-node set is never searched
-during the walk, so ``memo_cap`` bounds only the searches that are made:
-a lone node's climb fails a call only when the returned allocation holds
-it.
+tightness decision, in that order; only the decision can run a search,
+so this order fixes the sequence of kernel searches.  Each decision is
+made once per (entity, set of two or more nodes) within one
+``oracle_optimal`` call and cached by the walk.
 
-Each search slices its set's healths, decays and rates out of the
-scenario's integer lattice and runs in exact integer arithmetic.  Every
-leaf the walk reaches scores its allocated count, as (c) shows, which the
-walk carries down the tree and records with the leaf, and each one beats
-the best reward so far.  Only the returned leaf, the first maximizer,
-becomes an ``Allocation``.  Its sets with no cached targets, the lone
-nodes among them, get their full search; by (d) the cached targets are
-the full searches' too, so its witness trace is the one a scan finds.
-That witness is replayed once through the simulator.  Two checks hold
-the result to the proofs, and either raises SearchInconsistency: the
-replay must repair the summed per-entity optima, and that sum must equal
-the allocated count the walk carried.
+Every search of one call, decisions and full searches alike, goes
+through one verdict store local to the call.  A search slices its set's
+decays, rates and healths out of the scenario's integer lattice, member
+by member in node order, and runs in exact integer arithmetic.  The
+store answers some decisions without a search, by three rules:
+
+* **(f) Same values.**  A search is a pure function of its slice, its
+  floor and ``memo_cap``: the kernel reads nothing else.  The store keys
+  each result on (slice, floor), as the reward with the targets as
+  positions in the slice, or as None when the search exceeded
+  ``memo_cap``.  A set whose slice and floor were searched before, for
+  the same entity or for another with equal rates on those nodes, gets
+  that result, which is the one its own search returns; its own members
+  map the positions to node ids.
+* **(g) Refuted subsets.**  The store keeps each entity's sets found
+  not tight.  By (a), a set that contains one of them is not tight
+  either, and the store refutes it without a search.
+* **(h) Dominated slices.**  V_e(S) depends on S's nodes only through
+  their (decay, rate, health) triples, and not on the order of those
+  triples: the step moves each node by its own values, and the entity
+  may target any Active node, so relabeling the nodes maps schedules to
+  schedules with the same repaired count.  Sorting a slice's triples is
+  such a relabeling; it groups the nodes by (decay, rate) and sorts the
+  healths within each group.  If a refuted slice and a new one have the
+  same sorted (decay, rate) sequence, and the new one's sorted healths
+  are componentwise at most the refuted one's, then V is at most the
+  refuted V by the monotonicity the kernel docstring proves, so it is
+  below |S| and the new set is not tight.  The store sorts only for an
+  entity that has two nodes of equal (decay, rate): without such a pair,
+  two of its sets with the same sorted sequence are the same set, which
+  the walk never decides twice.
+
+A refutation by (f), (g) or (h) is (|S| - 1, ()), which is exactly what
+the decision search returns on a set that is not tight: every v0 lies
+strictly between 0 and 1, so the search does not stop at its initial
+state, and it finds no terminal above its floor |S| - 1.  The walk reads
+a decision only as tight or not, and only rule (f) shares a tight
+result, between equal slices, never across a relabeling.  So the cuts,
+the order of the walk, the optimum, the witness allocation and the
+witness trace are the ones a search per decision gives.
+
+A decision search that exceeds ``memo_cap`` leaves the set unknown, and
+the walk enters the child, which keeps every leaf a scan would reach.
+Rule (f) shares an overflow only between equal slices, whose searches
+overflow alike.  Rules (g) and (h) never search the sets they refute,
+so such a set is not tight, not unknown, even where its search would
+exceed ``memo_cap``: a call that a search per decision fails at a small
+cap may answer, and then answers as without the cap.  A leaf that holds
+an unknown set runs the full search of that set, which raises
+InstanceTooLarge as a scan of every allocation would: the full search
+generates every state the decision search generates, in the same order
+of expansions, so it reaches the cap no later.  Every leaf the walk
+records past that check is therefore tight for every entity.  A
+one-node set is never searched during the walk, so ``memo_cap`` bounds
+only the searches that are made: a lone node's climb fails a call only
+when the returned allocation holds it.
+
+Every leaf the walk reaches scores its allocated count, as (c) shows,
+which the walk carries down the tree and records with the leaf, and each
+one beats the best reward so far.  Only the returned leaf, the first
+maximizer, becomes an ``Allocation``.  Its sets with no cached targets,
+the lone nodes among them, get their full search; by (d) the cached
+targets are the full searches' too, so its witness trace is the one a
+scan finds.  That witness is replayed once through the simulator.  Two
+checks hold the result to the proofs, and either raises
+SearchInconsistency: the replay must repair the summed per-entity
+optima, and that sum must equal the allocated count the walk carried.
 """
 
 from __future__ import annotations
@@ -135,11 +180,11 @@ from repairalloc.policies import Scripted
 
 DEFAULT_CAP = 10**6
 
-# An entity's set as a bitmask over node positions: bit j is scenario.nodes[j].
-# (entity index, its set of two or more nodes) -> the decision search's (reward,
-# witness targets): the set's size when it is tight, less when it is not, None
-# when unknown
-_TightCache = dict[tuple[int, int], Optional[tuple[int, tuple[str, ...]]]]
+# An entity's set is a bitmask over node positions: bit j is scenario.nodes[j].
+# A search's result: (reward, the slice positions targeted), or None when it exceeded memo_cap.
+_Result = Optional[tuple[int, tuple[int, ...]]]
+# A set's slice of the lattice: (decay, rate, health) of each member, in node order.
+_Slice = tuple[tuple[int, int, int], ...]
 
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
@@ -191,49 +236,128 @@ def optimal_sequencing_reward(
     allocation.require_budget(scenario)
     positions = scenario.lattice.positions
     masks = tuple(sum(1 << positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids)
-    reward, trace, _ = _witness(scenario, allocation, masks, memo_cap, {})
+    reward, trace, _ = _witness(scenario, allocation, masks, _Verdicts(scenario, memo_cap), {})
     return reward, trace
 
 
-def _search_entity(
-    scenario: Scenario,
-    k: int,
-    mask: int,
-    memo_cap: int,
-    floor: int = -1,
-) -> tuple[int, tuple[str, ...]]:
-    """Search the k-th entity's set on its slice of the scenario's lattice, counting only rewards above ``floor``."""
-    lattice = scenario.lattice
-    members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
-    incs = lattice.incs[scenario.entity_ids[k]]
-    healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, incs))
-    reward, positions = _kernel.solve_allocation(healths, lattice.unit, decs, incs, memo_cap, floor)
-    return reward, tuple(scenario.node_ids[members[i]] for i in positions)
+def _members(mask: int) -> list[int]:
+    """The node positions in a set's bitmask, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+class _Verdicts:
+    """Every kernel search of one oracle call, keyed by the searched set's lattice values.
+
+    The module docstring proves (f)-(h), the three rules by which
+    ``decide`` answers some decisions without a search: the same values,
+    a refuted subset and a dominated slice.  Each search that is made goes
+    through ``_kernel.solve_allocation``.
+    """
+
+    def __init__(self, scenario: Scenario, memo_cap: int):
+        lattice = scenario.lattice
+        self.unit, self.memo_cap = lattice.unit, memo_cap
+        # entity k's (decay, rate, health) of every node, in node order
+        self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
+        # whether entity k has two nodes of equal (decay, rate), without which (h) never applies
+        self.relabels = [len({value[:2] for value in values}) < len(values) for values in self.values]
+        self.results: dict[tuple[_Slice, int], _Result] = {}  # (f): (slice, floor) -> result
+        self.refuted: list[list[int]] = [[] for _ in self.values]  # (g): entity k's masks found not tight
+        # (h): sorted (decay, rate) sequence -> the sorted healths of each refuted slice with it
+        self.dominators: dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]] = {}
+
+    def _slice(self, k: int, mask: int) -> _Slice:
+        values = self.values[k]
+        return tuple([values[j] for j in _members(mask)])
+
+    def _solve(self, values: _Slice, floor: int) -> tuple[int, tuple[int, ...]]:
+        decs, incs, healths = zip(*values)
+        return _kernel.solve_allocation(healths, self.unit, decs, incs, self.memo_cap, floor)
+
+    def search(self, k: int, mask: int) -> tuple[int, tuple[int, ...]]:
+        """The full search of entity k's set: its optimum and the slice positions targeted.
+
+        Raises InstanceTooLarge when the search holds ``memo_cap`` states.
+        """
+        key = self._slice(k, mask), -1
+        if key not in self.results:
+            self.results[key] = self._solve(*key)
+        return self.results[key]
+
+    def decide(self, k: int, mask: int, size: int) -> _Result:
+        """The decision search of entity k's set of ``size`` >= 2 nodes, None when it exceeds ``memo_cap``.
+
+        The set is tight when the reward is ``size``; an inferred refutation
+        is (size - 1, ()), which is what the search returns on a set that is
+        not tight.
+        """
+        floor = size - 1
+        for refuted in self.refuted[k]:
+            if refuted & mask == refuted:  # (g)
+                return floor, ()
+        values = self._slice(k, mask)
+        key = values, floor
+        if key in self.results:  # (f)
+            verdict = self.results[key]
+        else:
+            classes = _classes(values) if self.relabels[k] else None
+            if classes is not None and self._dominated(*classes):  # (h)
+                verdict = floor, ()
+            else:
+                try:
+                    verdict = self._solve(values, floor)
+                except InstanceTooLarge:
+                    verdict = None
+                if classes is not None and verdict is not None and verdict[0] < size:
+                    self.dominators.setdefault(classes[0], []).append(classes[1])
+            self.results[key] = verdict
+        if verdict is not None and verdict[0] < size:
+            self.refuted[k].append(mask)
+        return verdict
+
+    def _dominated(self, signature: tuple[tuple[int, int], ...], healths: tuple[int, ...]) -> bool:
+        """Whether a refuted slice has the same (decay, rate) groups and, sorted within them, healths at least these."""
+        return any(all(map(int.__le__, healths, refuted)) for refuted in self.dominators.get(signature, ()))
+
+
+def _classes(values: _Slice) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """A slice's (decay, rate) pairs in sorted order, and its healths sorted within each run of equal pairs."""
+    ordered = sorted(values)
+    return tuple([value[:2] for value in ordered]), tuple([value[2] for value in ordered])
 
 
 def _witness(
     scenario: Scenario,
     allocation: Allocation,
     masks: tuple[int, ...],
-    memo_cap: int,
-    tight: _TightCache,
+    verdicts: _Verdicts,
+    tight: dict[tuple[int, int], _Result],
 ) -> tuple[int, Trace, Outcome]:
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
-    A set's reward and targets come from ``tight`` when it holds them, and
-    from a full search otherwise.  Step t of the script holds the entities
-    whose targets run past t; ``simulate`` records the others as idle.
-    Raises SearchInconsistency unless the replay repairs the summed optima.
+    A set's reward and targets come from ``tight``, the walk's decisions,
+    when it holds them, and from a full search otherwise; either gives
+    the targets as positions in the set's slice, which its members map to
+    node ids.  Step t of the script holds the entities whose targets run
+    past t; ``simulate`` records the others as idle.  Raises
+    SearchInconsistency unless the replay repairs the summed optima.
     """
+    ids = scenario.node_ids
     reward = 0
     script: list[dict[str, Optional[str]]] = []
     for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
         if mask:
-            optimum, targets = tight.get((k, mask)) or _search_entity(scenario, k, mask, memo_cap)
+            optimum, targets = tight.get((k, mask)) or verdicts.search(k, mask)
+            members = _members(mask)
             reward += optimum
             script.extend({} for _ in range(len(targets) - len(script)))
             for actions, target in zip(script, targets):
-                actions[eid] = target
+                actions[eid] = ids[members[target]]
     trace, outcome = simulate(scenario, allocation, Scripted(script))
     if outcome.reward != reward:
         raise SearchInconsistency(f"witness replay yielded {outcome.reward}, search claimed {reward}")
@@ -272,7 +396,9 @@ def oracle_optimal(
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
     masks = [0] * len(costs)
-    tight: _TightCache = {}
+    verdicts = _Verdicts(scenario, memo_cap)
+    # (entity index, its set of two or more nodes) -> the set's decision
+    tight: dict[tuple[int, int], _Result] = {}
     best_reward, best_masks = -1, tuple(masks)
 
     def visit(depth: int, spent: int, count: int) -> None:
@@ -280,7 +406,7 @@ def oracle_optimal(
         if depth == n:
             for key in enumerate(masks):
                 if key in tight and tight[key] is None:
-                    tight[key] = _search_entity(scenario, *key, memo_cap)  # an unknown set: this raises
+                    tight[key] = verdicts.search(*key)  # an unknown set: this raises
             best_reward, best_masks = count, tuple(masks)
             return
         if count + n - 1 - depth > best_reward:  # the count bound
@@ -294,10 +420,7 @@ def oracle_optimal(
             mask = masks[k] | bit
             size = mask.bit_count()
             if size > 1 and (k, mask) not in tight:
-                try:
-                    tight[k, mask] = _search_entity(scenario, k, mask, memo_cap, size - 1)
-                except InstanceTooLarge:
-                    tight[k, mask] = None
+                tight[k, mask] = verdicts.decide(k, mask, size)
             # no cache entry for a lone node, tight by proof (e), and None for an unknown set
             if (decided := tight.get((k, mask))) is None or decided[0] == size:
                 masks[k] = mask
@@ -308,7 +431,7 @@ def oracle_optimal(
     # last is replayed; the all-unallocated leaf always comes first
     visit(0, 0, 0)
     allocation = _allocation(scenario, best_masks)
-    reward, trace, outcome = _witness(scenario, allocation, best_masks, memo_cap, tight)
+    reward, trace, outcome = _witness(scenario, allocation, best_masks, verdicts, tight)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

@@ -109,6 +109,37 @@ def test_pruned_search_is_exact_and_monotone(instance):
     assert all(x >= y for x, y in zip(*rewards))
 
 
+def test_relabeled_and_dominated_slices_never_score_more():
+    # the premise of the oracle's verdict store rule (h): on seeded slices
+    # whose nodes share few (decay, rate) pairs, the full-search reward is
+    # monotone in the healths, and relabeling nodes of equal (decay, rate),
+    # here by swapping their healths, leaves it unchanged
+    rng = random.Random(8807)
+    strict = moved = 0
+    for _ in range(300):
+        unit = rng.randint(3, 9)
+        pairs = [(rng.randint(1, unit // 2), rng.randint(1, unit)) for _ in range(rng.randint(1, 2))]
+        slice_pairs = [rng.choice(pairs) for _ in range(rng.randint(2, 4))]
+        decs, incs = zip(*slice_pairs)
+        low = tuple(rng.randint(1, unit - 1) for _ in slice_pairs)
+        high = tuple(rng.randint(h, unit - 1) for h in low)
+        low_reward = _kernel.solve_allocation(low, unit, decs, incs, 10**6)[0]
+        high_reward = _kernel.solve_allocation(high, unit, decs, incs, 10**6)[0]
+        assert low_reward <= high_reward, (unit, decs, incs, low, high)
+        strict += low_reward < high_reward
+        relabeled = list(high)
+        for pair in set(slice_pairs):
+            group = [j for j, p in enumerate(slice_pairs) if p == pair]
+            healths = [high[j] for j in group]
+            rng.shuffle(healths)
+            for j, h in zip(group, healths):
+                relabeled[j] = h
+        relabeled = tuple(relabeled)
+        assert _kernel.solve_allocation(relabeled, unit, decs, incs, 10**6)[0] == high_reward, (unit, decs, incs, high, relabeled)
+        moved += relabeled != high
+    assert strict >= 50 and moved >= 100, (strict, moved)  # both claims are exercised
+
+
 def overflow_pair() -> Scenario:
     # a sits 2^-62 below 1, so the lattice unit is 2^62, and a's health plus
     # one repair step of 7/4 is 11 * 2^60 - 1: past the int64 range

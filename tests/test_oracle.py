@@ -204,6 +204,40 @@ def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monke
     assert seen == [(2, 1), (2, -1)]
 
 
+def decisions(monkeypatch) -> list[tuple[int, int, int, object, bool]]:
+    """Record every decision of the oracle's verdict store: (entity index, mask, size, verdict, whether it searched)."""
+    seen: list[tuple[int, int, int, object, bool]] = []
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    decide = oracle._Verdicts.decide
+
+    def recording(store, k, mask, size):
+        before = len(searches)
+        verdict = decide(store, k, mask, size)
+        seen.append((k, mask, size, verdict, len(searches) > before))
+        return verdict
+
+    monkeypatch.setattr(oracle._Verdicts, "decide", recording)
+    return seen
+
+
+def test_value_equal_sets_share_one_overflow(monkeypatch):
+    # "f" is a twin of "e", so f's {"a", "b"} has the same slice as e's: the
+    # store gives f the overflow of e's decision search without a second
+    # search, and the call still finishes with the unbounded call's witness
+    trio = bound_overflow_trio(F(2))
+    twin = EntitySpec("f", F(1), dict(trio.entities[0].repair_rate))
+    scenario = Scenario(trio.nodes, (*trio.entities, twin), budget=F(2))
+    seen = overflows(monkeypatch)
+    decided = decisions(monkeypatch)
+    result = oracle_optimal(scenario, memo_cap=5)
+    unknown = [(k, mask, searched) for k, mask, _, verdict, searched in decided if verdict is None]
+    assert unknown == [(0, 0b011, True), (1, 0b011, False)]
+    assert seen == [(2, 1)]
+    unbounded = oracle_optimal(scenario)
+    assert result.optimal_reward == unbounded.optimal_reward == 2
+    assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
+
+
 def counted(monkeypatch, owner, name: str) -> list[None]:
     """Replace ``owner.name`` with a wrapper that appends to the returned list on every call."""
     calls: list[None] = []
@@ -229,15 +263,16 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 
 # kernel searches per oracle_optimal call on each bundled scenario, exactly:
 # a count bound that reads too high enters more children and searches more
-# sets, and cuts taken in another order search other sets, without changing
-# any optimum, witness or trace, so only these counts catch either
+# sets, cuts taken in another order search other sets, and a verdict store
+# rule that stops firing searches sets it could decide, all without changing
+# any optimum, witness or trace, so only these counts catch them
 KERNEL_SEARCHES = {
-    "repair_dominant": 12,
-    "decay_dominant": 11,
-    "online_suboptimal": 4,
-    "largest_first_suboptimal": 10,
-    "mixed_rates": 11,
-    "mixed_costs": 10,
+    "repair_dominant": 6,
+    "decay_dominant": 6,
+    "online_suboptimal": 3,
+    "largest_first_suboptimal": 6,
+    "mixed_rates": 10,
+    "mixed_costs": 4,
 }
 
 
@@ -248,6 +283,53 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
         searches.clear()
         oracle_optimal(build())
         assert len(searches) == KERNEL_SEARCHES[name], name
+
+
+def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s(monkeypatch):
+    # the store answers some decisions by the oracle docstring's rules:
+    # (f) a slice and floor decided before, (g) a refuted subset of the same
+    # entity's set, (h) a slice dominated by a refuted one after sorting within
+    # (decay, rate) groups; each such verdict must be exactly the kernel's own
+    # decision search on that set, and each rule must fire
+    solve = _kernel.solve_allocation
+    decided = decisions(monkeypatch)
+    rng = random.Random(2417)
+    scenarios = [build() for build in DEMOS.values()] + walk_draws()
+    for _ in range(30):
+        scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
+    fired = {"f": 0, "g": 0, "h": 0}
+    for scenario in scenarios:
+        lattice = scenario.lattice
+        decided.clear()
+        oracle_optimal(scenario)
+        refuted = []  # (entity index, mask, slice) of each set found not tight so far
+        shared = set()  # (slice, size) of each verdict so far that (f) can share
+        for k, mask, size, verdict, searched in decided:
+            incs = lattice.incs[scenario.entity_ids[k]]
+            members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
+            values = tuple((lattice.decs[j], incs[j], lattice.v0[j]) for j in members)
+            if not searched:
+                decs, rates, healths = zip(*values)
+                assert verdict == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1), scenario
+                if any(j == k and m & mask == m for j, m, _ in refuted):
+                    rule = "g"
+                elif (values, size) in shared:
+                    rule = "f"
+                else:
+                    assert any(dominates(other, values) for _, _, other in refuted), scenario
+                    rule = "h"
+                fired[rule] += 1
+            if searched or rule != "g":
+                shared.add((values, size))
+            if verdict[0] < size:
+                refuted.append((k, mask, values))
+    assert min(fired.values()) >= 1, fired
+
+
+def dominates(refuted: tuple, values: tuple) -> bool:
+    """Whether ``refuted`` relabels, within its (decay, rate) groups, to a slice with healths at least those of ``values``."""
+    high, low = sorted(refuted), sorted(values)
+    return [v[:2] for v in high] == [v[:2] for v in low] and all(h[2] >= l[2] for h, l in zip(high, low))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
