@@ -34,7 +34,6 @@ from repairalloc.model import (
     IntVec,
     Lattice,
     Scenario,
-    Status,
     active_positions,
     decayed,
     health_status,
@@ -110,9 +109,9 @@ class Outcome:
     @staticmethod
     def from_trace(trace: Trace) -> Outcome:
         """Read the reward, the absorbed sets and the jumps off a finished trace."""
-        final = [health_status(h, trace.unit) for h in trace.steps[-1].healths]
-        repaired = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.REPAIRED)
-        failed = frozenset(nid for nid, s in zip(trace.node_ids, final) if s is Status.FAILED)
+        final, unit = trace.steps[-1].healths, trace.unit
+        repaired = frozenset([nid for nid, h in zip(trace.node_ids, final) if h >= unit])
+        failed = frozenset([nid for nid, h in zip(trace.node_ids, final) if h <= 0])
         return Outcome(reward=len(repaired), repaired=repaired, failed=failed, jumps=count_jumps(trace))
 
 
@@ -227,9 +226,7 @@ def simulate(
     lattice = scenario.lattice
 
     def select(t: int, healths: IntVec, active: list[int]) -> Actions:
-        actions = policy.select(t, healths, active, allocation, scenario)
-        _validate_actions(actions, healths, lattice, allocation, scenario)
-        return {entity_id: actions.get(entity_id) for entity_id in scenario.entity_ids}
+        return _validate_actions(policy.select(t, healths, active, allocation, scenario), healths, lattice, allocation, scenario)
 
     trace = _run_to_absorption(scenario, select, step_bound)
     return trace, Outcome.from_trace(trace)
@@ -241,17 +238,21 @@ def _validate_actions(
     lattice: Lattice,
     allocation: Allocation,
     scenario: Scenario,
-) -> None:
-    """Raise PolicyViolation unless every target is an Active node of its entity's set, and every entity is known."""
+) -> dict[str, Optional[str]]:
+    """Raise PolicyViolation unless every target is an Active node of its entity's set, and every entity is known.
+
+    Returns a new action map over every entity in scenario order, an
+    entity missing from ``actions`` idle.
+    """
     unit, owner = lattice.unit, allocation.owner
+    checked: dict[str, Optional[str]] = {}
     known = 0
     for entity_id in scenario.entity_ids:
-        if entity_id not in actions:
+        target = checked[entity_id] = actions.get(entity_id)
+        if target is None:
+            known += entity_id in actions
             continue
         known += 1
-        target = actions[entity_id]
-        if target is None:
-            continue
         if owner.get(target) != entity_id:
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} outside its allocated set")
         health = healths[lattice.positions[target]]
@@ -259,6 +260,7 @@ def _validate_actions(
             raise PolicyViolation(f"entity {entity_id!r} targeted {target!r} which is {health_status(health, unit).value}")
     if known != len(actions):
         raise PolicyViolation(f"actions for unknown entities: {sorted(set(actions) - set(scenario.entity_ids))}")
+    return checked
 
 
 def verify_trace(scenario: Scenario, allocation: Allocation, trace: Trace) -> None:

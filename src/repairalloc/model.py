@@ -232,41 +232,41 @@ class Allocation:
 
     ``sets`` maps every entity id of the scenario to a frozenset of node
     ids (possibly empty).  ``total_cost`` is sum over entities of
-    cost * set size; build allocations with ``build``, which computes it.
+    cost * set size, and ``owner`` maps each allocated node id to the id
+    of the entity whose set holds it; it follows from ``sets``, so it
+    takes no part in equality or repr.  Build allocations with ``build``,
+    which computes both.
     """
 
     sets: Mapping[str, frozenset[str]]
     total_cost: Fraction
+    owner: Mapping[str, str] = field(repr=False, compare=False)
 
     @staticmethod
     def build(scenario: Scenario, sets: Mapping[str, frozenset[str] | set[str]]) -> "Allocation":
         full: dict[str, frozenset[str]] = {}
-        seen: set[str] = set()
-        valid_nodes = set(scenario.node_ids)
+        owner: dict[str, str] = {}
+        positions = scenario.lattice.positions
         for entity in scenario.entities:
             assigned = frozenset(sets.get(entity.id, frozenset()))
-            unknown = assigned - valid_nodes
+            unknown = [node_id for node_id in assigned if node_id not in positions]
             if unknown:
                 raise ValueError(f"entity {entity.id!r}: unknown nodes {sorted(unknown)}")
-            overlap = assigned & seen
+            overlap = [node_id for node_id in assigned if node_id in owner]
             if overlap:
                 raise ValueError(f"allocation sets must be disjoint; {sorted(overlap)} appear twice")
-            seen |= assigned
+            for node_id in assigned:
+                owner[node_id] = entity.id
             full[entity.id] = assigned
         unknown_entities = set(sets) - set(scenario.entity_ids)
         if unknown_entities:
             raise ValueError(f"unknown entities in allocation: {sorted(unknown_entities)}")
         ledger = scenario.ledger
         spent = sum(cost * len(full[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids))
-        return Allocation(sets=full, total_cost=Fraction(spent, ledger.scale))
+        return Allocation(sets=full, total_cost=Fraction(spent, ledger.scale), owner=owner)
 
     def nodes_of(self, entity_id: str) -> frozenset[str]:
         return self.sets[entity_id]
-
-    @cached_property
-    def owner(self) -> dict[str, str]:
-        """Node id to the id of the entity whose set holds it, built on first use; unallocated nodes are absent."""
-        return {node_id: entity_id for entity_id, nodes in self.sets.items() for node_id in nodes}
 
     def fits_budget(self, scenario: Scenario) -> bool:
         cost, ledger = self.total_cost, scenario.ledger

@@ -101,7 +101,7 @@ Every search of one call, decisions and full searches alike, goes
 through one verdict store local to the call.  A search slices its set's
 decays, rates and healths out of the scenario's integer lattice, member
 by member in node order, and runs in exact integer arithmetic.  The
-store answers some decisions without a search, by three rules:
+store answers some decisions without a search, by five rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else.  The store keys
@@ -110,7 +110,9 @@ store answers some decisions without a search, by three rules:
   ``memo_cap``.  A set whose slice and floor were searched before, for
   the same entity or for another with equal rates on those nodes, gets
   that result, which is the one its own search returns; its own members
-  map the positions to node ids.
+  map the positions to node ids.  The store also keeps the verdicts of
+  rules (i) and (j) below, which read nothing but the slice, under the
+  same key.
 * **(g) Refuted subsets.**  The store keeps each entity's sets found
   not tight.  By (a), a set that contains one of them is not tight
   either, and the store refutes it without a search.
@@ -129,22 +131,53 @@ store answers some decisions without a search, by three rules:
   two of its sets with the same sorted sequence are the same set, which
   the walk never decides twice.
 
-A refutation by (f), (g) or (h) is (|S| - 1, ()), which is exactly what
-the decision search returns on a set that is not tight: every v0 lies
-strictly between 0 and 1, so the search does not stop at its initial
-state, and it finds no terminal above its floor |S| - 1.  The walk reads
-a decision only as tight or not, and only rule (f) shares a tight
-result, between equal slices, never across a relabeling.  So the cuts,
-the order of the walk, the optimum, the witness allocation and the
-witness trace are the ones a search per decision gives.
+Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
+on the lattice integers: a node that no action targets at steps
+0, ..., t - 1 has health h_j - t * dec_j at step t while that is
+positive, and 0 from step L_j on, since 0 absorbs.
+
+* **(i) Lifetime bound.**  A schedule that repairs all of S targets each
+  member j at some step below L_j, since a member that no step below L_j
+  targets is at 0 at step L_j, and 0 absorbs; and the entity targets one
+  node per step.  Sort S's lifetimes as L_(0) <= L_(1) <= ...  The i + 1
+  members with the smallest lifetimes then need i + 1 distinct steps
+  below L_(i), and there are only L_(i) of them.  So if L_(i) <= i for
+  some 0-based i, S is not tight.  This is Hall's condition (Hall, "On
+  representatives of subsets", 1935) for giving each member its own
+  step.  On the lattice, L_(i) <= i is h <= i * dec for the member at
+  index i.
+* **(j) Sequential schedule.**  Target the members one at a time, each
+  until it reaches 1, first in (L_j, position) order, earliest deadline
+  first (Jackson, 1955), then, if that fails, in (-h_j, position) order.
+  A member whose turn comes after T steps has not been targeted yet, so
+  its health is h' = h_j - T * dec_j if that is positive; it is then
+  Active, and ceil((unit - h') / inc_j) steps on it take it to ``unit``,
+  where it stays.  If every member's h' is positive in either order,
+  that schedule repairs all of S.  It targets an Active member of S at
+  every step, so it is in the action space, and S is tight.
+
+A refutation by (f), (g), (h) or (i) is (|S| - 1, ()), which is exactly
+what the decision search returns on a set that is not tight: every v0
+lies strictly between 0 and 1, so the search does not stop at its
+initial state, and it finds no terminal above its floor |S| - 1.  A
+confirmation by (j) is (|S|, None): tight, with no targets, since no
+search ran.  The walk reads a decision only as tight or not, and only
+rule (f) shares a tight result, between equal slices, never across a
+relabeling.  So the cuts, the order of the walk, the optimum and the
+witness allocation are the ones a search per decision gives, and so is
+the witness trace, as the last paragraph shows.
 
 A decision search that exceeds ``memo_cap`` leaves the set unknown, and
 the walk enters the child, which keeps every leaf a scan would reach.
 Rule (f) shares an overflow only between equal slices, whose searches
-overflow alike.  Rules (g) and (h) never search the sets they refute,
-so such a set is not tight, not unknown, even where its search would
-exceed ``memo_cap``: a call that a search per decision fails at a small
-cap may answer, and then answers as without the cap.  A leaf that holds
+overflow alike.  Rules (g), (h) and (i) never search the sets they
+refute, and rule (j) never searches the sets it confirms, so such a set
+is decided, not unknown, even where its search would exceed
+``memo_cap``: a call that a search per decision fails at a small cap may
+answer, and then answers as without the cap.  A set that (j) confirmed
+still gets its full search when the returned allocation holds it, and
+that search raises InstanceTooLarge when it exceeds ``memo_cap``, as a
+lone node's does.  A leaf that holds
 an unknown set runs the full search of that set, which raises
 InstanceTooLarge as a scan of every allocation would: the full search
 generates every state the decision search generates, in the same order
@@ -158,9 +191,10 @@ Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
 maximizer, becomes an ``Allocation``.  Its sets with no cached targets,
-the lone nodes among them, get their full search; by (d) the cached
-targets are the full searches' too, so its witness trace is the one a
-scan finds.  That witness is replayed once through the simulator.  Two
+the lone nodes and the sets that (j) confirmed, get their full search.
+By (d) the targets a decision search finds, cached or not, are the full
+search's too, so its witness trace is the one a scan finds.  That
+witness is replayed once through the simulator.  Two
 checks hold the result to the proofs, and either raises
 SearchInconsistency: the replay must repair the summed per-entity
 optima, and that sum must equal the allocated count the walk carried.
@@ -181,8 +215,9 @@ from repairalloc.policies import Scripted
 DEFAULT_CAP = 10**6
 
 # An entity's set is a bitmask over node positions: bit j is scenario.nodes[j].
-# A search's result: (reward, the slice positions targeted), or None when it exceeded memo_cap.
-_Result = Optional[tuple[int, tuple[int, ...]]]
+# A decision: (reward, the slice positions targeted), with targets None when rule (j)
+# confirmed the set without a search, or None when the search exceeded memo_cap.
+_Result = Optional[tuple[int, Optional[tuple[int, ...]]]]
 # A set's slice of the lattice: (decay, rate, health) of each member, in node order.
 _Slice = tuple[tuple[int, int, int], ...]
 
@@ -214,7 +249,7 @@ def _allocation(scenario: Scenario, masks: tuple[int, ...]) -> Allocation:
     ids = scenario.node_ids
     return Allocation.build(
         scenario,
-        {eid: frozenset(nid for j, nid in enumerate(ids) if mask >> j & 1) for eid, mask in zip(scenario.entity_ids, masks)},
+        {eid: frozenset([ids[j] for j in _members(mask)]) for eid, mask in zip(scenario.entity_ids, masks)},
     )
 
 
@@ -253,10 +288,11 @@ def _members(mask: int) -> list[int]:
 class _Verdicts:
     """Every kernel search of one oracle call, keyed by the searched set's lattice values.
 
-    The module docstring proves (f)-(h), the three rules by which
+    The module docstring proves (f)-(j), the five rules by which
     ``decide`` answers some decisions without a search: the same values,
-    a refuted subset and a dominated slice.  Each search that is made goes
-    through ``_kernel.solve_allocation``.
+    a refuted subset, a dominated slice, the lifetime bound and a
+    sequential schedule.  Each search that is made goes through
+    ``_kernel.solve_allocation``.
     """
 
     def __init__(self, scenario: Scenario, memo_cap: int):
@@ -294,7 +330,8 @@ class _Verdicts:
 
         The set is tight when the reward is ``size``; an inferred refutation
         is (size - 1, ()), which is what the search returns on a set that is
-        not tight.
+        not tight, and a set that (j) confirms is (size, None), without the
+        search's targets.
         """
         floor = size - 1
         for refuted in self.refuted[k]:
@@ -305,8 +342,11 @@ class _Verdicts:
         if key in self.results:  # (f)
             verdict = self.results[key]
         else:
-            classes = _classes(values) if self.relabels[k] else None
-            if classes is not None and self._dominated(*classes):  # (h)
+            settled = _settled(values, self.unit)
+            classes = _classes(values) if settled is None and self.relabels[k] else None
+            if settled is not None:  # (i) refutes, (j) confirms
+                verdict = (size, None) if settled else (floor, ())
+            elif classes is not None and self._dominated(*classes):  # (h)
                 verdict = floor, ()
             else:
                 try:
@@ -331,6 +371,37 @@ def _classes(values: _Slice) -> tuple[tuple[tuple[int, int], ...], tuple[int, ..
     return tuple([value[:2] for value in ordered]), tuple([value[2] for value in ordered])
 
 
+def _settled(values: _Slice, unit: int) -> Optional[bool]:
+    """False when the lifetime bound (i) refutes the set, True when a sequential schedule (j) repairs it, else None."""
+    by_lifetime = sorted(values, key=_lifetime)
+    for i, (dec, _, health) in enumerate(by_lifetime):
+        if health <= i * dec:  # its lifetime is at most i
+            return False
+    if _repairs_in_turn(by_lifetime, unit) or _repairs_in_turn(sorted(values, key=_healthiest_first), unit):
+        return True
+    return None
+
+
+def _lifetime(value: tuple[int, int, int]) -> int:
+    """Steps until the node reaches 0 untargeted: ceil(health / decay)."""
+    return -(-value[2] // value[0])
+
+
+def _healthiest_first(value: tuple[int, int, int]) -> int:
+    return -value[2]
+
+
+def _repairs_in_turn(order: _Slice, unit: int) -> bool:
+    """Whether targeting each member in turn until it reaches ``unit`` repairs every member."""
+    spent = 0
+    for dec, inc, health in order:
+        health -= spent * dec  # untargeted so far, so it has lost its decay every step
+        if health <= 0:
+            return False
+        spent += -((health - unit) // inc)  # ceil((unit - health) / inc) targeted steps
+    return True
+
+
 def _witness(
     scenario: Scenario,
     allocation: Allocation,
@@ -341,7 +412,8 @@ def _witness(
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
     A set's reward and targets come from ``tight``, the walk's decisions,
-    when it holds them, and from a full search otherwise; either gives
+    when it holds them with targets, and from a full search otherwise,
+    which a set that rule (j) confirmed and a lone node get; either gives
     the targets as positions in the set's slice, which its members map to
     node ids.  Step t of the script holds the entities whose targets run
     past t; ``simulate`` records the others as idle.  Raises
@@ -352,7 +424,9 @@ def _witness(
     script: list[dict[str, Optional[str]]] = []
     for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
         if mask:
-            optimum, targets = tight.get((k, mask)) or verdicts.search(k, mask)
+            optimum, targets = tight.get((k, mask)) or (0, None)
+            if targets is None:
+                optimum, targets = verdicts.search(k, mask)
             members = _members(mask)
             reward += optimum
             script.extend({} for _ in range(len(targets) - len(script)))

@@ -104,7 +104,9 @@ class Scripted:
     Used to replay search witnesses.  The action depends on t, so the
     policy is time-variant and states ``step_bound``, which ``simulate``
     runs it to: the decaying tail after the script is all idle, which
-    always absorbs within that many steps.
+    always absorbs within that many steps.  The script is copied once,
+    here; ``select`` hands back the stored rows themselves, and the run
+    loop records a map of its own for each step.
     """
 
     time_invariant = False
@@ -119,9 +121,9 @@ class Scripted:
         active: Sequence[int],
         allocation: Allocation,
         scenario: Scenario,
-    ) -> dict[str, Optional[str]]:
+    ) -> Mapping[str, Optional[str]]:
         if t < len(self.script):
-            return dict(self.script[t])
+            return self.script[t]
         return {entity_id: None for entity_id in scenario.entity_ids}
 
     def step_bound(self, scenario: Scenario) -> int:

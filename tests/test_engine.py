@@ -142,6 +142,57 @@ def test_an_entity_missing_from_the_action_map_idles():
     verify_trace(scenario, allocation, _replace_row(trace, 0, TraceStep(trace.steps[0].healths, {"e": "a"})))
 
 
+def test_a_script_changed_after_simulate_leaves_the_trace_unchanged():
+    # Scripted hands the run loop its stored rows, and the loop records a map of its own for each step
+    scenario, allocation = _two_entities()
+    script = [{"e": "a"}, {"f": "b"}]
+    policy = Scripted(script)
+    trace, _ = simulate(scenario, allocation, policy)
+    rows = [dict(row.actions) for row in trace.steps]
+    script[0]["e"] = None
+    for row in policy.script:
+        row.clear()
+    assert [row.actions for row in trace.steps] == rows
+    assert rows[:2] == [{"e": "a", "f": None}, {"e": None, "f": "b"}]
+
+
+def test_every_action_row_lists_every_entity_in_scenario_order():
+    rng = random.Random(4470)
+    for _ in range(20):
+        scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
+        allocation = allocate_budgeted(scenario)
+        full, _ = simulate(scenario, allocation, LeastModifiedHealth())
+        # a script whose rows name the entities in reverse, or only some of them
+        script = [dict(reversed(list(row.actions.items()))) for row in full.steps[:-1]]
+        script += [{}] * 2
+        traces = [full, simulate(scenario, allocation, Scripted(script))[0]]
+        traces += [simulate(scenario, allocation, policy)[0] for policy in (HealthiestFirst(), FixedOrder({}))]
+        for trace in traces:
+            assert all(list(row.actions) == list(scenario.entity_ids) for row in trace.steps), scenario
+
+
+def test_outcome_from_trace_reads_what_health_status_reads_before_and_after_a_csv_round_trip():
+    # alg2's runs of repair-dominant draws and the online runs of uniform draws
+    rng = random.Random(5081)
+    for i in range(30):
+        if i % 2:
+            scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
+            trace, outcome = simulate(scenario, allocate_budgeted(scenario), LeastModifiedHealth())
+        else:
+            scenario = random_uniform_regime(rng, max_nodes=6, max_entities=3)
+            run = run_online_policy(scenario)
+            trace, outcome = run.trace, run.outcome
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, path)
+            loaded = read_trace_csv(path, scenario)
+        for read in (trace, loaded):
+            final = [health_status(h, read.unit) for h in read.steps[-1].healths]
+            repaired = frozenset(nid for nid, status in zip(read.node_ids, final) if status is Status.REPAIRED)
+            failed = frozenset(nid for nid, status in zip(read.node_ids, final) if status is Status.FAILED)
+            assert Outcome.from_trace(read) == outcome == Outcome(len(repaired), repaired, failed, count_jumps(read))
+
+
 def test_cycle_detection_raises_non_absorbing():
     # equal decay, repair rate equal to decay: least-modified-health
     # alternates between the two nodes and the health vector repeats

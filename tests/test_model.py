@@ -282,6 +282,20 @@ def test_allocation_build_rejects_bad_sets():
         Allocation.build(scenario, {"q": {"a"}})
 
 
+def test_allocation_owner_follows_the_sets_and_stays_out_of_equality_and_repr():
+    rng = random.Random(8821)
+    for _ in range(40):
+        scenario = random_repair_dominant(rng, max_nodes=6, max_entities=3)
+        owners = {nid: rng.choice([None, *scenario.entity_ids]) for nid in scenario.node_ids}
+        allocation = Allocation.build(scenario, {eid: {nid for nid, o in owners.items() if o == eid} for eid in scenario.entity_ids})
+        assert allocation.owner == {nid: eid for eid, nodes in allocation.sets.items() for nid in nodes}
+        assert allocation.owner == {nid: eid for nid, eid in owners.items() if eid is not None}
+        stray = Allocation(allocation.sets, allocation.total_cost, owner={})
+        assert stray == allocation
+        assert repr(stray) == repr(allocation)
+        assert "owner" not in repr(allocation)
+
+
 def test_allocation_budget_refusal():
     scenario = two_node_scenario(budget=F(3))
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairalloc import _kernel, oracle
-from repairalloc.allocation import allocate_budgeted, run_online_policy
+from repairalloc.allocation import allocate_budgeted, largest_repairable_subset, run_online_policy
 from repairalloc.demos import DEMOS
 from repairalloc.engine import simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, InstanceTooLarge
@@ -121,17 +122,21 @@ def test_the_first_maximizer_repairs_every_allocated_node():
 
 
 def bound_overflow_trio(budget) -> Scenario:
-    # with one entity, "a" takes three repair steps and "b" and "c" one each,
-    # so deciding {"a", "b"} overflows a memo cap of 5 while deciding
-    # {"b", "c"} does not; a lone node is never searched during the walk
-    ids = ["a", "b", "c"]
+    # with one entity, "a" must be targeted at step 0 and then climbs for
+    # fifty steps, while "b" and "c" last fifty steps and take one each: no
+    # order that repairs the nodes one after another saves "a" with another
+    # node, but starting "a", repairing the others and returning to "a" does.
+    # So rules (i) and (j) leave {"a", "b"} and {"a", "b", "c"} to the
+    # kernel, whose decision search overflows a memo cap of 5, while rule (j)
+    # confirms {"b", "c"}, whose full search fits; a lone node is never
+    # searched during the walk
     return Scenario(
         nodes=(
-            NodeSpec("a", F("1/4"), F("1/100")),
+            NodeSpec("a", F("1/100"), F("1/100")),
             NodeSpec("b", F("1/2"), F("1/100")),
             NodeSpec("c", F("1/2"), F("1/100")),
         ),
-        entities=(EntitySpec("e", F(1), {"a": F("1/4"), "b": F("1/2"), "c": F("1/2")}),),
+        entities=(EntitySpec("e", F(1), {"a": F("1/50"), "b": F("1/2"), "c": F("1/2")}),),
         budget=budget,
     )
 
@@ -156,7 +161,8 @@ def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(mon
     # budget 2 allows two nodes: {"b", "c"} scores 2 first, and no allocation
     # that holds "a" can beat it, so a scan that searches only allocations
     # with more nodes than the best reward never searches {"a", "b"}; the
-    # decision search of {"a", "b"} overflows and must not fail the call
+    # decision search of {"a", "b"} overflows and must not fail the call,
+    # and the witness's full search of {"b", "c"} fits the cap
     scenario = bound_overflow_trio(F(2))
     seen = overflows(monkeypatch)
     result = oracle_optimal(scenario, memo_cap=5)
@@ -181,17 +187,19 @@ def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
 
 
 def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monkeypatch):
-    # "c" climbs slowly under "e", so deciding e's {"b", "c"} overflows a memo
-    # cap of 7; its leaf is reached before the maximizer, which holds no
-    # unknown set, and the leaf's full search fails the call there
+    # "b" must be targeted at step 0 and climbs slowly under "e", as "a" does
+    # in the trio above, so rules (i) and (j) leave e's {"b", "c"} to the
+    # kernel, whose decision search overflows a memo cap of 7; its leaf is
+    # reached before the maximizer, which holds no unknown set, and the
+    # leaf's full search fails the call there
     scenario = Scenario(
         nodes=(
             NodeSpec("a", F("1/2"), F("1/100")),
-            NodeSpec("b", F("1/2"), F("1/100")),
-            NodeSpec("c", F("1/4"), F("1/100")),
+            NodeSpec("b", F("1/100"), F("1/100")),
+            NodeSpec("c", F("1/2"), F("1/100")),
         ),
         entities=(
-            EntitySpec("e", F(2), {"a": F("1/2"), "b": F("1/2"), "c": F("1/4")}),
+            EntitySpec("e", F(2), {"a": F("1/2"), "b": F("1/50"), "c": F("1/2")}),
             EntitySpec("f", F(1), {nid: F("1/2") for nid in "abc"}),
         ),
         budget=F(4),
@@ -267,12 +275,12 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 # rule that stops firing searches sets it could decide, all without changing
 # any optimum, witness or trace, so only these counts catch them
 KERNEL_SEARCHES = {
-    "repair_dominant": 6,
-    "decay_dominant": 6,
+    "repair_dominant": 4,
+    "decay_dominant": 4,
     "online_suboptimal": 3,
-    "largest_first_suboptimal": 6,
-    "mixed_rates": 10,
-    "mixed_costs": 4,
+    "largest_first_suboptimal": 4,
+    "mixed_rates": 4,
+    "mixed_costs": 2,
 }
 
 
@@ -289,15 +297,17 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # the store answers some decisions by the oracle docstring's rules:
     # (f) a slice and floor decided before, (g) a refuted subset of the same
     # entity's set, (h) a slice dominated by a refuted one after sorting within
-    # (decay, rate) groups; each such verdict must be exactly the kernel's own
-    # decision search on that set, and each rule must fire
+    # (decay, rate) groups, (i) the lifetime bound and (j) a sequential
+    # schedule; each such verdict must be the kernel's own decision search on
+    # that set, exactly, except that a (j) confirmation carries no targets,
+    # and each rule must fire
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
     scenarios = [build() for build in DEMOS.values()] + walk_draws()
     for _ in range(30):
         scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    fired = {"f": 0, "g": 0, "h": 0}
+    fired = {"f": 0, "g": 0, "h": 0, "i": 0, "j": 0}
     for scenario in scenarios:
         lattice = scenario.lattice
         decided.clear()
@@ -310,11 +320,19 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
             values = tuple((lattice.decs[j], incs[j], lattice.v0[j]) for j in members)
             if not searched:
                 decs, rates, healths = zip(*values)
-                assert verdict == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1), scenario
+                decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
+                if verdict[1] is None:
+                    assert verdict[0] == decision[0] == size, scenario
+                else:
+                    assert verdict == decision, scenario
                 if any(j == k and m & mask == m for j, m, _ in refuted):
                     rule = "g"
                 elif (values, size) in shared:
                     rule = "f"
+                elif lifetime_bound_refutes(values):
+                    rule = "i"
+                elif sequential_schedule_repairs(values, lattice.unit):
+                    rule = "j"
                 else:
                     assert any(dominates(other, values) for _, _, other in refuted), scenario
                     rule = "h"
@@ -324,6 +342,59 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
             if verdict[0] < size:
                 refuted.append((k, mask, values))
     assert min(fired.values()) >= 1, fired
+
+
+def lifetime_bound_refutes(values: tuple) -> bool:
+    """Rule (i): after sorting the lifetimes ceil(health / decay), the one at 0-based index i is at most i."""
+    lifetimes = sorted(math.ceil(Fraction(health, dec)) for dec, _, health in values)
+    return any(lifetime <= i for i, lifetime in enumerate(lifetimes))
+
+
+def sequential_schedule_repairs(values: tuple, unit: int) -> bool:
+    """Rule (j): stepping a schedule that repairs the members one at a time, in (lifetime, position) or
+    (-health, position) order, repairs every member."""
+    orders = (
+        sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0]))),
+        sorted(range(len(values)), key=lambda j: -values[j][2]),
+    )
+    for order in orders:
+        healths = [health for _, _, health in values]
+        for target in order:
+            while 0 < healths[target] < unit:
+                for j, (dec, inc, _) in enumerate(values):
+                    if 0 < healths[j] < unit:
+                        healths[j] = min(healths[j] + inc, unit) if j == target else max(healths[j] - dec, 0)
+        if all(health == unit for health in healths):
+            return True
+    return False
+
+
+def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
+    # rule (i) refutes only sets that the kernel's decision search refutes,
+    # rule (j) confirms only sets that it finds tight, and the greedy largest
+    # repairable subset keeps all of a set exactly when (i) passes; checked on
+    # sampled sets of the bundled scenarios and of draws of up to 8 x 3
+    rng = random.Random(6113)
+    scenarios = [build() for build in DEMOS.values()]
+    for _ in range(25):
+        scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
+    settled = {False: 0, True: 0, None: 0}
+    for scenario in scenarios:
+        lattice, n = scenario.lattice, len(scenario.nodes)
+        masks = [mask for mask in range(1 << n) if mask.bit_count() > 1]
+        for eid in scenario.entity_ids:
+            for mask in rng.sample(masks, min(len(masks), 24)):
+                members = [j for j in range(n) if mask >> j & 1]
+                values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
+                verdict = oracle._settled(values, lattice.unit)
+                settled[verdict] += 1
+                greedy = largest_repairable_subset([scenario.nodes[j] for j in members])
+                assert (len(greedy) == len(members)) == (verdict is not False), scenario
+                if verdict is not None:
+                    decs, rates, healths = zip(*values)
+                    reward, _ = _kernel.solve_allocation(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, len(members) - 1)
+                    assert (reward == len(members)) == verdict, scenario
+    assert min(settled.values()) >= 50, settled
 
 
 def dominates(refuted: tuple, values: tuple) -> bool:
