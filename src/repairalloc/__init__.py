@@ -11,7 +11,6 @@ from repairalloc.allocation import (
     OnlineRunResult,
     allocate_budgeted,
     largest_repairable_subset,
-    lifetime_index,
     run_online_policy,
 )
 from repairalloc.engine import (
@@ -106,7 +105,6 @@ __all__ = [
     "enumerate_feasible_allocations",
     "format_rational",
     "largest_repairable_subset",
-    "lifetime_index",
     "load_scenario",
     "optimal_sequencing_reward",
     "oracle_optimal",

@@ -22,35 +22,30 @@ from repairalloc.model import (
     Scenario,
     check_assumption1,
     check_assumption2,
+    schedulable,
 )
 
 
-def lifetime_index(node: NodeSpec) -> int:
-    """Steps until an untargeted node hits health 0: ceil(v0 / delta_dec)."""
-    v0, dec = node.v0, node.delta_dec
-    return -(-(v0.numerator * dec.denominator) // (v0.denominator * dec.numerator))
-
-
-def largest_repairable_subset(candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
-    """Greedy maximum set of nodes one entity can repair, in pick order.
+def largest_repairable_subset(scenario: Scenario, candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
+    """Greedy maximum set of ``scenario``'s nodes among ``candidates`` that one entity can repair, in pick order.
 
     Repeatedly picks, among remaining candidates whose lifetime index
-    strictly exceeds the number already picked, the one with the smallest
-    lifetime index (ties by smallest id).  The pick order runs most urgent
-    first; reversing it yields a feasible order (n_1, ..., n_z): one in
-    which every node outlives the work queued behind it, v0 of the j-th
-    node strictly exceeding (z - j) times its own delta_dec.
+    ceil(v0 / delta_dec), read off the scenario's lattice, strictly
+    exceeds the number already picked, the one with the smallest lifetime
+    index (ties by smallest id).  The pick order runs most urgent first;
+    reversing it yields a feasible order (n_1, ..., n_z): one in which
+    every node outlives the work queued behind it, v0 of the j-th node
+    strictly exceeding (z - j) times its own delta_dec.
 
-    One pass over the candidates in that order suffices: a node passed
-    over has an index at most the pick count, which never falls, so it
-    could never be picked later.
+    One pass over the candidates in that order suffices, and it is
+    ``model.schedulable`` on one entity: a node passed over has an index
+    at most the pick count, which never falls, so it could never be
+    picked later.
     """
-    picked: list[NodeSpec] = []
-    indexed = sorted(((lifetime_index(n), n) for n in candidates), key=lambda pair: (pair[0], pair[1].id))
-    for index, node in indexed:
-        if index > len(picked):
-            picked.append(node)
-    return picked
+    nodes, lattice = scenario.nodes, scenario.lattice
+    lifetimes, positions = lattice.lifetimes, lattice.positions
+    order = sorted((positions[n.id] for n in candidates), key=lambda j: (lifetimes[j], nodes[j].id))
+    return [nodes[j] for j in schedulable(lifetimes, order, 1)]
 
 
 def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
@@ -74,7 +69,7 @@ def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:
     for cost, entity_id in sorted(zip(ledger.costs, scenario.entity_ids)):
         if budget < cost:
             break
-        subset = largest_repairable_subset(remaining_nodes)
+        subset = largest_repairable_subset(scenario, remaining_nodes)
         take = len(subset) if cost == 0 else min(budget // cost, len(subset))
         chosen = sets[entity_id] = frozenset(n.id for n in subset[:take])
         remaining_nodes = [n for n in remaining_nodes if n.id not in chosen]
@@ -138,7 +133,7 @@ class _OnlineAssignment:
 
     @staticmethod
     def step_bound(scenario: Scenario) -> int:
-        """Steps within which every online run on ``scenario`` absorbs: max ceil(v0 / dec) + max ceil(unit / inc).
+        """Steps within which every online run on ``scenario`` absorbs: the longest lifetime + max ceil(unit / inc).
 
         Each node switches from decay to repair at most once, since it is
         assigned at most once, and a targeted node keeps its entity until it
@@ -147,13 +142,13 @@ class _OnlineAssignment:
         step t < ceil(v0_j / dec_j) where it is still Active, and from then
         on it gains its entity's inc_j > 0 a step from a positive
         health, reaching unit within ceil(unit / inc_j) more steps.  Both
-        ceilings are taken on the lattice integers: v0, dec and inc share
-        one ``unit``, so each ratio is the exact Fraction's.
+        ceilings are taken on the lattice integers, the first being the
+        lattice's lifetime: v0, dec and inc share one ``unit``, so each
+        ratio is the exact Fraction's.
         """
         lattice = scenario.lattice
-        falling = max(-(-v0 // dec) for v0, dec in zip(lattice.v0, lattice.decs))
         rising = max(-(-lattice.unit // inc) for incs in lattice.incs.values() for inc in incs)
-        return falling + rising
+        return max(lattice.lifetimes) + rising
 
 
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:

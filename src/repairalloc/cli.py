@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memo-cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"maximum number of health vectors per entity search (default {DEFAULT_CAP})",
+        help=f"maximum number of health vectors per entity search; bounds only the searches that are made, and a set whose schedule has a closed form, a lone node's among them, is not searched (default {DEFAULT_CAP})",
     )
     p_oracle.add_argument(
         "--force",

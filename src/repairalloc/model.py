@@ -132,7 +132,9 @@ class Scenario:
         def scaled(exact: list[Fraction]) -> IntVec:
             return tuple(v.numerator * (unit // v.denominator) for v in exact)
         incs = {e.id: scaled(row) for e, row in zip(self.entities, rates)}
-        return Lattice(unit, scaled(v0), scaled(decs), incs, {nid: j for j, nid in enumerate(self.node_ids)})
+        healths, steps = scaled(v0), scaled(decs)
+        lifetimes = tuple([-(-h // dec) for h, dec in zip(healths, steps)])
+        return Lattice(unit, healths, steps, incs, {nid: j for j, nid in enumerate(self.node_ids)}, lifetimes)
 
     @cached_property
     def ledger(self) -> Ledger:
@@ -149,7 +151,11 @@ class Scenario:
 class Lattice:
     """A scenario's values as integers over ``unit``, the lcm of their denominators.
 
-    ``v0``, ``decs`` and each entity's ``incs`` follow node order; ``positions`` maps node id to position.
+    ``v0``, ``decs``, each entity's ``incs`` and ``lifetimes`` follow node
+    order; ``positions`` maps node id to position.  A node's lifetime is
+    ceil(v0 / dec), the steps it stays Active untargeted: it has health
+    v0 - t * dec at step t while that is positive, and 0, which absorbs,
+    from step ceil(v0 / dec) on.
     """
 
     unit: int
@@ -157,6 +163,7 @@ class Lattice:
     decs: IntVec
     incs: Mapping[str, IntVec]
     positions: Mapping[str, int]
+    lifetimes: IntVec
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,6 +189,35 @@ class Ledger:
     scale: int
     costs: IntVec
     budget: int
+
+
+def schedulable(lifetimes: Sequence[int], order: Iterable[int], machines: int) -> list[int]:
+    """The positions of ``order`` kept by the greedy "keep j while fewer than machines * lifetimes[j] are kept".
+
+    ``order`` must run in increasing lifetime.  A set of nodes is
+    *schedulable* on m entities when each member can have its own
+    (entity, step) slot below its lifetime; by Hall's theorem (Hall, "On
+    representatives of subsets", 1935) that holds exactly when, for every
+    t, at most m * t members have a lifetime of at most t.  The greedy
+    keeps a schedulable set, since every kept j has at most m * L_j kept
+    members of lifetime at most L_j.  Schedulable sets are those with a
+    matching into the slots, so they form a matroid (a transversal one),
+    and the greedy keeps j exactly when j joins the kept set as a
+    schedulable set: the only new condition is the count at L_j, as every
+    member kept before j has a lifetime of at most L_j.  A position passed
+    over would make the set kept so far unschedulable, and so every later
+    kept set, which contains it, so the kept set is maximal; in a matroid
+    every maximal independent subset has the largest size, so the kept
+    count is the rank, the most members of
+    ``order`` that m entities can each target once before their
+    lifetimes run out.  For m = 1 this is unit-time scheduling with
+    deadlines on one machine in earliest-deadline order (Jackson, 1955).
+    """
+    kept: list[int] = []
+    for j in order:
+        if len(kept) < machines * lifetimes[j]:
+            kept.append(j)
+    return kept
 
 
 def active_positions(healths: Sequence[int], unit: int) -> list[int]:

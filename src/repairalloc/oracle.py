@@ -26,8 +26,9 @@ assignments depth-first in lexicographic order: node by node in scenario
 order, each node taking unallocated first and then the entities in
 scenario order, so the all-unallocated assignment is the first leaf.  A
 tree node at depth d fixes the owners of the first d nodes; the other
-N - d are undecided.  ``enumerate_feasible_allocations`` yields the
-feasible assignments in the same order by a plain scan of the product.
+N - d are undecided.  The walk runs in at most two rounds, (l) below, in
+the same order.  ``enumerate_feasible_allocations`` yields the feasible
+assignments in that order by a plain scan of the product.
 
 * **Over-budget cut.**  The walk carries the exact cost of the owners
   fixed so far and does not enter a child whose cost exceeds the budget,
@@ -36,7 +37,7 @@ feasible assignments in the same order by a plain scan of the product.
   enforces cost >= 0, so fixing more owners never lowers the cost, and
   every leaf below that child is over budget too.
 
-The walk adds a feasibility cut and a count bound.  Call entity e's set
+The walk adds a feasibility cut and an upper bound.  Call entity e's set
 S *tight* when V_e(S) = |S|, that is, when some schedule of e repairs all
 of S.  V_e is taken over the full action space, idling included; the
 kernel's idle rule does not change it.  The proofs use one fact:
@@ -58,21 +59,27 @@ and its own decay.
   feasible, and it comes earlier in enumeration order: it first differs
   from A at node j, where "unallocated" comes first.  That contradicts
   the choice of A.
-* **(c) The cut is lossless.**  The walk does not enter a child that
+* **(c) The cuts are lossless.**  The walk does not enter a child that
   gives an entity a set that is not tight: by (a) no leaf below it is
   tight for every entity, so by (b) the first maximizer is not below it.
-  A leaf that is tight for every entity scores its allocated count, so
-  the walk also does not enter a child whose allocated nodes so far plus
-  undecided nodes are no more than the best reward so far; no kernel
-  value enters that count bound.  Until the walk reaches the first
+  Nor does it enter a child whose *bound* is no more than the best reward
+  so far.  (k) defines the bound and shows two facts about it: at every
+  tree node above a leaf whose sets all pass the lifetime bound (i) below,
+  as tight sets do, and whose allocated count is at most the round's root
+  bound, the bound is at least that count; and at a leaf the bound is at
+  most the allocated count.  A leaf the walk reaches holds only sets that
+  it decided tight, lone nodes, tight by (e), and sets left unknown, each
+  of which the leaf either finds tight or fails the call on (see the
+  ``memo_cap`` paragraph).  So it scores its allocated count, which the
+  bound at its last node made larger than the best reward: each leaf
+  reached beats the one before.  Until the walk reaches the first
   maximizer F, every leaf it has reached comes earlier and scores less
   than R; every set along F's path is a subset of F's sets, hence tight,
-  and every count bound on that path is at least |F| = R, so the walk
-  reaches F and records it as the best.  Every leaf reached scores its
-  allocated count, which the count bound at its last node made larger
-  than the best reward, so after F no leaf is reached.  The oracle
-  therefore returns F, the same optimum and witness allocation as a scan
-  of every feasible allocation.
+  and R is at most the round's root bound, as (l) shows, so every bound on
+  that path is at least |F| = R, and the walk reaches F and records it as
+  the best.  After F no leaf scores more, so none is reached.  The
+  oracle therefore returns F, the same optimum and witness allocation as
+  a scan of every feasible allocation.
 * **(d) The witness trace does not change.**  The decision "is S tight"
   is the kernel search with floor |S| - 1, whose skip rule drops every
   state with a node at 0.  On a tight set the full search (floor -1)
@@ -90,18 +97,20 @@ and its own decay.
   V_e({j}) = 1 for every entity e and node j, and the walk enters a
   child that gives an entity a one-node set without a search.
 
-At each tree node the walk tries the unallocated child under the count
-bound, then each entity's child under the count bound, the budget and the
-tightness decision, in that order; only the decision can run a search,
-so this order fixes the sequence of kernel searches.  Each decision is
-made once per (entity, set of two or more nodes) within one
-``oracle_optimal`` call and cached by the walk.
+At each tree node the walk tries the unallocated child under its bound,
+then each entity's child under the bound, the budget and the tightness
+decision, in that order; only the decision can run a search, so this
+order fixes the sequence of kernel searches.  Each decision is made once
+per (entity, set of two or more nodes) within one ``oracle_optimal`` call
+and cached by the walk, across both rounds.
 
 Every search of one call, decisions and full searches alike, goes
 through one verdict store local to the call.  A search slices its set's
 decays, rates and healths out of the scenario's integer lattice, member
-by member in node order, and runs in exact integer arithmetic.  The
-store answers some decisions without a search, by five rules:
+by member in node order, and runs in exact integer arithmetic.  The walk
+carries each entity's members down the tree, and the store, the witness
+and the returned ``Allocation`` read them from there.  The store answers
+some decisions without a search, by five rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else.  The store keys
@@ -112,7 +121,8 @@ store answers some decisions without a search, by five rules:
   that result, which is the one its own search returns; its own members
   map the positions to node ids.  The store also keeps the verdicts of
   rules (i) and (j) below, which read nothing but the slice, under the
-  same key.
+  same key, and keeps a tight decision search's result as the full
+  search's too, which it is by (d).
 * **(g) Refuted subsets.**  The store keeps each entity's sets found
   not tight.  By (a), a set that contains one of them is not tight
   either, and the store refutes it without a search.
@@ -132,20 +142,20 @@ store answers some decisions without a search, by five rules:
   the walk never decides twice.
 
 Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
-on the lattice integers: a node that no action targets at steps
-0, ..., t - 1 has health h_j - t * dec_j at step t while that is
-positive, and 0 from step L_j on, since 0 absorbs.
+which ``model.Lattice`` holds as an integer: a node that no action
+targets at steps 0, ..., t - 1 has health h_j - t * dec_j at step t while
+that is positive, and 0 from step L_j on, since 0 absorbs.
 
 * **(i) Lifetime bound.**  A schedule that repairs all of S targets each
   member j at some step below L_j, since a member that no step below L_j
   targets is at 0 at step L_j, and 0 absorbs; and the entity targets one
-  node per step.  Sort S's lifetimes as L_(0) <= L_(1) <= ...  The i + 1
-  members with the smallest lifetimes then need i + 1 distinct steps
-  below L_(i), and there are only L_(i) of them.  So if L_(i) <= i for
-  some 0-based i, S is not tight.  This is Hall's condition (Hall, "On
-  representatives of subsets", 1935) for giving each member its own
-  step.  On the lattice, L_(i) <= i is h <= i * dec for the member at
-  index i.
+  node per step.  So the steps at which the schedule first targets each
+  member are distinct, each below its member's lifetime: S is
+  *schedulable* on one entity, in the sense of ``model.schedulable``,
+  whose greedy in increasing lifetime finds the largest schedulable
+  subset of a set, its rank.  The store refutes S when its rank on one
+  entity is below |S|.  That greedy is alg2's ``largest_repairable_subset``
+  too, and (k) runs it on M entities.
 * **(j) Sequential schedule.**  Target the members one at a time, each
   until it reaches 1, first in (L_j, position) order, earliest deadline
   first (Jackson, 1955), then, if that fails, in (-h_j, position) order.
@@ -167,6 +177,80 @@ relabeling.  So the cuts, the order of the walk, the optimum and the
 witness allocation are the ones a search per decision gives, and so is
 the witness trace, as the last paragraph shows.
 
+The walk's bound and its two rounds, and the witness targets that need
+no search:
+
+* **(k) The pooled lifetime bound.**  Lifetimes do not depend on the
+  entity.  Every set of a leaf the walk reaches passes (i): a tight set
+  does, by (i); a lone node does, since its lifetime is at least 1; and
+  an unknown set does, since the store searches a set only after (i)
+  passed it, and (f) shares an overflow only between equal slices.  Give
+  each member of such a set its first-target step under its own entity:
+  over the disjoint sets of a leaf, the (entity, step) pairs are
+  distinct, each step below its member's lifetime, so the leaf's
+  allocated nodes A are schedulable on the M entities and
+  |A| = rank_M(A).  At a tree node, let H be the nodes allocated so far
+  and U the undecided ones.  Every leaf A below has H <= A <= H + U, and
+  rank_M is monotone, so if its sets pass (i) it scores at most
+  rank_M(H + U).  A leaf also costs at least |A| times the cheapest
+  entity cost, so when that cost is positive it allocates at most the
+  budget over that cost, rounded down.  The root bound B is the smaller
+  of rank_M(all nodes) and that quotient, and a tree node's bound is the
+  smaller of the round's root bound and rank_M(H + U).  Both facts (c)
+  uses follow: the bound is at least |A| above a leaf A whose sets pass
+  (i) and whose |A| is at most the round's root bound, and at a leaf,
+  where H + U = A, it is at most rank_M(A) <= |A|.  It is also at most
+  |H + U|, the allocated plus undecided count.  An entity's child keeps
+  its parent's H + U, and so its bound.  The unallocated child drops one
+  node from H + U, which lowers the rank by at most one, since a
+  schedulable subset loses at most that node; so while the parent's rank
+  is known to exceed the root bound, the child's bound is the root bound,
+  and when H + U is schedulable, so is every subset, and the child's rank
+  is one less.  Only otherwise does the walk run the greedy, cached by the
+  mask of H + U.
+* **(l) The seeded round, then the ascending walk.**  Every leaf the
+  walk could record scores at most B, by (k).  The walk first runs with
+  its best reward seeded at B - 1 instead of -1, under root bound B.
+  Each leaf it reaches scores more than B - 1, so exactly B.  If R = B,
+  every bound on F's path is at least B, so the round reaches F unless
+  it reaches an earlier leaf first, and every leaf it reaches before F
+  fails the call on an unknown set: a leaf before F that is tight for
+  every entity scores less than R = B.  So the first leaf the
+  round records is F, the first maximizer; after it no bound exceeds the
+  best reward, and the round enters no other child.  If the round
+  records no leaf, no leaf tight for every entity scores B, so R <= B - 1.
+  The walk then runs again from best reward -1, under root bound B - 1,
+  which is at least |F| = R, so (c) holds for this *ascending walk*.
+  The seeded round makes no kernel search: at a decision that only the
+  kernel can make, it stops, having recorded no leaf, and the ascending
+  walk runs under root bound B, as R may still be B.  Decisions made in
+  the seeded round stay in the store for the ascending walk.
+* **(m) The first dive.**  Order health vectors by reading positions from
+  the highest down, comparing the highest position first.  The kernel
+  pushes a state's children in increasing position of their target and
+  pops the last one pushed, so from the initial state it first follows
+  the *first dive*: always target the highest-position Active node.  Each
+  dive step targets the highest Active position p.  The positions above
+  p are not Active and do not move, and p rises, since rates are
+  positive, so each dive state is strictly above the one before.  The
+  siblings a dive state generates before its dive child target lower
+  positions, so p decays in them: each is below that dive state, and so
+  below every later one.  The dive child is the last one pushed, so no
+  state is expanded during the dive but the dive states: ``seen`` holds
+  only the initial state, the dive states and their siblings so far, all
+  below the next dive state.  So no dive state is ever in ``seen``, even
+  when rates match.  While no member has reached 0, the highest Active
+  position is the highest member not yet at 1, so the dive is the
+  sequential schedule of (j) in the order from the highest position down,
+  and it repairs every member exactly when that schedule does.  Then no
+  dive state has a node at 0, so neither search's skip rule drops one; no
+  sibling is a terminal that repairs every node, since p is below 1 in
+  it; and the dive's last state repairs every node, so both searches
+  stop there, with the dive's targets.  Those targets are in closed form:
+  the member whose turn comes after T steps is targeted
+  ceil((unit - h') / inc) times, h' being its health then, as in (j).
+  This holds for every lone node, by (e).
+
 A decision search that exceeds ``memo_cap`` leaves the set unknown, and
 the walk enters the child, which keeps every leaf a scan would reach.
 Rule (f) shares an overflow only between equal slices, whose searches
@@ -174,27 +258,30 @@ overflow alike.  Rules (g), (h) and (i) never search the sets they
 refute, and rule (j) never searches the sets it confirms, so such a set
 is decided, not unknown, even where its search would exceed
 ``memo_cap``: a call that a search per decision fails at a small cap may
-answer, and then answers as without the cap.  A set that (j) confirmed
-still gets its full search when the returned allocation holds it, and
-that search raises InstanceTooLarge when it exceeds ``memo_cap``, as a
-lone node's does.  A leaf that holds
-an unknown set runs the full search of that set, which raises
-InstanceTooLarge as a scan of every allocation would: the full search
-generates every state the decision search generates, in the same order
-of expansions, so it reaches the cap no later.  Every leaf the walk
-records past that check is therefore tight for every entity.  A
-one-node set is never searched during the walk, so ``memo_cap`` bounds
-only the searches that are made: a lone node's climb fails a call only
-when the returned allocation holds it.
+answer, and then answers as without the cap.  A leaf that holds an
+unknown set takes that set's full search's result the way the witness
+does, below.  When the set's first dive repairs it, the set is tight, by
+(m).  Otherwise the full search runs and raises InstanceTooLarge, as a
+scan of every allocation would: it generates every state the decision
+search generates, in the same order of expansions, so it reaches the cap
+no later.  Every leaf the walk records past that check is therefore
+tight for every entity.  Every leaf either
+round reaches, the ascending walk under root bound B alone reaches too,
+as (l) shows, so the two rounds fail a call only where that walk fails
+it.  No search of a one-node set is ever made, and a set of the returned
+allocation is searched only when its first dive fails and no tight
+decision search's result is kept for it: ``memo_cap`` bounds only the
+searches that are made.
 
 Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
-maximizer, becomes an ``Allocation``.  Its sets with no cached targets,
-the lone nodes and the sets that (j) confirmed, get their full search.
-By (d) the targets a decision search finds, cached or not, are the full
-search's too, so its witness trace is the one a scan finds.  That
-witness is replayed once through the simulator.  Two
+maximizer, becomes an ``Allocation``.  Each of its sets gets the full
+search's reward and targets by one path: the first dive's closed form
+when the dive repairs the set, as (m) proves, else the result the store
+keeps for it, a tight decision search's, which is the full search's by
+(d), else the full search itself.  So its witness trace is the one a scan
+finds.  That witness is replayed once through the simulator.  Two
 checks hold the result to the proofs, and either raises
 SearchInconsistency: the replay must repair the summed per-entity
 optima, and that sum must equal the allocated count the walk carried.
@@ -204,19 +291,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
-from repairalloc.model import Allocation, Scenario
+from repairalloc.model import Allocation, Scenario, schedulable
 from repairalloc.policies import Scripted
 
 DEFAULT_CAP = 10**6
 
-# An entity's set is a bitmask over node positions: bit j is scenario.nodes[j].
-# A decision: (reward, the slice positions targeted), with targets None when rule (j)
-# confirmed the set without a search, or None when the search exceeded memo_cap.
+# An entity's set is a bitmask over node positions, bit j being scenario.nodes[j], and
+# its members, those positions in increasing order.  A decision: (reward, the slice
+# positions targeted), with targets None when rule (j) confirmed the set without a
+# search, or None when the search exceeded memo_cap.
 _Result = Optional[tuple[int, Optional[tuple[int, ...]]]]
 # A set's slice of the lattice: (decay, rate, health) of each member, in node order.
 _Slice = tuple[tuple[int, int, int], ...]
@@ -235,8 +323,8 @@ def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -
     costs, room = (0, *scenario.ledger.costs), scenario.ledger.budget  # owner 0, unallocated, costs nothing
     for owners in product(range(len(costs)), repeat=len(scenario.nodes)):
         if sum(costs[owner] for owner in owners) <= room:
-            masks = tuple(sum(1 << j for j, owner in enumerate(owners) if owner == k) for k in range(1, len(costs)))
-            yield _allocation(scenario, masks)
+            sets = [[j for j, owner in enumerate(owners) if owner == k] for k in range(1, len(costs))]
+            yield _allocation(scenario, sets)
 
 
 def _require_cap(scenario: Scenario, cap: int) -> None:
@@ -245,11 +333,11 @@ def _require_cap(scenario: Scenario, cap: int) -> None:
         raise InstanceTooLarge(f"{total} assignments exceed the enumeration cap of {cap}")
 
 
-def _allocation(scenario: Scenario, masks: tuple[int, ...]) -> Allocation:
+def _allocation(scenario: Scenario, sets: Sequence[Sequence[int]]) -> Allocation:
     ids = scenario.node_ids
     return Allocation.build(
         scenario,
-        {eid: frozenset([ids[j] for j in _members(mask)]) for eid, mask in zip(scenario.entity_ids, masks)},
+        {eid: frozenset([ids[j] for j in members]) for eid, members in zip(scenario.entity_ids, sets)},
     )
 
 
@@ -262,7 +350,11 @@ def optimal_sequencing_reward(
 
     Searches each entity's set on its own (any Active node of the set at
     every step), visiting each reachable health vector of that set once,
-    with at most ``memo_cap`` vectors per entity, and sums the optima.  The
+    with at most ``memo_cap`` vectors per entity, and sums the optima.  A
+    set that the schedule "repair the members one at a time from the
+    highest position down" repairs in full takes that schedule's targets,
+    which are the search's own (the oracle docstring's (m)), without a
+    search, so ``memo_cap`` bounds only the searches that are made.  The
     witness trace replays the entities' optimal target sequences in
     parallel through the simulator and therefore reproduces the claimed
     reward exactly; SearchInconsistency is raised if it does not, and
@@ -270,19 +362,13 @@ def optimal_sequencing_reward(
     """
     allocation.require_budget(scenario)
     positions = scenario.lattice.positions
-    masks = tuple(sum(1 << positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids)
-    reward, trace, _ = _witness(scenario, allocation, masks, _Verdicts(scenario, memo_cap), {})
+    sets = [sorted(positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids]
+    reward, trace, _ = _witness(scenario, allocation, sets, _Verdicts(scenario, memo_cap))
     return reward, trace
 
 
-def _members(mask: int) -> list[int]:
-    """The node positions in a set's bitmask, in increasing order."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
+class _Unsettled(Exception):
+    """A decision that only a kernel search can make, met by a walk that makes none."""
 
 
 class _Verdicts:
@@ -291,13 +377,14 @@ class _Verdicts:
     The module docstring proves (f)-(j), the five rules by which
     ``decide`` answers some decisions without a search: the same values,
     a refuted subset, a dominated slice, the lifetime bound and a
-    sequential schedule.  Each search that is made goes through
-    ``_kernel.solve_allocation``.
+    sequential schedule; and (m), by which ``search`` takes a set's
+    targets from the first dive's closed form.  Each search that is made
+    goes through ``_kernel.solve_allocation``.
     """
 
     def __init__(self, scenario: Scenario, memo_cap: int):
         lattice = scenario.lattice
-        self.unit, self.memo_cap = lattice.unit, memo_cap
+        self.unit, self.memo_cap, self.lifetimes = lattice.unit, memo_cap, lattice.lifetimes
         # entity k's (decay, rate, health) of every node, in node order
         self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
         # whether entity k has two nodes of equal (decay, rate), without which (h) never applies
@@ -307,54 +394,69 @@ class _Verdicts:
         # (h): sorted (decay, rate) sequence -> the sorted healths of each refuted slice with it
         self.dominators: dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]] = {}
 
-    def _slice(self, k: int, mask: int) -> _Slice:
+    def _slice(self, k: int, members: Sequence[int]) -> _Slice:
         values = self.values[k]
-        return tuple([values[j] for j in _members(mask)])
+        return tuple([values[j] for j in members])
 
     def _solve(self, values: _Slice, floor: int) -> tuple[int, tuple[int, ...]]:
         decs, incs, healths = zip(*values)
         return _kernel.solve_allocation(healths, self.unit, decs, incs, self.memo_cap, floor)
 
-    def search(self, k: int, mask: int) -> tuple[int, tuple[int, ...]]:
-        """The full search of entity k's set: its optimum and the slice positions targeted.
+    def search(self, k: int, members: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """The full search's result on entity k's set: its optimum and the slice positions targeted.
 
-        Raises InstanceTooLarge when the search holds ``memo_cap`` states.
+        When the first dive repairs the set, its closed form is that result
+        by (m), and no search is made; nor is one for a set whose tight
+        decision search's result the store keeps, by (d).  Raises
+        InstanceTooLarge when a search that is made holds ``memo_cap`` states.
         """
-        key = self._slice(k, mask), -1
+        values = self._slice(k, members)
+        key = values, -1
         if key not in self.results:
-            self.results[key] = self._solve(*key)
+            order = range(len(values) - 1, -1, -1)  # (m): the kernel's first dive
+            if (steps := _in_turn(values, order, self.unit)) is not None:
+                self.results[key] = len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
+            else:
+                self.results[key] = self._solve(values, -1)
         return self.results[key]
 
-    def decide(self, k: int, mask: int, size: int) -> _Result:
-        """The decision search of entity k's set of ``size`` >= 2 nodes, None when it exceeds ``memo_cap``.
+    def decide(self, k: int, mask: int, members: Sequence[int], search: bool = True) -> _Result:
+        """The decision search of entity k's set of two or more ``members``, None when it exceeds ``memo_cap``.
 
-        The set is tight when the reward is ``size``; an inferred refutation
+        The set is tight when the reward is its size; an inferred refutation
         is (size - 1, ()), which is what the search returns on a set that is
         not tight, and a set that (j) confirms is (size, None), without the
-        search's targets.
+        search's targets.  With ``search`` false, a decision that only the
+        kernel can make raises _Unsettled instead of searching.
         """
+        size = len(members)
         floor = size - 1
         for refuted in self.refuted[k]:
             if refuted & mask == refuted:  # (g)
                 return floor, ()
-        values = self._slice(k, mask)
+        values = self._slice(k, members)
         key = values, floor
         if key in self.results:  # (f)
             verdict = self.results[key]
         else:
-            settled = _settled(values, self.unit)
-            classes = _classes(values) if settled is None and self.relabels[k] else None
+            settled = _settled(values, [self.lifetimes[j] for j in members], self.unit)
             if settled is not None:  # (i) refutes, (j) confirms
                 verdict = (size, None) if settled else (floor, ())
-            elif classes is not None and self._dominated(*classes):  # (h)
-                verdict = floor, ()
             else:
-                try:
-                    verdict = self._solve(values, floor)
-                except InstanceTooLarge:
-                    verdict = None
-                if classes is not None and verdict is not None and verdict[0] < size:
-                    self.dominators.setdefault(classes[0], []).append(classes[1])
+                classes = _classes(values) if self.relabels[k] else None
+                if classes is not None and self._dominated(*classes):  # (h)
+                    verdict = floor, ()
+                elif not search:
+                    raise _Unsettled
+                else:
+                    try:
+                        verdict = self._solve(values, floor)
+                    except InstanceTooLarge:
+                        verdict = None
+                    if verdict is not None and verdict[0] == size:
+                        self.results[values, -1] = verdict  # the full search's result too, by (d)
+                    elif verdict is not None and classes is not None:
+                        self.dominators.setdefault(classes[0], []).append(classes[1])
             self.results[key] = verdict
         if verdict is not None and verdict[0] < size:
             self.refuted[k].append(mask)
@@ -371,63 +473,61 @@ def _classes(values: _Slice) -> tuple[tuple[tuple[int, int], ...], tuple[int, ..
     return tuple([value[:2] for value in ordered]), tuple([value[2] for value in ordered])
 
 
-def _settled(values: _Slice, unit: int) -> Optional[bool]:
-    """False when the lifetime bound (i) refutes the set, True when a sequential schedule (j) repairs it, else None."""
-    by_lifetime = sorted(values, key=_lifetime)
-    for i, (dec, _, health) in enumerate(by_lifetime):
-        if health <= i * dec:  # its lifetime is at most i
-            return False
-    if _repairs_in_turn(by_lifetime, unit) or _repairs_in_turn(sorted(values, key=_healthiest_first), unit):
+def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
+    """False when the lifetime bound (i) refutes the set, True when a sequential schedule (j) repairs it, else None.
+
+    ``lifetimes`` are the members' lifetimes, in slice order.
+    """
+    size = len(values)
+    by_lifetime = sorted(range(size), key=lifetimes.__getitem__)  # ties in position order
+    if len(schedulable(lifetimes, by_lifetime, 1)) < size:
+        return False
+    if _in_turn(values, by_lifetime, unit) is not None:
         return True
-    return None
+    healthiest_first = sorted(range(size), key=[-value[2] for value in values].__getitem__)
+    return True if _in_turn(values, healthiest_first, unit) is not None else None
 
 
-def _lifetime(value: tuple[int, int, int]) -> int:
-    """Steps until the node reaches 0 untargeted: ceil(health / decay)."""
-    return -(-value[2] // value[0])
+def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[list[int]]:
+    """The steps that the schedule targeting each member of ``order`` in turn, until it reaches ``unit``, spends on each.
 
-
-def _healthiest_first(value: tuple[int, int, int]) -> int:
-    return -value[2]
-
-
-def _repairs_in_turn(order: _Slice, unit: int) -> bool:
-    """Whether targeting each member in turn until it reaches ``unit`` repairs every member."""
+    None when a member has reached 0 before its turn; else the schedule
+    repairs every member of ``order``.
+    """
     spent = 0
-    for dec, inc, health in order:
+    steps: list[int] = []
+    for i in order:
+        dec, inc, health = values[i]
         health -= spent * dec  # untargeted so far, so it has lost its decay every step
         if health <= 0:
-            return False
-        spent += -((health - unit) // inc)  # ceil((unit - health) / inc) targeted steps
-    return True
+            return None
+        taken = -((health - unit) // inc)  # ceil((unit - health) / inc) targeted steps
+        steps.append(taken)
+        spent += taken
+    return steps
 
 
 def _witness(
     scenario: Scenario,
     allocation: Allocation,
-    masks: tuple[int, ...],
+    sets: Sequence[Sequence[int]],
     verdicts: _Verdicts,
-    tight: dict[tuple[int, int], _Result],
 ) -> tuple[int, Trace, Outcome]:
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
-    A set's reward and targets come from ``tight``, the walk's decisions,
-    when it holds them with targets, and from a full search otherwise,
-    which a set that rule (j) confirmed and a lone node get; either gives
-    the targets as positions in the set's slice, which its members map to
-    node ids.  Step t of the script holds the entities whose targets run
-    past t; ``simulate`` records the others as idle.  Raises
-    SearchInconsistency unless the replay repairs the summed optima.
+    Each entity's set (its members, in increasing position) takes its
+    reward and targets from ``verdicts.search``, the targets as positions
+    in the set's slice, which its members map to node ids.  Step t of the
+    script holds the entities whose targets run past t; ``simulate``
+    records the others as idle.  Raises SearchInconsistency unless the
+    replay repairs the summed optima.
     """
     ids = scenario.node_ids
     reward = 0
     script: list[dict[str, Optional[str]]] = []
-    for k, (eid, mask) in enumerate(zip(scenario.entity_ids, masks)):
-        if mask:
-            optimum, targets = tight.get((k, mask)) or (0, None)
-            if targets is None:
-                optimum, targets = verdicts.search(k, mask)
-            members = _members(mask)
+    for k, (eid, members) in enumerate(zip(scenario.entity_ids, sets)):
+        if members:
+            optimum, targets = verdicts.search(k, members)
             reward += optimum
             script.extend({} for _ in range(len(targets) - len(script)))
             for actions, target in zip(script, targets):
@@ -458,54 +558,85 @@ def oracle_optimal(
     Returns the optimum with the first allocation in enumeration order
     that reaches it, and that allocation's witness trace and outcome from
     one replay through the simulator.  The module docstring proves, in
-    (a)-(e), that the walk's cuts lose neither the optimum nor that
-    witness.  Raises InstanceTooLarge when (M+1)^N exceeds ``cap``, or
-    when a search needed for the result holds ``memo_cap`` health
-    vectors; a decision search that reaches ``memo_cap`` during the walk
-    only leaves its set undecided.  Raises SearchInconsistency when the
-    replay does not repair the summed per-entity optima, or that sum is
-    not the walk's allocated count.
+    (a)-(e), (k) and (l), that the walk's cuts and its two rounds lose
+    neither the optimum nor that witness.  Raises InstanceTooLarge when
+    (M+1)^N exceeds ``cap``, or when a search needed for the result holds
+    ``memo_cap`` health vectors; a decision search that reaches
+    ``memo_cap`` during the walk only leaves its set undecided.  Raises
+    SearchInconsistency when the replay does not repair the summed
+    per-entity optima, or that sum is not the walk's allocated count.
     """
     _require_cap(scenario, cap)
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
-    masks = [0] * len(costs)
+    machines, lifetimes = len(costs), scenario.lattice.lifetimes
+    by_lifetime = sorted(range(n), key=lifetimes.__getitem__)
+    masks = [0] * machines
+    sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     verdicts = _Verdicts(scenario, memo_cap)
     # (entity index, its set of two or more nodes) -> the set's decision
     tight: dict[tuple[int, int], _Result] = {}
-    best_reward, best_masks = -1, tuple(masks)
+    # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
+    ranks: dict[int, int] = {}
 
-    def visit(depth: int, spent: int, count: int) -> None:
-        nonlocal best_reward, best_masks
+    def rank(rest: int) -> int:
+        if rest not in ranks:
+            ranks[rest] = len(schedulable(lifetimes, [j for j in by_lifetime if rest >> j & 1], machines))
+        return ranks[rest]
+
+    everything, root_rank = (1 << n) - 1, len(schedulable(lifetimes, by_lifetime, machines))
+    ceiling = root_rank  # (k): the root bound B
+    if (cheapest := min(costs)) > 0:
+        ceiling = min(ceiling, room // cheapest)
+    best_reward, best_sets, seeded = ceiling - 1, None, True  # (l): the seeded round
+
+    def visit(depth: int, spent: int, count: int, rest: int, lower: int, bound: int) -> None:
+        # rest: the nodes allocated or undecided; lower: their rank, or a lower bound on
+        # it that is at least the root bound; bound: the smaller of the two, this node's
+        nonlocal best_reward, best_sets
         if depth == n:
-            for key in enumerate(masks):
-                if key in tight and tight[key] is None:
-                    tight[key] = verdicts.search(*key)  # an unknown set: this raises
-            best_reward, best_masks = count, tuple(masks)
+            for k, mask in enumerate(masks):
+                if (k, mask) in tight and tight[k, mask] is None:
+                    tight[k, mask] = verdicts.search(k, sets[k])  # an unknown set: this raises
+            best_reward, best_sets = count, [list(members) for members in sets]
             return
-        if count + n - 1 - depth > best_reward:  # the count bound
-            visit(depth + 1, spent, count)
         bit = 1 << depth
+        if count + n - 1 - depth > best_reward:  # the count bound, which the pooled bound never exceeds
+            # one node fewer lowers the rank by at most one, and by exactly one
+            # when all of them are schedulable
+            fewer = lower - 1 if lower > ceiling or lower == count + n - depth else rank(rest ^ bit)
+            if (below := fewer if fewer < ceiling else ceiling) > best_reward:
+                visit(depth + 1, spent, count, rest ^ bit, fewer, below)
         for k, cost in enumerate(costs):
-            if count + n - depth <= best_reward:
-                return  # the count bound, for this entity and every later one
+            if bound <= best_reward:
+                return  # the pooled bound, for this entity and every later one
             if spent + cost > room:
                 continue
             mask = masks[k] | bit
-            size = mask.bit_count()
-            if size > 1 and (k, mask) not in tight:
-                tight[k, mask] = verdicts.decide(k, mask, size)
+            members = sets[k]
+            members.append(depth)
+            if (size := len(members)) > 1 and (k, mask) not in tight:
+                tight[k, mask] = verdicts.decide(k, mask, members, not seeded)
             # no cache entry for a lone node, tight by proof (e), and None for an unknown set
             if (decided := tight.get((k, mask))) is None or decided[0] == size:
                 masks[k] = mask
-                visit(depth + 1, spent + cost, count + 1)
+                visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
                 masks[k] ^= bit
+            members.pop()
 
-    # every leaf scores its allocated count and beats the one before, so only the
-    # last is replayed; the all-unallocated leaf always comes first
-    visit(0, 0, 0)
-    allocation = _allocation(scenario, best_masks)
-    reward, trace, outcome = _witness(scenario, allocation, best_masks, verdicts, tight)
+    try:
+        visit(0, 0, 0, everything, root_rank, ceiling)
+        if best_sets is None:  # (l): no leaf reaches B, so the optimum is below it
+            ceiling -= 1
+    except _Unsettled:  # (l): the seeded round met a decision only the kernel can make
+        masks[:] = [0] * machines
+        for members in sets:
+            members.clear()
+    if best_sets is None:  # (l): the ascending walk
+        best_reward, seeded = -1, False
+        visit(0, 0, 0, everything, root_rank, ceiling)
+    allocation = _allocation(scenario, best_sets)
+    reward, trace, outcome = _witness(scenario, allocation, best_sets, verdicts)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

@@ -193,6 +193,26 @@ def test_budgeted_allocator_matches_the_oracle_up_to_eight_nodes_and_four_entiti
     assert (8, 4) in sizes
 
 
+def test_budgeted_allocator_matches_the_oracle_on_twelve_nodes_and_three_entities():
+    """test_07's claim on repair-dominant draws of exactly 12 nodes and 3 entities, each trace replayed through ``verify_trace``.
+
+    4^12 assignments exceed the default enumeration cap, so the oracle gets
+    a cap that admits them; its pooled lifetime bound keeps the walk small.
+    """
+    rng = random.Random("repair_dominant-12-3")
+    matched = 0
+    while matched < 50:
+        scenario = random_repair_dominant(rng, max_nodes=12, max_entities=3)
+        if (len(scenario.nodes), len(scenario.entities)) != (12, 3):
+            continue
+        allocation = allocate_budgeted(scenario)
+        trace, outcome = simulate(scenario, allocation, LeastModifiedHealth())
+        verify_trace(scenario, allocation, trace)
+        optimal = oracle_optimal(scenario, cap=4**12).optimal_reward
+        assert outcome.reward == optimal, (matched, outcome.reward, optimal, scenario)
+        matched += 1
+
+
 def test_online_policy_keeps_half_the_optimum_up_to_eight_nodes_and_four_entities():
     """test_08's half bound on wider draws; each run's trace also replays through ``verify_trace``."""
     rng = random.Random(20261019)
@@ -225,7 +245,7 @@ def test_09_greedy_subset_is_maximal_and_matches_repairability():
             ):
                 best = r
                 break
-        greedy = largest_repairable_subset(nodes)
+        greedy = largest_repairable_subset(scenario, nodes)
         assert len(greedy) == best, (scenario, len(greedy), best)
         assert feasible_ordered_set(reversed(greedy))
 

@@ -13,7 +13,6 @@ from repairalloc.allocation import (
     _OnlineAssignment,
     allocate_budgeted,
     largest_repairable_subset,
-    lifetime_index,
     run_online_policy,
 )
 from repairalloc.demos import DEMOS
@@ -43,6 +42,23 @@ def single_entity(nodes, cost="3", budget=None, inc="0.4") -> Scenario:
     )
 
 
+def padded(candidates) -> Scenario:
+    """A one-entity scenario holding ``candidates``, with filler nodes when there are fewer than the two a scenario needs."""
+    nodes = list(candidates)
+    return single_entity(nodes + [node(f"pad{i}", "0.5") for i in range(2 - len(nodes))])
+
+
+def repairable(candidates) -> list:
+    """``largest_repairable_subset`` of ``candidates``, read off a scenario that holds them."""
+    candidates = list(candidates)
+    return largest_repairable_subset(padded(candidates), candidates)
+
+
+def lifetime_index(candidate: NodeSpec) -> int:
+    """The lifetime index ceil(v0 / delta_dec) of ``candidate``, as its scenario's lattice holds it."""
+    return padded([candidate]).lattice.lifetimes[0]
+
+
 def test_lifetime_index_values():
     assert lifetime_index(node("a", "0.05")) == 1
     assert lifetime_index(node("a", "0.15")) == 2
@@ -68,20 +84,20 @@ def test_feasible_ordered_set_boundary_is_strict():
 
 
 def test_largest_repairable_subset_greedy_order():
-    picked = largest_repairable_subset(
+    picked = repairable(
         [node("a", "0.05"), node("b", "0.15"), node("c", "0.06"), node("d", "0.07")]
     )
     assert [n.id for n in picked] == ["a", "b"]
 
 
 def test_largest_repairable_subset_tie_breaks_on_id():
-    picked = largest_repairable_subset([node("b", "0.15"), node("a", "0.16")])
+    picked = repairable([node("b", "0.15"), node("a", "0.16")])
     assert [n.id for n in picked] == ["a", "b"]
 
 
 def test_largest_repairable_subset_drops_equally_urgent_nodes():
     # three nodes that all die in one step: only one can be saved
-    picked = largest_repairable_subset(
+    picked = repairable(
         [node("c", "0.05"), node("a", "0.06"), node("b", "0.04")]
     )
     assert [n.id for n in picked] == ["a"]
@@ -95,16 +111,16 @@ def test_largest_repairable_subset_reversed_is_feasible():
             node(f"n{i}", v0=str(F(rng.randint(1, 99), 100)), dec=str(F(rng.randint(1, 30), 100)))
             for i in range(count)
         ]
-        picked = largest_repairable_subset(candidates)
+        picked = repairable(candidates)
         assert feasible_ordered_set(reversed(picked))
 
 
 def _rescanning_greedy(candidates) -> list:
-    """The greedy as stated: rescan the remaining nodes for the first one whose index exceeds the pick count."""
-    remaining = sorted(candidates, key=lambda n: (lifetime_index(n), n.id))
+    """The greedy as stated, on Fraction ceilings: rescan the remaining nodes for the first one whose index exceeds the pick count."""
+    remaining = sorted(candidates, key=lambda n: (math.ceil(n.v0 / n.delta_dec), n.id))
     picked: list = []
     while True:
-        choice = next((n for n in remaining if lifetime_index(n) > len(picked)), None)
+        choice = next((n for n in remaining if math.ceil(n.v0 / n.delta_dec) > len(picked)), None)
         if choice is None:
             return picked
         picked.append(choice)
@@ -118,7 +134,7 @@ def test_largest_repairable_subset_matches_the_rescanning_greedy():
             node(f"n{i}", v0=str(F(rng.randint(1, 99), 100)), dec=str(F(rng.randint(1, 30), 100)))
             for i in range(rng.randint(0, 9))
         ]
-        assert largest_repairable_subset(candidates) == _rescanning_greedy(candidates)
+        assert repairable(candidates) == _rescanning_greedy(candidates)
 
 
 def test_allocate_budgeted_demo_sets():
@@ -317,7 +333,7 @@ def fraction_allocate_budgeted(scenario: Scenario) -> dict[str, frozenset[str]]:
     for entity in sorted(scenario.entities, key=lambda e: (e.cost, e.id)):
         if budget is not None and budget < entity.cost:
             break
-        subset = largest_repairable_subset(remaining)
+        subset = largest_repairable_subset(scenario, remaining)
         take = len(subset) if budget is None or entity.cost == 0 else min(int(budget / entity.cost), len(subset))
         sets[entity.id] = frozenset(n.id for n in subset[:take])
         remaining = [n for n in remaining if n.id not in sets[entity.id]]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repairalloc import _kernel, demos
+from repairalloc import demos, oracle
 from repairalloc.cli import main
 from repairalloc.engine import verify_trace
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
@@ -373,15 +373,15 @@ def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):
 
 
 def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
-    # the kernel keeps its reward but drops the last witness step, so the
-    # replay of a set it claims to repair in full leaves a node unrepaired
-    real = _kernel.solve_allocation
+    # each witness set's search keeps its reward but drops its last target, so
+    # the replay of a set it claims to repair in full leaves a node unrepaired
+    real = oracle._Verdicts.search
 
-    def truncated(*args):
-        reward, targets = real(*args)
+    def truncated(store, k, members):
+        reward, targets = real(store, k, members)
         return reward, targets[:-1]
 
-    monkeypatch.setattr(_kernel, "solve_allocation", truncated)
+    monkeypatch.setattr(oracle._Verdicts, "search", truncated)
     rc = main(["oracle", scenario_path("repair_dominant")])
     err = capsys.readouterr().err
     assert rc == 5
@@ -390,15 +390,15 @@ def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
 
 
 def test_oracle_count_inconsistency_exits_5(monkeypatch, capsys):
-    # the kernel claims nothing for a one-node set; the oracle's witness gives
-    # e the lone node c, so the replay and the summed optima agree at 2, and
-    # only the walk's allocated count of 3 disagrees
-    real = _kernel.solve_allocation
+    # a witness set's search claims nothing for a one-node set; the oracle's
+    # witness gives e the lone node c, so the replay and the summed optima
+    # agree at 2, and only the walk's allocated count of 3 disagrees
+    real = oracle._Verdicts.search
 
-    def blind_to_lone_nodes(healths, *args):
-        return (0, ()) if len(healths) == 1 else real(healths, *args)
+    def blind_to_lone_nodes(store, k, members):
+        return (0, ()) if len(members) == 1 else real(store, k, members)
 
-    monkeypatch.setattr(_kernel, "solve_allocation", blind_to_lone_nodes)
+    monkeypatch.setattr(oracle._Verdicts, "search", blind_to_lone_nodes)
     with pytest.raises(SearchInconsistency, match="the witness sets repair 2, the walk counted 3"):
         oracle_optimal(demos.DEMOS["online_suboptimal"]())
     rc = main(["oracle", scenario_path("online_suboptimal")])
@@ -470,10 +470,12 @@ def test_demos_names_every_bundled_file():
 
 
 def test_oracle_memo_cap_on_a_bundled_scenario(capsys):
-    rc = main(["oracle", scenario_path("repair_dominant"), "--memo-cap", "3"])
+    # the witness gives d {a, b}, which no schedule that repairs the nodes one
+    # at a time from the highest position down repairs, so its full search runs
+    rc = main(["oracle", scenario_path("online_suboptimal"), "--memo-cap", "3"])
     assert rc == 3
     assert "search exceeded the state cap of 3" in capsys.readouterr().err
-    assert main(["oracle", scenario_path("repair_dominant"), "--memo-cap", "5"]) == 0
+    assert main(["oracle", scenario_path("online_suboptimal"), "--memo-cap", "20"]) == 0
 
 
 def test_module_entry_point_runs_the_reproduction_suite(tmp_path):

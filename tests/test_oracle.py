@@ -121,6 +121,63 @@ def test_the_first_maximizer_repairs_every_allocated_node():
     assert allocated >= 60  # the maximizers hold sets to check
 
 
+def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
+    # the pooled bound, the seeded round and the first dive's closed form
+    # against a scan of every feasible allocation in product order, each
+    # entity's set scored on its own: the oracle must return the scan's
+    # optimum, first maximizer and witness trace
+    rng = random.Random(3301)
+    sizes = set()
+    for i in range(24):
+        family = random_repair_dominant if i % 2 else random_uniform_regime
+        scenario = family(rng, max_nodes=8, max_entities=2)
+        scores: dict[tuple[str, frozenset], int] = {}
+        best_reward, best = -1, None
+        for allocation in feasible_allocations_by_product(scenario):
+            reward = 0
+            for eid, nodes in allocation.sets.items():
+                if nodes and (eid, nodes) not in scores:
+                    alone = Allocation.build(scenario, {eid: nodes})
+                    scores[eid, nodes] = optimal_sequencing_reward(scenario, alone)[0]
+                reward += scores.get((eid, nodes), 0)
+            if reward > best_reward:
+                best_reward, best = reward, allocation
+        _, trace = optimal_sequencing_reward(scenario, best)
+        result = oracle_optimal(scenario)
+        assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (best_reward, best, trace), scenario
+        sizes.add((len(scenario.nodes), len(scenario.entities)))
+    assert (8, 2) in sizes
+
+
+def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
+    # proof (m): when repairing the members one at a time from the highest
+    # position down repairs a set, the store takes that schedule's targets
+    # without a kernel search, and they must be the full search's own; checked
+    # on every lone node and on sampled sets of the bundled scenarios and of
+    # draws of up to 8 x 3
+    solve = _kernel.solve_allocation
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    rng = random.Random(8123)
+    scenarios = [build() for build in DEMOS.values()]
+    for _ in range(25):
+        scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
+    closed = {True: 0, False: 0}  # closed forms taken, for lone nodes and for larger sets
+    for scenario in scenarios:
+        lattice, n = scenario.lattice, len(scenario.nodes)
+        masks = list(range(1, 1 << n))
+        for k, eid in enumerate(scenario.entity_ids):
+            for mask in [1 << j for j in range(n)] + rng.sample(masks, min(len(masks), 24)):
+                members = [j for j in range(n) if mask >> j & 1]
+                searches.clear()
+                result = oracle._Verdicts(scenario, oracle.DEFAULT_CAP).search(k, members)
+                healths, decs, rates = zip(*((lattice.v0[j], lattice.decs[j], lattice.incs[eid][j]) for j in members))
+                assert result == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP), scenario
+                assert not searches or len(members) > 1, scenario  # a lone node's first dive repairs it
+                if not searches:
+                    closed[len(members) == 1] += 1
+    assert min(closed.values()) >= 100, closed
+
+
 def bound_overflow_trio(budget) -> Scenario:
     # with one entity, "a" must be targeted at step 0 and then climbs for
     # fifty steps, while "b" and "c" last fifty steps and take one each: no
@@ -141,6 +198,31 @@ def bound_overflow_trio(budget) -> Scenario:
     )
 
 
+def overflow_below_the_bound(twin: bool) -> Scenario:
+    # "a" must be targeted at step 0 and climbs for fifty steps under "e", as
+    # in the trio above, so rules (i) and (j) leave e's {"a", "b"} to the
+    # kernel, whose decision search overflows a memo cap of 5.  "a" and "c"
+    # last one step each, so (i) refutes e's {"a", "b", "c"}, but two entities
+    # could target both at step 0, so the pooled bound reads 3.  "f" costs 3/2,
+    # so within the budget of 3 only e can hold three nodes, and the optimum,
+    # e's {"b", "c"}, is 2: no leaf reaches the bound, and the walk decides
+    # e's {"a", "b"} on its way.  With ``twin``, "f" has e's rates and so
+    # the same slice of {"a", "b"}; otherwise f's rates are all 1/2
+    rates = {"a": F("1/50"), "b": F("1/2"), "c": F("1/2")}
+    return Scenario(
+        nodes=(
+            NodeSpec("a", F("1/100"), F("1/100")),
+            NodeSpec("b", F("1/2"), F("1/100")),
+            NodeSpec("c", F("1/2"), F("1/2")),
+        ),
+        entities=(
+            EntitySpec("e", F(1), rates),
+            EntitySpec("f", F("3/2"), dict(rates) if twin else {nid: F("1/2") for nid in "abc"}),
+        ),
+        budget=F(3),
+    )
+
+
 def overflows(monkeypatch) -> list[tuple[int, int]]:
     """Record the size and floor of every set search that exceeds its memo cap."""
     seen: list[tuple[int, int]] = []
@@ -158,17 +240,17 @@ def overflows(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(monkeypatch):
-    # budget 2 allows two nodes: {"b", "c"} scores 2 first, and no allocation
-    # that holds "a" can beat it, so a scan that searches only allocations
-    # with more nodes than the best reward never searches {"a", "b"}; the
-    # decision search of {"a", "b"} overflows and must not fail the call,
-    # and the witness's full search of {"b", "c"} fits the cap
-    scenario = bound_overflow_trio(F(2))
+    # e's {"b", "c"} scores 2 first, and no allocation that holds e's
+    # {"a", "b"} can beat it, so a scan that searches only allocations with
+    # more nodes than the best reward never searches {"a", "b"}; its decision
+    # search overflows and must not fail the call, and the witness {"b", "c"}
+    # needs no search, since repairing "c" and then "b" repairs both
+    scenario = overflow_below_the_bound(twin=False)
     seen = overflows(monkeypatch)
     result = oracle_optimal(scenario, memo_cap=5)
     assert seen == [(2, 1)]
     assert result.optimal_reward == 2
-    assert result.witness_allocation.sets == {"e": frozenset({"b", "c"})}
+    assert result.witness_allocation.sets == {"e": frozenset({"b", "c"}), "f": frozenset()}
     unbounded = oracle_optimal(scenario)
     assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
 
@@ -218,10 +300,10 @@ def decisions(monkeypatch) -> list[tuple[int, int, int, object, bool]]:
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     decide = oracle._Verdicts.decide
 
-    def recording(store, k, mask, size):
+    def recording(store, k, mask, members, search=True):
         before = len(searches)
-        verdict = decide(store, k, mask, size)
-        seen.append((k, mask, size, verdict, len(searches) > before))
+        verdict = decide(store, k, mask, members, search)
+        seen.append((k, mask, len(members), verdict, len(searches) > before))
         return verdict
 
     monkeypatch.setattr(oracle._Verdicts, "decide", recording)
@@ -232,9 +314,7 @@ def test_value_equal_sets_share_one_overflow(monkeypatch):
     # "f" is a twin of "e", so f's {"a", "b"} has the same slice as e's: the
     # store gives f the overflow of e's decision search without a second
     # search, and the call still finishes with the unbounded call's witness
-    trio = bound_overflow_trio(F(2))
-    twin = EntitySpec("f", F(1), dict(trio.entities[0].repair_rate))
-    scenario = Scenario(trio.nodes, (*trio.entities, twin), budget=F(2))
+    scenario = overflow_below_the_bound(twin=True)
     seen = overflows(monkeypatch)
     decided = decisions(monkeypatch)
     result = oracle_optimal(scenario, memo_cap=5)
@@ -275,12 +355,12 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 # rule that stops firing searches sets it could decide, all without changing
 # any optimum, witness or trace, so only these counts catch them
 KERNEL_SEARCHES = {
-    "repair_dominant": 4,
-    "decay_dominant": 4,
-    "online_suboptimal": 3,
-    "largest_first_suboptimal": 4,
-    "mixed_rates": 4,
-    "mixed_costs": 2,
+    "repair_dominant": 2,
+    "decay_dominant": 2,
+    "online_suboptimal": 1,
+    "largest_first_suboptimal": 2,
+    "mixed_rates": 2,
+    "mixed_costs": 1,
 }
 
 
@@ -386,9 +466,9 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
             for mask in rng.sample(masks, min(len(masks), 24)):
                 members = [j for j in range(n) if mask >> j & 1]
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                verdict = oracle._settled(values, lattice.unit)
+                verdict = oracle._settled(values, [lattice.lifetimes[j] for j in members], lattice.unit)
                 settled[verdict] += 1
-                greedy = largest_repairable_subset([scenario.nodes[j] for j in members])
+                greedy = largest_repairable_subset(scenario, [scenario.nodes[j] for j in members])
                 assert (len(greedy) == len(members)) == (verdict is not False), scenario
                 if verdict is not None:
                     decs, rates, healths = zip(*values)
@@ -483,10 +563,12 @@ def test_sequencing_reward_single_entity_cannot_save_all_five():
 
 
 def test_sequencing_reward_respects_memo_cap():
-    scenario = two_nodes()
+    # repairing "b" first lets "a" reach 0, so the first dive does not repair
+    # the trio's {"a", "b"}, and its full search runs under the cap
+    scenario = bound_overflow_trio(None)
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
-    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 3"):
-        optimal_sequencing_reward(scenario, allocation, memo_cap=3)
+    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 5"):
+        optimal_sequencing_reward(scenario, allocation, memo_cap=5)
 
 
 def test_oracle_demo_optima():
