@@ -29,16 +29,16 @@ from repairalloc.model import (
 def largest_repairable_subset(scenario: Scenario, candidates: Iterable[NodeSpec]) -> list[NodeSpec]:
     """Greedy maximum set of ``scenario``'s nodes among ``candidates`` that one entity can repair, in pick order.
 
-    Repeatedly picks, among remaining candidates whose lifetime index
+    Repeatedly picks, among remaining candidates whose lifetime
     ceil(v0 / delta_dec), read off the scenario's lattice, strictly
     exceeds the number already picked, the one with the smallest lifetime
-    index (ties by smallest id).  The pick order runs most urgent first;
+    (ties by smallest id).  The pick order runs most urgent first;
     reversing it yields a feasible order (n_1, ..., n_z): one in which
     every node outlives the work queued behind it, v0 of the j-th node
     strictly exceeding (z - j) times its own delta_dec.
 
     One pass over the candidates in that order suffices, and it is
-    ``model.schedulable`` on one entity: a node passed over has an index
+    ``model.schedulable`` on one entity: a node passed over has a lifetime
     at most the pick count, which never falls, so it could never be
     picked later.
     """

@@ -113,16 +113,16 @@ and the returned ``Allocation`` read them from there.  The store answers
 some decisions without a search, by five rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
-  floor and ``memo_cap``: the kernel reads nothing else.  The store keys
-  each result on (slice, floor), as the reward with the targets as
-  positions in the slice, or as None when the search exceeded
-  ``memo_cap``.  A set whose slice and floor were searched before, for
-  the same entity or for another with equal rates on those nodes, gets
-  that result, which is the one its own search returns; its own members
-  map the positions to node ids.  The store also keeps the verdicts of
-  rules (i) and (j) below, which read nothing but the slice, under the
-  same key, and keeps a tight decision search's result as the full
-  search's too, which it is by (d).
+  floor and ``memo_cap``: the kernel reads nothing else, and a decision
+  search's floor, |S| - 1, is fixed by the slice's length.  The store
+  keys each verdict on the slice alone: tight, not tight, or unknown when
+  the search exceeded ``memo_cap``.  Every rule below gives the verdict
+  the set's own search gives, so a set whose slice was decided before,
+  for the same entity or for another with equal rates on those nodes,
+  gets that verdict.  Apart from the verdicts, and keyed the same way,
+  the store keeps each full search's result, the reward with the targets
+  as positions in the slice, which a set's own members map to node ids;
+  a tight decision search's result is one, by (d).
 * **(g) Refuted subsets.**  The store keeps each entity's sets found
   not tight.  By (a), a set that contains one of them is not tight
   either, and the store refutes it without a search.
@@ -136,10 +136,9 @@ some decisions without a search, by five rules:
   same sorted (decay, rate) sequence, and the new one's sorted healths
   are componentwise at most the refuted one's, then V is at most the
   refuted V by the monotonicity the kernel docstring proves, so it is
-  below |S| and the new set is not tight.  The store sorts only for an
-  entity that has two nodes of equal (decay, rate): without such a pair,
-  two of its sets with the same sorted sequence are the same set, which
-  the walk never decides twice.
+  below |S| and the new set is not tight.  The refuted slices are kept
+  for every entity together, since entities may share (decay, rate)
+  pairs, so the store sorts every slice that reaches this rule.
 
 Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
 which ``model.Lattice`` holds as an integer: a node that no action
@@ -166,16 +165,15 @@ that is positive, and 0 from step L_j on, since 0 absorbs.
   that schedule repairs all of S.  It targets an Active member of S at
   every step, so it is in the action space, and S is tight.
 
-A refutation by (f), (g), (h) or (i) is (|S| - 1, ()), which is exactly
-what the decision search returns on a set that is not tight: every v0
-lies strictly between 0 and 1, so the search does not stop at its
-initial state, and it finds no terminal above its floor |S| - 1.  A
-confirmation by (j) is (|S|, None): tight, with no targets, since no
-search ran.  The walk reads a decision only as tight or not, and only
-rule (f) shares a tight result, between equal slices, never across a
-relabeling.  So the cuts, the order of the walk, the optimum and the
-witness allocation are the ones a search per decision gives, and so is
-the witness trace, as the last paragraph shows.
+Each rule gives only whether the decision search's reward is |S|, that
+is, whether S is tight, which is all the walk reads of a decision: (g),
+(h) and (i) say not tight only of sets that are not, (j) says tight only
+of sets that are, and (f) repeats the verdict of an equal slice.  So the
+cuts, the order of the walk, the optimum and the witness allocation are
+the ones a search per decision gives.  Only full-search results carry
+targets, and the store shares one only between equal slices, never
+across a relabeling, so the witness trace is that search's too, as the
+last paragraph shows.
 
 The walk's bound and its two rounds, and the witness targets that need
 no search:
@@ -259,8 +257,8 @@ refute, and rule (j) never searches the sets it confirms, so such a set
 is decided, not unknown, even where its search would exceed
 ``memo_cap``: a call that a search per decision fails at a small cap may
 answer, and then answers as without the cap.  A leaf that holds an
-unknown set takes that set's full search's result the way the witness
-does, below.  When the set's first dive repairs it, the set is tight, by
+unknown set asks the store for that set's full search's result, the way
+the witness does, below.  When the set's first dive repairs it, the set is tight, by
 (m).  Otherwise the full search runs and raises InstanceTooLarge, as a
 scan of every allocation would: it generates every state the decision
 search generates, in the same order of expansions, so it reaches the cap
@@ -302,10 +300,7 @@ from repairalloc.policies import Scripted
 DEFAULT_CAP = 10**6
 
 # An entity's set is a bitmask over node positions, bit j being scenario.nodes[j], and
-# its members, those positions in increasing order.  A decision: (reward, the slice
-# positions targeted), with targets None when rule (j) confirmed the set without a
-# search, or None when the search exceeded memo_cap.
-_Result = Optional[tuple[int, Optional[tuple[int, ...]]]]
+# its members, those positions in increasing order.
 # A set's slice of the lattice: (decay, rate, health) of each member, in node order.
 _Slice = tuple[tuple[int, int, int], ...]
 
@@ -387,9 +382,8 @@ class _Verdicts:
         self.unit, self.memo_cap, self.lifetimes = lattice.unit, memo_cap, lattice.lifetimes
         # entity k's (decay, rate, health) of every node, in node order
         self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
-        # whether entity k has two nodes of equal (decay, rate), without which (h) never applies
-        self.relabels = [len({value[:2] for value in values}) < len(values) for values in self.values]
-        self.results: dict[tuple[_Slice, int], _Result] = {}  # (f): (slice, floor) -> result
+        self.verdicts: dict[_Slice, Optional[bool]] = {}  # (f): slice -> tight, not tight, or None when unknown
+        self.searches: dict[_Slice, tuple[int, tuple[int, ...]]] = {}  # slice -> the full search's result
         self.refuted: list[list[int]] = [[] for _ in self.values]  # (g): entity k's masks found not tight
         # (h): sorted (decay, rate) sequence -> the sorted healths of each refuted slice with it
         self.dominators: dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]] = {}
@@ -411,54 +405,47 @@ class _Verdicts:
         InstanceTooLarge when a search that is made holds ``memo_cap`` states.
         """
         values = self._slice(k, members)
-        key = values, -1
-        if key not in self.results:
+        if values not in self.searches:
             order = range(len(values) - 1, -1, -1)  # (m): the kernel's first dive
             if (steps := _in_turn(values, order, self.unit)) is not None:
-                self.results[key] = len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
+                self.searches[values] = len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
             else:
-                self.results[key] = self._solve(values, -1)
-        return self.results[key]
+                self.searches[values] = self._solve(values, -1)
+        return self.searches[values]
 
-    def decide(self, k: int, mask: int, members: Sequence[int], search: bool = True) -> _Result:
-        """The decision search of entity k's set of two or more ``members``, None when it exceeds ``memo_cap``.
+    def decide(self, k: int, mask: int, members: Sequence[int], search: bool = True) -> Optional[bool]:
+        """Whether entity k's set of two or more ``members`` is tight, None when its decision search exceeds ``memo_cap``.
 
-        The set is tight when the reward is its size; an inferred refutation
-        is (size - 1, ()), which is what the search returns on a set that is
-        not tight, and a set that (j) confirms is (size, None), without the
-        search's targets.  With ``search`` false, a decision that only the
-        kernel can make raises _Unsettled instead of searching.
+        With ``search`` false, a decision that only the kernel can make
+        raises _Unsettled instead of searching.
         """
-        size = len(members)
-        floor = size - 1
         for refuted in self.refuted[k]:
             if refuted & mask == refuted:  # (g)
-                return floor, ()
+                return False
         values = self._slice(k, members)
-        key = values, floor
-        if key in self.results:  # (f)
-            verdict = self.results[key]
+        if values in self.verdicts:  # (f)
+            verdict = self.verdicts[values]
         else:
-            settled = _settled(values, [self.lifetimes[j] for j in members], self.unit)
-            if settled is not None:  # (i) refutes, (j) confirms
-                verdict = (size, None) if settled else (floor, ())
-            else:
-                classes = _classes(values) if self.relabels[k] else None
-                if classes is not None and self._dominated(*classes):  # (h)
-                    verdict = floor, ()
+            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i) refutes, (j) confirms
+            if verdict is None:
+                classes = _classes(values)
+                if self._dominated(*classes):  # (h)
+                    verdict = False
                 elif not search:
                     raise _Unsettled
                 else:
                     try:
-                        verdict = self._solve(values, floor)
+                        reward, targets = self._solve(values, len(values) - 1)
                     except InstanceTooLarge:
-                        verdict = None
-                    if verdict is not None and verdict[0] == size:
-                        self.results[values, -1] = verdict  # the full search's result too, by (d)
-                    elif verdict is not None and classes is not None:
-                        self.dominators.setdefault(classes[0], []).append(classes[1])
-            self.results[key] = verdict
-        if verdict is not None and verdict[0] < size:
+                        pass  # the set stays unknown
+                    else:
+                        verdict = reward == len(values)
+                        if verdict:
+                            self.searches[values] = reward, targets  # the full search's result too, by (d)
+                        else:
+                            self.dominators.setdefault(classes[0], []).append(classes[1])
+            self.verdicts[values] = verdict
+        if verdict is False:
             self.refuted[k].append(mask)
         return verdict
 
@@ -574,8 +561,8 @@ def oracle_optimal(
     masks = [0] * machines
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     verdicts = _Verdicts(scenario, memo_cap)
-    # (entity index, its set of two or more nodes) -> the set's decision
-    tight: dict[tuple[int, int], _Result] = {}
+    # (entity index, its set of two or more nodes) -> tight, not tight, or None when unknown
+    tight: dict[tuple[int, int], Optional[bool]] = {}
     # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
     ranks: dict[int, int] = {}
 
@@ -596,8 +583,8 @@ def oracle_optimal(
         nonlocal best_reward, best_sets
         if depth == n:
             for k, mask in enumerate(masks):
-                if (k, mask) in tight and tight[k, mask] is None:
-                    tight[k, mask] = verdicts.search(k, sets[k])  # an unknown set: this raises
+                if tight.get((k, mask), True) is None:  # an unknown set: the (m) closed form, or this raises
+                    verdicts.search(k, sets[k])
             best_reward, best_sets = count, [list(members) for members in sets]
             return
         bit = 1 << depth
@@ -615,10 +602,10 @@ def oracle_optimal(
             mask = masks[k] | bit
             members = sets[k]
             members.append(depth)
-            if (size := len(members)) > 1 and (k, mask) not in tight:
+            if len(members) > 1 and (k, mask) not in tight:
                 tight[k, mask] = verdicts.decide(k, mask, members, not seeded)
             # no cache entry for a lone node, tight by proof (e), and None for an unknown set
-            if (decided := tight.get((k, mask))) is None or decided[0] == size:
+            if tight.get((k, mask)) is not False:
                 masks[k] = mask
                 visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
                 masks[k] ^= bit

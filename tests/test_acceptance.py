@@ -213,6 +213,25 @@ def test_budgeted_allocator_matches_the_oracle_on_twelve_nodes_and_three_entitie
         matched += 1
 
 
+def test_online_policy_keeps_half_the_optimum_on_twelve_nodes_and_three_entities():
+    """test_08's half bound on uniform draws of exactly 12 nodes and 3 entities, each trace replayed through ``verify_trace``.
+
+    As for the budgeted allocator above, the oracle gets a cap that admits
+    the 4^12 assignments.
+    """
+    rng = random.Random("uniform-12-3")
+    kept = 0
+    while kept < 100:
+        scenario = random_uniform_regime(rng, max_nodes=12, max_entities=3)
+        if (len(scenario.nodes), len(scenario.entities)) != (12, 3):
+            continue
+        run = run_online_policy(scenario)
+        verify_trace(scenario, run.allocation, run.trace)
+        optimal = oracle_optimal(scenario, cap=4**12).optimal_reward
+        assert 2 * run.outcome.reward >= optimal, (kept, run.outcome.reward, optimal, scenario)
+        kept += 1
+
+
 def test_online_policy_keeps_half_the_optimum_up_to_eight_nodes_and_four_entities():
     """test_08's half bound on wider draws; each run's trace also replays through ``verify_trace``."""
     rng = random.Random(20261019)

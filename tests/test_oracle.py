@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -378,9 +379,9 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # (f) a slice and floor decided before, (g) a refuted subset of the same
     # entity's set, (h) a slice dominated by a refuted one after sorting within
     # (decay, rate) groups, (i) the lifetime bound and (j) a sequential
-    # schedule; each such verdict must be the kernel's own decision search on
-    # that set, exactly, except that a (j) confirmation carries no targets,
-    # and each rule must fire
+    # schedule; each such verdict, tight or not, must be the kernel's own
+    # decision search's on that set, and each rule must fire exactly as often
+    # as it did when these counts were recorded
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
@@ -401,10 +402,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
             if not searched:
                 decs, rates, healths = zip(*values)
                 decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
-                if verdict[1] is None:
-                    assert verdict[0] == decision[0] == size, scenario
-                else:
-                    assert verdict == decision, scenario
+                assert verdict is (decision[0] == size), scenario
                 if any(j == k and m & mask == m for j, m, _ in refuted):
                     rule = "g"
                 elif (values, size) in shared:
@@ -419,9 +417,9 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 fired[rule] += 1
             if searched or rule != "g":
                 shared.add((values, size))
-            if verdict[0] < size:
+            if verdict is False:
                 refuted.append((k, mask, values))
-    assert min(fired.values()) >= 1, fired
+    assert fired == {"f": 74, "g": 20, "h": 30, "i": 54, "j": 90}, fired
 
 
 def lifetime_bound_refutes(values: tuple) -> bool:
@@ -692,3 +690,26 @@ def test_oracle_witness_is_deterministic():
     assert first.witness_allocation.sets == second.witness_allocation.sets
     assert first.witness_trace == second.witness_trace
     assert first.optimal_reward == second.optimal_reward
+
+
+# SHA-256 of (optimum, sorted witness allocation, witness trace rows) over the
+# bundled scenarios and 300 default draws of each family
+WITNESS_DIGEST = "fc404c4d9666a85894d4578902cdba853620e8e0dcaa9421019fd32cc57b4306"
+
+
+def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
+    # any change to the walk, the verdict store or the closed-form targets
+    # that moves an optimum, a witness allocation or a witness trace on these
+    # draws changes the digest; the repr of ints, strings, tuples and None
+    # is the same under every hash seed and Python version
+    scenarios = [build() for build in DEMOS.values()]
+    for family, seed in ((random_repair_dominant, 20260818), (random_uniform_regime, 20260819)):
+        rng = random.Random(seed)
+        scenarios += [family(rng) for _ in range(300)]
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        result = oracle_optimal(scenario)
+        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
+        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
+        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
