@@ -110,7 +110,7 @@ decays, rates and healths out of the scenario's integer lattice, member
 by member in node order, and runs in exact integer arithmetic.  The walk
 carries each entity's members down the tree, and the store, the witness
 and the returned ``Allocation`` read them from there.  The store answers
-some decisions without a search, by five rules:
+some decisions without a search, by six rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
@@ -165,10 +165,50 @@ that is positive, and 0 from step L_j on, since 0 absorbs.
   that schedule repairs all of S.  It targets an Active member of S at
   every step, so it is in the action space, and S is tight.
 
+Rule (n) decides both ways, but only where every member's decay is at
+least its rate, as throughout the paper's second regime:
+
+* **(n) Some order, where decay dominates.**  When dec_j >= inc_j for
+  every member j, S is tight exactly when some order of its members,
+  each targeted in turn until it reaches ``unit`` as in (j), repairs them
+  all.  Such a schedule is in the action space, as (j) shows.
+  Conversely, by induction on |S|, from healths that are all Active; a
+  lone node's one order repairs it, by (e).  Take a schedule that repairs
+  all of S, and let a be the first member it lifts to ``unit``, at step
+  T_a, after x_a steps on a, u steps on other members and i idle steps,
+  so T_a = x_a + u + i.  Member a is repaired, so it is never at 0, and
+  up to T_a it gains inc_a on each of its x_a steps and loses dec_a on
+  each other one: h_a + x_a * inc_a - (u + i) * dec_a >= unit.  As
+  dec_a >= inc_a, (x_a - u - i) * inc_a >= unit - h_a, so
+  x_a >= q_a + u + i, where q_a = ceil((unit - h_a) / inc_a).  Now
+  repair a first, for q_a steps.  Every other member j is untargeted
+  until then, at h_j - q_a * dec_j.  Under the original schedule j is
+  Active at T_a, since a is repaired first and j later, after some
+  u_j <= u steps on it, so its health there is
+  h_j + u_j * inc_j - (T_a - u_j) * dec_j.  As T_a - q_a >= 2u + 2i, the
+  first exceeds the second by
+  (T_a - q_a - u_j) * dec_j - u_j * inc_j >= u * (dec_j - inc_j) >= 0,
+  so it is positive too.  So the state after a's q_a steps is at least
+  the original schedule's state at T_a, member by member, with a at
+  ``unit`` in both, and V is monotone, as the kernel docstring proves: the
+  other members, from their healths after a's q_a steps, form a tight set
+  in the same regime, which by induction some order repairs in turn.
+  Repairing a and then that order repairs all of S.
+  The store decides this by a DP over the sets of members repaired in
+  turn, expanded layer by layer in their size and only where reached, that
+  keeps the fewest steps some order of each set takes.  Keeping only the
+  fewest is exact, since a later start never helps: a member whose turn
+  comes after T steps has h' = h_j - T * dec_j, which falls as T grows,
+  and needs ceil((unit - h') / inc_j) steps, which rise.  So a member
+  that is still positive after a longer prefix is positive after the
+  shortest one, and finishes no later there.  In the regime no decision
+  is left to the kernel.
+
 Each rule gives only whether the decision search's reward is |S|, that
 is, whether S is tight, which is all the walk reads of a decision: (g),
 (h) and (i) say not tight only of sets that are not, (j) says tight only
-of sets that are, and (f) repeats the verdict of an equal slice.  So the
+of sets that are, (n) says which a set is, and (f) repeats the verdict of
+an equal slice.  So the
 cuts, the order of the walk, the optimum and the witness allocation are
 the ones a search per decision gives.  Only full-search results carry
 targets, and the store shares one only between equal slices, never
@@ -221,8 +261,9 @@ no search:
   which is at least |F| = R, so (c) holds for this *ascending walk*.
   The seeded round makes no kernel search: at a decision that only the
   kernel can make, it stops, having recorded no leaf, and the ascending
-  walk runs under root bound B, as R may still be B.  Decisions made in
-  the seeded round stay in the store for the ascending walk.
+  walk runs under root bound B, as R may still be B.  By (n), only a set
+  with some rate above its decay can stop it.  Decisions made in the
+  seeded round stay in the store for the ascending walk.
 * **(m) The first dive.**  Order health vectors by reading positions from
   the highest down, comparing the highest position first.  The kernel
   pushes a state's children in increasing position of their target and
@@ -252,9 +293,8 @@ no search:
 A decision search that exceeds ``memo_cap`` leaves the set unknown, and
 the walk enters the child, which keeps every leaf a scan would reach.
 Rule (f) shares an overflow only between equal slices, whose searches
-overflow alike.  Rules (g), (h) and (i) never search the sets they
-refute, and rule (j) never searches the sets it confirms, so such a set
-is decided, not unknown, even where its search would exceed
+overflow alike.  Rules (g)-(j) and (n) never search the sets they decide,
+so such a set is decided, not unknown, even where its search would exceed
 ``memo_cap``: a call that a search per decision fails at a small cap may
 answer, and then answers as without the cap.  A leaf that holds an
 unknown set asks the store for that set's full search's result, the way
@@ -369,10 +409,11 @@ class _Unsettled(Exception):
 class _Verdicts:
     """Every kernel search of one oracle call, keyed by the searched set's lattice values.
 
-    The module docstring proves (f)-(j), the five rules by which
+    The module docstring proves (f)-(j) and (n), the six rules by which
     ``decide`` answers some decisions without a search: the same values,
-    a refuted subset, a dominated slice, the lifetime bound and a
-    sequential schedule; and (m), by which ``search`` takes a set's
+    a refuted subset, a dominated slice, the lifetime bound, a sequential
+    schedule and, where every decay is at least its rate, some order of
+    sequential repairs; and (m), by which ``search`` takes a set's
     targets from the first dive's closed form.  Each search that is made
     goes through ``_kernel.solve_allocation``.
     """
@@ -426,7 +467,7 @@ class _Verdicts:
         if values in self.verdicts:  # (f)
             verdict = self.verdicts[values]
         else:
-            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i) refutes, (j) confirms
+            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i), (j) and (n)
             if verdict is None:
                 classes = _classes(values)
                 if self._dominated(*classes):  # (h)
@@ -461,8 +502,11 @@ def _classes(values: _Slice) -> tuple[tuple[tuple[int, int], ...], tuple[int, ..
 
 
 def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
-    """False when the lifetime bound (i) refutes the set, True when a sequential schedule (j) repairs it, else None.
+    """The set's verdict by rules (i), (j) and (n), None when none of them gives one.
 
+    False when the lifetime bound (i) refutes the set, True when a
+    sequential schedule (j) repairs it, and, when every member's decay is
+    at least its rate, whether some order of sequential repairs does (n).
     ``lifetimes`` are the members' lifetimes, in slice order.
     """
     size = len(values)
@@ -472,7 +516,31 @@ def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
     if _in_turn(values, by_lifetime, unit) is not None:
         return True
     healthiest_first = sorted(range(size), key=[-value[2] for value in values].__getitem__)
-    return True if _in_turn(values, healthiest_first, unit) is not None else None
+    if _in_turn(values, healthiest_first, unit) is not None:
+        return True
+    if all(dec >= inc for dec, inc, _ in values):
+        return _some_order_repairs(values, unit)
+    return None
+
+
+def _some_order_repairs(values: _Slice, unit: int) -> bool:
+    """Rule (n): whether the members, repaired in turn in some order, each until it reaches ``unit``, all reach it.
+
+    A DP over the sets of members repaired so far, layer by layer in their
+    size, that keeps the fewest steps each reachable set takes.
+    """
+    fewest = {0: 0}  # the members repaired in turn so far, as a mask -> the fewest steps that takes
+    for _ in values:
+        reached: dict[int, int] = {}
+        for mask, spent in fewest.items():
+            for i, (dec, inc, health) in enumerate(values):
+                if not mask >> i & 1 and (health := health - spent * dec) > 0:
+                    done = spent - ((health - unit) // inc)  # plus ceil((unit - health) / inc) targeted steps
+                    key = mask | 1 << i
+                    if done < reached.get(key, done + 1):
+                        reached[key] = done
+        fewest = reached
+    return bool(fewest)  # the one mask left, if any, holds every member
 
 
 def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[list[int]]:

@@ -469,13 +469,19 @@ def test_demos_names_every_bundled_file():
     assert sorted(path.stem for path in (REPO_ROOT / "src" / "repairalloc" / "scenarios").glob("*.json")) == sorted(demos.DEMOS)
 
 
-def test_oracle_memo_cap_on_a_bundled_scenario(capsys):
-    # the witness gives d {a, b}, which no schedule that repairs the nodes one
-    # at a time from the highest position down repairs, so its full search runs
-    rc = main(["oracle", scenario_path("online_suboptimal"), "--memo-cap", "3"])
+def test_oracle_memo_cap_on_a_bundled_scenario(tmp_path, capsys):
+    # online_suboptimal with d's rate on b raised above b's decay, so the
+    # oracle docstring's rule (n), which needs every decay at least its rate,
+    # leaves d's {b, c} to the kernel, as rules (i) and (j) do: its decision
+    # search overflows a cap of 3, the walk reaches a leaf holding that
+    # unknown set, and the leaf's full search fails the call, as a scan's would
+    entities = json.loads(Path(scenario_path("online_suboptimal")).read_text(encoding="utf-8"))["entities"]
+    entities[0]["delta_inc"]["b"] = "0.3"
+    path = edited_copy(tmp_path, "online_suboptimal", entities=entities)
+    rc = main(["oracle", path, "--memo-cap", "3"])
     assert rc == 3
     assert "search exceeded the state cap of 3" in capsys.readouterr().err
-    assert main(["oracle", scenario_path("online_suboptimal"), "--memo-cap", "20"]) == 0
+    assert main(["oracle", path, "--memo-cap", "50"]) == 0
 
 
 def test_module_entry_point_runs_the_reproduction_suite(tmp_path):

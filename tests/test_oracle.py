@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -357,11 +358,11 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 # any optimum, witness or trace, so only these counts catch them
 KERNEL_SEARCHES = {
     "repair_dominant": 2,
-    "decay_dominant": 2,
-    "online_suboptimal": 1,
-    "largest_first_suboptimal": 2,
-    "mixed_rates": 2,
-    "mixed_costs": 1,
+    "decay_dominant": 1,
+    "online_suboptimal": 0,
+    "largest_first_suboptimal": 0,
+    "mixed_rates": 0,
+    "mixed_costs": 0,
 }
 
 
@@ -378,17 +379,20 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # the store answers some decisions by the oracle docstring's rules:
     # (f) a slice and floor decided before, (g) a refuted subset of the same
     # entity's set, (h) a slice dominated by a refuted one after sorting within
-    # (decay, rate) groups, (i) the lifetime bound and (j) a sequential
-    # schedule; each such verdict, tight or not, must be the kernel's own
-    # decision search's on that set, and each rule must fire exactly as often
-    # as it did when these counts were recorded
+    # (decay, rate) groups, (i) the lifetime bound, (j) a sequential schedule
+    # and (n), where every decay is at least its rate, some order of
+    # sequential repairs; each such verdict, tight or not, must be the kernel's
+    # own decision search's on that set, each (n) verdict must be a brute force
+    # over every order's too, and each rule must fire exactly as often as it
+    # did when these counts were recorded
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
     scenarios = [build() for build in DEMOS.values()] + walk_draws()
     for _ in range(30):
         scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    fired = {"f": 0, "g": 0, "h": 0, "i": 0, "j": 0}
+    scenarios += [half_or_double_rates(rng) for _ in range(30)]  # where (h) still decides sets
+    fired = {"f": 0, "g": 0, "h": 0, "i": 0, "j": 0, "n": 0}
     for scenario in scenarios:
         lattice = scenario.lattice
         decided.clear()
@@ -411,6 +415,9 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                     rule = "i"
                 elif sequential_schedule_repairs(values, lattice.unit):
                     rule = "j"
+                elif decays_dominate(values):
+                    assert verdict is some_order_repairs(values, lattice.unit), scenario
+                    rule = "n"
                 else:
                     assert any(dominates(other, values) for _, _, other in refuted), scenario
                     rule = "h"
@@ -419,7 +426,19 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 shared.add((values, size))
             if verdict is False:
                 refuted.append((k, mask, values))
-    assert fired == {"f": 74, "g": 20, "h": 30, "i": 54, "j": 90}, fired
+    assert fired == {"f": 85, "g": 31, "h": 12, "i": 54, "j": 185, "n": 107}, fired
+
+
+def half_or_double_rates(rng: random.Random) -> Scenario:
+    """A draw of 3 to 5 nodes that share one decay, under one or two entities whose rate on each node is half or
+    twice that decay, with no budget: where a rate exceeds its decay, rule (n) leaves the set to the other rules."""
+    dec = F(1, rng.choice((8, 10, 12)))
+    nodes = tuple(NodeSpec(nid, F(rng.randint(2, 9), 10), dec) for nid in "abcde"[: rng.randint(3, 5)])
+    entities = tuple(
+        EntitySpec(eid, F(1), {node.id: dec * rng.choice((F(1, 2), F(2))) for node in nodes})
+        for eid in "uv"[: rng.randint(1, 2)]
+    )
+    return Scenario(nodes, entities, None)
 
 
 def lifetime_bound_refutes(values: tuple) -> bool:
@@ -429,34 +448,50 @@ def lifetime_bound_refutes(values: tuple) -> bool:
 
 
 def sequential_schedule_repairs(values: tuple, unit: int) -> bool:
-    """Rule (j): stepping a schedule that repairs the members one at a time, in (lifetime, position) or
+    """Rule (j): the schedule that repairs the members one at a time, in (lifetime, position) or
     (-health, position) order, repairs every member."""
     orders = (
         sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0]))),
         sorted(range(len(values)), key=lambda j: -values[j][2]),
     )
-    for order in orders:
-        healths = [health for _, _, health in values]
-        for target in order:
-            while 0 < healths[target] < unit:
-                for j, (dec, inc, _) in enumerate(values):
-                    if 0 < healths[j] < unit:
-                        healths[j] = min(healths[j] + inc, unit) if j == target else max(healths[j] - dec, 0)
-        if all(health == unit for health in healths):
-            return True
-    return False
+    return any(repairs_in_turn(values, unit, order) for order in orders)
+
+
+def some_order_repairs(values: tuple, unit: int) -> bool:
+    """Rule (n)'s reference: some order of the members, repaired one at a time, repairs every member."""
+    return any(repairs_in_turn(values, unit, order) for order in itertools.permutations(range(len(values))))
+
+
+def repairs_in_turn(values: tuple, unit: int, order) -> bool:
+    """Whether stepping the schedule that targets each member of ``order`` in turn, while it is Active, repairs them all."""
+    healths = [health for _, _, health in values]
+    for target in order:
+        while 0 < healths[target] < unit:
+            for j, (dec, inc, _) in enumerate(values):
+                if 0 < healths[j] < unit:
+                    healths[j] = min(healths[j] + inc, unit) if j == target else max(healths[j] - dec, 0)
+    return all(health == unit for health in healths)
+
+
+def decays_dominate(values: tuple) -> bool:
+    """Whether every member's decay is at least its rate, where rule (n) applies."""
+    return all(dec >= inc for dec, inc, _ in values)
 
 
 def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
     # rule (i) refutes only sets that the kernel's decision search refutes,
-    # rule (j) confirms only sets that it finds tight, and the greedy largest
-    # repairable subset keeps all of a set exactly when (i) passes; checked on
-    # sampled sets of the bundled scenarios and of draws of up to 8 x 3
+    # rule (j) confirms only sets that it finds tight, rule (n) decides every
+    # set whose decays are at least its rates as the kernel does, and the
+    # greedy largest repairable subset keeps all of a set exactly when (i)
+    # passes, so a refuted set that the greedy keeps whole is (n)'s; checked
+    # on sampled sets of the bundled scenarios, of draws of up to 8 x 3 and of
+    # draws whose rates are half or twice their decay
     rng = random.Random(6113)
     scenarios = [build() for build in DEMOS.values()]
     for _ in range(25):
         scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    settled = {False: 0, True: 0, None: 0}
+    scenarios += [half_or_double_rates(rng) for _ in range(25)]  # where sets outside (n)'s reach stay unsettled
+    settled = {False: 0, True: 0, None: 0, "n refuted": 0}
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = [mask for mask in range(1 << n) if mask.bit_count() > 1]
@@ -467,12 +502,52 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
                 verdict = oracle._settled(values, [lattice.lifetimes[j] for j in members], lattice.unit)
                 settled[verdict] += 1
                 greedy = largest_repairable_subset(scenario, [scenario.nodes[j] for j in members])
-                assert (len(greedy) == len(members)) == (verdict is not False), scenario
+                if len(greedy) < len(members):
+                    assert verdict is False, scenario  # (i)
+                elif verdict is False:
+                    assert decays_dominate(values), scenario  # (n), as (i) passed
+                    settled["n refuted"] += 1
+                assert verdict is not None or not decays_dominate(values), scenario
                 if verdict is not None:
                     decs, rates, healths = zip(*values)
                     reward, _ = _kernel.solve_allocation(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, len(members) - 1)
                     assert (reward == len(members)) == verdict, scenario
     assert min(settled.values()) >= 50, settled
+
+
+def test_rule_n_decides_as_the_kernel_and_every_order_do():
+    # proof (n): where every member's decay is at least its rate, a set is
+    # tight exactly when repairing its members one at a time, in some order,
+    # repairs them all; on seeded slices of 2 to 5 members whose decays and
+    # rates differ between members, decay equal to rate included, the DP's
+    # verdict and the store's must be the kernel's decision search's and a
+    # brute force's over every order
+    rng = random.Random(3571)
+    seen = {"tight": 0, "not tight": 0, "beyond (j)": 0, "decay = rate": 0, "decay > rate": 0}
+    for _ in range(1200):
+        unit = rng.randint(8, 30)
+        values = []
+        for _ in range(rng.randint(2, 5)):
+            dec = rng.randint(1, unit // 4)
+            values.append((dec, rng.randint(1, dec), rng.randint(unit // 2, unit - 1)))
+        values = tuple(values)
+        decs, rates, healths = zip(*values)
+        reward, _ = _kernel.solve_allocation(healths, unit, decs, rates, oracle.DEFAULT_CAP, len(values) - 1)
+        verdict = oracle._some_order_repairs(values, unit)
+        assert verdict is (reward == len(values)), (values, unit)
+        assert verdict is some_order_repairs(values, unit), (values, unit)
+        lifetimes = [-(-health // dec) for dec, _, health in values]
+        assert oracle._settled(values, lifetimes, unit) is verdict, (values, unit)
+        seen["tight" if verdict else "not tight"] += 1
+        seen["beyond (j)"] += verdict and not sequential_schedule_repairs(values, unit)
+        seen["decay = rate" if any(dec == rate for dec, rate, _ in values) else "decay > rate"] += 1
+    assert min(seen.values()) >= 20, seen
+    # outside the regime no order may repair a tight set: with unit 24, the
+    # kernel repairs both members here by interleaving, so (n) must not decide it
+    values, unit = ((1, 21, 2), (8, 11, 7)), 24
+    assert _kernel.solve_allocation((2, 7), unit, (1, 8), (21, 11), oracle.DEFAULT_CAP, 1)[0] == 2
+    assert not some_order_repairs(values, unit)
+    assert oracle._settled(values, [2, 1], unit) is None
 
 
 def dominates(refuted: tuple, values: tuple) -> bool:
