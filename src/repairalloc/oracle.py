@@ -110,35 +110,20 @@ decays, rates and healths out of the scenario's integer lattice, member
 by member in node order, and runs in exact integer arithmetic.  The walk
 carries each entity's members down the tree, and the store, the witness
 and the returned ``Allocation`` read them from there.  The store answers
-some decisions without a search, by six rules:
+some decisions without a search, by four rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
   search's floor, |S| - 1, is fixed by the slice's length.  The store
   keys each verdict on the slice alone: tight, not tight, or unknown when
-  the search exceeded ``memo_cap``.  Every rule below gives the verdict
-  the set's own search gives, so a set whose slice was decided before,
-  for the same entity or for another with equal rates on those nodes,
-  gets that verdict.  Apart from the verdicts, and keyed the same way,
+  the search exceeded ``memo_cap``.  Rules (i), (j) and (n) below read
+  nothing but the slice either, and each gives the verdict the set's own
+  search gives, so a set whose slice was decided before, for the same
+  entity or for another with equal rates on those nodes, gets that
+  verdict.  Apart from the verdicts, and keyed the same way,
   the store keeps each full search's result, the reward with the targets
   as positions in the slice, which a set's own members map to node ids;
   a tight decision search's result is one, by (d).
-* **(g) Refuted subsets.**  The store keeps each entity's sets found
-  not tight.  By (a), a set that contains one of them is not tight
-  either, and the store refutes it without a search.
-* **(h) Dominated slices.**  V_e(S) depends on S's nodes only through
-  their (decay, rate, health) triples, and not on the order of those
-  triples: the step moves each node by its own values, and the entity
-  may target any Active node, so relabeling the nodes maps schedules to
-  schedules with the same repaired count.  Sorting a slice's triples is
-  such a relabeling; it groups the nodes by (decay, rate) and sorts the
-  healths within each group.  If a refuted slice and a new one have the
-  same sorted (decay, rate) sequence, and the new one's sorted healths
-  are componentwise at most the refuted one's, then V is at most the
-  refuted V by the monotonicity the kernel docstring proves, so it is
-  below |S| and the new set is not tight.  The refuted slices are kept
-  for every entity together, since entities may share (decay, rate)
-  pairs, so the store sorts every slice that reaches this rule.
 
 Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
 which ``model.Lattice`` holds as an integer: a node that no action
@@ -205,15 +190,15 @@ least its rate, as throughout the paper's second regime:
   is left to the kernel.
 
 Each rule gives only whether the decision search's reward is |S|, that
-is, whether S is tight, which is all the walk reads of a decision: (g),
-(h) and (i) say not tight only of sets that are not, (j) says tight only
-of sets that are, (n) says which a set is, and (f) repeats the verdict of
-an equal slice.  So the
-cuts, the order of the walk, the optimum and the witness allocation are
-the ones a search per decision gives.  Only full-search results carry
-targets, and the store shares one only between equal slices, never
-across a relabeling, so the witness trace is that search's too, as the
-last paragraph shows.
+is, whether S is tight, which is all the walk reads of a decision: (i)
+says not tight only of sets that are not, (j) says tight only of sets
+that are, (n) says which a set is, and (f) repeats the verdict of an
+equal slice.  A set none of them decides gets its own decision search.
+So the cuts, the order of the walk, the optimum and the witness
+allocation are the ones a search per decision gives.  Only full-search
+results carry targets, and the store shares one only between equal
+slices, so the witness trace is that search's too, as the last paragraph
+shows.
 
 The walk's bound and its two rounds, and the witness targets that need
 no search:
@@ -259,11 +244,21 @@ no search:
   records no leaf, no leaf tight for every entity scores B, so R <= B - 1.
   The walk then runs again from best reward -1, under root bound B - 1,
   which is at least |F| = R, so (c) holds for this *ascending walk*.
-  The seeded round makes no kernel search: at a decision that only the
-  kernel can make, it stops, having recorded no leaf, and the ascending
-  walk runs under root bound B, as R may still be B.  By (n), only a set
-  with some rate above its decay can stop it.  Decisions made in the
-  seeded round stay in the store for the ascending walk.
+  The seeded round decides sets as the ascending walk does, by the
+  store's rules and, where none applies, by a search, and its decisions
+  stay in the store for the ascending walk.  Every leaf either round
+  reaches, the ascending walk under root bound B reaches too.  A walk
+  reaches only leaves whose allocated count exceeds its best reward, as
+  (c) shows.  The seeded round enters only children whose bound is B, and
+  none after it records F; the ascending walk under B enters each of
+  them, since a leaf it records is tight for every entity, so one that
+  scores B is F or comes after it.  If the seeded round records no leaf,
+  it has reached every feasible leaf of B nodes none of whose sets the
+  store refutes, since those sets pass (i), as (k) shows, and every bound
+  on its path is B; and it failed the call on each of them.  So when the
+  ascending walk runs, no such leaf exists, and under B - 1 it reaches
+  the same leaves as under B: a bound of B rather than B - 1 lets a walk
+  reach only leaves of B nodes.
 * **(m) The first dive.**  Order health vectors by reading positions from
   the highest down, comparing the highest position first.  The kernel
   pushes a state's children in increasing position of their target and
@@ -293,7 +288,7 @@ no search:
 A decision search that exceeds ``memo_cap`` leaves the set unknown, and
 the walk enters the child, which keeps every leaf a scan would reach.
 Rule (f) shares an overflow only between equal slices, whose searches
-overflow alike.  Rules (g)-(j) and (n) never search the sets they decide,
+overflow alike.  Rules (i), (j) and (n) never search the sets they decide,
 so such a set is decided, not unknown, even where its search would exceed
 ``memo_cap``: a call that a search per decision fails at a small cap may
 answer, and then answers as without the cap.  A leaf that holds an
@@ -402,18 +397,14 @@ def optimal_sequencing_reward(
     return reward, trace
 
 
-class _Unsettled(Exception):
-    """A decision that only a kernel search can make, met by a walk that makes none."""
-
-
 class _Verdicts:
     """Every kernel search of one oracle call, keyed by the searched set's lattice values.
 
-    The module docstring proves (f)-(j) and (n), the six rules by which
-    ``decide`` answers some decisions without a search: the same values,
-    a refuted subset, a dominated slice, the lifetime bound, a sequential
-    schedule and, where every decay is at least its rate, some order of
-    sequential repairs; and (m), by which ``search`` takes a set's
+    The module docstring proves (f), (i), (j) and (n), the four rules by
+    which ``decide`` answers some decisions without a search: the same
+    values, the lifetime bound, a sequential schedule and, where every
+    decay is at least its rate, some order of sequential repairs; and
+    (m), by which ``search`` takes a set's
     targets from the first dive's closed form.  Each search that is made
     goes through ``_kernel.solve_allocation``.
     """
@@ -425,9 +416,6 @@ class _Verdicts:
         self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
         self.verdicts: dict[_Slice, Optional[bool]] = {}  # (f): slice -> tight, not tight, or None when unknown
         self.searches: dict[_Slice, tuple[int, tuple[int, ...]]] = {}  # slice -> the full search's result
-        self.refuted: list[list[int]] = [[] for _ in self.values]  # (g): entity k's masks found not tight
-        # (h): sorted (decay, rate) sequence -> the sorted healths of each refuted slice with it
-        self.dominators: dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]] = {}
 
     def _slice(self, k: int, members: Sequence[int]) -> _Slice:
         values = self.values[k]
@@ -454,51 +442,22 @@ class _Verdicts:
                 self.searches[values] = self._solve(values, -1)
         return self.searches[values]
 
-    def decide(self, k: int, mask: int, members: Sequence[int], search: bool = True) -> Optional[bool]:
-        """Whether entity k's set of two or more ``members`` is tight, None when its decision search exceeds ``memo_cap``.
-
-        With ``search`` false, a decision that only the kernel can make
-        raises _Unsettled instead of searching.
-        """
-        for refuted in self.refuted[k]:
-            if refuted & mask == refuted:  # (g)
-                return False
+    def decide(self, k: int, members: Sequence[int]) -> Optional[bool]:
+        """Whether entity k's set of two or more ``members`` is tight, None when its decision search exceeds ``memo_cap``."""
         values = self._slice(k, members)
-        if values in self.verdicts:  # (f)
-            verdict = self.verdicts[values]
-        else:
+        if values not in self.verdicts:  # (f)
             verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i), (j) and (n)
             if verdict is None:
-                classes = _classes(values)
-                if self._dominated(*classes):  # (h)
-                    verdict = False
-                elif not search:
-                    raise _Unsettled
+                try:
+                    reward, targets = self._solve(values, len(values) - 1)
+                except InstanceTooLarge:
+                    pass  # the set stays unknown
                 else:
-                    try:
-                        reward, targets = self._solve(values, len(values) - 1)
-                    except InstanceTooLarge:
-                        pass  # the set stays unknown
-                    else:
-                        verdict = reward == len(values)
-                        if verdict:
-                            self.searches[values] = reward, targets  # the full search's result too, by (d)
-                        else:
-                            self.dominators.setdefault(classes[0], []).append(classes[1])
+                    verdict = reward == len(values)
+                    if verdict:
+                        self.searches[values] = reward, targets  # the full search's result too, by (d)
             self.verdicts[values] = verdict
-        if verdict is False:
-            self.refuted[k].append(mask)
-        return verdict
-
-    def _dominated(self, signature: tuple[tuple[int, int], ...], healths: tuple[int, ...]) -> bool:
-        """Whether a refuted slice has the same (decay, rate) groups and, sorted within them, healths at least these."""
-        return any(all(map(int.__le__, healths, refuted)) for refuted in self.dominators.get(signature, ()))
-
-
-def _classes(values: _Slice) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """A slice's (decay, rate) pairs in sorted order, and its healths sorted within each run of equal pairs."""
-    ordered = sorted(values)
-    return tuple([value[:2] for value in ordered]), tuple([value[2] for value in ordered])
+        return self.verdicts[values]
 
 
 def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
@@ -643,7 +602,7 @@ def oracle_optimal(
     ceiling = root_rank  # (k): the root bound B
     if (cheapest := min(costs)) > 0:
         ceiling = min(ceiling, room // cheapest)
-    best_reward, best_sets, seeded = ceiling - 1, None, True  # (l): the seeded round
+    best_reward, best_sets = ceiling - 1, None  # (l): the seeded round
 
     def visit(depth: int, spent: int, count: int, rest: int, lower: int, bound: int) -> None:
         # rest: the nodes allocated or undecided; lower: their rank, or a lower bound on
@@ -671,7 +630,7 @@ def oracle_optimal(
             members = sets[k]
             members.append(depth)
             if len(members) > 1 and (k, mask) not in tight:
-                tight[k, mask] = verdicts.decide(k, mask, members, not seeded)
+                tight[k, mask] = verdicts.decide(k, members)
             # no cache entry for a lone node, tight by proof (e), and None for an unknown set
             if tight.get((k, mask)) is not False:
                 masks[k] = mask
@@ -679,16 +638,9 @@ def oracle_optimal(
                 masks[k] ^= bit
             members.pop()
 
-    try:
-        visit(0, 0, 0, everything, root_rank, ceiling)
-        if best_sets is None:  # (l): no leaf reaches B, so the optimum is below it
-            ceiling -= 1
-    except _Unsettled:  # (l): the seeded round met a decision only the kernel can make
-        masks[:] = [0] * machines
-        for members in sets:
-            members.clear()
-    if best_sets is None:  # (l): the ascending walk
-        best_reward, seeded = -1, False
+    visit(0, 0, 0, everything, root_rank, ceiling)
+    if best_sets is None:  # (l): no leaf reaches B, so the ascending walk, under B - 1
+        best_reward, ceiling = -1, ceiling - 1
         visit(0, 0, 0, everything, root_rank, ceiling)
     allocation = _allocation(scenario, best_sets)
     reward, trace, outcome = _witness(scenario, allocation, best_sets, verdicts)

@@ -110,9 +110,9 @@ def test_pruned_search_is_exact_and_monotone(instance):
 
 
 def test_relabeled_and_dominated_slices_never_score_more():
-    # the premise of the oracle's verdict store rule (h): on seeded slices
-    # whose nodes share few (decay, rate) pairs, the full-search reward is
-    # monotone in the healths, and relabeling nodes of equal (decay, rate),
+    # the monotonicity that the proof of the oracle's rule (n) uses: on seeded
+    # slices whose nodes share few (decay, rate) pairs, the full-search reward
+    # is monotone in the healths, and relabeling nodes of equal (decay, rate),
     # here by swapping their healths, leaves it unchanged
     rng = random.Random(8807)
     strict = moved = 0

@@ -302,10 +302,10 @@ def decisions(monkeypatch) -> list[tuple[int, int, int, object, bool]]:
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     decide = oracle._Verdicts.decide
 
-    def recording(store, k, mask, members, search=True):
+    def recording(store, k, members):
         before = len(searches)
-        verdict = decide(store, k, mask, members, search)
-        seen.append((k, mask, len(members), verdict, len(searches) > before))
+        verdict = decide(store, k, members)
+        seen.append((k, sum(1 << j for j in members), len(members), verdict, len(searches) > before))
         return verdict
 
     monkeypatch.setattr(oracle._Verdicts, "decide", recording)
@@ -377,13 +377,12 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
 
 def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s(monkeypatch):
     # the store answers some decisions by the oracle docstring's rules:
-    # (f) a slice and floor decided before, (g) a refuted subset of the same
-    # entity's set, (h) a slice dominated by a refuted one after sorting within
-    # (decay, rate) groups, (i) the lifetime bound, (j) a sequential schedule
-    # and (n), where every decay is at least its rate, some order of
+    # (f) a slice decided before, (i) the lifetime bound, (j) a sequential
+    # schedule and (n), where every decay is at least its rate, some order of
     # sequential repairs; each such verdict, tight or not, must be the kernel's
     # own decision search's on that set, each (n) verdict must be a brute force
-    # over every order's too, and each rule must fire exactly as often as it
+    # over every order's too, a verdict without a search that none of them
+    # explains fails the test, and each rule must fire exactly as often as it
     # did when these counts were recorded
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
@@ -391,14 +390,13 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     scenarios = [build() for build in DEMOS.values()] + walk_draws()
     for _ in range(30):
         scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    scenarios += [half_or_double_rates(rng) for _ in range(30)]  # where (h) still decides sets
-    fired = {"f": 0, "g": 0, "h": 0, "i": 0, "j": 0, "n": 0}
+    scenarios += [half_or_double_rates(rng) for _ in range(30)]  # where (n) leaves some sets to the kernel
+    fired = {"f": 0, "i": 0, "j": 0, "n": 0}
     for scenario in scenarios:
         lattice = scenario.lattice
         decided.clear()
         oracle_optimal(scenario)
-        refuted = []  # (entity index, mask, slice) of each set found not tight so far
-        shared = set()  # (slice, size) of each verdict so far that (f) can share
+        shared = set()  # the slice of each verdict so far, which (f) shares
         for k, mask, size, verdict, searched in decided:
             incs = lattice.incs[scenario.entity_ids[k]]
             members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
@@ -407,9 +405,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 decs, rates, healths = zip(*values)
                 decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
                 assert verdict is (decision[0] == size), scenario
-                if any(j == k and m & mask == m for j, m, _ in refuted):
-                    rule = "g"
-                elif (values, size) in shared:
+                if values in shared:
                     rule = "f"
                 elif lifetime_bound_refutes(values):
                     rule = "i"
@@ -419,14 +415,10 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                     assert verdict is some_order_repairs(values, lattice.unit), scenario
                     rule = "n"
                 else:
-                    assert any(dominates(other, values) for _, _, other in refuted), scenario
-                    rule = "h"
+                    pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
-            if searched or rule != "g":
-                shared.add((values, size))
-            if verdict is False:
-                refuted.append((k, mask, values))
-    assert fired == {"f": 85, "g": 31, "h": 12, "i": 54, "j": 185, "n": 107}, fired
+            shared.add(values)
+    assert fired == {"f": 96, "i": 55, "j": 173, "n": 107}, fired
 
 
 def half_or_double_rates(rng: random.Random) -> Scenario:
@@ -548,12 +540,6 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     assert _kernel.solve_allocation((2, 7), unit, (1, 8), (21, 11), oracle.DEFAULT_CAP, 1)[0] == 2
     assert not some_order_repairs(values, unit)
     assert oracle._settled(values, [2, 1], unit) is None
-
-
-def dominates(refuted: tuple, values: tuple) -> bool:
-    """Whether ``refuted`` relabels, within its (decay, rate) groups, to a slice with healths at least those of ``values``."""
-    high, low = sorted(refuted), sorted(values)
-    return [v[:2] for v in high] == [v[:2] for v in low] and all(h[2] >= l[2] for h, l in zip(high, low))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -788,3 +774,19 @@ def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
         rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
         digest.update(repr((result.optimal_reward, allocation, rows)).encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+# the same digest over 100 half_or_double_rates draws, whose sets mix rates
+# above and below their decays, so that rule (n) leaves some to the kernel
+MIXED_RATES_DIGEST = "854fb2d01d8ef4765de86d2a502389b220cfe0d2919984a207944e03b3049435"
+
+
+def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest():
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for scenario in [half_or_double_rates(rng) for _ in range(100)]:
+        result = oracle_optimal(scenario)
+        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
+        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
+        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
+    assert digest.hexdigest() == MIXED_RATES_DIGEST
