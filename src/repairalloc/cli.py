@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memo-cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"maximum number of health vectors per entity search; bounds only the searches that are made, and a set whose schedule has a closed form, a lone node's among them, is not searched (default {DEFAULT_CAP})",
+        help=f"maximum number of health vectors per entity search; any search that reaches it, during the walk or for the witness, fails the call (exit 3), and a set decided or scheduled without a search, a lone node among them, does not count (default {DEFAULT_CAP})",
     )
     p_oracle.add_argument(
         "--force",

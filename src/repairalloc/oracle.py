@@ -68,18 +68,16 @@ and its own decay.
   as tight sets do, and whose allocated count is at most the round's root
   bound, the bound is at least that count; and at a leaf the bound is at
   most the allocated count.  A leaf the walk reaches holds only sets that
-  it decided tight, lone nodes, tight by (e), and sets left unknown, each
-  of which the leaf either finds tight or fails the call on (see the
-  ``memo_cap`` paragraph).  So it scores its allocated count, which the
-  bound at its last node made larger than the best reward: each leaf
-  reached beats the one before.  Until the walk reaches the first
-  maximizer F, every leaf it has reached comes earlier and scores less
-  than R; every set along F's path is a subset of F's sets, hence tight,
-  and R is at most the round's root bound, as (l) shows, so every bound on
-  that path is at least |F| = R, and the walk reaches F and records it as
-  the best.  After F no leaf scores more, so none is reached.  The
-  oracle therefore returns F, the same optimum and witness allocation as
-  a scan of every feasible allocation.
+  it decided tight and lone nodes, tight by (e).  So it scores its
+  allocated count, which the bound at its last node made larger than the
+  best reward: each leaf reached beats the one before.  Until the walk
+  reaches the first maximizer F, every leaf it has reached comes earlier
+  and scores less than R; every set along F's path is a subset of F's
+  sets, hence tight, and R is at most the round's root bound, as (l)
+  shows, so every bound on that path is at least |F| = R, and the walk
+  reaches F and records it as the best.  After F no leaf scores more, so
+  none is reached.  The oracle therefore returns F, the same optimum and
+  witness allocation as a scan of every feasible allocation.
 * **(d) The witness trace does not change.**  The decision "is S tight"
   is the kernel search with floor |S| - 1, whose skip rule drops every
   state with a node at 0.  On a tight set the full search (floor -1)
@@ -115,15 +113,14 @@ some decisions without a search, by four rules:
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
   search's floor, |S| - 1, is fixed by the slice's length.  The store
-  keys each verdict on the slice alone: tight, not tight, or unknown when
-  the search exceeded ``memo_cap``.  Rules (i), (j) and (n) below read
-  nothing but the slice either, and each gives the verdict the set's own
-  search gives, so a set whose slice was decided before, for the same
-  entity or for another with equal rates on those nodes, gets that
-  verdict.  Apart from the verdicts, and keyed the same way,
-  the store keeps each full search's result, the reward with the targets
-  as positions in the slice, which a set's own members map to node ids;
-  a tight decision search's result is one, by (d).
+  keys each verdict on the slice alone: tight or not tight.  Rules (i),
+  (j) and (n) below read nothing but the slice either, and each gives the
+  verdict the set's own search gives, so a set whose slice was decided
+  before, for the same entity or for another with equal rates on those
+  nodes, gets that verdict.  Apart from the verdicts, and keyed the same
+  way, the store keeps each full search's result, the reward with the
+  targets as positions in the slice, which a set's own members map to
+  node ids; a tight decision search's result is one, by (d).
 
 Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
 which ``model.Lattice`` holds as an integer: a node that no action
@@ -204,61 +201,44 @@ The walk's bound and its two rounds, and the witness targets that need
 no search:
 
 * **(k) The pooled lifetime bound.**  Lifetimes do not depend on the
-  entity.  Every set of a leaf the walk reaches passes (i): a tight set
-  does, by (i); a lone node does, since its lifetime is at least 1; and
-  an unknown set does, since the store searches a set only after (i)
-  passed it, and (f) shares an overflow only between equal slices.  Give
-  each member of such a set its first-target step under its own entity:
-  over the disjoint sets of a leaf, the (entity, step) pairs are
-  distinct, each step below its member's lifetime, so the leaf's
-  allocated nodes A are schedulable on the M entities and
-  |A| = rank_M(A).  At a tree node, let H be the nodes allocated so far
-  and U the undecided ones.  Every leaf A below has H <= A <= H + U, and
-  rank_M is monotone, so if its sets pass (i) it scores at most
-  rank_M(H + U).  A leaf also costs at least |A| times the cheapest
-  entity cost, so when that cost is positive it allocates at most the
-  budget over that cost, rounded down.  The root bound B is the smaller
-  of rank_M(all nodes) and that quotient, and a tree node's bound is the
-  smaller of the round's root bound and rank_M(H + U).  Both facts (c)
-  uses follow: the bound is at least |A| above a leaf A whose sets pass
-  (i) and whose |A| is at most the round's root bound, and at a leaf,
-  where H + U = A, it is at most rank_M(A) <= |A|.  It is also at most
-  |H + U|, the allocated plus undecided count.  An entity's child keeps
-  its parent's H + U, and so its bound.  The unallocated child drops one
-  node from H + U, which lowers the rank by at most one, since a
-  schedulable subset loses at most that node; so while the parent's rank
-  is known to exceed the root bound, the child's bound is the root bound,
-  and when H + U is schedulable, so is every subset, and the child's rank
-  is one less.  Only otherwise does the walk run the greedy, cached by the
-  mask of H + U.
+  entity.  Every set of a leaf the walk reaches is tight, as (c) shows,
+  so it passes (i).  Give each member of such a set its first-target
+  step under its own entity: over the disjoint sets of a leaf, the
+  (entity, step) pairs are distinct, each step below its member's
+  lifetime, so the leaf's allocated nodes A are schedulable on the M
+  entities and |A| = rank_M(A).  At a tree node, let H be the nodes
+  allocated so far and U the undecided ones.  Every leaf A below has
+  H <= A <= H + U, and rank_M is monotone, so if its sets pass (i) it
+  scores at most rank_M(H + U).  A leaf also costs at least |A| times
+  the cheapest entity cost, so when that cost is positive it allocates
+  at most the budget over that cost, rounded down.  The root bound B is
+  the smaller of rank_M(all nodes) and that quotient, and a tree node's
+  bound is the smaller of the round's root bound and rank_M(H + U).
+  Both facts (c) uses follow: the bound is at least |A| above a leaf A
+  whose sets pass (i) and whose |A| is at most the round's root bound,
+  and at a leaf, where H + U = A, it is at most rank_M(A) <= |A|.  It is
+  also at most |H + U|, the allocated plus undecided count.  An entity's
+  child keeps its parent's H + U, and so its bound.  The unallocated
+  child drops one node from H + U, which lowers the rank by at most one,
+  since a schedulable subset loses at most that node; so while the
+  parent's rank is known to exceed the root bound, the child's bound is
+  the root bound, and when H + U is schedulable, so is every subset, and
+  the child's rank is one less.  Only otherwise does the walk run the
+  greedy, cached by the mask of H + U.
 * **(l) The seeded round, then the ascending walk.**  Every leaf the
   walk could record scores at most B, by (k).  The walk first runs with
   its best reward seeded at B - 1 instead of -1, under root bound B.
   Each leaf it reaches scores more than B - 1, so exactly B.  If R = B,
   every bound on F's path is at least B, so the round reaches F unless
-  it reaches an earlier leaf first, and every leaf it reaches before F
-  fails the call on an unknown set: a leaf before F that is tight for
-  every entity scores less than R = B.  So the first leaf the
-  round records is F, the first maximizer; after it no bound exceeds the
-  best reward, and the round enters no other child.  If the round
-  records no leaf, no leaf tight for every entity scores B, so R <= B - 1.
+  it reaches an earlier leaf first, and it reaches none: every leaf it
+  reaches is tight for every entity, and one before F scores less than
+  R = B.  So the first leaf the round records is F, the first
+  maximizer; after it no bound exceeds the best reward, and the round
+  enters no other child.  If the round records no leaf, no leaf tight
+  for every entity scores B, so R <= B - 1.
   The walk then runs again from best reward -1, under root bound B - 1,
   which is at least |F| = R, so (c) holds for this *ascending walk*.
-  The seeded round decides sets as the ascending walk does, by the
-  store's rules and, where none applies, by a search, and its decisions
-  stay in the store for the ascending walk.  Every leaf either round
-  reaches, the ascending walk under root bound B reaches too.  A walk
-  reaches only leaves whose allocated count exceeds its best reward, as
-  (c) shows.  The seeded round enters only children whose bound is B, and
-  none after it records F; the ascending walk under B enters each of
-  them, since a leaf it records is tight for every entity, so one that
-  scores B is F or comes after it.  If the seeded round records no leaf,
-  it has reached every feasible leaf of B nodes none of whose sets the
-  store refutes, since those sets pass (i), as (k) shows, and every bound
-  on its path is B; and it failed the call on each of them.  So when the
-  ascending walk runs, no such leaf exists, and under B - 1 it reaches
-  the same leaves as under B: a bound of B rather than B - 1 lets a walk
-  reach only leaves of B nodes.
+  The seeded round's decisions stay in the store for the ascending walk.
 * **(m) The first dive.**  Order health vectors by reading positions from
   the highest down, comparing the highest position first.  The kernel
   pushes a state's children in increasing position of their target and
@@ -285,26 +265,13 @@ no search:
   ceil((unit - h') / inc) times, h' being its health then, as in (j).
   This holds for every lone node, by (e).
 
-A decision search that exceeds ``memo_cap`` leaves the set unknown, and
-the walk enters the child, which keeps every leaf a scan would reach.
-Rule (f) shares an overflow only between equal slices, whose searches
-overflow alike.  Rules (i), (j) and (n) never search the sets they decide,
-so such a set is decided, not unknown, even where its search would exceed
-``memo_cap``: a call that a search per decision fails at a small cap may
-answer, and then answers as without the cap.  A leaf that holds an
-unknown set asks the store for that set's full search's result, the way
-the witness does, below.  When the set's first dive repairs it, the set is tight, by
-(m).  Otherwise the full search runs and raises InstanceTooLarge, as a
-scan of every allocation would: it generates every state the decision
-search generates, in the same order of expansions, so it reaches the cap
-no later.  Every leaf the walk records past that check is therefore
-tight for every entity.  Every leaf either
-round reaches, the ascending walk under root bound B alone reaches too,
-as (l) shows, so the two rounds fail a call only where that walk fails
-it.  No search of a one-node set is ever made, and a set of the returned
-allocation is searched only when its first dive fails and no tight
-decision search's result is kept for it: ``memo_cap`` bounds only the
-searches that are made.
+Every search the oracle makes, a decision search during the walk or a
+full search for the witness, raises InstanceTooLarge when it holds
+``memo_cap`` states, and the call fails.  Rules (f), (i), (j) and (n)
+and the closed form of (m) make no search, so ``memo_cap`` bounds only
+the searches that are made: no one-node set is ever searched, and a set
+of the returned allocation is searched only when its first dive fails
+and no tight decision search's result is kept for it.
 
 Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
@@ -414,7 +381,7 @@ class _Verdicts:
         self.unit, self.memo_cap, self.lifetimes = lattice.unit, memo_cap, lattice.lifetimes
         # entity k's (decay, rate, health) of every node, in node order
         self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
-        self.verdicts: dict[_Slice, Optional[bool]] = {}  # (f): slice -> tight, not tight, or None when unknown
+        self.verdicts: dict[_Slice, bool] = {}  # (f): slice -> tight or not tight
         self.searches: dict[_Slice, tuple[int, tuple[int, ...]]] = {}  # slice -> the full search's result
 
     def _slice(self, k: int, members: Sequence[int]) -> _Slice:
@@ -442,20 +409,19 @@ class _Verdicts:
                 self.searches[values] = self._solve(values, -1)
         return self.searches[values]
 
-    def decide(self, k: int, members: Sequence[int]) -> Optional[bool]:
-        """Whether entity k's set of two or more ``members`` is tight, None when its decision search exceeds ``memo_cap``."""
+    def decide(self, k: int, members: Sequence[int]) -> bool:
+        """Whether entity k's set of two or more ``members`` is tight.
+
+        Raises InstanceTooLarge when its decision search holds ``memo_cap`` states.
+        """
         values = self._slice(k, members)
         if values not in self.verdicts:  # (f)
             verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i), (j) and (n)
             if verdict is None:
-                try:
-                    reward, targets = self._solve(values, len(values) - 1)
-                except InstanceTooLarge:
-                    pass  # the set stays unknown
-                else:
-                    verdict = reward == len(values)
-                    if verdict:
-                        self.searches[values] = reward, targets  # the full search's result too, by (d)
+                reward, targets = self._solve(values, len(values) - 1)
+                verdict = reward == len(values)
+                if verdict:
+                    self.searches[values] = reward, targets  # the full search's result too, by (d)
             self.verdicts[values] = verdict
         return self.verdicts[values]
 
@@ -574,9 +540,8 @@ def oracle_optimal(
     one replay through the simulator.  The module docstring proves, in
     (a)-(e), (k) and (l), that the walk's cuts and its two rounds lose
     neither the optimum nor that witness.  Raises InstanceTooLarge when
-    (M+1)^N exceeds ``cap``, or when a search needed for the result holds
-    ``memo_cap`` health vectors; a decision search that reaches
-    ``memo_cap`` during the walk only leaves its set undecided.  Raises
+    (M+1)^N exceeds ``cap``, or when a search it makes, during the walk or
+    for the witness, holds ``memo_cap`` health vectors.  Raises
     SearchInconsistency when the replay does not repair the summed
     per-entity optima, or that sum is not the walk's allocated count.
     """
@@ -588,8 +553,8 @@ def oracle_optimal(
     masks = [0] * machines
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     verdicts = _Verdicts(scenario, memo_cap)
-    # (entity index, its set of two or more nodes) -> tight, not tight, or None when unknown
-    tight: dict[tuple[int, int], Optional[bool]] = {}
+    # (entity index, its set of two or more nodes) -> tight or not tight
+    tight: dict[tuple[int, int], bool] = {}
     # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
     ranks: dict[int, int] = {}
 
@@ -609,9 +574,6 @@ def oracle_optimal(
         # it that is at least the root bound; bound: the smaller of the two, this node's
         nonlocal best_reward, best_sets
         if depth == n:
-            for k, mask in enumerate(masks):
-                if tight.get((k, mask), True) is None:  # an unknown set: the (m) closed form, or this raises
-                    verdicts.search(k, sets[k])
             best_reward, best_sets = count, [list(members) for members in sets]
             return
         bit = 1 << depth
@@ -631,8 +593,7 @@ def oracle_optimal(
             members.append(depth)
             if len(members) > 1 and (k, mask) not in tight:
                 tight[k, mask] = verdicts.decide(k, members)
-            # no cache entry for a lone node, tight by proof (e), and None for an unknown set
-            if tight.get((k, mask)) is not False:
+            if tight.get((k, mask), True):  # no cache entry for a lone node, tight by proof (e)
                 masks[k] = mask
                 visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
                 masks[k] ^= bit

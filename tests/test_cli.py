@@ -473,8 +473,7 @@ def test_oracle_memo_cap_on_a_bundled_scenario(tmp_path, capsys):
     # online_suboptimal with d's rate on b raised above b's decay, so the
     # oracle docstring's rule (n), which needs every decay at least its rate,
     # leaves d's {b, c} to the kernel, as rules (i) and (j) do: its decision
-    # search overflows a cap of 3, the walk reaches a leaf holding that
-    # unknown set, and the leaf's full search fails the call, as a scan's would
+    # search overflows a cap of 3 and fails the call, while a cap of 50 answers
     entities = json.loads(Path(scenario_path("online_suboptimal")).read_text(encoding="utf-8"))["entities"]
     entities[0]["delta_inc"]["b"] = "0.3"
     path = edited_copy(tmp_path, "online_suboptimal", entities=entities)

@@ -241,42 +241,12 @@ def overflows(monkeypatch) -> list[tuple[int, int]]:
     return seen
 
 
-def test_a_bound_search_over_the_memo_cap_falls_back_and_the_oracle_finishes(monkeypatch):
-    # e's {"b", "c"} scores 2 first, and no allocation that holds e's
-    # {"a", "b"} can beat it, so a scan that searches only allocations with
-    # more nodes than the best reward never searches {"a", "b"}; its decision
-    # search overflows and must not fail the call, and the witness {"b", "c"}
-    # needs no search, since repairing "c" and then "b" repairs both
-    scenario = overflow_below_the_bound(twin=False)
-    seen = overflows(monkeypatch)
-    result = oracle_optimal(scenario, memo_cap=5)
-    assert seen == [(2, 1)]
-    assert result.optimal_reward == 2
-    assert result.witness_allocation.sets == {"e": frozenset({"b", "c"}), "f": frozenset()}
-    unbounded = oracle_optimal(scenario)
-    assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
-
-
-def test_a_fallen_back_bound_keeps_an_improving_subtree(monkeypatch):
-    # unlimited budget: {"a", "b", "c"} may score 3 and must be searched, so
-    # the subtree below the overflowing {"a", "b"} is kept (the set is
-    # unknown), and the leaf's own full search raises, as it would in a scan
-    scenario = bound_overflow_trio(None)
-    assert oracle_optimal(scenario).optimal_reward == 3
-    seen = overflows(monkeypatch)
-    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 5"):
-        oracle_optimal(scenario, memo_cap=5)
-    # the decision searches of {"a", "b"} and {"a", "b", "c"}, then the leaf's full search
-    assert seen == [(2, 1), (3, 2), (3, -1)]
-
-
-def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monkeypatch):
+def interleaved_pair() -> Scenario:
     # "b" must be targeted at step 0 and climbs slowly under "e", as "a" does
     # in the trio above, so rules (i) and (j) leave e's {"b", "c"} to the
-    # kernel, whose decision search overflows a memo cap of 7; its leaf is
-    # reached before the maximizer, which holds no unknown set, and the
-    # leaf's full search fails the call there
-    scenario = Scenario(
+    # kernel, whose decision search overflows a memo cap of 7; the optimum
+    # holds f's {"b", "c"} and e's {"a"}
+    return Scenario(
         nodes=(
             NodeSpec("a", F("1/2"), F("1/100")),
             NodeSpec("b", F("1/100"), F("1/100")),
@@ -288,17 +258,28 @@ def test_a_yielded_leaf_with_an_unknown_set_fails_the_call_as_a_scan_would(monke
         ),
         budget=F(4),
     )
-    unbounded = oracle_optimal(scenario)
-    assert unbounded.witness_allocation.sets == {"e": frozenset({"a"}), "f": frozenset({"b", "c"})}
+
+
+@pytest.mark.parametrize(
+    "scenario, memo_cap, optimum",
+    [(overflow_below_the_bound(twin=False), 5, 2), (bound_overflow_trio(None), 5, 3), (interleaved_pair(), 7, 3)],
+    ids=["below-the-bound", "trio", "interleaved-pair"],
+)
+def test_a_decision_search_over_the_memo_cap_fails_the_call(monkeypatch, scenario, memo_cap, optimum):
+    # every search the oracle makes, a decision search during the walk
+    # included, fails the call once it holds memo_cap states: the first
+    # decision search of {"a", "b"} or {"b", "c"} raises, and no full search
+    # follows it, though the default cap answers
+    assert oracle_optimal(scenario).optimal_reward == optimum
     seen = overflows(monkeypatch)
-    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 7"):
-        oracle_optimal(scenario, memo_cap=7)
-    assert seen == [(2, 1), (2, -1)]
+    with pytest.raises(InstanceTooLarge, match=f"search exceeded the state cap of {memo_cap}"):
+        oracle_optimal(scenario, memo_cap=memo_cap)
+    assert seen == [(2, 1)]
 
 
-def decisions(monkeypatch) -> list[tuple[int, int, int, object, bool]]:
+def decisions(monkeypatch) -> list[tuple[int, int, int, bool, bool]]:
     """Record every decision of the oracle's verdict store: (entity index, mask, size, verdict, whether it searched)."""
-    seen: list[tuple[int, int, int, object, bool]] = []
+    seen: list[tuple[int, int, int, bool, bool]] = []
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     decide = oracle._Verdicts.decide
 
@@ -312,20 +293,19 @@ def decisions(monkeypatch) -> list[tuple[int, int, int, object, bool]]:
     return seen
 
 
-def test_value_equal_sets_share_one_overflow(monkeypatch):
+def test_value_equal_sets_share_one_verdict(monkeypatch):
     # "f" is a twin of "e", so f's {"a", "b"} has the same slice as e's: the
-    # store gives f the overflow of e's decision search without a second
-    # search, and the call still finishes with the unbounded call's witness
-    scenario = overflow_below_the_bound(twin=True)
-    seen = overflows(monkeypatch)
+    # store gives f the verdict of e's decision search without a second
+    # search (rule (f))
     decided = decisions(monkeypatch)
-    result = oracle_optimal(scenario, memo_cap=5)
-    unknown = [(k, mask, searched) for k, mask, _, verdict, searched in decided if verdict is None]
-    assert unknown == [(0, 0b011, True), (1, 0b011, False)]
-    assert seen == [(2, 1)]
-    unbounded = oracle_optimal(scenario)
-    assert result.optimal_reward == unbounded.optimal_reward == 2
-    assert (result.witness_allocation, result.witness_trace) == (unbounded.witness_allocation, unbounded.witness_trace)
+    result = oracle_optimal(overflow_below_the_bound(twin=True))
+    assert [(k, mask, verdict, searched) for k, mask, _, verdict, searched in decided] == [
+        (0, 0b011, True, True),
+        (0, 0b111, False, False),
+        (1, 0b011, True, False),
+        (0, 0b110, True, False),
+    ]
+    assert result.optimal_reward == 2
 
 
 def counted(monkeypatch, owner, name: str) -> list[None]:
