@@ -48,9 +48,9 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.v0, Fraction) or not isinstance(self.delta_dec, Fraction):
             raise TypeError("NodeSpec requires exact Fraction values")
-        if not (0 < self.v0 < 1):
+        if not (0 < self.v0.numerator < self.v0.denominator):  # the integer test for 0 < v0 < 1
             raise ValueError(f"node {self.id!r}: v0 must lie strictly in (0, 1), got {self.v0}")
-        if self.delta_dec <= 0:
+        if self.delta_dec.numerator <= 0:
             raise ValueError(f"node {self.id!r}: delta_dec must be positive, got {self.delta_dec}")
 
 
@@ -69,11 +69,11 @@ class EntitySpec:
     def __post_init__(self) -> None:
         if not isinstance(self.cost, Fraction):
             raise TypeError("EntitySpec.cost must be a Fraction")
-        if self.cost < 0:
+        if self.cost.numerator < 0:
             raise ValueError(f"entity {self.id!r}: cost must be >= 0, got {self.cost}")
         object.__setattr__(self, "repair_rate", dict(self.repair_rate))
         for node_id, rate in self.repair_rate.items():
-            if not isinstance(rate, Fraction) or rate <= 0:
+            if not isinstance(rate, Fraction) or rate.numerator <= 0:
                 raise ValueError(f"entity {self.id!r}: repair rate for {node_id!r} must be a positive Fraction")
 
     def rate_for(self, node_id: str) -> Fraction:
@@ -106,21 +106,22 @@ class Scenario:
             raise ValueError("a scenario needs at least 2 nodes")
         if not (1 <= len(self.entities) <= len(self.nodes)):
             raise ValueError("entity count must satisfy 1 <= M <= N")
-        if len(set(self.node_ids)) != len(self.nodes):
+        node_set = set(self.node_ids)
+        if len(node_set) != len(self.nodes):
             raise ValueError("node ids must be unique")
         if len(set(self.entity_ids)) != len(self.entities):
             raise ValueError("entity ids must be unique")
         for entity in self.entities:
-            missing = set(self.node_ids) - set(entity.repair_rate)
+            missing = node_set - entity.repair_rate.keys()
             if missing:
                 raise ValueError(f"entity {entity.id!r}: missing repair rate for {sorted(missing)}")
-            unknown = set(entity.repair_rate) - set(self.node_ids)
+            unknown = entity.repair_rate.keys() - node_set
             if unknown:
                 raise ValueError(f"entity {entity.id!r}: repair rate for unknown nodes {sorted(unknown)}")
         if self.budget is not None:
             if not isinstance(self.budget, Fraction):
                 raise TypeError("budget must be a Fraction or None (unlimited)")
-            if self.budget < 0:
+            if self.budget.numerator < 0:
                 raise ValueError("budget must be >= 0")
 
     @cached_property

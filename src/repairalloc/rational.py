@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from repairalloc.errors import ScenarioFormatError
 
-_DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
-_FRACTION_RE = re.compile(r"^-?\d+/\d+$")
+_LITERAL = re.compile(r"(-?)(\d+)(?:\.(\d+)|/(\d+))?")  # sign, whole digits, then decimals or a denominator
 
 
 def parse_rational(text: object, where: str = "value") -> Fraction:
@@ -26,19 +25,28 @@ def parse_rational(text: object, where: str = "value") -> Fraction:
     Anything that is not a string is rejected, in particular raw JSON
     numbers, so a lossy float can never sneak in.
     """
-    if isinstance(text, str):
-        stripped = text.strip()
-        if _DECIMAL_RE.match(stripped) or _FRACTION_RE.match(stripped):
-            try:
-                return Fraction(stripped)
-            except ZeroDivisionError:
-                raise ScenarioFormatError(f"{where}: zero denominator in {text!r}") from None
-            except ValueError:  # more digits than Python converts to an int
-                raise ScenarioFormatError(f"{where}: {len(stripped)} characters exceed Python's integer-string limit") from None
-        raise ScenarioFormatError(f"{where}: not a decimal or p/q string: {text!r}")
-    raise ScenarioFormatError(
-        f"{where}: numeric fields must be strings like \"0.25\" or \"1/4\", got {type(text).__name__}"
-    )
+    if not isinstance(text, str):
+        raise ScenarioFormatError(f"{where}: numeric fields must be strings like \"0.25\" or \"1/4\", got {type(text).__name__}")
+    stripped = text.strip()
+    literal = _LITERAL.fullmatch(stripped)
+    if literal is None:
+        raise ScenarioFormatError(f"{where}: not a decimal or p/q string: {_shown(text)}")
+    sign, whole, decimals, over = literal.groups()
+    try:
+        numerator, denominator = int(whole), int(over or 1)
+        if decimals:
+            denominator = 10 ** len(decimals)
+            numerator = numerator * denominator + int(decimals)
+        return Fraction(-numerator if sign else numerator, denominator)
+    except ZeroDivisionError:
+        raise ScenarioFormatError(f"{where}: zero denominator in {_shown(text)}") from None
+    except ValueError:  # a digit run longer than Python converts to an int; as in Fraction(str), each run converts alone
+        raise ScenarioFormatError(f"{where}: {len(stripped)} characters exceed Python's integer-string limit") from None
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted, or if it is long its first 20 characters quoted and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:

@@ -31,39 +31,51 @@ def scenario_from_dict(data: object) -> Scenario:
         raise ScenarioFormatError("top level: expected an object")
     nodes_raw = _expect_list(data, "nodes")
     entities_raw = _expect_list(data, "entities")
-    parsed: dict[str, Fraction] = {}  # each distinct numeric string is parsed once per call
+    # per range rule, the strings that passed it earlier in this call, with their values
+    in_unit: dict[str, Fraction] = {}
+    positive: dict[str, Fraction] = {}
+    nonnegative: dict[str, Fraction] = {}
 
     nodes = []
     for i, raw in enumerate(nodes_raw):
-        where = f"nodes[{i}]"
         if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"{where}: expected an object")
+            raise ScenarioFormatError(f"nodes[{i}]: expected an object")
         nodes.append(
             NodeSpec(
-                id=_expect_id(raw, "id", where),
-                v0=_parse_in(raw.get("v0"), f"{where}.v0", _OPEN_UNIT, parsed),
-                delta_dec=_parse_in(raw.get("delta_dec"), f"{where}.delta_dec", _POSITIVE, parsed),
+                id=_expect_id(raw, "nodes[{}].id", i),
+                v0=_value(raw.get("v0"), in_unit, _OPEN_UNIT, "nodes[{}].v0", i),
+                delta_dec=_value(raw.get("delta_dec"), positive, _POSITIVE, "nodes[{}].delta_dec", i),
             )
         )
     node_ids = [n.id for n in nodes]
+    node_set = set(node_ids)
 
     entities = []
     for i, raw in enumerate(entities_raw):
-        where = f"entities[{i}]"
         if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"{where}: expected an object")
-        entities.append(
-            EntitySpec(
-                id=_expect_id(raw, "id", where),
-                cost=_parse_in(raw.get("cost"), f"{where}.cost", _NONNEGATIVE, parsed),
-                repair_rate=_parse_rates(raw.get("delta_inc"), node_ids, f"{where}.delta_inc", parsed),
-            )
-        )
+            raise ScenarioFormatError(f"entities[{i}]: expected an object")
+        entity_id = _expect_id(raw, "entities[{}].id", i)
+        cost = _value(raw.get("cost"), nonnegative, _NONNEGATIVE, "entities[{}].cost", i)
+        # a full node-id map, or {"default": rate} with optional per-node overrides
+        rates_raw = raw.get("delta_inc")
+        if not isinstance(rates_raw, dict) or not rates_raw:
+            raise ScenarioFormatError(f"entities[{i}].delta_inc: expected an object of rates")
+        unknown = rates_raw.keys() - node_set - {"default"}
+        if unknown:
+            raise ScenarioFormatError(f"entities[{i}].delta_inc: unknown node ids {sorted(unknown)}")
+        rates: dict[str, Fraction] = {}
+        if "default" in rates_raw:
+            rates = dict.fromkeys(node_ids, _value(rates_raw["default"], positive, _POSITIVE, "entities[{}].delta_inc.{}", i, "default"))
+        for key, text in rates_raw.items():
+            if key != "default":
+                rates[key] = _value(text, positive, _POSITIVE, "entities[{}].delta_inc.{}", i, key)
+        if len(rates) < len(node_set):  # every key is a node id, so some node has no rate
+            raise ScenarioFormatError(f"entities[{i}].delta_inc: missing rates for {sorted(node_set - rates.keys())}")
+        entities.append(EntitySpec(id=entity_id, cost=cost, repair_rate=rates))
 
     if "budget" not in data:
         raise ScenarioFormatError("budget: missing (use null for unlimited)")
-    budget_raw = data["budget"]
-    budget = None if budget_raw is None else _parse_in(budget_raw, "budget", _NONNEGATIVE, parsed)
+    budget = None if data["budget"] is None else _value(data["budget"], nonnegative, _NONNEGATIVE, "budget", 0)
 
     try:
         return Scenario(nodes=tuple(nodes), entities=tuple(entities), budget=budget)
@@ -71,24 +83,25 @@ def scenario_from_dict(data: object) -> Scenario:
         raise ScenarioFormatError(str(exc)) from exc
 
 
-# the ranges ``NodeSpec`` and ``EntitySpec`` enforce, checked here so that
-# an error names the field's path in the file
-_Range = tuple[Callable[[Fraction], bool], str]
-_OPEN_UNIT: _Range = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
-_POSITIVE: _Range = (lambda v: v > 0, "must be positive")
-_NONNEGATIVE: _Range = (lambda v: v >= 0, "must be >= 0")
+# the ranges ``NodeSpec`` and ``EntitySpec`` enforce, tested on numerator and (positive)
+# denominator and checked here so that an error names the field's path in the file
+_Range = tuple[Callable[[int, int], bool], str]
+_OPEN_UNIT: _Range = (lambda num, den: 0 < num < den, "must lie strictly in (0, 1)")
+_POSITIVE: _Range = (lambda num, den: num > 0, "must be positive")
+_NONNEGATIVE: _Range = (lambda num, den: num >= 0, "must be >= 0")
 
 
-def _parse_in(raw: object, where: str, allowed: _Range, parsed: dict[str, Fraction]) -> Fraction:
-    """``raw`` parsed (through ``parsed``, the call's cache of strings already parsed) and checked against ``allowed``."""
-    if isinstance(raw, str) and raw in parsed:
-        value = parsed[raw]
-    else:
-        value = parse_rational(raw, where)
-        parsed[raw] = value  # only a string parses, so only strings are keys
+def _value(raw: object, passed: dict[str, Fraction], allowed: _Range, where: str, i: int, key: str = "") -> Fraction:
+    """``raw`` from ``passed`` (the strings that passed ``allowed`` before), else parsed at path ``where.format(i, key)`` and checked."""
+    value = passed.get(raw) if isinstance(raw, str) else None
+    if value is not None:
+        return value
+    path = where.format(i, key)
+    value = parse_rational(raw, path)
     test, rule = allowed
-    if not test(value):
-        raise ScenarioFormatError(f"{where}: {rule}, got {format_rational(value)}")
+    if not test(value.numerator, value.denominator):
+        raise ScenarioFormatError(f"{path}: {rule}, got {format_rational(value)}")
+    passed[raw] = value  # only a string parses, so only strings are keys
     return value
 
 
@@ -99,32 +112,11 @@ def _expect_list(data: dict, key: str) -> list:
     return value
 
 
-def _expect_id(raw: dict, key: str, where: str) -> str:
-    value = raw.get(key)
+def _expect_id(raw: dict, where: str, i: int) -> str:
+    value = raw.get("id")
     if not isinstance(value, str) or not value:
-        raise ScenarioFormatError(f"{where}.{key}: expected a non-empty string")
+        raise ScenarioFormatError(f"{where.format(i)}: expected a non-empty string")
     return value
-
-
-def _parse_rates(raw: object, node_ids: list[str], where: str, parsed: dict[str, Fraction]) -> dict[str, Fraction]:
-    """A full node-id map, or {"default": rate} with optional per-node overrides."""
-    if not isinstance(raw, dict) or not raw:
-        raise ScenarioFormatError(f"{where}: expected an object of rates")
-    unknown = set(raw) - set(node_ids) - {"default"}
-    if unknown:
-        raise ScenarioFormatError(f"{where}: unknown node ids {sorted(unknown)}")
-    rates: dict[str, Fraction] = {}
-    if "default" in raw:
-        default = _parse_in(raw["default"], f"{where}.default", _POSITIVE, parsed)
-        rates = {nid: default for nid in node_ids}
-    for key, value in raw.items():
-        if key == "default":
-            continue
-        rates[key] = _parse_in(value, f"{where}.{key}", _POSITIVE, parsed)
-    missing = set(node_ids) - set(rates)
-    if missing:
-        raise ScenarioFormatError(f"{where}: missing rates for {sorted(missing)}")
-    return rates
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -155,6 +155,16 @@ def test_malformed_file_is_parse_error_without_traceback(tmp_path, capsys, conte
     assert "Traceback" not in captured.err
 
 
+def test_long_junk_in_a_numeric_field_is_echoed_by_prefix_and_length(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(REPAIR_DOMINANT.replace(b'"v0": "0.05"', b'"v0": "' + b"x" * 5001 + b'"', 1))
+    rc = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: nodes[0].v0: not a decimal or p/q string: 'xxxxxxxxxxxxxxxxxxxx'... (5001 characters)\n"
+
+
 def test_out_of_range_field_is_parse_error(tmp_path, capsys):
     path = tmp_path / "negative_cost.json"
     text = Path(scenario_path("repair_dominant")).read_text(encoding="utf-8")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repairalloc.demos import DEMOS
@@ -78,6 +78,70 @@ def test_parse_rational_names_its_field_for_an_over_long_number():
     """A string of more digits than Python converts to an int is a format error at its field, not a ValueError."""
     with pytest.raises(ScenarioFormatError, match=r"^nodes\[2\]\.v0: 5001 characters exceed"):
         parse_rational("1" * 5001, "nodes[2].v0")
+
+
+def test_parse_rational_echoes_a_prefix_and_the_length_of_long_junk():
+    """A long unparsable string is not echoed in full, as an over-long number is not."""
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_rational("x" * 5001, "nodes[0].v0")
+    assert str(err.value) == "nodes[0].v0: not a decimal or p/q string: 'xxxxxxxxxxxxxxxxxxxx'... (5001 characters)"
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_rational("1/" + "0" * 100, "budget")
+    assert str(err.value) == "budget: zero denominator in '1/000000000000000000'... (102 characters)"
+
+
+# The literals the reader accepts, as two anchored patterns: decimals and p/q.
+REFERENCE_DECIMAL = re.compile(r"^-?\d+(\.\d+)?$")
+REFERENCE_FRACTION = re.compile(r"^-?\d+/\d+$")
+
+# Short runs of ASCII, Arabic-Indic, Devanagari and fullwidth digits (all \d)
+# and a superscript two (not \d), or runs of about 4,300 digits, Python's
+# int-string limit, so that a run on either side of the point or slash, or
+# two runs joined, falls on either side of it.
+digit_runs = st.one_of(
+    st.text(st.sampled_from("0123456789\u0663\u096b\uff10\u00b2"), max_size=6),
+    st.builds(lambda digit, count: digit * count, st.sampled_from("0159"), st.sampled_from([1, 4299, 4300, 4301])),
+)
+literals = st.builds(
+    lambda pad, sign, whole, point, part, tail: pad + sign + whole + point + part + tail,
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["", "-", "+", "--"]),
+    digit_runs,
+    st.sampled_from(["", ".", "/", "e", "_", "./"]),
+    digit_runs,
+    st.sampled_from(["", " ", "\n", "x"]),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(literals)
+@example("1/0")
+@example(" -0/000 ")
+@example("12." + "5" * 4299)
+@example("5" * 4300 + "/" + "7" * 4300)
+@example("5" * 4300 + "." + "7" * 4301)
+def test_parse_rational_agrees_with_the_reference_patterns_and_fraction(text):
+    """Accepted exactly when a reference pattern matches and ``Fraction`` converts the stripped text, to its value.
+
+    ``Fraction`` sees only what a pattern matched: its own pattern takes
+    quadratic time on some long runs with underscores.
+    """
+    stripped = text.strip()
+    if not (REFERENCE_DECIMAL.match(stripped) or REFERENCE_FRACTION.match(stripped)):
+        rejection = "not a decimal or p/q string"
+    else:
+        try:
+            expected = Fraction(stripped)
+        except ZeroDivisionError:
+            rejection = "zero denominator in"
+        except ValueError:  # more digits than Python converts to an int
+            rejection = f"{len(stripped)} characters exceed Python's integer-string limit"
+        else:
+            value = parse_rational(text)
+            assert type(value) is Fraction and value == expected
+            return
+    with pytest.raises(ScenarioFormatError, match=f"^value: {re.escape(rejection)}"):
+        parse_rational(text)
 
 
 def test_format_rational_prefers_terminating_decimals():
@@ -295,6 +359,82 @@ def test_malformed_structure_names_its_path(keys, value, message):
 )
 def test_a_string_parsed_for_an_earlier_field_is_range_checked_again_at_a_later_path(edits, message):
     """Each distinct numeric string is parsed once per call, but every field keeps its own rule and its own path."""
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(edited_dict(*edits))
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        pytest.param(
+            ((("entities", 0, "id"), 7), (("entities", 0, "delta_inc"), "0.7")),
+            "entities[0].id: expected a non-empty string",
+            id="entity-id-before-its-rates",
+        ),
+        pytest.param(
+            ((("entities", 0, "cost"), "-1"), (("entities", 0, "delta_inc"), "0.7")),
+            "entities[0].cost: must be >= 0, got -1",
+            id="entity-cost-before-its-rates",
+        ),
+        pytest.param(
+            ((("nodes", 1, "v0"), "3/2"), (("entities", 0, "delta_inc", "default"), "0")),
+            "nodes[1].v0: must lie strictly in (0, 1), got 1.5",
+            id="nodes-before-entities",
+        ),
+        pytest.param(
+            ((("nodes", 0, "delta_dec"), "0"), (("nodes", 1, "v0"), "3/2")),
+            "nodes[0].delta_dec: must be positive, got 0",
+            id="earlier-node-first",
+        ),
+        pytest.param(
+            ((("nodes", 0, "v0"), "1"), (("nodes", 0, "delta_dec"), "0")),
+            "nodes[0].v0: must lie strictly in (0, 1), got 1",
+            id="v0-before-delta_dec",
+        ),
+        pytest.param(
+            ((("nodes", 1, "v0"), "2"), (("entities", 0, "delta_inc", "default"), "2")),
+            "nodes[1].v0: must lie strictly in (0, 1), got 2",
+            id="failed-v0-string-reused-as-a-rate",
+        ),
+        pytest.param(
+            ((("nodes", 1, "v0"), "half"), (("entities", 0, "delta_inc", "default"), "half")),
+            "nodes[1].v0: not a decimal or p/q string: 'half'",
+            id="junk-v0-string-reused-as-a-rate",
+        ),
+        pytest.param(
+            ((("entities", 0, "delta_inc"), {"z": "0.7", "default": "0"}),),
+            "entities[0].delta_inc: unknown node ids ['z']",
+            id="unknown-rate-key-before-any-rate",
+        ),
+        pytest.param(
+            ((("entities", 0, "delta_inc"), {"b": "0", "default": "-1"}),),
+            "entities[0].delta_inc.default: must be positive, got -1",
+            id="default-before-an-earlier-listed-override",
+        ),
+        pytest.param(
+            ((("entities", 0, "delta_inc"), {"a": "x"}),),
+            "entities[0].delta_inc.a: not a decimal or p/q string: 'x'",
+            id="rate-value-before-missing-rates",
+        ),
+        pytest.param(
+            ((("budget",), "-1"), (("entities", 0, "delta_inc", "default"), "0")),
+            "entities[0].delta_inc.default: must be positive, got 0",
+            id="rates-before-budget",
+        ),
+        pytest.param(
+            ((("nodes", 1, "id"), "a"), (("budget",), "-1")),
+            "budget: must be >= 0, got -1",
+            id="budget-before-duplicate-node-ids",
+        ),
+        pytest.param(
+            ((("nodes", 1, "id"), "a"),),
+            "node ids must be unique",
+            id="duplicate-node-ids-with-a-default-rate",
+        ),
+    ],
+)
+def test_a_dict_with_several_faults_reports_the_first_in_file_order(edits, message):
+    """Nodes come before entities and the budget, fields in the order id, value(s), rates; within rates, unknown keys, then the default, then overrides, then missing nodes."""
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(edited_dict(*edits))
 
