@@ -93,8 +93,8 @@ class _OnlineAssignment:
 
     A stateful policy for ``engine._run_to_absorption``: it remembers each
     entity's current target, every node assigned so far with its step, the
-    per-entity sets and the remaining budget, on the scenario's integer
-    ledger.  Its choice depends on that
+    per-entity sets, the remaining budget, on the scenario's integer
+    ledger, and the positions not yet assigned.  Its choice depends on that
     memory, so a repeated health vector does not mean a cycle; the run is
     bounded by ``step_bound`` instead, within which it always absorbs.
     """
@@ -107,28 +107,34 @@ class _OnlineAssignment:
         self.targets: dict[str, Optional[str]] = {e.id: None for e in scenario.entities}
         self.assignment_times: dict[str, int] = {}
         self.sets: dict[str, set[str]] = {e.id: set() for e in scenario.entities}
+        # the never-assigned positions, less some that have failed: a node no
+        # entity targets only decays, so once it leaves Active it stays at 0
+        self.waiting = list(range(len(scenario.nodes)))
 
     def select(self, t: int, healths: IntVec, active: list[int]) -> dict[str, Optional[str]]:
         unit = self.unit
         for entity_id, target in self.targets.items():
             if target is not None and not 0 < healths[self.positions[target]] < unit:
                 self.targets[entity_id] = None
-        free = [(eid, cost) for eid, cost in self.entities if self.targets[eid] is None]
-        if not free:
+        if not self.waiting:
+            return dict(self.targets)
+        payers = [(eid, cost) for eid, cost in self.entities if self.targets[eid] is None and cost <= self.budget]
+        if not payers:
             return dict(self.targets)
         # never-assigned Active nodes, healthiest first, ties by id
-        node_ids, assigned = self.node_ids, self.assignment_times
-        candidates = sorted((-healths[j], node_ids[j]) for j in active if node_ids[j] not in assigned)
-        for entity_id, cost in free:
+        node_ids = self.node_ids
+        candidates = sorted([(-healths[j], node_ids[j], j) for j in self.waiting if healths[j] > 0])
+        for entity_id, cost in payers:
             if not candidates:
                 break
             if self.budget < cost:
                 continue
-            _, pick = candidates.pop(0)
+            _, pick, _ = candidates.pop(0)
             self.targets[entity_id] = pick
             self.assignment_times[pick] = t
             self.sets[entity_id].add(pick)
             self.budget -= cost
+        self.waiting = [j for _, _, j in candidates]
         return dict(self.targets)
 
     @staticmethod

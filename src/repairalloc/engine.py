@@ -121,13 +121,17 @@ def count_jumps(trace: Trace) -> int:
     An entity jumps at step t when it targeted node j at t-1, j's health at
     t is still below 1, and its action at t (another node, or idle) is not
     j.  Switching away from a node whose health just reached 1 is the
-    normal end of a repair, not a jump.
+    normal end of a repair, not a jump.  A step whose actions equal the
+    step before's has none, since every entity's action there is its
+    previous target.
     """
     column = {node_id: j for j, node_id in enumerate(trace.node_ids)}
     unit = trace.unit
     jumps = 0
     for prev, cur in zip(trace.steps, trace.steps[1:]):
         healths, actions = cur.healths, cur.actions
+        if actions == prev.actions:
+            continue
         for entity_id, target in prev.actions.items():
             if target is not None and healths[column[target]] < unit and actions.get(entity_id) != target:
                 jumps += 1

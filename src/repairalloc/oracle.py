@@ -62,8 +62,11 @@ and its own decay.
 * **(c) The cuts are lossless.**  The walk does not enter a child that
   gives an entity a set that is not tight: by (a) no leaf below it is
   tight for every entity, so by (b) the first maximizer is not below it.
-  Nor does it enter a child whose *bound* is no more than the best reward
-  so far.  (k) defines the bound and shows two facts about it: at every
+  Nor does it enter a child that gives a twin entity its first node while
+  its nearest earlier twin holds none: by (p) the first maximizer is not
+  below it either.  Nor does it enter a child whose *bound* is no more
+  than the best reward so far.  (k) defines the bound and shows two facts
+  about it: at every
   tree node above a leaf whose sets all pass the lifetime bound (i) below,
   as tight sets do, and whose allocated count is at most the round's root
   bound, the bound is at least that count; and at a leaf the bound is at
@@ -73,9 +76,9 @@ and its own decay.
   best reward: each leaf reached beats the one before.  Until the walk
   reaches the first maximizer F, every leaf it has reached comes earlier
   and scores less than R; every set along F's path is a subset of F's
-  sets, hence tight, and R is at most the round's root bound, as (l)
-  shows, so every bound on that path is at least |F| = R, and the walk
-  reaches F and records it as the best.  After F no leaf scores more, so
+  sets, hence tight, no child on it breaks the twin rule, and R is at
+  most the round's root bound, as (l) shows, so every bound on that path
+  is at least |F| = R, and the walk reaches F and records it as the best.  After F no leaf scores more, so
   none is reached.  The oracle therefore returns F, the same optimum and
   witness allocation as a scan of every feasible allocation.
 * **(d) The witness trace does not change.**  The decision "is S tight"
@@ -197,8 +200,8 @@ results carry targets, and the store shares one only between equal
 slices, so the witness trace is that search's too, as the last paragraph
 shows.
 
-The walk's bound and its two rounds, and the witness targets that need
-no search:
+The walk's bound, its two rounds, the slot rank and the twin rule, and
+the witness targets that need no search:
 
 * **(k) The pooled lifetime bound.**  Lifetimes do not depend on the
   entity.  Every set of a leaf the walk reaches is tight, as (c) shows,
@@ -212,8 +215,10 @@ no search:
   scores at most rank_M(H + U).  A leaf also costs at least |A| times
   the cheapest entity cost, so when that cost is positive it allocates
   at most the budget over that cost, rounded down.  The root bound B is
-  the smaller of rank_M(all nodes) and that quotient, and a tree node's
-  bound is the smaller of the round's root bound and rank_M(H + U).
+  the least of rank_M(all nodes), that quotient and the slot rank of (o)
+  below, each at least the allocated count of every leaf whose sets are
+  all tight, and a tree node's bound is the smaller of the round's root
+  bound and rank_M(H + U).
   Both facts (c) uses follow: the bound is at least |A| above a leaf A
   whose sets pass (i) and whose |A| is at most the round's root bound,
   and at a leaf, where H + U = A, it is at most rank_M(A) <= |A|.  It is
@@ -226,8 +231,9 @@ no search:
   the child's rank is one less.  Only otherwise does the walk run the
   greedy, cached by the mask of H + U.
 * **(l) The seeded round, then the ascending walk.**  Every leaf the
-  walk could record scores at most B, by (k).  The walk first runs with
-  its best reward seeded at B - 1 instead of -1, under root bound B.
+  walk could record is tight for every entity, so it scores at most B,
+  by (k).  The walk first runs with its best reward seeded at B - 1
+  instead of -1, under root bound B.
   Each leaf it reaches scores more than B - 1, so exactly B.  If R = B,
   every bound on F's path is at least B, so the round reaches F unless
   it reaches an earlier leaf first, and it reaches none: every leaf it
@@ -239,6 +245,49 @@ no search:
   The walk then runs again from best reward -1, under root bound B - 1,
   which is at least |F| = R, so (c) holds for this *ascending walk*.
   The seeded round's decisions stay in the store for the ascending walk.
+* **(o) The slot rank.**  Call entity e *in the slot regime* when
+  dec_j >= inc_{e,j} on every node j, as throughout the paper's second
+  regime.  Its slot steps are s_1 = 0 and s_{k+1} = s_k + p_e(s_k), where
+  p_e(t) is the fewest steps e needs to repair a node still positive at
+  t, from its health then: the least ceil((unit - h_j + t * dec_j) /
+  inc_{e,j}) over the nodes j with h_j - t * dec_j > 0.  They stop where
+  no node is positive, where no lifetime reaches, and only the first N
+  matter.  Every other entity has a slot at each step, as in (i).  The
+  *slot rank* of a set is the most of its members that each take their
+  own slot at a step below their lifetime; a member of lifetime L may
+  take every slot below L, so ``model.schedulable`` finds it, given a
+  slot a step on each entity outside the regime and the in-regime slot
+  steps.  Take a leaf whose sets are all tight.  By (n), entity e in the
+  regime repairs its set in turn, in some order: its k-th member j_k is
+  first targeted at S_k < L_{j_k}, when it is still positive, and
+  S_{k+1} = S_k + ceil((unit - h_{j_k} + S_k * dec) / inc) >=
+  S_k + p_e(S_k).  p_e never falls as t grows, since each term rises and
+  the nodes still positive only leave, so t + p_e(t) rises too, and by
+  induction S_k >= s_k: S_1 = 0 = s_1, and S_{k+1} >= S_k + p_e(S_k) >=
+  s_k + p_e(s_k) = s_{k+1}.  So j_k can take e's k-th slot, below its
+  lifetime; the members of an entity outside the regime take their
+  first-target steps, as in (i); and the leaf's allocated nodes A each
+  have their own slot, so |A| <= slot rank(A) <= slot rank(all nodes),
+  the rank being monotone.  An entity's k-th slot step is at least
+  k - 1, as p_e >= 1, so the slot rank is at most rank_M, and B is the
+  smaller of the slot rank and the budget quotient.  (c), (k) and (l)
+  use B only as an upper bound on the allocated count of such a leaf,
+  so they hold unchanged.
+* **(p) Twins.**  Entities e before e' are *twins* when they have the
+  same ledger cost and the same lattice rate on every node.  Then every
+  set has the same slice under both, so V_e(S) = V_e'(S), as (f) shows,
+  and swapping their sets keeps an allocation's cost and its reward.
+  Take a twin e' that holds a node in F, and e its nearest earlier twin;
+  let x be the earliest node either holds.  If e' holds x, swap their
+  sets: the swapped allocation scores R, costs what F costs, and first
+  differs from F at x, where F has e' and it has e, which comes first in
+  enumeration order, so it comes before F, against the choice of F.  So
+  e holds x, and the tree node on F's path that gives e' its first node
+  already gives e one.  The walk never gives a twin its first node while
+  its nearest earlier twin holds none, so it never cuts F's path, which
+  is all (c) asks of a cut; only decisions in cut subtrees are dropped.
+  This differs from relabelling interchangeable nodes inside one
+  entity's search: twins are entities of the walk.
 * **(m) The first dive.**  Order health vectors by reading positions from
   the highest down, comparing the highest position first.  The kernel
   pushes a state's children in increasing position of their target and
@@ -296,7 +345,7 @@ from typing import Iterator, Optional, Sequence
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
-from repairalloc.model import Allocation, Scenario, schedulable
+from repairalloc.model import Allocation, IntVec, Lattice, Scenario, schedulable
 from repairalloc.policies import Scripted
 
 DEFAULT_CAP = 10**6
@@ -518,6 +567,64 @@ def _witness(
     return reward, trace, outcome
 
 
+@dataclass(frozen=True, slots=True)
+class WalkRoot:
+    """What the walk reads of its scenario alone, held once per scenario as ``Scenario.walk_root``.
+
+    ``by_lifetime`` lists the node positions in increasing lifetime, ties
+    by position, and ``rank`` is their rank on the M entities, (k).
+    ``slots`` holds the sorted slot steps of the entities in the slot
+    regime and ``stepwise`` counts the other entities, (o).  ``bound`` is
+    the root bound B, and ``twins`` each entity's nearest earlier twin,
+    or -1, (p).
+    """
+
+    by_lifetime: tuple[int, ...]
+    rank: int
+    slots: tuple[int, ...]
+    stepwise: int
+    bound: int
+    twins: tuple[int, ...]
+
+    @staticmethod
+    def of(scenario: Scenario) -> WalkRoot:
+        lattice, costs, room = scenario.lattice, scenario.ledger.costs, scenario.ledger.budget
+        lifetimes, n = lattice.lifetimes, len(scenario.nodes)
+        by_lifetime = tuple(sorted(range(n), key=lifetimes.__getitem__))
+        rates = [lattice.incs[eid] for eid in scenario.entity_ids]
+        slots: list[int] = []
+        stepwise = 0
+        for incs in rates:
+            if all(dec >= inc for dec, inc in zip(lattice.decs, incs)):
+                slots += _slot_steps(lattice, incs, n)
+            else:
+                stepwise += 1
+        slots.sort()
+        # (o): the slot rank, at most the rank, since the k-th slot of an entity comes at step k - 1 or later
+        bound = len(schedulable(lifetimes, by_lifetime, stepwise, slots))
+        if (cheapest := min(costs)) > 0:
+            bound = min(bound, room // cheapest)
+        twins = tuple(
+            next((i for i in range(k - 1, -1, -1) if costs[i] == costs[k] and rates[i] == rates[k]), -1)
+            for k in range(len(costs))
+        )
+        rank = len(schedulable(lifetimes, by_lifetime, len(costs)))
+        return WalkRoot(by_lifetime, rank, tuple(slots), stepwise, bound, twins)
+
+
+def _slot_steps(lattice: Lattice, incs: IntVec, n: int) -> list[int]:
+    """(o): an entity's first N slot steps, s_1 = 0 and s_{k+1} = s_k + p(s_k), while some node is positive at s_k."""
+    unit, slots, t = lattice.unit, [], 0
+    while len(slots) < n:
+        # -floor((h' - unit) / inc) = ceil((unit - h') / inc): the steps on a node at h' = h - t * dec > 0
+        deficits = [(h - t * dec - unit) // inc for h, dec, inc in zip(lattice.v0, lattice.decs, incs) if h > t * dec]
+        if not deficits:
+            break
+        slots.append(t)
+        t -= max(deficits)  # plus p(t), the fewest of those steps
+    return slots
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """The exact optimum plus the first allocation achieving it."""
@@ -538,8 +645,10 @@ def oracle_optimal(
     Returns the optimum with the first allocation in enumeration order
     that reaches it, and that allocation's witness trace and outcome from
     one replay through the simulator.  The module docstring proves, in
-    (a)-(e), (k) and (l), that the walk's cuts and its two rounds lose
-    neither the optimum nor that witness.  Raises InstanceTooLarge when
+    (a)-(e), (k), (l), (o) and (p), that the walk's cuts and its two
+    rounds lose neither the optimum nor that witness.  What the walk reads
+    of the scenario alone, ``Scenario.walk_root``, is worked out at the
+    first call on a scenario and kept with it.  Raises InstanceTooLarge when
     (M+1)^N exceeds ``cap``, or when a search it makes, during the walk or
     for the witness, holds ``memo_cap`` health vectors.  Raises
     SearchInconsistency when the replay does not repair the summed
@@ -549,9 +658,12 @@ def oracle_optimal(
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
     machines, lifetimes = len(costs), scenario.lattice.lifetimes
-    by_lifetime = sorted(range(n), key=lifetimes.__getitem__)
+    root = scenario.walk_root
+    by_lifetime = root.by_lifetime
     masks = [0] * machines
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
+    # (p): each entity's nearest earlier twin's members, None for an entity without one
+    earlier = [sets[twin] if twin >= 0 else None for twin in root.twins]
     verdicts = _Verdicts(scenario, memo_cap)
     # (entity index, its set of two or more nodes) -> tight or not tight
     tight: dict[tuple[int, int], bool] = {}
@@ -563,10 +675,7 @@ def oracle_optimal(
             ranks[rest] = len(schedulable(lifetimes, [j for j in by_lifetime if rest >> j & 1], machines))
         return ranks[rest]
 
-    everything, root_rank = (1 << n) - 1, len(schedulable(lifetimes, by_lifetime, machines))
-    ceiling = root_rank  # (k): the root bound B
-    if (cheapest := min(costs)) > 0:
-        ceiling = min(ceiling, room // cheapest)
+    everything, ceiling = (1 << n) - 1, root.bound  # (k) and (o): the root bound B
     best_reward, best_sets = ceiling - 1, None  # (l): the seeded round
 
     def visit(depth: int, spent: int, count: int, rest: int, lower: int, bound: int) -> None:
@@ -588,8 +697,10 @@ def oracle_optimal(
                 return  # the pooled bound, for this entity and every later one
             if spent + cost > room:
                 continue
-            mask = masks[k] | bit
             members = sets[k]
+            if not members and (twin := earlier[k]) is not None and not twin:
+                continue  # (p): a twin's first node waits for its nearest earlier twin's
+            mask = masks[k] | bit
             members.append(depth)
             if len(members) > 1 and (k, mask) not in tight:
                 tight[k, mask] = verdicts.decide(k, members)
@@ -599,10 +710,10 @@ def oracle_optimal(
                 masks[k] ^= bit
             members.pop()
 
-    visit(0, 0, 0, everything, root_rank, ceiling)
+    visit(0, 0, 0, everything, root.rank, ceiling)
     if best_sets is None:  # (l): no leaf reaches B, so the ascending walk, under B - 1
         best_reward, ceiling = -1, ceiling - 1
-        visit(0, 0, 0, everything, root_rank, ceiling)
+        visit(0, 0, 0, everything, root.rank, ceiling)
     allocation = _allocation(scenario, best_sets)
     reward, trace, outcome = _witness(scenario, allocation, best_sets, verdicts)
     if reward != best_reward:

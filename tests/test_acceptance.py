@@ -232,6 +232,27 @@ def test_online_policy_keeps_half_the_optimum_on_twelve_nodes_and_three_entities
         kept += 1
 
 
+def test_online_policy_keeps_half_the_optimum_on_sixteen_nodes_and_four_entities():
+    """test_08's half bound on uniform draws of exactly 16 nodes and 4 entities, the paper's own setting for it.
+
+    Both the online run's trace and the oracle's witness trace replay
+    through ``verify_trace``.  The oracle gets a cap that admits the 5^16
+    assignments; its slot bound and twin rule keep the walk small.
+    """
+    rng = random.Random("uniform-16-4")
+    kept = 0
+    while kept < 50:
+        scenario = random_uniform_regime(rng, max_nodes=16, max_entities=4)
+        if (len(scenario.nodes), len(scenario.entities)) != (16, 4):
+            continue
+        run = run_online_policy(scenario)
+        verify_trace(scenario, run.allocation, run.trace)
+        result = oracle_optimal(scenario, cap=10**15)
+        verify_trace(scenario, result.witness_allocation, result.witness_trace)
+        assert 2 * run.outcome.reward >= result.optimal_reward, (kept, run.outcome.reward, result.optimal_reward, scenario)
+        kept += 1
+
+
 def test_online_policy_keeps_half_the_optimum_up_to_eight_nodes_and_four_entities():
     """test_08's half bound on wider draws; each run's trace also replays through ``verify_trace``."""
     rng = random.Random(20261019)

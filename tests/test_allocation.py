@@ -447,3 +447,60 @@ def test_an_unlimited_budget_runs_as_n_times_the_dearest_cost():
         spent_in_full += dearest > 0 and dearest in {results[key].total_cost for key in ("alg2", "online", "witness")}
     # the draws hold free entities, and runs that spend the whole explicit budget
     assert zero_cost >= 30 and spent_in_full >= 50
+
+
+class ResortingAssignment:
+    """The online rule as ``run_online_policy`` states it: at every step, each free entity (by id) is offered the
+    healthiest never-assigned Active node (ties by id), sorted afresh from every node, and takes it if the remaining
+    budget, kept as a Fraction, covers its cost.  Counts the steps with a free entity where no never-assigned node is
+    Active, and those where one is but no free entity can pay."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario, self.budget = scenario, scenario.budget
+        self.targets = {eid: None for eid in scenario.entity_ids}
+        self.assigned: dict[str, int] = {}
+        self.none_left = self.none_can_pay = 0
+
+    def select(self, t: int, healths, active) -> dict:
+        lattice = self.scenario.lattice
+        for eid, target in self.targets.items():
+            if target is not None and not 0 < healths[lattice.positions[target]] < lattice.unit:
+                self.targets[eid] = None
+        free = sorted((e for e in self.scenario.entities if self.targets[e.id] is None), key=lambda e: e.id)
+        waiting = sorted(
+            (-healths[j], node.id)
+            for j, node in enumerate(self.scenario.nodes)
+            if 0 < healths[j] < lattice.unit and node.id not in self.assigned
+        )
+        if free and not waiting:
+            self.none_left += 1
+        elif free and all(self.budget is not None and e.cost > self.budget for e in free):
+            self.none_can_pay += 1
+        for entity in free:
+            if waiting and (self.budget is None or entity.cost <= self.budget):
+                _, pick = waiting.pop(0)
+                self.targets[entity.id], self.assigned[pick] = pick, t
+                if self.budget is not None:
+                    self.budget -= entity.cost
+        return dict(self.targets)
+
+
+def test_online_assignment_matches_the_resorting_reference():
+    # the run keeps a shrinking list of never-assigned nodes and skips a step
+    # where no free entity can pay; a rule that sorts every never-assigned
+    # Active node at every step must give the same trace, assignment times and
+    # remaining budget, and the draws must reach both kinds of skipped step
+    rng = random.Random(6653)
+    none_left = none_can_pay = 0
+    for i in range(160):
+        scenario = (random_repair_dominant if i % 2 else random_uniform_regime)(rng, max_nodes=7, max_entities=3)
+        if i % 4 == 0:
+            scenario = recosted(rng, scenario, F(rng.randint(0, 12), rng.choice((1, 2, 3))))
+        result = run_online_policy(scenario, force=True)
+        reference = ResortingAssignment(scenario)
+        trace = engine._run_to_absorption(scenario, reference.select, _OnlineAssignment.step_bound(scenario))
+        assert (result.trace, result.assignment_times) == (trace, reference.assigned), scenario
+        assert result.budget_remaining == reference.budget, scenario
+        none_left += reference.none_left
+        none_can_pay += reference.none_can_pay
+    assert none_left >= 100 and none_can_pay >= 100, (none_left, none_can_pay)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from repairalloc import _kernel, oracle
 from repairalloc.allocation import allocate_budgeted, largest_repairable_subset, run_online_policy
 from repairalloc.demos import DEMOS
-from repairalloc.engine import simulate, verify_trace
+from repairalloc.engine import Trace, simulate, verify_trace
 from repairalloc.errors import BudgetExceeded, InstanceTooLarge
-from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
+from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario, schedulable
 from repairalloc.oracle import (
     enumerate_feasible_allocations,
     optimal_sequencing_reward,
@@ -123,32 +123,140 @@ def test_the_first_maximizer_repairs_every_allocated_node():
     assert allocated >= 60  # the maximizers hold sets to check
 
 
+def first_maximizer_scan(scenario: Scenario) -> tuple[int, Allocation, Trace]:
+    """The optimum, first maximizer and its witness trace by a scan of every feasible allocation in product order,
+    each entity's set scored on its own."""
+    scores: dict[tuple[str, frozenset], int] = {}
+    best_reward, best = -1, None
+    for allocation in feasible_allocations_by_product(scenario):
+        reward = 0
+        for eid, nodes in allocation.sets.items():
+            if nodes and (eid, nodes) not in scores:
+                alone = Allocation.build(scenario, {eid: nodes})
+                scores[eid, nodes] = optimal_sequencing_reward(scenario, alone)[0]
+            reward += scores.get((eid, nodes), 0)
+        if reward > best_reward:
+            best_reward, best = reward, allocation
+    return best_reward, best, optimal_sequencing_reward(scenario, best)[1]
+
+
+def slot_rank(scenario: Scenario) -> int:
+    """Proof (o)'s slot rank of all nodes, by the walk root's slots and ``model.schedulable``."""
+    root = scenario.walk_root
+    return len(schedulable(scenario.lattice.lifetimes, root.by_lifetime, root.stepwise, root.slots))
+
+
 def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
-    # the pooled bound, the seeded round and the first dive's closed form
-    # against a scan of every feasible allocation in product order, each
-    # entity's set scored on its own: the oracle must return the scan's
-    # optimum, first maximizer and witness trace
+    # the pooled bound, the slot bound, the seeded round and the first dive's
+    # closed form against the scan: the oracle must return the scan's optimum,
+    # first maximizer and witness trace, and the slot rank must be at least
+    # that optimum
     rng = random.Random(3301)
     sizes = set()
+    below_the_rank = 0  # draws whose slot rank is below the pooled rank
     for i in range(24):
         family = random_repair_dominant if i % 2 else random_uniform_regime
         scenario = family(rng, max_nodes=8, max_entities=2)
-        scores: dict[tuple[str, frozenset], int] = {}
-        best_reward, best = -1, None
-        for allocation in feasible_allocations_by_product(scenario):
-            reward = 0
-            for eid, nodes in allocation.sets.items():
-                if nodes and (eid, nodes) not in scores:
-                    alone = Allocation.build(scenario, {eid: nodes})
-                    scores[eid, nodes] = optimal_sequencing_reward(scenario, alone)[0]
-                reward += scores.get((eid, nodes), 0)
-            if reward > best_reward:
-                best_reward, best = reward, allocation
-        _, trace = optimal_sequencing_reward(scenario, best)
+        best_reward, best, trace = first_maximizer_scan(scenario)
         result = oracle_optimal(scenario)
         assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (best_reward, best, trace), scenario
+        assert slot_rank(scenario) >= best_reward, scenario
+        below_the_rank += slot_rank(scenario) < scenario.walk_root.rank
         sizes.add((len(scenario.nodes), len(scenario.entities)))
     assert (8, 2) in sizes
+    assert below_the_rank >= 3, below_the_rank
+
+
+def test_the_oracle_matches_the_scan_on_uniform_draws_with_three_or_four_entities():
+    # the twin rule (p) skips every child that gives a twin its first node
+    # while its nearest earlier twin holds none, and the slot bound (o) lowers
+    # the root bound; on uniform draws, where costs are equal and rates come
+    # from three values, both fire often, and the oracle must still return the
+    # scan's optimum, first maximizer and witness trace
+    rng = random.Random(6607)
+    with_twins = below_the_rank = kept = 0
+    while kept < 60:
+        scenario = random_uniform_regime(rng, max_nodes=5, max_entities=4)
+        if len(scenario.entities) < 3:
+            continue
+        kept += 1
+        best_reward, best, trace = first_maximizer_scan(scenario)
+        result = oracle_optimal(scenario)
+        assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (best_reward, best, trace), scenario
+        assert slot_rank(scenario) >= best_reward, scenario
+        with_twins += max(scenario.walk_root.twins) >= 0
+        below_the_rank += slot_rank(scenario) < scenario.walk_root.rank
+    assert with_twins >= 40 and below_the_rank >= 5, (with_twins, below_the_rank)
+
+
+def slot_steps_by_stepping(scenario: Scenario, eid: str) -> list[int]:
+    """Proof (o)'s slot steps of entity ``eid``, each found by stepping the untargeted healths one step at a time and
+    counting the repair steps of every node still positive by repeated addition."""
+    lattice = scenario.lattice
+    healths, incs, steps, t = list(lattice.v0), lattice.incs[eid], [], 0
+    while len(steps) < len(healths) and any(h > 0 for h in healths):
+        fewest = None
+        for h, inc in zip(healths, incs):
+            taken = 0
+            while 0 < h < lattice.unit:
+                h, taken = h + inc, taken + 1
+            if taken and (fewest is None or taken < fewest):
+                fewest = taken
+        steps.append(t)
+        for _ in range(fewest):
+            healths = [max(h - dec, 0) for h, dec in zip(healths, lattice.decs)]
+        t += fewest
+    return steps
+
+
+def largest_matching(lifetimes: tuple[int, ...], slot_steps: list[int]) -> int:
+    """The most nodes that each take their own slot at a step below their lifetime, by augmenting paths."""
+    holder: dict[int, int] = {}  # slot index -> node
+
+    def place(j: int, tried: set[int]) -> bool:
+        for s, step in enumerate(slot_steps):
+            if step < lifetimes[j] and s not in tried:
+                tried.add(s)
+                if s not in holder or place(holder[s], tried):
+                    holder[s] = j
+                    return True
+        return False
+
+    return sum(place(j, set()) for j in range(len(lifetimes)))
+
+
+def test_the_walk_root_matches_stepped_slots_and_a_matching():
+    # proof (o): an entity whose decay is at least its rate on every node gets
+    # the slot steps s_1 = 0, s_{k+1} = s_k + p(s_k), every other entity one
+    # slot a step, and the slot rank is the largest matching of nodes into
+    # slots below their lifetimes; B is the smaller of it and the budget
+    # quotient, the pooled rank is the matching with one slot a step for every
+    # entity, and twins are entities of equal cost and equal lattice rates
+    rng = random.Random(5521)
+    scenarios = [build() for build in DEMOS.values()]
+    for _ in range(20):
+        scenarios += [family(rng, max_nodes=7, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
+    scenarios += [half_or_double_rates(rng) for _ in range(20)]
+    in_regime = out_of_regime = 0
+    for scenario in scenarios:
+        lattice, ledger, root = scenario.lattice, scenario.ledger, scenario.walk_root
+        n, every_step = len(scenario.nodes), list(range(len(scenario.nodes)))
+        slots, stepwise = [], []
+        for eid in scenario.entity_ids:
+            if all(dec >= inc for dec, inc in zip(lattice.decs, lattice.incs[eid])):
+                slots += slot_steps_by_stepping(scenario, eid)
+            else:
+                stepwise += every_step
+        assert (root.slots, root.stepwise) == (tuple(sorted(slots)), len(stepwise) // n), scenario
+        assert slot_rank(scenario) == largest_matching(lattice.lifetimes, slots + stepwise), scenario
+        assert root.rank == largest_matching(lattice.lifetimes, every_step * len(scenario.entities)), scenario
+        cheapest = min(ledger.costs)
+        assert root.bound == min(slot_rank(scenario), ledger.budget // cheapest if cheapest else n), scenario
+        rates = [(cost, lattice.incs[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids)]
+        assert root.twins == tuple(max([i for i in range(k) if rates[i] == rates[k]], default=-1) for k in range(len(rates)))
+        in_regime += len(slots) > 0
+        out_of_regime += len(stepwise) > 0
+    assert in_regime >= 20 and out_of_regime >= 20, (in_regime, out_of_regime)
 
 
 def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
@@ -200,7 +308,7 @@ def bound_overflow_trio(budget) -> Scenario:
     )
 
 
-def overflow_below_the_bound(twin: bool) -> Scenario:
+def overflow_below_the_bound(same_rates: bool) -> Scenario:
     # "a" must be targeted at step 0 and climbs for fifty steps under "e", as
     # in the trio above, so rules (i) and (j) leave e's {"a", "b"} to the
     # kernel, whose decision search overflows a memo cap of 5.  "a" and "c"
@@ -208,7 +316,7 @@ def overflow_below_the_bound(twin: bool) -> Scenario:
     # could target both at step 0, so the pooled bound reads 3.  "f" costs 3/2,
     # so within the budget of 3 only e can hold three nodes, and the optimum,
     # e's {"b", "c"}, is 2: no leaf reaches the bound, and the walk decides
-    # e's {"a", "b"} on its way.  With ``twin``, "f" has e's rates and so
+    # e's {"a", "b"} on its way.  With ``same_rates``, "f" has e's rates and so
     # the same slice of {"a", "b"}; otherwise f's rates are all 1/2
     rates = {"a": F("1/50"), "b": F("1/2"), "c": F("1/2")}
     return Scenario(
@@ -219,7 +327,7 @@ def overflow_below_the_bound(twin: bool) -> Scenario:
         ),
         entities=(
             EntitySpec("e", F(1), rates),
-            EntitySpec("f", F("3/2"), dict(rates) if twin else {nid: F("1/2") for nid in "abc"}),
+            EntitySpec("f", F("3/2"), dict(rates) if same_rates else {nid: F("1/2") for nid in "abc"}),
         ),
         budget=F(3),
     )
@@ -262,7 +370,7 @@ def interleaved_pair() -> Scenario:
 
 @pytest.mark.parametrize(
     "scenario, memo_cap, optimum",
-    [(overflow_below_the_bound(twin=False), 5, 2), (bound_overflow_trio(None), 5, 3), (interleaved_pair(), 7, 3)],
+    [(overflow_below_the_bound(same_rates=False), 5, 2), (bound_overflow_trio(None), 5, 3), (interleaved_pair(), 7, 3)],
     ids=["below-the-bound", "trio", "interleaved-pair"],
 )
 def test_a_decision_search_over_the_memo_cap_fails_the_call(monkeypatch, scenario, memo_cap, optimum):
@@ -294,11 +402,12 @@ def decisions(monkeypatch) -> list[tuple[int, int, int, bool, bool]]:
 
 
 def test_value_equal_sets_share_one_verdict(monkeypatch):
-    # "f" is a twin of "e", so f's {"a", "b"} has the same slice as e's: the
+    # "f" has e's rates, so f's {"a", "b"} has the same slice as e's: the
     # store gives f the verdict of e's decision search without a second
-    # search (rule (f))
+    # search (rule (f)); f's cost is not e's, so the two are not twins under
+    # the walk's rule (p), which would skip f's sets while e holds none
     decided = decisions(monkeypatch)
-    result = oracle_optimal(overflow_below_the_bound(twin=True))
+    result = oracle_optimal(overflow_below_the_bound(same_rates=True))
     assert [(k, mask, verdict, searched) for k, mask, _, verdict, searched in decided] == [
         (0, 0b011, True, True),
         (0, 0b111, False, False),
@@ -363,7 +472,8 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # own decision search's on that set, each (n) verdict must be a brute force
     # over every order's too, a verdict without a search that none of them
     # explains fails the test, and each rule must fire exactly as often as it
-    # did when these counts were recorded
+    # did when these counts were recorded; the slot bound (o) and the twin rule
+    # (p) cut subtrees whose decisions an earlier pin counted
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
@@ -398,7 +508,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                     pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
             shared.add(values)
-    assert fired == {"f": 96, "i": 55, "j": 173, "n": 107}, fired
+    assert fired == {"f": 66, "i": 54, "j": 173, "n": 83}, fired
 
 
 def half_or_double_rates(rng: random.Random) -> Scenario:
@@ -770,3 +880,31 @@ def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_diges
         rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
         digest.update(repr((result.optimal_reward, allocation, rows)).encode())
     assert digest.hexdigest() == MIXED_RATES_DIGEST
+
+
+def reach_draws(family, nodes: int, entities: int, count: int) -> list[Scenario]:
+    """The first ``count`` draws of exactly ``nodes`` x ``entities`` from ``random.Random(f"{name}-{nodes}-{entities}")``."""
+    name = {random_uniform_regime: "uniform", random_repair_dominant: "repair-dominant"}[family]
+    rng = random.Random(f"{name}-{nodes}-{entities}")
+    draws: list[Scenario] = []
+    while len(draws) < count:
+        scenario = family(rng, max_nodes=nodes, max_entities=entities)
+        if (len(scenario.nodes), len(scenario.entities)) == (nodes, entities):
+            draws.append(scenario)
+    return draws
+
+
+# the same digest over the first six uniform 16 x 4 and the first ten uniform
+# 12 x 4 draws, at a cap that admits them; recorded before the slot bound (o)
+# and the twin rule (p), which cut most on these draws
+REACH_DIGEST = "8da552a69fa124158108a770d6481c8bca8afca692e3989c95fadace0288b848"
+
+
+def test_the_oracle_s_optima_and_witnesses_on_wide_uniform_draws_match_a_recorded_digest():
+    digest = hashlib.sha256()
+    for scenario in reach_draws(random_uniform_regime, 16, 4, 6) + reach_draws(random_uniform_regime, 12, 4, 10):
+        result = oracle_optimal(scenario, cap=10**15)
+        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
+        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
+        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
+    assert digest.hexdigest() == REACH_DIGEST
