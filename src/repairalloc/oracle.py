@@ -81,17 +81,6 @@ and its own decay.
   is at least |F| = R, and the walk reaches F and records it as the best.  After F no leaf scores more, so
   none is reached.  The oracle therefore returns F, the same optimum and
   witness allocation as a scan of every feasible allocation.
-* **(d) The witness trace does not change.**  The decision "is S tight"
-  is the kernel search with floor |S| - 1, whose skip rule drops every
-  state with a node at 0.  On a tight set the full search (floor -1)
-  ends at its first terminal that repairs every node.  Health 0 absorbs,
-  so a state with a node at 0 never leads to that terminal and generates
-  only states with a node at 0; and no state without a 0 is ever skipped
-  by either search, which both end on reaching the ceiling.  So the two
-  searches expand the states without a 0 in the same order, with the
-  same parent pointers, and stop at the same terminal: the decision
-  search's witness targets are the full search's, and so is the replayed
-  witness trace.
 * **(e) A lone node is tight.**  The schedule that targets node j every
   step while it is Active never lets j decay, and raises it by e's rate
   on j, which is positive, so from v0 > 0 it reaches 1.  Hence
@@ -105,13 +94,14 @@ order fixes the sequence of kernel searches.  Each decision is made once
 per (entity, set of two or more nodes) within one ``oracle_optimal`` call
 and cached by the walk, across both rounds.
 
-Every search of one call, decisions and full searches alike, goes
-through one verdict store local to the call.  A search slices its set's
-decays, rates and healths out of the scenario's integer lattice, member
-by member in node order, and runs in exact integer arithmetic.  The walk
-carries each entity's members down the tree, and the store, the witness
-and the returned ``Allocation`` read them from there.  The store answers
-some decisions without a search, by four rules:
+Every decision of one call goes through one verdict store local to the
+call, which keeps only whether each set it decided is tight.  A search
+slices its set's decays, rates and healths out of the scenario's integer
+lattice, member by member in node order, and runs in exact integer
+arithmetic.  The walk carries each entity's members down the tree, and
+the store, the witness and the returned ``Allocation`` read them from
+there.  The store answers some decisions without a search, by four
+rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
@@ -120,10 +110,7 @@ some decisions without a search, by four rules:
   (j) and (n) below read nothing but the slice either, and each gives the
   verdict the set's own search gives, so a set whose slice was decided
   before, for the same entity or for another with equal rates on those
-  nodes, gets that verdict.  Apart from the verdicts, and keyed the same
-  way, the store keeps each full search's result, the reward with the
-  targets as positions in the slice, which a set's own members map to
-  node ids; a tight decision search's result is one, by (d).
+  nodes, gets that verdict.
 
 Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
 which ``model.Lattice`` holds as an integer: a node that no action
@@ -195,10 +182,7 @@ says not tight only of sets that are not, (j) says tight only of sets
 that are, (n) says which a set is, and (f) repeats the verdict of an
 equal slice.  A set none of them decides gets its own decision search.
 So the cuts, the order of the walk, the optimum and the witness
-allocation are the ones a search per decision gives.  Only full-search
-results carry targets, and the store shares one only between equal
-slices, so the witness trace is that search's too, as the last paragraph
-shows.
+allocation are the ones a search per decision gives.
 
 The walk's bound, its two rounds, the slot rank and the twin rule, and
 the witness targets that need no search:
@@ -306,10 +290,12 @@ the witness targets that need no search:
   position is the highest member not yet at 1, so the dive is the
   sequential schedule of (j) in the order from the highest position down,
   and it repairs every member exactly when that schedule does.  Then no
-  dive state has a node at 0, so neither search's skip rule drops one; no
-  sibling is a terminal that repairs every node, since p is below 1 in
-  it; and the dive's last state repairs every node, so both searches
-  stop there, with the dive's targets.  Those targets are in closed form:
+  dive state has a node at 0, so the full search's skip rule, which drops
+  a state only when its nodes not at 0 number no more than a best reward
+  below |S|, drops none; no sibling is a terminal that repairs every
+  node, since p is below 1 in it; and the dive's last state repairs
+  every node, so the full search stops there, with the dive's targets.
+  Those targets are in closed form:
   the member whose turn comes after T steps is targeted
   ceil((unit - h') / inc) times, h' being its health then, as in (j).
   This holds for every lone node, by (e).
@@ -319,19 +305,17 @@ full search for the witness, raises InstanceTooLarge when it holds
 ``memo_cap`` states, and the call fails.  Rules (f), (i), (j) and (n)
 and the closed form of (m) make no search, so ``memo_cap`` bounds only
 the searches that are made: no one-node set is ever searched, and a set
-of the returned allocation is searched only when its first dive fails
-and no tight decision search's result is kept for it.
+of the returned allocation is searched only when its first dive fails.
 
 Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
 maximizer, becomes an ``Allocation``.  Each of its sets gets the full
-search's reward and targets by one path: the first dive's closed form
-when the dive repairs the set, as (m) proves, else the result the store
-keeps for it, a tight decision search's, which is the full search's by
-(d), else the full search itself.  So its witness trace is the one a scan
-finds.  That witness is replayed once through the simulator.  Two
-checks hold the result to the proofs, and either raises
+search's reward and targets by the path ``optimal_sequencing_reward``
+takes too: the first dive's closed form when the dive repairs the set,
+as (m) proves, else the set's own full search.  So its witness trace is
+the one a scan finds.  That witness is replayed once through the
+simulator.  Two checks hold the result to the proofs, and either raises
 SearchInconsistency: the replay must repair the summed per-entity
 optima, and that sum must equal the allocated count the walk carried.
 """
@@ -409,20 +393,17 @@ def optimal_sequencing_reward(
     allocation.require_budget(scenario)
     positions = scenario.lattice.positions
     sets = [sorted(positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids]
-    reward, trace, _ = _witness(scenario, allocation, sets, _Verdicts(scenario, memo_cap))
+    reward, trace, _ = _witness(scenario, allocation, sets, memo_cap)
     return reward, trace
 
 
 class _Verdicts:
-    """Every kernel search of one oracle call, keyed by the searched set's lattice values.
+    """Whether each set that one oracle call decides is tight, keyed by the set's lattice values.
 
     The module docstring proves (f), (i), (j) and (n), the four rules by
     which ``decide`` answers some decisions without a search: the same
     values, the lifetime bound, a sequential schedule and, where every
-    decay is at least its rate, some order of sequential repairs; and
-    (m), by which ``search`` takes a set's
-    targets from the first dive's closed form.  Each search that is made
-    goes through ``_kernel.solve_allocation``.
+    decay is at least its rate, some order of sequential repairs.
     """
 
     def __init__(self, scenario: Scenario, memo_cap: int):
@@ -431,48 +412,38 @@ class _Verdicts:
         # entity k's (decay, rate, health) of every node, in node order
         self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
         self.verdicts: dict[_Slice, bool] = {}  # (f): slice -> tight or not tight
-        self.searches: dict[_Slice, tuple[int, tuple[int, ...]]] = {}  # slice -> the full search's result
-
-    def _slice(self, k: int, members: Sequence[int]) -> _Slice:
-        values = self.values[k]
-        return tuple([values[j] for j in members])
-
-    def _solve(self, values: _Slice, floor: int) -> tuple[int, tuple[int, ...]]:
-        decs, incs, healths = zip(*values)
-        return _kernel.solve_allocation(healths, self.unit, decs, incs, self.memo_cap, floor)
-
-    def search(self, k: int, members: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        """The full search's result on entity k's set: its optimum and the slice positions targeted.
-
-        When the first dive repairs the set, its closed form is that result
-        by (m), and no search is made; nor is one for a set whose tight
-        decision search's result the store keeps, by (d).  Raises
-        InstanceTooLarge when a search that is made holds ``memo_cap`` states.
-        """
-        values = self._slice(k, members)
-        if values not in self.searches:
-            order = range(len(values) - 1, -1, -1)  # (m): the kernel's first dive
-            if (steps := _in_turn(values, order, self.unit)) is not None:
-                self.searches[values] = len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
-            else:
-                self.searches[values] = self._solve(values, -1)
-        return self.searches[values]
 
     def decide(self, k: int, members: Sequence[int]) -> bool:
         """Whether entity k's set of two or more ``members`` is tight.
 
         Raises InstanceTooLarge when its decision search holds ``memo_cap`` states.
         """
-        values = self._slice(k, members)
+        row = self.values[k]
+        values = tuple([row[j] for j in members])
         if values not in self.verdicts:  # (f)
             verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i), (j) and (n)
             if verdict is None:
-                reward, targets = self._solve(values, len(values) - 1)
-                verdict = reward == len(values)
-                if verdict:
-                    self.searches[values] = reward, targets  # the full search's result too, by (d)
+                verdict = _solve(values, self.unit, self.memo_cap, len(values) - 1)[0] == len(values)
             self.verdicts[values] = verdict
         return self.verdicts[values]
+
+
+def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, tuple[int, ...]]:
+    decs, incs, healths = zip(*values)
+    return _kernel.solve_allocation(healths, unit, decs, incs, memo_cap, floor)
+
+
+def _optimum(values: _Slice, unit: int, memo_cap: int) -> tuple[int, tuple[int, ...]]:
+    """The full search's result on a set's slice: its optimum and the slice positions targeted.
+
+    When the first dive repairs the set, its closed form is that result by
+    (m), and no search is made.  Raises InstanceTooLarge when the search
+    holds ``memo_cap`` states.
+    """
+    order = range(len(values) - 1, -1, -1)  # (m): the kernel's first dive
+    if (steps := _in_turn(values, order, unit)) is None:
+        return _solve(values, unit, memo_cap, -1)
+    return len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
 
 
 def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
@@ -540,23 +511,25 @@ def _witness(
     scenario: Scenario,
     allocation: Allocation,
     sets: Sequence[Sequence[int]],
-    verdicts: _Verdicts,
+    memo_cap: int,
 ) -> tuple[int, Trace, Outcome]:
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
     Each entity's set (its members, in increasing position) takes its
-    reward and targets from ``verdicts.search``, the targets as positions
-    in the set's slice, which its members map to node ids.  Step t of the
-    script holds the entities whose targets run past t; ``simulate``
+    reward and targets from ``_optimum`` on its slice, the targets as
+    positions in the slice, which its members map to node ids.  Step t of
+    the script holds the entities whose targets run past t; ``simulate``
     records the others as idle.  Raises SearchInconsistency unless the
     replay repairs the summed optima.
     """
-    ids = scenario.node_ids
+    lattice, ids = scenario.lattice, scenario.node_ids
     reward = 0
     script: list[dict[str, Optional[str]]] = []
-    for k, (eid, members) in enumerate(zip(scenario.entity_ids, sets)):
+    for eid, members in zip(scenario.entity_ids, sets):
         if members:
-            optimum, targets = verdicts.search(k, members)
+            incs = lattice.incs[eid]
+            values = tuple([(lattice.decs[j], incs[j], lattice.v0[j]) for j in members])
+            optimum, targets = _optimum(values, lattice.unit, memo_cap)
             reward += optimum
             script.extend({} for _ in range(len(targets) - len(script)))
             for actions, target in zip(script, targets):
@@ -645,7 +618,7 @@ def oracle_optimal(
     Returns the optimum with the first allocation in enumeration order
     that reaches it, and that allocation's witness trace and outcome from
     one replay through the simulator.  The module docstring proves, in
-    (a)-(e), (k), (l), (o) and (p), that the walk's cuts and its two
+    (a)-(c), (e), (k), (l), (o) and (p), that the walk's cuts and its two
     rounds lose neither the optimum nor that witness.  What the walk reads
     of the scenario alone, ``Scenario.walk_root``, is worked out at the
     first call on a scenario and kept with it.  Raises InstanceTooLarge when
@@ -715,7 +688,7 @@ def oracle_optimal(
         best_reward, ceiling = -1, ceiling - 1
         visit(0, 0, 0, everything, root.rank, ceiling)
     allocation = _allocation(scenario, best_sets)
-    reward, trace, outcome = _witness(scenario, allocation, best_sets, verdicts)
+    reward, trace, outcome = _witness(scenario, allocation, best_sets, memo_cap)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

@@ -385,13 +385,13 @@ def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):
 def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
     # each witness set's search keeps its reward but drops its last target, so
     # the replay of a set it claims to repair in full leaves a node unrepaired
-    real = oracle._Verdicts.search
+    real = oracle._optimum
 
-    def truncated(store, k, members):
-        reward, targets = real(store, k, members)
+    def truncated(values, unit, memo_cap):
+        reward, targets = real(values, unit, memo_cap)
         return reward, targets[:-1]
 
-    monkeypatch.setattr(oracle._Verdicts, "search", truncated)
+    monkeypatch.setattr(oracle, "_optimum", truncated)
     rc = main(["oracle", scenario_path("repair_dominant")])
     err = capsys.readouterr().err
     assert rc == 5
@@ -403,12 +403,12 @@ def test_oracle_count_inconsistency_exits_5(monkeypatch, capsys):
     # a witness set's search claims nothing for a one-node set; the oracle's
     # witness gives e the lone node c, so the replay and the summed optima
     # agree at 2, and only the walk's allocated count of 3 disagrees
-    real = oracle._Verdicts.search
+    real = oracle._optimum
 
-    def blind_to_lone_nodes(store, k, members):
-        return (0, ()) if len(members) == 1 else real(store, k, members)
+    def blind_to_lone_nodes(values, unit, memo_cap):
+        return (0, ()) if len(values) == 1 else real(values, unit, memo_cap)
 
-    monkeypatch.setattr(oracle._Verdicts, "search", blind_to_lone_nodes)
+    monkeypatch.setattr(oracle, "_optimum", blind_to_lone_nodes)
     with pytest.raises(SearchInconsistency, match="the witness sets repair 2, the walk counted 3"):
         oracle_optimal(demos.DEMOS["online_suboptimal"]())
     rc = main(["oracle", scenario_path("online_suboptimal")])

@@ -190,7 +190,13 @@ def test_scenario_file_round_trip_on_random_draws(tmp_path):
         assert load_scenario(path) == scenario
 
 
-positive = st.fractions(min_value=0).filter(lambda x: x > 0)
+# in-range values drawn directly from integers, with no rejection: a / (a + b)
+# lies strictly in (0, 1), a / b is positive, and a non-negative a gives a
+# non-negative a / b
+nonneg_ints, pos_ints = st.integers(min_value=0), st.integers(min_value=1)
+in_unit_interval = st.builds(lambda a, b: F(a, a + b), pos_ints, pos_ints)
+positive = st.builds(F, pos_ints, pos_ints)
+non_negative = st.builds(F, nonneg_ints, pos_ints)
 ids = st.text(min_size=1, max_size=4)
 
 
@@ -199,15 +205,11 @@ def scenarios(draw) -> Scenario:
     """Any valid scenario: free-form ids, any exact values in range."""
     node_ids = draw(st.lists(ids, min_size=2, max_size=5, unique=True))
     entity_ids = draw(st.lists(ids, min_size=1, max_size=len(node_ids), unique=True))
-    nodes = tuple(
-        NodeSpec(nid, draw(st.fractions(min_value=0, max_value=1).filter(lambda x: 0 < x < 1)), draw(positive))
-        for nid in node_ids
-    )
+    nodes = tuple(NodeSpec(nid, draw(in_unit_interval), draw(positive)) for nid in node_ids)
     entities = tuple(
-        EntitySpec(eid, draw(st.fractions(min_value=0)), {nid: draw(positive) for nid in node_ids})
-        for eid in entity_ids
+        EntitySpec(eid, draw(non_negative), {nid: draw(positive) for nid in node_ids}) for eid in entity_ids
     )
-    return Scenario(nodes=nodes, entities=entities, budget=draw(st.none() | st.fractions(min_value=0)))
+    return Scenario(nodes=nodes, entities=entities, budget=draw(st.none() | non_negative))
 
 
 @st.composite

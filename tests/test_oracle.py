@@ -78,8 +78,10 @@ def walk_draws() -> list[Scenario]:
     return draws
 
 
-def test_walk_yields_the_product_enumeration_in_order():
-    """The enumerator's sum of ledger costs keeps what ``Allocation.fits_budget`` keeps, in product order."""
+def test_enumerate_feasible_allocations_yields_the_product_enumeration_in_order():
+    """``enumerate_feasible_allocations``, which the oracle's walk does not call, yields the allocations that a
+    product scan filtered by ``Allocation.fits_budget`` keeps, in the same order: its sum of ledger costs keeps
+    what that check keeps."""
     draws = walk_draws()
     binding = zero_cost_at_zero_budget = 0
     for scenario in draws:
@@ -261,7 +263,7 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
 
 def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
     # proof (m): when repairing the members one at a time from the highest
-    # position down repairs a set, the store takes that schedule's targets
+    # position down repairs a set, the witness takes that schedule's targets
     # without a kernel search, and they must be the full search's own; checked
     # on every lone node and on sampled sets of the bundled scenarios and of
     # draws of up to 8 x 3
@@ -275,12 +277,13 @@ def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = list(range(1, 1 << n))
-        for k, eid in enumerate(scenario.entity_ids):
+        for eid in scenario.entity_ids:
             for mask in [1 << j for j in range(n)] + rng.sample(masks, min(len(masks), 24)):
                 members = [j for j in range(n) if mask >> j & 1]
                 searches.clear()
-                result = oracle._Verdicts(scenario, oracle.DEFAULT_CAP).search(k, members)
-                healths, decs, rates = zip(*((lattice.v0[j], lattice.decs[j], lattice.incs[eid][j]) for j in members))
+                values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
+                result = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP)
+                decs, rates, healths = zip(*values)
                 assert result == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP), scenario
                 assert not searches or len(members) > 1, scenario  # a lone node's first dive repairs it
                 if not searches:
@@ -867,11 +870,15 @@ def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
 
 
 # the same digest over 100 half_or_double_rates draws, whose sets mix rates
-# above and below their decays, so that rule (n) leaves some to the kernel
+# above and below their decays, so that rule (n) leaves some to the kernel,
+# and the kernel searches those draws make in all: decision searches, and
+# full searches for witness sets whose first dive fails
 MIXED_RATES_DIGEST = "854fb2d01d8ef4765de86d2a502389b220cfe0d2919984a207944e03b3049435"
+MIXED_RATES_SEARCHES = 375
 
 
-def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest():
+def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest(monkeypatch):
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
     rng = random.Random(20261020)
     digest = hashlib.sha256()
     for scenario in [half_or_double_rates(rng) for _ in range(100)]:
@@ -880,6 +887,7 @@ def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_diges
         rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
         digest.update(repr((result.optimal_reward, allocation, rows)).encode())
     assert digest.hexdigest() == MIXED_RATES_DIGEST
+    assert len(searches) == MIXED_RATES_SEARCHES
 
 
 def reach_draws(family, nodes: int, entities: int, count: int) -> list[Scenario]:
