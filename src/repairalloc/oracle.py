@@ -100,22 +100,23 @@ slices its set's decays, rates and healths out of the scenario's integer
 lattice, member by member in node order, and runs in exact integer
 arithmetic.  The walk carries each entity's members down the tree, and
 the store, the witness and the returned ``Allocation`` read them from
-there.  The store answers some decisions without a search, by four
+there.  The store answers some decisions without a search, by three
 rules:
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
   search's floor, |S| - 1, is fixed by the slice's length.  The store
-  keys each verdict on the slice alone: tight or not tight.  Rules (i),
-  (j) and (n) below read nothing but the slice either, and each gives the
+  keys each verdict on the slice alone: tight or not tight.  Rules (i)
+  and (n) below read nothing but the slice either, and each gives the
   verdict the set's own search gives, so a set whose slice was decided
   before, for the same entity or for another with equal rates on those
   nodes, gets that verdict.
 
-Rules (i) and (j) read each member's lifetime L_j = ceil(h_j / dec_j),
-which ``model.Lattice`` holds as an integer: a node that no action
-targets at steps 0, ..., t - 1 has health h_j - t * dec_j at step t while
-that is positive, and 0 from step L_j on, since 0 absorbs.
+Rule (i), and the order that (n) tries first, read each member's
+lifetime L_j = ceil(h_j / dec_j), which ``model.Lattice`` holds as an
+integer: a node that no action targets at steps 0, ..., t - 1 has health
+h_j - t * dec_j at step t while that is positive, and 0 from step L_j
+on, since 0 absorbs.
 
 * **(i) Lifetime bound.**  A schedule that repairs all of S targets each
   member j at some step below L_j, since a member that no step below L_j
@@ -127,38 +128,31 @@ that is positive, and 0 from step L_j on, since 0 absorbs.
   subset of a set, its rank.  The store refutes S when its rank on one
   entity is below |S|.  That greedy is alg2's ``largest_repairable_subset``
   too, and (k) runs it on M entities.
-* **(j) Sequential schedule.**  Target the members one at a time, each
-  until it reaches 1, first in (L_j, position) order, earliest deadline
-  first (Jackson, 1955), then, if that fails, in (-h_j, position) order.
-  A member whose turn comes after T steps has not been targeted yet, so
-  its health is h' = h_j - T * dec_j if that is positive; it is then
-  Active, and ceil((unit - h') / inc_j) steps on it take it to ``unit``,
-  where it stays.  If every member's h' is positive in either order,
-  that schedule repairs all of S.  It targets an Active member of S at
-  every step, so it is in the action space, and S is tight.
-
-Rule (n) decides both ways, but only where every member's decay is at
-least its rate, as throughout the paper's second regime:
-
-* **(n) Some order, where decay dominates.**  When dec_j >= inc_j for
-  every member j, S is tight exactly when some order of its members,
-  each targeted in turn until it reaches ``unit`` as in (j), repairs them
-  all.  Such a schedule is in the action space, as (j) shows.
-  Conversely, by induction on |S|, from healths that are all Active; a
-  lone node's one order repairs it, by (e).  Take a schedule that repairs
-  all of S, and let a be the first member it lifts to ``unit``, at step
-  T_a, after x_a steps on a, u steps on other members and i idle steps,
-  so T_a = x_a + u + i.  Member a is repaired, so it is never at 0, and
-  up to T_a it gains inc_a on each of its x_a steps and loses dec_a on
-  each other one: h_a + x_a * inc_a - (u + i) * dec_a >= unit.  As
-  dec_a >= inc_a, (x_a - u - i) * inc_a >= unit - h_a, so
-  x_a >= q_a + u + i, where q_a = ceil((unit - h_a) / inc_a).  Now
-  repair a first, for q_a steps.  Every other member j is untargeted
-  until then, at h_j - q_a * dec_j.  Under the original schedule j is
-  Active at T_a, since a is repaired first and j later, after some
-  u_j <= u steps on it, so its health there is
-  h_j + u_j * inc_j - (T_a - u_j) * dec_j.  As T_a - q_a >= 2u + 2i, the
-  first exceeds the second by
+* **(n) Some order.**  Target the members one at a time, each until it
+  reaches ``unit``, in some order.  A member whose turn comes after T
+  steps has not been targeted yet, so its health is h' = h_j - T * dec_j
+  if that is positive; it is then Active, and ceil((unit - h') / inc_j)
+  steps on it take it to ``unit``, where it stays.  If every member's h'
+  is positive, that schedule repairs all of S.  It targets an Active
+  member of S at every step, so it is in the action space, and S is
+  tight, in every regime.
+  Where dec_j >= inc_j for every member j, as throughout the paper's
+  second regime, the converse holds too: S is tight exactly when some
+  order repairs its members in turn.  By induction on |S|, from healths
+  that are all Active; a lone node's one order repairs it, by (e).  Take
+  a schedule that repairs all of S, and let a be the first member it
+  lifts to ``unit``, at step T_a, after x_a steps on a, u steps on other
+  members and i idle steps, so T_a = x_a + u + i.  Member a is repaired,
+  so it is never at 0, and up to T_a it gains inc_a on each of its x_a
+  steps and loses dec_a on each other one:
+  h_a + x_a * inc_a - (u + i) * dec_a >= unit.  As dec_a >= inc_a,
+  (x_a - u - i) * inc_a >= unit - h_a, so x_a >= q_a + u + i, where
+  q_a = ceil((unit - h_a) / inc_a).  Now repair a first, for q_a steps.
+  Every other member j is untargeted until then, at h_j - q_a * dec_j.
+  Under the original schedule j is Active at T_a, since a is repaired
+  first and j later, after some u_j <= u steps on it, so its health
+  there is h_j + u_j * inc_j - (T_a - u_j) * dec_j.  As
+  T_a - q_a >= 2u + 2i, the first exceeds the second by
   (T_a - q_a - u_j) * dec_j - u_j * inc_j >= u * (dec_j - inc_j) >= 0,
   so it is positive too.  So the state after a's q_a steps is at least
   the original schedule's state at T_a, member by member, with a at
@@ -166,23 +160,28 @@ least its rate, as throughout the paper's second regime:
   other members, from their healths after a's q_a steps, form a tight set
   in the same regime, which by induction some order repairs in turn.
   Repairing a and then that order repairs all of S.
-  The store decides this by a DP over the sets of members repaired in
-  turn, expanded layer by layer in their size and only where reached, that
-  keeps the fewest steps some order of each set takes.  Keeping only the
-  fewest is exact, since a later start never helps: a member whose turn
+  The store first tries the (L_j, position) order, earliest deadline
+  first (Jackson, 1955), which needs no DP where it repairs the set.
+  If it fails, a DP over the sets of members repaired in turn, expanded
+  layer by layer in their size and only where reached, keeps the fewest
+  steps some order of each set takes.  Keeping only the fewest is exact in
+  every regime, since a later start never helps: a member whose turn
   comes after T steps has h' = h_j - T * dec_j, which falls as T grows,
   and needs ceil((unit - h') / inc_j) steps, which rise.  So a member
   that is still positive after a longer prefix is positive after the
-  shortest one, and finishes no later there.  In the regime no decision
-  is left to the kernel.
+  shortest one, and finishes no later there.  The store says tight when
+  some order repairs S, not tight when none does and every decay is at
+  least its rate, and leaves the other sets to the kernel; in the regime
+  no decision is left to it.
 
 Each rule gives only whether the decision search's reward is |S|, that
 is, whether S is tight, which is all the walk reads of a decision: (i)
-says not tight only of sets that are not, (j) says tight only of sets
-that are, (n) says which a set is, and (f) repeats the verdict of an
-equal slice.  A set none of them decides gets its own decision search.
-So the cuts, the order of the walk, the optimum and the witness
-allocation are the ones a search per decision gives.
+says not tight only of sets that are not; (n) says which a set is where
+decay dominates, and elsewhere tight only of sets that are; and (f)
+repeats the verdict of an equal slice.  A set none of them decides gets
+its own decision search.  So the cuts, the order of the walk, the
+optimum and the witness allocation are the ones a search per decision
+gives.
 
 The walk's bound, its two rounds, the slot rank and the twin rule, and
 the witness targets that need no search:
@@ -288,7 +287,7 @@ the witness targets that need no search:
   below the next dive state.  So no dive state is ever in ``seen``, even
   when rates match.  While no member has reached 0, the highest Active
   position is the highest member not yet at 1, so the dive is the
-  sequential schedule of (j) in the order from the highest position down,
+  sequential schedule of (n) in the order from the highest position down,
   and it repairs every member exactly when that schedule does.  Then no
   dive state has a node at 0, so the full search's skip rule, which drops
   a state only when its nodes not at 0 number no more than a best reward
@@ -297,13 +296,13 @@ the witness targets that need no search:
   every node, so the full search stops there, with the dive's targets.
   Those targets are in closed form:
   the member whose turn comes after T steps is targeted
-  ceil((unit - h') / inc) times, h' being its health then, as in (j).
+  ceil((unit - h') / inc) times, h' being its health then, as in (n).
   This holds for every lone node, by (e).
 
 Every search the oracle makes, a decision search during the walk or a
 full search for the witness, raises InstanceTooLarge when it holds
-``memo_cap`` states, and the call fails.  Rules (f), (i), (j) and (n)
-and the closed form of (m) make no search, so ``memo_cap`` bounds only
+``memo_cap`` states, and the call fails.  Rules (f), (i) and (n) and
+the closed form of (m) make no search, so ``memo_cap`` bounds only
 the searches that are made: no one-node set is ever searched, and a set
 of the returned allocation is searched only when its first dive fails.
 
@@ -400,10 +399,10 @@ def optimal_sequencing_reward(
 class _Verdicts:
     """Whether each set that one oracle call decides is tight, keyed by the set's lattice values.
 
-    The module docstring proves (f), (i), (j) and (n), the four rules by
+    The module docstring proves (f), (i) and (n), the three rules by
     which ``decide`` answers some decisions without a search: the same
-    values, the lifetime bound, a sequential schedule and, where every
-    decay is at least its rate, some order of sequential repairs.
+    values, the lifetime bound and some order of sequential repairs,
+    which decides both ways where every decay is at least its rate.
     """
 
     def __init__(self, scenario: Scenario, memo_cap: int):
@@ -421,7 +420,7 @@ class _Verdicts:
         row = self.values[k]
         values = tuple([row[j] for j in members])
         if values not in self.verdicts:  # (f)
-            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i), (j) and (n)
+            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i) and (n)
             if verdict is None:
                 verdict = _solve(values, self.unit, self.memo_cap, len(values) - 1)[0] == len(values)
             self.verdicts[values] = verdict
@@ -447,25 +446,21 @@ def _optimum(values: _Slice, unit: int, memo_cap: int) -> tuple[int, tuple[int, 
 
 
 def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
-    """The set's verdict by rules (i), (j) and (n), None when none of them gives one.
+    """The set's verdict by rules (i) and (n), None when neither gives one.
 
-    False when the lifetime bound (i) refutes the set, True when a
-    sequential schedule (j) repairs it, and, when every member's decay is
-    at least its rate, whether some order of sequential repairs does (n).
-    ``lifetimes`` are the members' lifetimes, in slice order.
+    False when the lifetime bound (i) refutes the set; True when some
+    order of sequential repairs saves every member (n), tried first in
+    (lifetime, position) order; False when none does and every member's
+    decay is at least its rate.  ``lifetimes`` are the members'
+    lifetimes, in slice order.
     """
     size = len(values)
     by_lifetime = sorted(range(size), key=lifetimes.__getitem__)  # ties in position order
     if len(schedulable(lifetimes, by_lifetime, 1)) < size:
         return False
-    if _in_turn(values, by_lifetime, unit) is not None:
+    if _in_turn(values, by_lifetime, unit) is not None or _some_order_repairs(values, unit):
         return True
-    healthiest_first = sorted(range(size), key=[-value[2] for value in values].__getitem__)
-    if _in_turn(values, healthiest_first, unit) is not None:
-        return True
-    if all(dec >= inc for dec, inc, _ in values):
-        return _some_order_repairs(values, unit)
-    return None
+    return False if all(dec >= inc for dec, inc, _ in values) else None
 
 
 def _some_order_repairs(values: _Slice, unit: int) -> bool:
@@ -546,16 +541,12 @@ class WalkRoot:
 
     ``by_lifetime`` lists the node positions in increasing lifetime, ties
     by position, and ``rank`` is their rank on the M entities, (k).
-    ``slots`` holds the sorted slot steps of the entities in the slot
-    regime and ``stepwise`` counts the other entities, (o).  ``bound`` is
-    the root bound B, and ``twins`` each entity's nearest earlier twin,
-    or -1, (p).
+    ``bound`` is the root bound B, (k) and (o), and ``twins`` each
+    entity's nearest earlier twin, or -1, (p).
     """
 
     by_lifetime: tuple[int, ...]
     rank: int
-    slots: tuple[int, ...]
-    stepwise: int
     bound: int
     twins: tuple[int, ...]
 
@@ -565,8 +556,8 @@ class WalkRoot:
         lifetimes, n = lattice.lifetimes, len(scenario.nodes)
         by_lifetime = tuple(sorted(range(n), key=lifetimes.__getitem__))
         rates = [lattice.incs[eid] for eid in scenario.entity_ids]
-        slots: list[int] = []
-        stepwise = 0
+        slots: list[int] = []  # the slot steps of the entities in the slot regime
+        stepwise = 0  # the other entities, each with a slot at every step
         for incs in rates:
             if all(dec >= inc for dec, inc in zip(lattice.decs, incs)):
                 slots += _slot_steps(lattice, incs, n)
@@ -582,7 +573,7 @@ class WalkRoot:
             for k in range(len(costs))
         )
         rank = len(schedulable(lifetimes, by_lifetime, len(costs)))
-        return WalkRoot(by_lifetime, rank, tuple(slots), stepwise, bound, twins)
+        return WalkRoot(by_lifetime, rank, bound, twins)
 
 
 def _slot_steps(lattice: Lattice, incs: IntVec, n: int) -> list[int]:

@@ -480,9 +480,10 @@ def test_demos_names_every_bundled_file():
 
 
 def test_oracle_memo_cap_on_a_bundled_scenario(tmp_path, capsys):
-    # online_suboptimal with d's rate on b raised above b's decay, so the
-    # oracle docstring's rule (n), which needs every decay at least its rate,
-    # leaves d's {b, c} to the kernel, as rules (i) and (j) do: its decision
+    # online_suboptimal with d's rate on b raised above b's decay: no order
+    # of one-at-a-time repairs saves both of d's {b, c}, and the oracle
+    # docstring's rule (n) refutes a set only where every decay is at least
+    # its rate, so rules (i) and (n) leave it to the kernel: its decision
     # search overflows a cap of 3 and fails the call, while a cap of 50 answers
     entities = json.loads(Path(scenario_path("online_suboptimal")).read_text(encoding="utf-8"))["entities"]
     entities[0]["delta_inc"]["b"] = "0.3"

@@ -50,6 +50,17 @@ def test_unallocated_nodes_decay_to_failure():
     assert trace.steps[-1].healths == (F(0), F(0))
 
 
+@pytest.mark.parametrize("t", [-1, -6, 6, 7])
+def test_health_at_refuses_a_step_outside_the_trace(t):
+    # the run absorbs after 5 steps, so the trace has rows 0..5; a negative
+    # step must not read a row from the end
+    scenario = pair()
+    trace, _ = simulate(scenario, Allocation.build(scenario, {}), Scripted([]))
+    assert trace.health_at(5, "a") == 0
+    with pytest.raises(IndexError, match=rf"step {t} is outside the trace's steps 0\.\.5"):
+        trace.health_at(t, "a")
+
+
 def test_scripted_run_exact_health_sequence():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
@@ -471,8 +482,9 @@ def test_verify_trace_rejects_a_unit_other_than_the_lattice_unit():
         unit=3 * trace.unit,
         steps=tuple(TraceStep(tuple(3 * h for h in row.healths), row.actions) for row in trace.steps),
     )
-    assert [scaled.health_at(t, nid) for t in (0, -1) for nid in trace.node_ids] == [
-        trace.health_at(t, nid) for t in (0, -1) for nid in trace.node_ids
+    rows = (0, trace.terminal_step)
+    assert [scaled.health_at(t, nid) for t in rows for nid in trace.node_ids] == [
+        trace.health_at(t, nid) for t in rows for nid in trace.node_ids
     ]
     for edited in (scaled, replace(trace, unit=3 * trace.unit)):
         with pytest.raises(TraceMismatch, match="unit"):

@@ -142,10 +142,24 @@ def first_maximizer_scan(scenario: Scenario) -> tuple[int, Allocation, Trace]:
     return best_reward, best, optimal_sequencing_reward(scenario, best)[1]
 
 
+def regime_slots(scenario: Scenario) -> tuple[list[int], int]:
+    """Proof (o)'s sorted slot steps of the entities in the slot regime, by ``oracle._slot_steps``, and the number of
+    the other entities, each with a slot at every step."""
+    lattice, n = scenario.lattice, len(scenario.nodes)
+    slots, stepwise = [], 0
+    for eid in scenario.entity_ids:
+        incs = lattice.incs[eid]
+        if all(dec >= inc for dec, inc in zip(lattice.decs, incs)):
+            slots += oracle._slot_steps(lattice, incs, n)
+        else:
+            stepwise += 1
+    return sorted(slots), stepwise
+
+
 def slot_rank(scenario: Scenario) -> int:
-    """Proof (o)'s slot rank of all nodes, by the walk root's slots and ``model.schedulable``."""
-    root = scenario.walk_root
-    return len(schedulable(scenario.lattice.lifetimes, root.by_lifetime, root.stepwise, root.slots))
+    """Proof (o)'s slot rank of all nodes, by ``regime_slots`` and ``model.schedulable``."""
+    slots, stepwise = regime_slots(scenario)
+    return len(schedulable(scenario.lattice.lifetimes, scenario.walk_root.by_lifetime, stepwise, slots))
 
 
 def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
@@ -231,9 +245,10 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
     # proof (o): an entity whose decay is at least its rate on every node gets
     # the slot steps s_1 = 0, s_{k+1} = s_k + p(s_k), every other entity one
     # slot a step, and the slot rank is the largest matching of nodes into
-    # slots below their lifetimes; B is the smaller of it and the budget
-    # quotient, the pooled rank is the matching with one slot a step for every
-    # entity, and twins are entities of equal cost and equal lattice rates
+    # slots below their lifetimes; the walk root's B is the smaller of it and
+    # the budget quotient, its pooled rank is the matching with one slot a
+    # step for every entity, and its twins are entities of equal cost and
+    # equal lattice rates
     rng = random.Random(5521)
     scenarios = [build() for build in DEMOS.values()]
     for _ in range(20):
@@ -249,7 +264,7 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
                 slots += slot_steps_by_stepping(scenario, eid)
             else:
                 stepwise += every_step
-        assert (root.slots, root.stepwise) == (tuple(sorted(slots)), len(stepwise) // n), scenario
+        assert regime_slots(scenario) == (sorted(slots), len(stepwise) // n), scenario
         assert slot_rank(scenario) == largest_matching(lattice.lifetimes, slots + stepwise), scenario
         assert root.rank == largest_matching(lattice.lifetimes, every_step * len(scenario.entities)), scenario
         cheapest = min(ledger.costs)
@@ -296,8 +311,8 @@ def bound_overflow_trio(budget) -> Scenario:
     # fifty steps, while "b" and "c" last fifty steps and take one each: no
     # order that repairs the nodes one after another saves "a" with another
     # node, but starting "a", repairing the others and returning to "a" does.
-    # So rules (i) and (j) leave {"a", "b"} and {"a", "b", "c"} to the
-    # kernel, whose decision search overflows a memo cap of 5, while rule (j)
+    # So rules (i) and (n) leave {"a", "b"} and {"a", "b", "c"} to the
+    # kernel, whose decision search overflows a memo cap of 5, while rule (n)
     # confirms {"b", "c"}, whose full search fits; a lone node is never
     # searched during the walk
     return Scenario(
@@ -313,7 +328,7 @@ def bound_overflow_trio(budget) -> Scenario:
 
 def overflow_below_the_bound(same_rates: bool) -> Scenario:
     # "a" must be targeted at step 0 and climbs for fifty steps under "e", as
-    # in the trio above, so rules (i) and (j) leave e's {"a", "b"} to the
+    # in the trio above, so rules (i) and (n) leave e's {"a", "b"} to the
     # kernel, whose decision search overflows a memo cap of 5.  "a" and "c"
     # last one step each, so (i) refutes e's {"a", "b", "c"}, but two entities
     # could target both at step 0, so the pooled bound reads 3.  "f" costs 3/2,
@@ -354,7 +369,7 @@ def overflows(monkeypatch) -> list[tuple[int, int]]:
 
 def interleaved_pair() -> Scenario:
     # "b" must be targeted at step 0 and climbs slowly under "e", as "a" does
-    # in the trio above, so rules (i) and (j) leave e's {"b", "c"} to the
+    # in the trio above, so rules (i) and (n) leave e's {"b", "c"} to the
     # kernel, whose decision search overflows a memo cap of 7; the optimum
     # holds f's {"b", "c"} and e's {"a"}
     return Scenario(
@@ -469,14 +484,15 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
 
 def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s(monkeypatch):
     # the store answers some decisions by the oracle docstring's rules:
-    # (f) a slice decided before, (i) the lifetime bound, (j) a sequential
-    # schedule and (n), where every decay is at least its rate, some order of
-    # sequential repairs; each such verdict, tight or not, must be the kernel's
-    # own decision search's on that set, each (n) verdict must be a brute force
-    # over every order's too, a verdict without a search that none of them
-    # explains fails the test, and each rule must fire exactly as often as it
-    # did when these counts were recorded; the slot bound (o) and the twin rule
-    # (p) cut subtrees whose decisions an earlier pin counted
+    # (f) a slice decided before, (i) the lifetime bound and (n) some order of
+    # sequential repairs, which says tight in every regime and not tight
+    # where every decay is at least its rate; each such verdict, tight or
+    # not, must be the kernel's own decision search's on that set, each (n)
+    # verdict must be a brute force over every order's too, a verdict without
+    # a search that none of them explains fails the test, and each rule must
+    # fire exactly as often as it did when these counts were recorded; the
+    # slot bound (o) and the twin rule (p) cut subtrees whose decisions an
+    # earlier pin counted
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
@@ -484,7 +500,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     for _ in range(30):
         scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
     scenarios += [half_or_double_rates(rng) for _ in range(30)]  # where (n) leaves some sets to the kernel
-    fired = {"f": 0, "i": 0, "j": 0, "n": 0}
+    fired = {"f": 0, "i": 0, "n tight": 0, "n refuted": 0}
     for scenario in scenarios:
         lattice = scenario.lattice
         decided.clear()
@@ -502,16 +518,17 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                     rule = "f"
                 elif lifetime_bound_refutes(values):
                     rule = "i"
-                elif sequential_schedule_repairs(values, lattice.unit):
-                    rule = "j"
+                elif some_order_repairs(values, lattice.unit):
+                    assert verdict is True, scenario
+                    rule = "n tight"
                 elif decays_dominate(values):
-                    assert verdict is some_order_repairs(values, lattice.unit), scenario
-                    rule = "n"
+                    assert verdict is False, scenario
+                    rule = "n refuted"
                 else:
                     pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
             shared.add(values)
-    assert fired == {"f": 66, "i": 54, "j": 173, "n": 83}, fired
+    assert fired == {"f": 66, "i": 54, "n tight": 181, "n refuted": 83}, fired
 
 
 def half_or_double_rates(rng: random.Random) -> Scenario:
@@ -532,14 +549,11 @@ def lifetime_bound_refutes(values: tuple) -> bool:
     return any(lifetime <= i for i, lifetime in enumerate(lifetimes))
 
 
-def sequential_schedule_repairs(values: tuple, unit: int) -> bool:
-    """Rule (j): the schedule that repairs the members one at a time, in (lifetime, position) or
-    (-health, position) order, repairs every member."""
-    orders = (
-        sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0]))),
-        sorted(range(len(values)), key=lambda j: -values[j][2]),
-    )
-    return any(repairs_in_turn(values, unit, order) for order in orders)
+def earliest_deadline_first_repairs(values: tuple, unit: int) -> bool:
+    """The order rule (n) tries first: repairing the members one at a time in (lifetime, position) order repairs
+    every member."""
+    order = sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0])))
+    return repairs_in_turn(values, unit, order)
 
 
 def some_order_repairs(values: tuple, unit: int) -> bool:
@@ -565,8 +579,8 @@ def decays_dominate(values: tuple) -> bool:
 
 def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
     # rule (i) refutes only sets that the kernel's decision search refutes,
-    # rule (j) confirms only sets that it finds tight, rule (n) decides every
-    # set whose decays are at least its rates as the kernel does, and the
+    # rule (n) confirms only sets that it finds tight and decides every set
+    # whose decays are at least its rates as the kernel does, and the
     # greedy largest repairable subset keeps all of a set exactly when (i)
     # passes, so a refuted set that the greedy keeps whole is (n)'s; checked
     # on sampled sets of the bundled scenarios, of draws of up to 8 x 3 and of
@@ -601,31 +615,40 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
 
 
 def test_rule_n_decides_as_the_kernel_and_every_order_do():
-    # proof (n): where every member's decay is at least its rate, a set is
-    # tight exactly when repairing its members one at a time, in some order,
-    # repairs them all; on seeded slices of 2 to 5 members whose decays and
-    # rates differ between members, decay equal to rate included, the DP's
-    # verdict and the store's must be the kernel's decision search's and a
-    # brute force's over every order
+    # proof (n): repairing the members one at a time, in some order, repairs
+    # a tight set in every regime, and where every member's decay is at least
+    # its rate a set is tight exactly when some order repairs it; on seeded
+    # slices of 2 to 5 members whose decays and rates differ between members,
+    # decay equal to rate and rates above decay included, the DP's verdict
+    # must be a brute force's over every order, a tight verdict the kernel's
+    # decision search's, and where decays dominate every verdict the
+    # kernel's; the store must say tight exactly when the DP does
     rng = random.Random(3571)
-    seen = {"tight": 0, "not tight": 0, "beyond (j)": 0, "decay = rate": 0, "decay > rate": 0}
-    for _ in range(1200):
+    seen = {"tight": 0, "not tight": 0, "beyond the first order": 0, "decay = rate": 0, "decay > rate": 0}
+    seen |= {"rate > decay, tight": 0, "rate > decay, not tight": 0}
+    for i in range(1500):
         unit = rng.randint(8, 30)
         values = []
         for _ in range(rng.randint(2, 5)):
             dec = rng.randint(1, unit // 4)
-            values.append((dec, rng.randint(1, dec), rng.randint(unit // 2, unit - 1)))
+            rate = rng.randint(1, 2 * dec if i % 3 == 0 else dec)  # every third slice may have rates above decay
+            values.append((dec, rate, rng.randint(unit // 2, unit - 1)))
         values = tuple(values)
         decs, rates, healths = zip(*values)
         reward, _ = _kernel.solve_allocation(healths, unit, decs, rates, oracle.DEFAULT_CAP, len(values) - 1)
         verdict = oracle._some_order_repairs(values, unit)
-        assert verdict is (reward == len(values)), (values, unit)
         assert verdict is some_order_repairs(values, unit), (values, unit)
+        assert not verdict or reward == len(values), (values, unit)
         lifetimes = [-(-health // dec) for dec, _, health in values]
-        assert oracle._settled(values, lifetimes, unit) is verdict, (values, unit)
-        seen["tight" if verdict else "not tight"] += 1
-        seen["beyond (j)"] += verdict and not sequential_schedule_repairs(values, unit)
-        seen["decay = rate" if any(dec == rate for dec, rate, _ in values) else "decay > rate"] += 1
+        settled = oracle._settled(values, lifetimes, unit)
+        assert settled is True if verdict else settled is not True, (values, unit)
+        seen["beyond the first order"] += verdict and not earliest_deadline_first_repairs(values, unit)
+        if decays_dominate(values):
+            assert verdict is (reward == len(values)) and settled is verdict, (values, unit)
+            seen["tight" if verdict else "not tight"] += 1
+            seen["decay = rate" if any(dec == rate for dec, rate, _ in values) else "decay > rate"] += 1
+        else:
+            seen["rate > decay, tight" if verdict else "rate > decay, not tight"] += 1
     assert min(seen.values()) >= 20, seen
     # outside the regime no order may repair a tight set: with unit 24, the
     # kernel repairs both members here by interleaving, so (n) must not decide it
@@ -635,6 +658,24 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     assert oracle._settled(values, [2, 1], unit) is None
 
 
+def beyond_the_first_order() -> Scenario:
+    # u's rate is 1/6, above the decay, 1/12, on every node but "c", where it
+    # is 1/24, so no set holding "c" and another node is in (n)'s regime.  "c"
+    # and "d" both start at 1/2 and last 6 steps, so ordering {"c", "d"} by
+    # lifetime or by health, ties by position, repairs "c" first, for 12
+    # steps, and loses "d"; "d" first saves both, and only rule (n)'s DP over
+    # every order finds that without a decision search
+    nodes = tuple(NodeSpec(nid, F(v0), F(1, 12)) for nid, v0 in zip("abcde", ("1/2", "4/5", "1/2", "1/2", "4/5")))
+    rates = {node.id: F(1, 6) for node in nodes} | {"c": F(1, 24)}
+    return Scenario(nodes, (EntitySpec("u", F(1), rates),), None)
+
+
+def test_rule_n_confirms_a_set_outside_the_regime_that_no_fixed_order_repairs(monkeypatch):
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    result = oracle_optimal(beyond_the_first_order())
+    assert result.optimal_reward == 4
+    assert result.witness_allocation.sets == {"u": frozenset("abde")}
+    assert len(searches) == 6
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_a_lone_node_is_always_tight(seed, repair_dominant):
@@ -874,7 +915,7 @@ def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
 # and the kernel searches those draws make in all: decision searches, and
 # full searches for witness sets whose first dive fails
 MIXED_RATES_DIGEST = "854fb2d01d8ef4765de86d2a502389b220cfe0d2919984a207944e03b3049435"
-MIXED_RATES_SEARCHES = 375
+MIXED_RATES_SEARCHES = 353
 
 
 def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest(monkeypatch):
