@@ -13,6 +13,9 @@ that never absorbs), 3 instance too large for the oracle caps,
 4 reproduction suite mismatch, 5 internal inconsistency (any other
 package error, such as an oracle witness that does not replay to the
 searched reward or a policy that breaks the rules; always a bug).
+A usage error, such as ``solve`` without ``--policy`` or ``oracle --cap x``,
+exits 2 too: argparse prints a ``usage:`` line and the error to stderr,
+and ``main`` raises ``SystemExit(2)`` instead of returning.
 """
 
 from __future__ import annotations

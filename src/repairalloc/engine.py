@@ -96,9 +96,14 @@ class Trace:
         return len(self.steps) - 1
 
     def health_at(self, t: int, node_id: str) -> Fraction:
-        """Node ``node_id``'s health at the start of step ``t``; IndexError unless 0 <= t <= terminal_step."""
+        """Node ``node_id``'s health at the start of step ``t``.
+
+        IndexError unless 0 <= t <= terminal_step; KeyError naming ``node_id`` when the trace has no such node.
+        """
         if not 0 <= t <= self.terminal_step:
             raise IndexError(f"step {t} is outside the trace's steps 0..{self.terminal_step}")
+        if node_id not in self.node_ids:
+            raise KeyError(f"node {node_id!r} is not in the trace")
         return Fraction(self.steps[t].healths[self.node_ids.index(node_id)], self.unit)
 
 

@@ -305,7 +305,10 @@ class Allocation:
         owner: dict[str, str] = {}
         positions = scenario.lattice.positions
         for entity in scenario.entities:
-            assigned = frozenset(sets.get(entity.id, frozenset()))
+            given = sets.get(entity.id, frozenset())
+            if isinstance(given, str):  # frozenset("ab") would be the nodes "a" and "b"
+                raise TypeError(f"entity {entity.id!r}: its nodes must be a set of node ids, not the string {given!r}")
+            assigned = frozenset(given)
             unknown = [node_id for node_id in assigned if node_id not in positions]
             if unknown:
                 raise ValueError(f"entity {entity.id!r}: unknown nodes {sorted(unknown)}")

@@ -91,32 +91,33 @@ At each tree node the walk tries the unallocated child under its bound,
 then each entity's child under the bound, the budget and the tightness
 decision, in that order; only the decision can run a search, so this
 order fixes the sequence of kernel searches.  Each decision is made once
-per (entity, set of two or more nodes) within one ``oracle_optimal`` call
-and cached by the walk, across both rounds.
+per slice, below, within one ``oracle_optimal`` call, across both rounds.
 
-Every decision of one call goes through one verdict store local to the
-call, which keeps only whether each set it decided is tight.  A search
-slices its set's decays, rates and healths out of the scenario's integer
-lattice, member by member in node order, and runs in exact integer
-arithmetic.  The walk carries each entity's members down the tree, and
-the store, the witness and the returned ``Allocation`` read them from
-there.  The store answers some decisions without a search, by three
-rules:
+The walk carries each entity's members down the tree, in node order, and
+next to them the set's *slice* of the scenario's integer lattice: each
+member's (decay, rate, health), in the same order.  A child extends its
+entity's slice by its node's row.  The walk's *store* is one map local to
+the call, from each slice of two or more members that it decided to
+whether that set is tight; a lone node needs no entry, by (e).  A search
+runs on the slice in exact integer arithmetic, and the witness and the
+returned ``Allocation`` read the members.  A new slice is decided by (i)
+and (n) below where they can, else by its decision search, and a slice
+decided before, by (f):
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
-  search's floor, |S| - 1, is fixed by the slice's length.  The store
-  keys each verdict on the slice alone: tight or not tight.  Rules (i)
+  search's floor, |S| - 1, is fixed by the slice's length.  Rules (i)
   and (n) below read nothing but the slice either, and each gives the
-  verdict the set's own search gives, so a set whose slice was decided
-  before, for the same entity or for another with equal rates on those
-  nodes, gets that verdict.
+  verdict the set's own search gives.  So the store keys each verdict on
+  the slice alone, and a set whose slice was decided before, for the same
+  entity or for another with equal rates on those nodes, gets that
+  verdict.
 
 Rule (i), and the order that (n) tries first, read each member's
-lifetime L_j = ceil(h_j / dec_j), which ``model.Lattice`` holds as an
-integer: a node that no action targets at steps 0, ..., t - 1 has health
-h_j - t * dec_j at step t while that is positive, and 0 from step L_j
-on, since 0 absorbs.
+lifetime L_j = ceil(h_j / dec_j) off the slice, as ``model.Lattice``
+works it out: a node that no action targets at steps 0, ..., t - 1 has
+health h_j - t * dec_j at step t while that is positive, and 0 from step
+L_j on, since 0 absorbs.
 
 * **(i) Lifetime bound.**  A schedule that repairs all of S targets each
   member j at some step below L_j, since a member that no step below L_j
@@ -125,7 +126,7 @@ on, since 0 absorbs.
   member are distinct, each below its member's lifetime: S is
   *schedulable* on one entity, in the sense of ``model.schedulable``,
   whose greedy in increasing lifetime finds the largest schedulable
-  subset of a set, its rank.  The store refutes S when its rank on one
+  subset of a set, its rank.  A decision refutes S when its rank on one
   entity is below |S|.  That greedy is alg2's ``largest_repairable_subset``
   too, and (k) runs it on M entities.
 * **(n) Some order.**  Target the members one at a time, each until it
@@ -160,7 +161,7 @@ on, since 0 absorbs.
   other members, from their healths after a's q_a steps, form a tight set
   in the same regime, which by induction some order repairs in turn.
   Repairing a and then that order repairs all of S.
-  The store first tries the (L_j, position) order, earliest deadline
+  A decision first tries the (L_j, position) order, earliest deadline
   first (Jackson, 1955), which needs no DP where it repairs the set.
   If it fails, a DP over the sets of members repaired in turn, expanded
   layer by layer in their size and only where reached, keeps the fewest
@@ -169,7 +170,7 @@ on, since 0 absorbs.
   comes after T steps has h' = h_j - T * dec_j, which falls as T grows,
   and needs ceil((unit - h') / inc_j) steps, which rise.  So a member
   that is still positive after a longer prefix is positive after the
-  shortest one, and finishes no later there.  The store says tight when
+  shortest one, and finishes no later there.  A decision says tight when
   some order repairs S, not tight when none does and every decay is at
   least its rate, and leaves the other sets to the kernel; in the regime
   no decision is left to it.
@@ -333,9 +334,8 @@ from repairalloc.policies import Scripted
 
 DEFAULT_CAP = 10**6
 
-# An entity's set is a bitmask over node positions, bit j being scenario.nodes[j], and
-# its members, those positions in increasing order.
-# A set's slice of the lattice: (decay, rate, health) of each member, in node order.
+# A set's slice of the lattice: (decay, rate, health) of each member, in node order,
+# which the walk carries next to the members and keys its store on.
 _Slice = tuple[tuple[int, int, int], ...]
 
 
@@ -396,35 +396,15 @@ def optimal_sequencing_reward(
     return reward, trace
 
 
-class _Verdicts:
-    """Whether each set that one oracle call decides is tight, keyed by the set's lattice values.
+def _decide(values: _Slice, unit: int, memo_cap: int) -> bool:
+    """Whether a set of two or more members with slice ``values`` is tight: rules (i) and (n), else its decision search.
 
-    The module docstring proves (f), (i) and (n), the three rules by
-    which ``decide`` answers some decisions without a search: the same
-    values, the lifetime bound and some order of sequential repairs,
-    which decides both ways where every decay is at least its rate.
+    Raises InstanceTooLarge when the decision search holds ``memo_cap`` states.
     """
-
-    def __init__(self, scenario: Scenario, memo_cap: int):
-        lattice = scenario.lattice
-        self.unit, self.memo_cap, self.lifetimes = lattice.unit, memo_cap, lattice.lifetimes
-        # entity k's (decay, rate, health) of every node, in node order
-        self.values = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
-        self.verdicts: dict[_Slice, bool] = {}  # (f): slice -> tight or not tight
-
-    def decide(self, k: int, members: Sequence[int]) -> bool:
-        """Whether entity k's set of two or more ``members`` is tight.
-
-        Raises InstanceTooLarge when its decision search holds ``memo_cap`` states.
-        """
-        row = self.values[k]
-        values = tuple([row[j] for j in members])
-        if values not in self.verdicts:  # (f)
-            verdict = _settled(values, [self.lifetimes[j] for j in members], self.unit)  # (i) and (n)
-            if verdict is None:
-                verdict = _solve(values, self.unit, self.memo_cap, len(values) - 1)[0] == len(values)
-            self.verdicts[values] = verdict
-        return self.verdicts[values]
+    verdict = _settled(values, unit)
+    if verdict is None:
+        verdict = _solve(values, unit, memo_cap, len(values) - 1)[0] == len(values)
+    return verdict
 
 
 def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, tuple[int, ...]]:
@@ -445,16 +425,16 @@ def _optimum(values: _Slice, unit: int, memo_cap: int) -> tuple[int, tuple[int, 
     return len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
 
 
-def _settled(values: _Slice, lifetimes: list[int], unit: int) -> Optional[bool]:
+def _settled(values: _Slice, unit: int) -> Optional[bool]:
     """The set's verdict by rules (i) and (n), None when neither gives one.
 
     False when the lifetime bound (i) refutes the set; True when some
     order of sequential repairs saves every member (n), tried first in
     (lifetime, position) order; False when none does and every member's
-    decay is at least its rate.  ``lifetimes`` are the members'
-    lifetimes, in slice order.
+    decay is at least its rate.
     """
     size = len(values)
+    lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
     by_lifetime = sorted(range(size), key=lifetimes.__getitem__)  # ties in position order
     if len(schedulable(lifetimes, by_lifetime, 1)) < size:
         return False
@@ -621,16 +601,15 @@ def oracle_optimal(
     _require_cap(scenario, cap)
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
-    machines, lifetimes = len(costs), scenario.lattice.lifetimes
+    lattice, machines = scenario.lattice, len(costs)
+    lifetimes, unit = lattice.lifetimes, lattice.unit
+    # entity k's (decay, rate, health) of every node, in node order: the rows its slices extend by
+    rows = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
     root = scenario.walk_root
-    by_lifetime = root.by_lifetime
-    masks = [0] * machines
+    by_lifetime, twins = root.by_lifetime, root.twins
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
-    # (p): each entity's nearest earlier twin's members, None for an entity without one
-    earlier = [sets[twin] if twin >= 0 else None for twin in root.twins]
-    verdicts = _Verdicts(scenario, memo_cap)
-    # (entity index, its set of two or more nodes) -> tight or not tight
-    tight: dict[tuple[int, int], bool] = {}
+    slices: list[_Slice] = [() for _ in costs]  # each entity's slice of its members
+    tight: dict[_Slice, bool] = {}  # the store: a slice of two or more members -> tight or not tight
     # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
     ranks: dict[int, int] = {}
 
@@ -661,17 +640,19 @@ def oracle_optimal(
                 return  # the pooled bound, for this entity and every later one
             if spent + cost > room:
                 continue
-            members = sets[k]
-            if not members and (twin := earlier[k]) is not None and not twin:
+            members, held = sets[k], slices[k]
+            if not members and (twin := twins[k]) >= 0 and not sets[twin]:
                 continue  # (p): a twin's first node waits for its nearest earlier twin's
-            mask = masks[k] | bit
+            values = held + (rows[k][depth],)
+            if held:  # a lone node needs no decision, tight by proof (e)
+                if (verdict := tight.get(values)) is None:  # (f): a slice decided before keeps its verdict
+                    verdict = tight[values] = _decide(values, unit, memo_cap)
+                if not verdict:
+                    continue
             members.append(depth)
-            if len(members) > 1 and (k, mask) not in tight:
-                tight[k, mask] = verdicts.decide(k, members)
-            if tight.get((k, mask), True):  # no cache entry for a lone node, tight by proof (e)
-                masks[k] = mask
-                visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
-                masks[k] ^= bit
+            slices[k] = values
+            visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
+            slices[k] = held
             members.pop()
 
     visit(0, 0, 0, everything, root.rank, ceiling)

@@ -34,6 +34,27 @@ def edited_copy(tmp_path: Path, name: str, **fields) -> str:
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", scenario_path("repair_dominant")], "the following arguments are required: --policy"),
+        (["oracle", scenario_path("repair_dominant"), "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    ],
+    ids=["solve-without-policy", "oracle-cap-not-an-int"],
+)
+def test_a_usage_error_exits_2_with_a_usage_line(capsys, argv, message):
+    # argparse refuses the command line before any command runs: main raises
+    # SystemExit(2), the code a rate-regime violation returns, and the usage
+    # line and the error go to stderr
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: repairalloc {argv[0]} ")
+    assert message in captured.err
+
+
 def test_check_reports_repair_dominant(capsys):
     rc = main(["check", scenario_path("repair_dominant")])
     out = capsys.readouterr().out

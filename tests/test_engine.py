@@ -61,6 +61,13 @@ def test_health_at_refuses_a_step_outside_the_trace(t):
         trace.health_at(t, "a")
 
 
+def test_health_at_names_a_node_the_trace_does_not_hold():
+    scenario = pair()
+    trace, _ = simulate(scenario, Allocation.build(scenario, {}), Scripted([]))
+    with pytest.raises(KeyError, match="node 'z' is not in the trace"):
+        trace.health_at(0, "z")
+
+
 def test_scripted_run_exact_health_sequence():
     scenario = pair()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})

@@ -280,6 +280,9 @@ def test_allocation_build_rejects_bad_sets():
         Allocation.build(scenario, {"e": {"z"}})
     with pytest.raises(ValueError):
         Allocation.build(scenario, {"q": {"a"}})
+    # frozenset("ab") is {"a", "b"}: a string must not silently give e both nodes
+    with pytest.raises(TypeError, match="entity 'e': its nodes must be a set of node ids, not the string 'ab'"):
+        Allocation.build(scenario, {"e": "ab"})
 
 
 def test_allocation_owner_follows_the_sets_and_stays_out_of_equality_and_repr():

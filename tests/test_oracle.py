@@ -403,34 +403,43 @@ def test_a_decision_search_over_the_memo_cap_fails_the_call(monkeypatch, scenari
     assert seen == [(2, 1)]
 
 
-def decisions(monkeypatch) -> list[tuple[int, int, int, bool, bool]]:
-    """Record every decision of the oracle's verdict store: (entity index, mask, size, verdict, whether it searched)."""
-    seen: list[tuple[int, int, int, bool, bool]] = []
+def decisions(monkeypatch) -> list[tuple[tuple, bool, bool]]:
+    """Record every slice that reaches the oracle's ``_decide``: (slice, verdict, whether it searched)."""
+    seen: list[tuple[tuple, bool, bool]] = []
     searches = counted(monkeypatch, _kernel, "solve_allocation")
-    decide = oracle._Verdicts.decide
+    decide = oracle._decide
 
-    def recording(store, k, members):
+    def recording(values, unit, memo_cap):
         before = len(searches)
-        verdict = decide(store, k, members)
-        seen.append((k, sum(1 << j for j in members), len(members), verdict, len(searches) > before))
+        verdict = decide(values, unit, memo_cap)
+        seen.append((values, verdict, len(searches) > before))
         return verdict
 
-    monkeypatch.setattr(oracle._Verdicts, "decide", recording)
+    monkeypatch.setattr(oracle, "_decide", recording)
     return seen
+
+
+def slice_of(scenario: Scenario, eid: str, node_ids: str) -> tuple:
+    """Entity ``eid``'s slice of the lattice on ``node_ids``: (decay, rate, health) per member, in node order."""
+    lattice = scenario.lattice
+    members = sorted(lattice.positions[nid] for nid in node_ids)
+    return tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
 
 
 def test_value_equal_sets_share_one_verdict(monkeypatch):
     # "f" has e's rates, so f's {"a", "b"} has the same slice as e's: the
-    # store gives f the verdict of e's decision search without a second
-    # search (rule (f)); f's cost is not e's, so the two are not twins under
-    # the walk's rule (p), which would skip f's sets while e holds none
+    # walk's store gives f the verdict of e's decision search, and f's set
+    # never reaches a decision (rule (f)); f's cost is not e's, so the two
+    # are not twins under the walk's rule (p), which would skip f's sets
+    # while e holds none
+    scenario = overflow_below_the_bound(same_rates=True)
+    assert slice_of(scenario, "e", "ab") == slice_of(scenario, "f", "ab")
     decided = decisions(monkeypatch)
-    result = oracle_optimal(overflow_below_the_bound(same_rates=True))
-    assert [(k, mask, verdict, searched) for k, mask, _, verdict, searched in decided] == [
-        (0, 0b011, True, True),
-        (0, 0b111, False, False),
-        (1, 0b011, True, False),
-        (0, 0b110, True, False),
+    result = oracle_optimal(scenario)
+    assert decided == [
+        (slice_of(scenario, "e", "ab"), True, True),
+        (slice_of(scenario, "e", "abc"), False, False),
+        (slice_of(scenario, "e", "bc"), True, False),
     ]
     assert result.optimal_reward == 2
 
@@ -483,16 +492,17 @@ def test_the_oracle_makes_no_more_kernel_searches_than_pinned(monkeypatch):
 
 
 def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s(monkeypatch):
-    # the store answers some decisions by the oracle docstring's rules:
-    # (f) a slice decided before, (i) the lifetime bound and (n) some order of
-    # sequential repairs, which says tight in every regime and not tight
-    # where every decay is at least its rate; each such verdict, tight or
-    # not, must be the kernel's own decision search's on that set, each (n)
-    # verdict must be a brute force over every order's too, a verdict without
-    # a search that none of them explains fails the test, and each rule must
-    # fire exactly as often as it did when these counts were recorded; the
-    # slot bound (o) and the twin rule (p) cut subtrees whose decisions an
-    # earlier pin counted
+    # the walk's store keys each verdict on its slice, so no slice reaches a
+    # decision twice within one call (rule (f)); a decision answers some
+    # slices by the oracle docstring's rules: (i) the lifetime bound and (n)
+    # some order of sequential repairs, which says tight in every regime and
+    # not tight where every decay is at least its rate; each such verdict,
+    # tight or not, must be the kernel's own decision search's on that set,
+    # each (n) verdict must be a brute force over every order's too, a
+    # verdict without a search that none of them explains fails the test,
+    # and each rule must fire exactly as often as it did when these counts
+    # were recorded; the slot bound (o) and the twin rule (p) cut subtrees
+    # whose decisions an earlier pin counted
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
@@ -500,23 +510,19 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     for _ in range(30):
         scenarios += [family(rng, max_nodes=5, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
     scenarios += [half_or_double_rates(rng) for _ in range(30)]  # where (n) leaves some sets to the kernel
-    fired = {"f": 0, "i": 0, "n tight": 0, "n refuted": 0}
+    fired = {"i": 0, "n tight": 0, "n refuted": 0}
     for scenario in scenarios:
         lattice = scenario.lattice
         decided.clear()
         oracle_optimal(scenario)
-        shared = set()  # the slice of each verdict so far, which (f) shares
-        for k, mask, size, verdict, searched in decided:
-            incs = lattice.incs[scenario.entity_ids[k]]
-            members = [j for j in range(len(scenario.nodes)) if mask >> j & 1]
-            values = tuple((lattice.decs[j], incs[j], lattice.v0[j]) for j in members)
+        assert len({values for values, _, _ in decided}) == len(decided), scenario
+        for values, verdict, searched in decided:
             if not searched:
+                size = len(values)
                 decs, rates, healths = zip(*values)
                 decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
                 assert verdict is (decision[0] == size), scenario
-                if values in shared:
-                    rule = "f"
-                elif lifetime_bound_refutes(values):
+                if lifetime_bound_refutes(values):
                     rule = "i"
                 elif some_order_repairs(values, lattice.unit):
                     assert verdict is True, scenario
@@ -527,8 +533,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 else:
                     pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
-            shared.add(values)
-    assert fired == {"f": 66, "i": 54, "n tight": 181, "n refuted": 83}, fired
+    assert fired == {"i": 54, "n tight": 181, "n refuted": 83}, fired
 
 
 def half_or_double_rates(rng: random.Random) -> Scenario:
@@ -598,7 +603,7 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
             for mask in rng.sample(masks, min(len(masks), 24)):
                 members = [j for j in range(n) if mask >> j & 1]
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                verdict = oracle._settled(values, [lattice.lifetimes[j] for j in members], lattice.unit)
+                verdict = oracle._settled(values, lattice.unit)
                 settled[verdict] += 1
                 greedy = largest_repairable_subset(scenario, [scenario.nodes[j] for j in members])
                 if len(greedy) < len(members):
@@ -639,8 +644,7 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
         verdict = oracle._some_order_repairs(values, unit)
         assert verdict is some_order_repairs(values, unit), (values, unit)
         assert not verdict or reward == len(values), (values, unit)
-        lifetimes = [-(-health // dec) for dec, _, health in values]
-        settled = oracle._settled(values, lifetimes, unit)
+        settled = oracle._settled(values, unit)
         assert settled is True if verdict else settled is not True, (values, unit)
         seen["beyond the first order"] += verdict and not earliest_deadline_first_repairs(values, unit)
         if decays_dominate(values):
@@ -655,7 +659,7 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     values, unit = ((1, 21, 2), (8, 11, 7)), 24
     assert _kernel.solve_allocation((2, 7), unit, (1, 8), (21, 11), oracle.DEFAULT_CAP, 1)[0] == 2
     assert not some_order_repairs(values, unit)
-    assert oracle._settled(values, [2, 1], unit) is None
+    assert oracle._settled(values, unit) is None
 
 
 def beyond_the_first_order() -> Scenario:
@@ -820,9 +824,9 @@ def test_oracle_pruning_matches_plain_maximum():
 
 
 def test_oracle_matches_a_plain_scan_with_the_joint_reference():
-    # the oracle sums per-entity optima, cached per (entity, set) within the
-    # call; a scan of every feasible allocation scored by the unpruned joint
-    # search must find the same optimum and the same first maximizer
+    # the oracle sums per-entity optima, its verdicts cached per slice within
+    # the call; a scan of every feasible allocation scored by the unpruned
+    # joint search must find the same optimum and the same first maximizer
     rng = random.Random(7207)
     for _ in range(20):
         if rng.random() < 0.5:
@@ -957,3 +961,24 @@ def test_the_oracle_s_optima_and_witnesses_on_wide_uniform_draws_match_a_recorde
         rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
         digest.update(repr((result.optimal_reward, allocation, rows)).encode())
     assert digest.hexdigest() == REACH_DIGEST
+
+
+# the same digest over the first eight repair-dominant 12 x 3, six 14 x 3 and
+# six 20 x 4 draws, where the walk's store decides most of the sets; recorded
+# before the store became the walk's map from slice to verdict
+REPAIR_DOMINANT_REACH_DIGEST = "85c0372f7e60daeb0e8ace57ff81c9bd6c6a866c8fb74b491f43ff8b7dc048ad"
+
+
+def test_the_oracle_s_optima_and_witnesses_on_wide_repair_dominant_draws_match_a_recorded_digest():
+    digest = hashlib.sha256()
+    draws = (
+        reach_draws(random_repair_dominant, 12, 3, 8)
+        + reach_draws(random_repair_dominant, 14, 3, 6)
+        + reach_draws(random_repair_dominant, 20, 4, 6)
+    )
+    for scenario in draws:
+        result = oracle_optimal(scenario, cap=10**15)
+        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
+        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
+        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
+    assert digest.hexdigest() == REPAIR_DOMINANT_REACH_DIGEST
