@@ -7,9 +7,11 @@ satisfies, ``solve`` runs one of the two built-in solve pipelines,
 each pipeline with the regime that guards it, and all three scenario
 commands read it.
 
-Exit codes are stable, one row of ``_EXITS`` each: 0 success, 1 scenario
-parse failure, 2 rate-regime violation without --force (or a forced run
-that never absorbs), 3 instance too large for the oracle caps,
+Exit codes are stable, one row of ``_EXITS`` each: 0 success, 1 a scenario
+that does not parse or a file that cannot be read or written (a ``--trace``
+CSV among them, after ``solve`` has printed its result), 2 rate-regime
+violation without --force (or a forced run that never absorbs), 3 instance
+too large for the oracle caps or for the walk's recursion,
 4 reproduction suite mismatch, 5 internal inconsistency (any other
 package error, such as an oracle witness that does not replay to the
 searched reward or a policy that breaks the rules; always a bug).

@@ -127,8 +127,10 @@ L_j on, since 0 absorbs.
   *schedulable* on one entity, in the sense of ``model.schedulable``,
   whose greedy in increasing lifetime finds the largest schedulable
   subset of a set, its rank.  A decision refutes S when its rank on one
-  entity is below |S|.  That greedy is alg2's ``largest_repairable_subset``
-  too, and (k) runs it on M entities.
+  entity is below |S|, which by the Hall condition that
+  ``model.schedulable`` states holds exactly when, with the lifetimes
+  sorted, the one at 0-based index i is at most i.  That greedy is alg2's
+  ``largest_repairable_subset`` too, and (k) runs it on M entities.
 * **(n) Some order.**  Target the members one at a time, each until it
   reaches ``unit``, in some order.  A member whose turn comes after T
   steps has not been targeted yet, so its health is h' = h_j - T * dec_j
@@ -165,15 +167,17 @@ L_j on, since 0 absorbs.
   first (Jackson, 1955), which needs no DP where it repairs the set.
   If it fails, a DP over the sets of members repaired in turn, expanded
   layer by layer in their size and only where reached, keeps the fewest
-  steps some order of each set takes.  Keeping only the fewest is exact in
-  every regime, since a later start never helps: a member whose turn
-  comes after T steps has h' = h_j - T * dec_j, which falls as T grows,
-  and needs ceil((unit - h') / inc_j) steps, which rise.  So a member
-  that is still positive after a longer prefix is positive after the
-  shortest one, and finishes no later there.  A decision says tight when
+  steps some order of each set takes, and one order that takes them.
+  Keeping only the fewest is exact in every regime, since a later start
+  never helps: a member whose turn comes after T steps has
+  h' = h_j - T * dec_j, which falls as T grows, and needs
+  ceil((unit - h') / inc_j) steps, which rise.  So a member that is still
+  positive after a longer prefix is positive after the shortest one, and
+  finishes no later there.  A decision says tight when
   some order repairs S, not tight when none does and every decay is at
   least its rate, and leaves the other sets to the kernel; in the regime
-  no decision is left to it.
+  no decision is left to it.  The order it finds, the first one or the
+  DP's for all of S, gives the witness its targets below.
 
 Each rule gives only whether the decision search's reward is |S|, that
 is, whether S is tight, which is all the walk reads of a decision: (i)
@@ -184,8 +188,7 @@ its own decision search.  So the cuts, the order of the walk, the
 optimum and the witness allocation are the ones a search per decision
 gives.
 
-The walk's bound, its two rounds, the slot rank and the twin rule, and
-the witness targets that need no search:
+The walk's bound, its two rounds, the slot rank and the twin rule:
 
 * **(k) The pooled lifetime bound.**  Lifetimes do not depend on the
   entity.  Every set of a leaf the walk reaches is tight, as (c) shows,
@@ -272,52 +275,30 @@ the witness targets that need no search:
   is all (c) asks of a cut; only decisions in cut subtrees are dropped.
   This differs from relabelling interchangeable nodes inside one
   entity's search: twins are entities of the walk.
-* **(m) The first dive.**  Order health vectors by reading positions from
-  the highest down, comparing the highest position first.  The kernel
-  pushes a state's children in increasing position of their target and
-  pops the last one pushed, so from the initial state it first follows
-  the *first dive*: always target the highest-position Active node.  Each
-  dive step targets the highest Active position p.  The positions above
-  p are not Active and do not move, and p rises, since rates are
-  positive, so each dive state is strictly above the one before.  The
-  siblings a dive state generates before its dive child target lower
-  positions, so p decays in them: each is below that dive state, and so
-  below every later one.  The dive child is the last one pushed, so no
-  state is expanded during the dive but the dive states: ``seen`` holds
-  only the initial state, the dive states and their siblings so far, all
-  below the next dive state.  So no dive state is ever in ``seen``, even
-  when rates match.  While no member has reached 0, the highest Active
-  position is the highest member not yet at 1, so the dive is the
-  sequential schedule of (n) in the order from the highest position down,
-  and it repairs every member exactly when that schedule does.  Then no
-  dive state has a node at 0, so the full search's skip rule, which drops
-  a state only when its nodes not at 0 number no more than a best reward
-  below |S|, drops none; no sibling is a terminal that repairs every
-  node, since p is below 1 in it; and the dive's last state repairs
-  every node, so the full search stops there, with the dive's targets.
-  Those targets are in closed form:
-  the member whose turn comes after T steps is targeted
-  ceil((unit - h') / inc) times, h' being its health then, as in (n).
-  This holds for every lone node, by (e).
 
 Every search the oracle makes, a decision search during the walk or a
 full search for the witness, raises InstanceTooLarge when it holds
-``memo_cap`` states, and the call fails.  Rules (f), (i) and (n) and
-the closed form of (m) make no search, so ``memo_cap`` bounds only
-the searches that are made: no one-node set is ever searched, and a set
-of the returned allocation is searched only when its first dive fails.
+``memo_cap`` states, and the call fails.  Rules (f), (i) and (n) make no
+search, and neither do the witness's closed-form targets, so
+``memo_cap`` bounds only the searches that are made: no one-node set is
+ever searched, and a set of the returned allocation is searched only
+when no order repairs it in turn.
 
 Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
-maximizer, becomes an ``Allocation``.  Each of its sets gets the full
-search's reward and targets by the path ``optimal_sequencing_reward``
-takes too: the first dive's closed form when the dive repairs the set,
-as (m) proves, else the set's own full search.  So its witness trace is
-the one a scan finds.  That witness is replayed once through the
-simulator.  Two checks hold the result to the proofs, and either raises
-SearchInconsistency: the replay must repair the summed per-entity
-optima, and that sum must equal the allocated count the walk carried.
+maximizer, becomes an ``Allocation``.  Each of its sets gets its reward
+and targets by the path ``optimal_sequencing_reward`` takes too.  When
+(n) finds an order that repairs the set in turn, the set's optimum is
+its size, since no schedule repairs more, and its targets are that
+order's, in closed form: the member whose turn comes after T steps is
+targeted ceil((unit - h') / inc) times, h' being its health then, as in
+(n); every lone node takes this path, by (e).  Else the set's own full
+search gives both.  So its witness trace is the one a scan finds.  That
+witness is replayed once through the simulator.  Two checks hold the
+result to the proofs, and either raises SearchInconsistency: the replay
+must repair the summed per-entity optima, and that sum must equal the
+allocated count the walk carried.
 """
 
 from __future__ import annotations
@@ -377,13 +358,13 @@ def optimal_sequencing_reward(
 ) -> tuple[int, Trace]:
     """Best achievable reward for a fixed allocation, with a witness trace.
 
-    Searches each entity's set on its own (any Active node of the set at
-    every step), visiting each reachable health vector of that set once,
-    with at most ``memo_cap`` vectors per entity, and sums the optima.  A
-    set that the schedule "repair the members one at a time from the
-    highest position down" repairs in full takes that schedule's targets,
-    which are the search's own (the oracle docstring's (m)), without a
-    search, so ``memo_cap`` bounds only the searches that are made.  The
+    Sums the optima of the entities' sets, each scored on its own (any
+    Active node of the set at every step).  A set that some order of
+    one-at-a-time repairs saves in full, as the oracle docstring's rule (n)
+    finds, scores its size and takes that order's targets without a
+    search.  Any other set is searched, visiting each reachable health
+    vector of that set once, with at most ``memo_cap`` vectors, so
+    ``memo_cap`` bounds only the searches that are made.  The
     witness trace replays the entities' optimal target sequences in
     parallel through the simulator and therefore reproduces the claimed
     reward exactly; SearchInconsistency is raised if it does not, and
@@ -413,54 +394,57 @@ def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, t
 
 
 def _optimum(values: _Slice, unit: int, memo_cap: int) -> tuple[int, tuple[int, ...]]:
-    """The full search's result on a set's slice: its optimum and the slice positions targeted.
+    """The set's optimum on its slice and the slice positions that an optimal schedule targets.
 
-    When the first dive repairs the set, its closed form is that result by
-    (m), and no search is made.  Raises InstanceTooLarge when the search
-    holds ``memo_cap`` states.
+    When rule (n) finds an order that repairs the set in turn, the set's
+    optimum is its size and the targets are that order's, in closed form,
+    with no search; else both come from the full search, which raises
+    InstanceTooLarge when it holds ``memo_cap`` states.
     """
-    order = range(len(values) - 1, -1, -1)  # (m): the kernel's first dive
-    if (steps := _in_turn(values, order, unit)) is None:
+    if (order := _repairing_order(values, unit)) is None:
         return _solve(values, unit, memo_cap, -1)
-    return len(values), tuple([i for i, taken in zip(order, steps) for _ in range(taken)])
+    return len(values), tuple([i for i, taken in zip(order, _in_turn(values, order, unit)) for _ in range(taken)])
 
 
 def _settled(values: _Slice, unit: int) -> Optional[bool]:
     """The set's verdict by rules (i) and (n), None when neither gives one.
 
     False when the lifetime bound (i) refutes the set; True when some
-    order of sequential repairs saves every member (n), tried first in
-    (lifetime, position) order; False when none does and every member's
-    decay is at least its rate.
+    order of sequential repairs saves every member (n); False when none
+    does and every member's decay is at least its rate.
     """
-    size = len(values)
-    lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
-    by_lifetime = sorted(range(size), key=lifetimes.__getitem__)  # ties in position order
-    if len(schedulable(lifetimes, by_lifetime, 1)) < size:
-        return False
-    if _in_turn(values, by_lifetime, unit) is not None or _some_order_repairs(values, unit):
+    lifetimes = sorted([-(-health // dec) for dec, _, health in values])  # ceil(h / dec)
+    if any([lifetime <= i for i, lifetime in enumerate(lifetimes)]):
+        return False  # (i): the i + 1 shortest lifetimes need i + 1 distinct first-target steps below the longest
+    if _repairing_order(values, unit) is not None:
         return True
     return False if all(dec >= inc for dec, inc, _ in values) else None
 
 
-def _some_order_repairs(values: _Slice, unit: int) -> bool:
-    """Rule (n): whether the members, repaired in turn in some order, each until it reaches ``unit``, all reach it.
+def _repairing_order(values: _Slice, unit: int) -> Optional[Sequence[int]]:
+    """Rule (n): an order in which repairing the members in turn, each until it reaches ``unit``, repairs them all.
 
-    A DP over the sets of members repaired so far, layer by layer in their
-    size, that keeps the fewest steps each reachable set takes.
+    The (lifetime, position) order when it repairs the set; else the order
+    with the fewest steps that a DP over the sets of members repaired in
+    turn finds, layer by layer in their size, keeping the fewest steps and
+    an order that takes them for each set it reaches; None when no order
+    repairs the set.
     """
-    fewest = {0: 0}  # the members repaired in turn so far, as a mask -> the fewest steps that takes
+    by_lifetime = sorted(range(len(values)), key=lambda i: -(-values[i][2] // values[i][0]))  # ties in position order
+    if _in_turn(values, by_lifetime, unit) is not None:
+        return by_lifetime
+    fewest = {0: (0, ())}  # the members repaired in turn so far, as a mask -> the fewest steps, and an order taking them
     for _ in values:
-        reached: dict[int, int] = {}
-        for mask, spent in fewest.items():
+        reached: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for mask, (spent, order) in fewest.items():
             for i, (dec, inc, health) in enumerate(values):
                 if not mask >> i & 1 and (health := health - spent * dec) > 0:
                     done = spent - ((health - unit) // inc)  # plus ceil((unit - health) / inc) targeted steps
                     key = mask | 1 << i
-                    if done < reached.get(key, done + 1):
-                        reached[key] = done
+                    if key not in reached or done < reached[key][0]:
+                        reached[key] = (done, order + (i,))
         fewest = reached
-    return bool(fewest)  # the one mask left, if any, holds every member
+    return next(iter(fewest.values()))[1] if fewest else None  # the one mask left, if any, holds every member
 
 
 def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[list[int]]:
@@ -593,8 +577,9 @@ def oracle_optimal(
     rounds lose neither the optimum nor that witness.  What the walk reads
     of the scenario alone, ``Scenario.walk_root``, is worked out at the
     first call on a scenario and kept with it.  Raises InstanceTooLarge when
-    (M+1)^N exceeds ``cap``, or when a search it makes, during the walk or
-    for the witness, holds ``memo_cap`` health vectors.  Raises
+    (M+1)^N exceeds ``cap``, when the walk, which recurses once per node,
+    runs out of stack, or when a search it makes, during the walk or for
+    the witness, holds ``memo_cap`` health vectors.  Raises
     SearchInconsistency when the replay does not repair the summed
     per-entity optima, or that sum is not the walk's allocated count.
     """
@@ -655,10 +640,13 @@ def oracle_optimal(
             slices[k] = held
             members.pop()
 
-    visit(0, 0, 0, everything, root.rank, ceiling)
-    if best_sets is None:  # (l): no leaf reaches B, so the ascending walk, under B - 1
-        best_reward, ceiling = -1, ceiling - 1
+    try:
         visit(0, 0, 0, everything, root.rank, ceiling)
+        if best_sets is None:  # (l): no leaf reaches B, so the ascending walk, under B - 1
+            best_reward, ceiling = -1, ceiling - 1
+            visit(0, 0, 0, everything, root.rank, ceiling)
+    except RecursionError:  # the walk recurses once per node, and the stack runs out first
+        raise InstanceTooLarge(f"{n} nodes are too many for the walk, which recurses once per node") from None
     allocation = _allocation(scenario, best_sets)
     reward, trace, outcome = _witness(scenario, allocation, best_sets, memo_cap)
     if reward != best_reward:

@@ -334,6 +334,34 @@ def test_oracle_cap_exceeded(capsys):
     assert "81 assignments exceed the enumeration cap of 10" in err
 
 
+def test_oracle_on_a_walk_deeper_than_the_stack_exits_3(tmp_path, capsys):
+    # the walk recurses once per node: at 1,000 nodes, under a cap that
+    # admits 2^1000 assignments, it runs out of stack and the call fails
+    # as too large, naming the node count, with no traceback
+    path = tmp_path / "deep.json"
+    nodes = [{"id": f"n{i}", "v0": "0.5", "delta_dec": "0.25"} for i in range(1000)]
+    entities = [{"id": "e", "cost": "1", "delta_inc": {"default": "0.5"}}]
+    path.write_text(json.dumps({"nodes": nodes, "entities": entities, "budget": None}), encoding="utf-8")
+    rc = main(["oracle", str(path), "--cap", str(10**320)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: 1000 nodes are too many for the walk, which recurses once per node\n"
+
+
+def test_solve_trace_into_a_missing_directory_exits_1_after_the_result(tmp_path, capsys):
+    # a trace file that cannot be written ends the run as a file error,
+    # exit 1, after the result is printed, and with no traceback
+    trace_path = tmp_path / "missing" / "run.csv"
+    rc = main(["solve", scenario_path("repair_dominant"), "--policy", "alg2", "--trace", str(trace_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "reward: 2\n" in captured.out and "trace written" not in captured.out
+    assert captured.err.startswith("error: ") and str(trace_path) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not trace_path.exists()
+
+
 def test_examples_reports_the_known_mismatch(capsys):
     rc = main(["examples"])
     captured = capsys.readouterr()

@@ -163,7 +163,7 @@ def slot_rank(scenario: Scenario) -> int:
 
 
 def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
-    # the pooled bound, the slot bound, the seeded round and the first dive's
+    # the pooled bound, the slot bound, the seeded round and rule (n)'s
     # closed form against the scan: the oracle must return the scan's optimum,
     # first maximizer and witness trace, and the slot rank must be at least
     # that optimum
@@ -276,12 +276,12 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
     assert in_regime >= 20 and out_of_regime >= 20, (in_regime, out_of_regime)
 
 
-def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
-    # proof (m): when repairing the members one at a time from the highest
-    # position down repairs a set, the witness takes that schedule's targets
-    # without a kernel search, and they must be the full search's own; checked
-    # on every lone node and on sampled sets of the bundled scenarios and of
-    # draws of up to 8 x 3
+def test_the_closed_form_targets_repair_the_set_and_the_optimum_is_the_full_search_s(monkeypatch):
+    # a witness set that rule (n) finds an order for takes that order's
+    # targets without a kernel search: its optimum must be the full search's
+    # and the targets, stepped on the slice, must repair every member; a set
+    # that no order repairs is searched in full; checked on every lone node
+    # and on sampled sets of the bundled scenarios and of draws of up to 8 x 3
     solve = _kernel.solve_allocation
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     rng = random.Random(8123)
@@ -289,6 +289,7 @@ def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
     for _ in range(25):
         scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
     closed = {True: 0, False: 0}  # closed forms taken, for lone nodes and for larger sets
+    searched = 0
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = list(range(1, 1 << n))
@@ -297,13 +298,28 @@ def test_the_first_dive_s_targets_are_the_full_search_s(monkeypatch):
                 members = [j for j in range(n) if mask >> j & 1]
                 searches.clear()
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                result = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP)
+                optimum, targets = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP)
                 decs, rates, healths = zip(*values)
-                assert result == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP), scenario
-                assert not searches or len(members) > 1, scenario  # a lone node's first dive repairs it
-                if not searches:
+                assert optimum == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP)[0], scenario
+                if searches:
+                    assert len(members) > 1, scenario  # a lone node's one order repairs it, by (e)
+                    searched += 1
+                else:
+                    assert stepped(values, lattice.unit, targets) == [lattice.unit] * len(members), scenario
                     closed[len(members) == 1] += 1
-    assert min(closed.values()) >= 100, closed
+    assert min(closed.values()) >= 300 and searched >= 1000, (closed, searched)
+
+
+def stepped(values: tuple, unit: int, targets) -> list[int]:
+    """The slice's healths after one step per target, each target Active when it is taken; ``unit`` absorbs too."""
+    healths = [health for _, _, health in values]
+    for target in targets:
+        assert 0 < healths[target] < unit, (values, targets)
+        healths = [
+            min(h + inc, unit) if j == target else max(h - dec, 0) if 0 < h < unit else h
+            for j, ((dec, inc, _), h) in enumerate(zip(values, healths))
+        ]
+    return healths
 
 
 def bound_overflow_trio(budget) -> Scenario:
@@ -474,7 +490,7 @@ def test_the_oracle_replays_only_the_returned_witness(monkeypatch):
 # any optimum, witness or trace, so only these counts catch them
 KERNEL_SEARCHES = {
     "repair_dominant": 2,
-    "decay_dominant": 1,
+    "decay_dominant": 0,
     "online_suboptimal": 0,
     "largest_first_suboptimal": 0,
     "mixed_rates": 0,
@@ -627,7 +643,8 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     # decay equal to rate and rates above decay included, the DP's verdict
     # must be a brute force's over every order, a tight verdict the kernel's
     # decision search's, and where decays dominate every verdict the
-    # kernel's; the store must say tight exactly when the DP does
+    # kernel's; the store must say tight exactly when the DP does, and the
+    # order it returns must repair the set in turn
     rng = random.Random(3571)
     seen = {"tight": 0, "not tight": 0, "beyond the first order": 0, "decay = rate": 0, "decay > rate": 0}
     seen |= {"rate > decay, tight": 0, "rate > decay, not tight": 0}
@@ -641,8 +658,13 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
         values = tuple(values)
         decs, rates, healths = zip(*values)
         reward, _ = _kernel.solve_allocation(healths, unit, decs, rates, oracle.DEFAULT_CAP, len(values) - 1)
-        verdict = oracle._some_order_repairs(values, unit)
+        order = oracle._repairing_order(values, unit)
+        verdict = order is not None
         assert verdict is some_order_repairs(values, unit), (values, unit)
+        if verdict:  # the order found repairs the set in turn, by the closed form and by stepping
+            assert sorted(order) == list(range(len(values))), (values, unit)
+            assert oracle._in_turn(values, order, unit) is not None, (values, unit)
+            assert repairs_in_turn(values, unit, order), (values, unit)
         assert not verdict or reward == len(values), (values, unit)
         settled = oracle._settled(values, unit)
         assert settled is True if verdict else settled is not True, (values, unit)
@@ -716,6 +738,15 @@ def test_lone_nodes_are_searched_only_in_the_returned_allocation(monkeypatch):
     assert lone_sets >= 20  # the witnesses hold lone nodes to search
 
 
+def test_a_walk_deeper_than_the_stack_is_too_large():
+    # the walk recurses once per node, so at 1,000 nodes it runs out of stack
+    # before any leaf; the call fails as too large and names the node count
+    nodes = tuple(NodeSpec(f"n{i}", F(1, 2), F(1, 4)) for i in range(1000))
+    scenario = Scenario(nodes, (EntitySpec("e", F(1), {node.id: F(1, 2) for node in nodes}),), None)
+    with pytest.raises(InstanceTooLarge, match="^1000 nodes are too many for the walk, which recurses once per node$"):
+        oracle_optimal(scenario, cap=10**320)
+
+
 def test_sequencing_reward_demo_allocation():
     scenario = DEMOS["repair_dominant"]()
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
@@ -760,8 +791,8 @@ def test_sequencing_reward_single_entity_cannot_save_all_five():
 
 
 def test_sequencing_reward_respects_memo_cap():
-    # repairing "b" first lets "a" reach 0, so the first dive does not repair
-    # the trio's {"a", "b"}, and its full search runs under the cap
+    # no order of one-at-a-time repairs saves both of the trio's {"a", "b"},
+    # so its full search runs under the cap
     scenario = bound_overflow_trio(None)
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 5"):
@@ -891,47 +922,53 @@ def test_oracle_witness_is_deterministic():
     assert first.optimal_reward == second.optimal_reward
 
 
-# SHA-256 of (optimum, sorted witness allocation, witness trace rows) over the
-# bundled scenarios and 300 default draws of each family
-WITNESS_DIGEST = "fc404c4d9666a85894d4578902cdba853620e8e0dcaa9421019fd32cc57b4306"
+def digests(results) -> tuple[str, str]:
+    """SHA-256 of (optimum, sorted witness allocation, witness trace rows) over ``results``, and of (optimum, sorted
+    witness allocation) alone; the repr of ints, strings, tuples and None is the same under every hash seed and
+    Python version."""
+    full, allocations = hashlib.sha256(), hashlib.sha256()
+    for result in results:
+        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
+        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
+        full.update(repr((result.optimal_reward, allocation, rows)).encode())
+        allocations.update(repr((result.optimal_reward, allocation)).encode())
+    return full.hexdigest(), allocations.hexdigest()
+
+
+# the digests over the bundled scenarios and 300 default draws of each family;
+# the full digests were re-recorded when each witness set that some order
+# repairs in turn began to take rule (n)'s order, and the allocation digests,
+# recorded before that, did not move
+WITNESS_DIGEST = "a826314ac6a82abdaeff6c24b94149026e34e40a84795bac01fe21e0a432943e"
+WITNESS_ALLOCATION_DIGEST = "79c2034ad00d7160991c2b2a129ce9f7effef509924adae8875aaf7ce4cd8cbc"
 
 
 def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
     # any change to the walk, the verdict store or the closed-form targets
     # that moves an optimum, a witness allocation or a witness trace on these
-    # draws changes the digest; the repr of ints, strings, tuples and None
-    # is the same under every hash seed and Python version
+    # draws changes the full digest; only a change to an optimum or a witness
+    # allocation changes the allocation digest
     scenarios = [build() for build in DEMOS.values()]
     for family, seed in ((random_repair_dominant, 20260818), (random_uniform_regime, 20260819)):
         rng = random.Random(seed)
         scenarios += [family(rng) for _ in range(300)]
-    digest = hashlib.sha256()
-    for scenario in scenarios:
-        result = oracle_optimal(scenario)
-        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
-        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
-        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
-    assert digest.hexdigest() == WITNESS_DIGEST
+    assert digests(oracle_optimal(scenario) for scenario in scenarios) == (WITNESS_DIGEST, WITNESS_ALLOCATION_DIGEST)
 
 
-# the same digest over 100 half_or_double_rates draws, whose sets mix rates
+# the same digests over 100 half_or_double_rates draws, whose sets mix rates
 # above and below their decays, so that rule (n) leaves some to the kernel,
 # and the kernel searches those draws make in all: decision searches, and
-# full searches for witness sets whose first dive fails
-MIXED_RATES_DIGEST = "854fb2d01d8ef4765de86d2a502389b220cfe0d2919984a207944e03b3049435"
-MIXED_RATES_SEARCHES = 353
+# full searches for witness sets that no order repairs
+MIXED_RATES_DIGEST = "8c0b5fb959e52119243b9ecb23a0af9aaebadd3862dfa9071eaa1ed8feb1be51"
+MIXED_RATES_ALLOCATION_DIGEST = "eb1ee43cf9b1c705a87f759de519f051d5636b4b666e6861de4678b9ab567a31"
+MIXED_RATES_SEARCHES = 318
 
 
 def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest(monkeypatch):
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     rng = random.Random(20261020)
-    digest = hashlib.sha256()
-    for scenario in [half_or_double_rates(rng) for _ in range(100)]:
-        result = oracle_optimal(scenario)
-        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
-        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
-        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
-    assert digest.hexdigest() == MIXED_RATES_DIGEST
+    results = [oracle_optimal(half_or_double_rates(rng)) for _ in range(100)]
+    assert digests(results) == (MIXED_RATES_DIGEST, MIXED_RATES_ALLOCATION_DIGEST)
     assert len(searches) == MIXED_RATES_SEARCHES
 
 
@@ -947,38 +984,28 @@ def reach_draws(family, nodes: int, entities: int, count: int) -> list[Scenario]
     return draws
 
 
-# the same digest over the first six uniform 16 x 4 and the first ten uniform
-# 12 x 4 draws, at a cap that admits them; recorded before the slot bound (o)
-# and the twin rule (p), which cut most on these draws
-REACH_DIGEST = "8da552a69fa124158108a770d6481c8bca8afca692e3989c95fadace0288b848"
+# the same digests over the first six uniform 16 x 4 and the first ten uniform
+# 12 x 4 draws, at a cap that admits them
+REACH_DIGEST = "14bd4564f9ae81630d505c9d7920f2cbace8b2a40ec87d39759ab5021c0199fc"
+REACH_ALLOCATION_DIGEST = "c823e8958cd8ca652f48445036b1d255e319cd9af790f36ffe1cd13b09d4b8fa"
 
 
 def test_the_oracle_s_optima_and_witnesses_on_wide_uniform_draws_match_a_recorded_digest():
-    digest = hashlib.sha256()
-    for scenario in reach_draws(random_uniform_regime, 16, 4, 6) + reach_draws(random_uniform_regime, 12, 4, 10):
-        result = oracle_optimal(scenario, cap=10**15)
-        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
-        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
-        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
-    assert digest.hexdigest() == REACH_DIGEST
+    draws = reach_draws(random_uniform_regime, 16, 4, 6) + reach_draws(random_uniform_regime, 12, 4, 10)
+    assert digests(oracle_optimal(scenario, cap=10**15) for scenario in draws) == (REACH_DIGEST, REACH_ALLOCATION_DIGEST)
 
 
-# the same digest over the first eight repair-dominant 12 x 3, six 14 x 3 and
-# six 20 x 4 draws, where the walk's store decides most of the sets; recorded
-# before the store became the walk's map from slice to verdict
-REPAIR_DOMINANT_REACH_DIGEST = "85c0372f7e60daeb0e8ace57ff81c9bd6c6a866c8fb74b491f43ff8b7dc048ad"
+# the same digests over the first eight repair-dominant 12 x 3, six 14 x 3 and
+# six 20 x 4 draws, where the walk's store decides most of the sets
+REPAIR_DOMINANT_REACH_DIGEST = "90f9b43ae307ea311575d77a7c2341352fc224c34a7833203f1404dd02dda240"
+REPAIR_DOMINANT_REACH_ALLOCATION_DIGEST = "cef3055e715609ce9f4cebe33c8f4e28a0483c56a53c87e3fc5d48206ab52b39"
 
 
 def test_the_oracle_s_optima_and_witnesses_on_wide_repair_dominant_draws_match_a_recorded_digest():
-    digest = hashlib.sha256()
     draws = (
         reach_draws(random_repair_dominant, 12, 3, 8)
         + reach_draws(random_repair_dominant, 14, 3, 6)
         + reach_draws(random_repair_dominant, 20, 4, 6)
     )
-    for scenario in draws:
-        result = oracle_optimal(scenario, cap=10**15)
-        allocation = sorted((eid, sorted(nodes)) for eid, nodes in result.witness_allocation.sets.items())
-        rows = [(tuple(step.healths), sorted(step.actions.items())) for step in result.witness_trace.steps]
-        digest.update(repr((result.optimal_reward, allocation, rows)).encode())
-    assert digest.hexdigest() == REPAIR_DOMINANT_REACH_DIGEST
+    expected = (REPAIR_DOMINANT_REACH_DIGEST, REPAIR_DOMINANT_REACH_ALLOCATION_DIGEST)
+    assert digests(oracle_optimal(scenario, cap=10**15) for scenario in draws) == expected
