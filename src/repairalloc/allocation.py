@@ -139,7 +139,7 @@ class _OnlineAssignment:
 
     @staticmethod
     def step_bound(scenario: Scenario) -> int:
-        """Steps within which every online run on ``scenario`` absorbs: the longest lifetime + max ceil(unit / inc).
+        """Steps within which every online run on ``scenario`` absorbs: the longest lifetime + ceil(unit / min(inc)).
 
         Each node switches from decay to repair at most once, since it is
         assigned at most once, and a targeted node keeps its entity until it
@@ -153,8 +153,8 @@ class _OnlineAssignment:
         ratio is the exact Fraction's.
         """
         lattice = scenario.lattice
-        rising = max(-(-lattice.unit // inc) for incs in lattice.incs.values() for inc in incs)
-        return max(lattice.lifetimes) + rising
+        slowest = min(min(incs) for incs in lattice.incs.values())
+        return max(lattice.lifetimes) - (-lattice.unit // slowest)  # plus ceil(unit / inc) for the slowest rate
 
 
 def run_online_policy(scenario: Scenario, force: bool = False) -> OnlineRunResult:

@@ -17,15 +17,21 @@ package error, such as an oracle witness that does not replay to the
 searched reward or a policy that breaks the rules; always a bug).
 A usage error, such as ``solve`` without ``--policy`` or ``oracle --cap x``,
 exits 2 too: argparse prints a ``usage:`` line and the error to stderr,
-and ``main`` raises ``SystemExit(2)`` instead of returning.
+and ``main`` raises ``SystemExit(2)`` instead of returning.  A reader that
+closes stdout early, as ``| head`` does, does not end the run: the rest of
+its output goes to ``os.devnull``, a ``--trace`` file is still written, and
+the run exits with the code it gives when the reader takes every line,
+with nothing more on stderr.  A ``--trace`` pipe whose reader has gone is
+a file the user named, and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from repairalloc import demos
 from repairalloc.allocation import allocate_budgeted, run_online_policy
@@ -63,14 +69,54 @@ _EXITS: dict[type[Exception], tuple[int, str]] = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The command prints through ``_Stdout``.  If stdout's reader goes away,
+    ``sys.stdout`` is left bound to ``os.devnull`` when ``main`` returns, so
+    that the interpreter's flush at exit has nothing left to fail on;
+    otherwise it is put back as it was.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout = _Stdout(sys.stdout)
     try:
         return args.func(args)
     except tuple(_EXITS) as exc:
         code, prefix = next(row for kind, row in _EXITS.items() if isinstance(exc, kind))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
+    finally:
+        stdout.flush()
+        sys.stdout = stdout.stream
+
+
+class _Stdout:
+    """Stdout for one command, which outlives its reader.
+
+    The first write or flush that finds the reader gone sends the rest of
+    the output to ``os.devnull``, so the command runs to its end and
+    returns its own code.  A closed stdout is not a file the user named,
+    so its ``BrokenPipeError`` never reaches ``_EXITS``.
+    """
+
+    def __init__(self, stream: TextIO) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            return self._reader_gone().write(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._reader_gone()
+
+    def _reader_gone(self) -> TextIO:
+        self.stream = open(os.devnull, "w")
+        return self.stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,7 +252,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(line)
     _print_outcome(outcome, trace)
     if args.trace:
-        write_trace_csv(trace, args.trace)
+        try:
+            write_trace_csv(trace, args.trace)
+        except BrokenPipeError as exc:  # a failed write names no file, so name the pipe the user gave
+            raise OSError(f"{args.trace}: {exc.strerror}") from exc
         print(f"trace written to {args.trace}")
     return EXIT_OK
 

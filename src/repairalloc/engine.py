@@ -71,13 +71,13 @@ class SequencingPolicy(Protocol):
     ) -> Actions: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     healths: IntVec
     actions: Actions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """Rows t = 0 .. terminal_step; the last row has no actions.
 
@@ -107,7 +107,7 @@ class Trace:
         return Fraction(self.steps[t].healths[self.node_ids.index(node_id)], self.unit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     reward: int
     repaired: frozenset[str]
@@ -196,7 +196,7 @@ def _run_to_absorption(
     t = 0
     while True:
         if not active:
-            rows.append(TraceStep(ints, {entity_id: None for entity_id in scenario.entity_ids}))
+            rows.append(TraceStep(ints, dict.fromkeys(scenario.entity_ids)))
             return Trace(node_ids=scenario.node_ids, entity_ids=scenario.entity_ids, steps=tuple(rows), unit=unit)
         if step_bound is None:
             if ints in seen_healths:

@@ -304,23 +304,20 @@ class Allocation:
         full: dict[str, frozenset[str]] = {}
         owner: dict[str, str] = {}
         positions = scenario.lattice.positions
-        for entity in scenario.entities:
-            given = sets.get(entity.id, frozenset())
+        for entity_id in scenario.entity_ids:
+            given = sets.get(entity_id, frozenset())
             if isinstance(given, str):  # frozenset("ab") would be the nodes "a" and "b"
-                raise TypeError(f"entity {entity.id!r}: its nodes must be a set of node ids, not the string {given!r}")
+                raise TypeError(f"entity {entity_id!r}: its nodes must be a set of node ids, not the string {given!r}")
             assigned = frozenset(given)
-            unknown = [node_id for node_id in assigned if node_id not in positions]
-            if unknown:
-                raise ValueError(f"entity {entity.id!r}: unknown nodes {sorted(unknown)}")
-            overlap = [node_id for node_id in assigned if node_id in owner]
-            if overlap:
-                raise ValueError(f"allocation sets must be disjoint; {sorted(overlap)} appear twice")
+            if unknown := assigned.difference(positions):
+                raise ValueError(f"entity {entity_id!r}: unknown nodes {sorted(unknown)}")
+            if not owner.keys().isdisjoint(assigned):
+                raise ValueError(f"allocation sets must be disjoint; {sorted(assigned & owner.keys())} appear twice")
             for node_id in assigned:
-                owner[node_id] = entity.id
-            full[entity.id] = assigned
-        unknown_entities = set(sets) - set(scenario.entity_ids)
-        if unknown_entities:
-            raise ValueError(f"unknown entities in allocation: {sorted(unknown_entities)}")
+                owner[node_id] = entity_id
+            full[entity_id] = assigned
+        if not full.keys() >= sets.keys():
+            raise ValueError(f"unknown entities in allocation: {sorted(sets.keys() - full.keys())}")
         ledger = scenario.ledger
         spent = sum(cost * len(full[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids))
         return Allocation(sets=full, total_cost=Fraction(spent, ledger.scale), owner=owner)
@@ -400,9 +397,8 @@ def check_assumption2(scenario: Scenario) -> AssumptionReport:
     decs = set(lattice.decs)
     if len(decs) > 1:
         violations.append(f"delta_dec must be uniform across nodes, got {sorted({str(n.delta_dec) for n in scenario.nodes})}")
-    costs = {entity.cost for entity in scenario.entities}
-    if len(costs) > 1:
-        violations.append(f"entity costs must be equal, got {sorted(map(str, costs))}")
+    if len(set(scenario.ledger.costs)) > 1:  # the ledger's integers, equal exactly when the costs are
+        violations.append(f"entity costs must be equal, got {sorted({str(entity.cost) for entity in scenario.entities})}")
 
     entity_rates: dict[str, int] = {}
     for entity in scenario.entities:

@@ -97,8 +97,11 @@ The walk carries each entity's members down the tree, in node order, and
 next to them the set's *slice* of the scenario's integer lattice: each
 member's (decay, rate, health), in the same order.  A child extends its
 entity's slice by its node's row.  The walk's *store* is one map local to
-the call, from each slice of two or more members that it decided to
-whether that set is tight; a lone node needs no entry, by (e).  A search
+the call, from each slice of two or more members that it decided to its
+verdict: False when the set is not tight, the order that (n) found when
+one repairs the set in turn, and True when only the decision search
+found the set tight; a lone node needs no entry, by (e).  The walk reads
+only whether a verdict is False; the witness reads the order.  A search
 runs on the slice in exact integer arithmetic, and the witness and the
 returned ``Allocation`` read the members.  A new slice is decided by (i)
 and (n) below where they can, else by its decision search, and a slice
@@ -108,10 +111,11 @@ decided before, by (f):
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
   search's floor, |S| - 1, is fixed by the slice's length.  Rules (i)
   and (n) below read nothing but the slice either, and each gives the
-  verdict the set's own search gives.  So the store keys each verdict on
-  the slice alone, and a set whose slice was decided before, for the same
-  entity or for another with equal rates on those nodes, gets that
-  verdict.
+  verdict the set's own search gives; the order (n) finds is a function
+  of the slice too.  So the store keys each verdict, and each tight
+  slice's order, on the slice alone, and a set whose slice was decided
+  before, for the same entity or for another with equal rates on those
+  nodes, gets that verdict and that order.
 
 Rule (i), and the order that (n) tries first, read each member's
 lifetime L_j = ceil(h_j / dec_j) off the slice, as ``model.Lattice``
@@ -177,10 +181,11 @@ L_j on, since 0 absorbs.
   some order repairs S, not tight when none does and every decay is at
   least its rate, and leaves the other sets to the kernel; in the regime
   no decision is left to it.  The order it finds, the first one or the
-  DP's for all of S, gives the witness its targets below.
+  DP's for all of S, is the set's verdict in the store, and gives the
+  witness its targets below.
 
-Each rule gives only whether the decision search's reward is |S|, that
-is, whether S is tight, which is all the walk reads of a decision: (i)
+Of each verdict the walk reads only whether the decision search's reward
+is |S|, that is, whether S is tight, and each rule gives that: (i)
 says not tight only of sets that are not; (n) says which a set is where
 decay dominates, and elsewhere tight only of sets that are; and (f)
 repeats the verdict of an equal slice.  A set none of them decides gets
@@ -288,13 +293,16 @@ Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
 maximizer, becomes an ``Allocation``.  Each of its sets gets its reward
-and targets by the path ``optimal_sequencing_reward`` takes too.  When
-(n) finds an order that repairs the set in turn, the set's optimum is
-its size, since no schedule repairs more, and its targets are that
-order's, in closed form: the member whose turn comes after T steps is
-targeted ceil((unit - h') / inc) times, h' being its health then, as in
-(n); every lone node takes this path, by (e).  Else the set's own full
-search gives both.  So its witness trace is the one a scan finds.  That
+and targets from its verdict, which the witness reads from the store; a
+lone node's one order is its own verdict, by (e), and
+``optimal_sequencing_reward``, which has no store, gives each set the
+verdict (i) and (n) give it.  When the verdict is an order that repairs
+the set in turn, the set's optimum is its size, since no schedule
+repairs more, and its targets are that order's, in closed form: the
+member whose turn comes after T steps is targeted ceil((unit - h') / inc)
+times, h' being its health then, as in (n).  Else the set's own full
+search gives both.  The order is the one (n) finds on the slice, with a
+store or without, so the witness trace is the one a scan finds.  That
 witness is replayed once through the simulator.  Two checks hold the
 result to the proofs, and either raises SearchInconsistency: the replay
 must repair the summed per-entity optima, and that sum must equal the
@@ -305,7 +313,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
@@ -318,6 +326,9 @@ DEFAULT_CAP = 10**6
 # A set's slice of the lattice: (decay, rate, health) of each member, in node order,
 # which the walk carries next to the members and keys its store on.
 _Slice = tuple[tuple[int, int, int], ...]
+# A slice's verdict in the walk's store: False when its set is not tight, the order in
+# which rule (n) repairs the set in turn, or True when the kernel decided it tight.
+_Verdict = Union[bool, Sequence[int]]
 
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
@@ -373,14 +384,17 @@ def optimal_sequencing_reward(
     allocation.require_budget(scenario)
     positions = scenario.lattice.positions
     sets = [sorted(positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids]
-    reward, trace, _ = _witness(scenario, allocation, sets, memo_cap)
+    reward, trace, _ = _witness(scenario, allocation, sets, memo_cap, {})
     return reward, trace
 
 
-def _decide(values: _Slice, unit: int, memo_cap: int) -> bool:
-    """Whether a set of two or more members with slice ``values`` is tight: rules (i) and (n), else its decision search.
+def _decide(values: _Slice, unit: int, memo_cap: int) -> _Verdict:
+    """The verdict on a set of two or more members with slice ``values``: rules (i) and (n), else its decision search.
 
-    Raises InstanceTooLarge when the decision search holds ``memo_cap`` states.
+    False when the set is not tight, the order that rule (n) found when
+    one repairs the set in turn, and True when the decision search finds it
+    tight.  Raises InstanceTooLarge when the decision search holds
+    ``memo_cap`` states.
     """
     verdict = _settled(values, unit)
     if verdict is None:
@@ -393,44 +407,49 @@ def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, t
     return _kernel.solve_allocation(healths, unit, decs, incs, memo_cap, floor)
 
 
-def _optimum(values: _Slice, unit: int, memo_cap: int) -> tuple[int, tuple[int, ...]]:
+def _optimum(values: _Slice, unit: int, memo_cap: int, verdict: Optional[_Verdict]) -> tuple[int, tuple[int, ...]]:
     """The set's optimum on its slice and the slice positions that an optimal schedule targets.
 
-    When rule (n) finds an order that repairs the set in turn, the set's
-    optimum is its size and the targets are that order's, in closed form,
-    with no search; else both come from the full search, which raises
-    InstanceTooLarge when it holds ``memo_cap`` states.
+    ``verdict`` is the set's verdict from the walk's store, or None where
+    no store holds one, and then rules (i) and (n) give it here.  When it
+    is an order that repairs the set in turn, the set's optimum is its
+    size and the targets are that order's, in closed form, with no search;
+    else both come from the full search, which raises InstanceTooLarge
+    when it holds ``memo_cap`` states.
     """
-    if (order := _repairing_order(values, unit)) is None:
+    if verdict is None:
+        verdict = _settled(values, unit)
+    if not verdict or verdict is True:
         return _solve(values, unit, memo_cap, -1)
-    return len(values), tuple([i for i, taken in zip(order, _in_turn(values, order, unit)) for _ in range(taken)])
+    return len(values), tuple([i for i, taken in zip(verdict, _in_turn(values, verdict, unit)) for _ in range(taken)])
 
 
-def _settled(values: _Slice, unit: int) -> Optional[bool]:
+def _settled(values: _Slice, unit: int) -> Optional[_Verdict]:
     """The set's verdict by rules (i) and (n), None when neither gives one.
 
-    False when the lifetime bound (i) refutes the set; True when some
-    order of sequential repairs saves every member (n); False when none
-    does and every member's decay is at least its rate.
+    False when the lifetime bound (i) refutes the set; the order that
+    ``_repairing_order`` finds when some order of sequential repairs saves
+    every member (n); False when none does and every member's decay is at
+    least its rate.
     """
-    lifetimes = sorted([-(-health // dec) for dec, _, health in values])  # ceil(h / dec)
-    if any([lifetime <= i for i, lifetime in enumerate(lifetimes)]):
+    lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
+    by_lifetime = sorted(range(len(values)), key=lifetimes.__getitem__)  # ties in position order
+    if any([lifetimes[j] <= i for i, j in enumerate(by_lifetime)]):
         return False  # (i): the i + 1 shortest lifetimes need i + 1 distinct first-target steps below the longest
-    if _repairing_order(values, unit) is not None:
-        return True
+    if (order := _repairing_order(values, unit, by_lifetime)) is not None:
+        return order
     return False if all(dec >= inc for dec, inc, _ in values) else None
 
 
-def _repairing_order(values: _Slice, unit: int) -> Optional[Sequence[int]]:
+def _repairing_order(values: _Slice, unit: int, by_lifetime: Sequence[int]) -> Optional[Sequence[int]]:
     """Rule (n): an order in which repairing the members in turn, each until it reaches ``unit``, repairs them all.
 
-    The (lifetime, position) order when it repairs the set; else the order
-    with the fewest steps that a DP over the sets of members repaired in
-    turn finds, layer by layer in their size, keeping the fewest steps and
-    an order that takes them for each set it reaches; None when no order
-    repairs the set.
+    ``by_lifetime``, the members in (lifetime, position) order, when it
+    repairs the set; else the order with the fewest steps that a DP over
+    the sets of members repaired in turn finds, layer by layer in their
+    size, keeping the fewest steps and an order that takes them for each
+    set it reaches; None when no order repairs the set.
     """
-    by_lifetime = sorted(range(len(values)), key=lambda i: -(-values[i][2] // values[i][0]))  # ties in position order
     if _in_turn(values, by_lifetime, unit) is not None:
         return by_lifetime
     fewest = {0: (0, ())}  # the members repaired in turn so far, as a mask -> the fewest steps, and an order taking them
@@ -471,11 +490,14 @@ def _witness(
     allocation: Allocation,
     sets: Sequence[Sequence[int]],
     memo_cap: int,
+    tight: Mapping[_Slice, _Verdict],
 ) -> tuple[int, Trace, Outcome]:
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
     Each entity's set (its members, in increasing position) takes its
-    reward and targets from ``_optimum`` on its slice, the targets as
+    reward and targets from ``_optimum`` on its slice, given the slice's
+    verdict in ``tight``, a walk's store, or None where the store holds
+    none; a lone node's one order is its verdict.  The targets are
     positions in the slice, which its members map to node ids.  Step t of
     the script holds the entities whose targets run past t; ``simulate``
     records the others as idle.  Raises SearchInconsistency unless the
@@ -488,7 +510,8 @@ def _witness(
         if members:
             incs = lattice.incs[eid]
             values = tuple([(lattice.decs[j], incs[j], lattice.v0[j]) for j in members])
-            optimum, targets = _optimum(values, lattice.unit, memo_cap)
+            verdict = (0,) if len(values) == 1 else tight.get(values)  # a lone node's one order repairs it, by (e)
+            optimum, targets = _optimum(values, lattice.unit, memo_cap, verdict)
             reward += optimum
             script.extend({} for _ in range(len(targets) - len(script)))
             for actions, target in zip(script, targets):
@@ -594,7 +617,7 @@ def oracle_optimal(
     by_lifetime, twins = root.by_lifetime, root.twins
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     slices: list[_Slice] = [() for _ in costs]  # each entity's slice of its members
-    tight: dict[_Slice, bool] = {}  # the store: a slice of two or more members -> tight or not tight
+    tight: dict[_Slice, _Verdict] = {}  # the store: a slice of two or more members -> its verdict
     # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
     ranks: dict[int, int] = {}
 
@@ -648,7 +671,7 @@ def oracle_optimal(
     except RecursionError:  # the walk recurses once per node, and the stack runs out first
         raise InstanceTooLarge(f"{n} nodes are too many for the walk, which recurses once per node") from None
     allocation = _allocation(scenario, best_sets)
-    reward, trace, outcome = _witness(scenario, allocation, best_sets, memo_cap)
+    reward, trace, outcome = _witness(scenario, allocation, best_sets, memo_cap, tight)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

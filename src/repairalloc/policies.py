@@ -131,7 +131,7 @@ class Scripted:
 
         After the script every entity idles.  A node still Active then has
         health below 1 and loses its delta_dec each step, so it reaches 0
-        within ceil(1 / delta_dec) = ceil(unit / dec) more steps.
+        within ceil(1 / delta_dec) = ceil(unit / dec) more steps, at most
+        ceil(unit / min(dec)).
         """
-        unit = scenario.lattice.unit
-        return len(self.script) + max(-(-unit // dec) for dec in scenario.lattice.decs)
+        return len(self.script) - (-scenario.lattice.unit // min(scenario.lattice.decs))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repairalloc import demos, oracle
-from repairalloc.cli import main
+from repairalloc import cli, demos, oracle
+from repairalloc.cli import EXIT_ASSUMPTION, EXIT_MISMATCH, EXIT_OK, main
 from repairalloc.engine import verify_trace
 from repairalloc.errors import InstanceTooLarge, SearchInconsistency
 from repairalloc.model import Allocation, Scenario
@@ -362,6 +364,21 @@ def test_solve_trace_into_a_missing_directory_exits_1_after_the_result(tmp_path,
     assert not trace_path.exists()
 
 
+def test_solve_trace_into_a_pipe_whose_reader_has_gone_exits_1(monkeypatch, tmp_path, capsys):
+    # a broken pipe while writing the --trace file the user named is a file
+    # error, exit 1 naming the path, not the quiet exit of a closed stdout
+    def broken(trace, path):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "write_trace_csv", broken)
+    trace_path = tmp_path / "fifo"
+    rc = main(["solve", scenario_path("repair_dominant"), "--policy", "alg2", "--trace", str(trace_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "reward: 2\n" in captured.out and "trace written" not in captured.out
+    assert captured.err == f"error: {trace_path}: Broken pipe\n"
+
+
 def test_examples_reports_the_known_mismatch(capsys):
     rc = main(["examples"])
     captured = capsys.readouterr()
@@ -431,13 +448,77 @@ def test_examples_passes_once_recorded_value_is_corrected(monkeypatch, capsys):
     assert captured.err == ""
 
 
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under ``| head -1``: its ``write`` or its ``flush`` raises BrokenPipeError."""
+
+    def __init__(self, failing: str) -> None:
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["oracle", scenario_path("repair_dominant")], EXIT_OK),
+        (["check", scenario_path("mixed_rates")], EXIT_ASSUMPTION),
+        (["examples"], EXIT_MISMATCH),
+    ],
+    ids=["oracle", "check", "examples"],
+)
+def test_a_closed_stdout_keeps_the_command_s_own_exit_code(monkeypatch, argv, code, failing):
+    # a closed stdout is not a file the user named, so it takes no exit-1
+    # row: the command runs to its end and exits with the code it gives
+    # when the reader takes every line, whether the pipe breaks at the
+    # first line written or at main's flush, and stdout then points at
+    # os.devnull for the interpreter's flush at exit
+    closed, stderr = ClosedStdout(failing), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", closed)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    rc = main(argv)
+    devnull = sys.stdout
+    devnull.close()
+    assert rc == code
+    assert stderr.getvalue() == ("mismatched checks: mixed_costs_gap\n" if argv == ["examples"] else "")
+    assert devnull is not closed and devnull.name == os.devnull
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_closed_stdout_still_gets_the_trace_file_written(monkeypatch, tmp_path, failing):
+    closed, stderr = ClosedStdout(failing), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", closed)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    trace_path = tmp_path / "run.csv"
+    rc = main(["solve", scenario_path("repair_dominant"), "--policy", "alg2", "--trace", str(trace_path)])
+    sys.stdout.close()
+    assert rc == EXIT_OK
+    assert stderr.getvalue() == ""
+    assert trace_path.read_text(encoding="utf-8").startswith("t,")
+
+
+def test_a_working_stdout_is_put_back_after_the_run(capsys):
+    stdout = sys.stdout
+    assert main(["check", scenario_path("repair_dominant")]) == EXIT_OK
+    assert sys.stdout is stdout
+    assert "Assumption 1 holds" in capsys.readouterr().out
+
+
 def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
     # each witness set's search keeps its reward but drops its last target, so
     # the replay of a set it claims to repair in full leaves a node unrepaired
     real = oracle._optimum
 
-    def truncated(values, unit, memo_cap):
-        reward, targets = real(values, unit, memo_cap)
+    def truncated(values, unit, memo_cap, verdict):
+        reward, targets = real(values, unit, memo_cap, verdict)
         return reward, targets[:-1]
 
     monkeypatch.setattr(oracle, "_optimum", truncated)
@@ -454,8 +535,8 @@ def test_oracle_count_inconsistency_exits_5(monkeypatch, capsys):
     # agree at 2, and only the walk's allocated count of 3 disagrees
     real = oracle._optimum
 
-    def blind_to_lone_nodes(values, unit, memo_cap):
-        return (0, ()) if len(values) == 1 else real(values, unit, memo_cap)
+    def blind_to_lone_nodes(values, unit, memo_cap, verdict):
+        return (0, ()) if len(values) == 1 else real(values, unit, memo_cap, verdict)
 
     monkeypatch.setattr(oracle, "_optimum", blind_to_lone_nodes)
     with pytest.raises(SearchInconsistency, match="the witness sets repair 2, the walk counted 3"):

@@ -285,6 +285,68 @@ def test_allocation_build_rejects_bad_sets():
         Allocation.build(scenario, {"e": "ab"})
 
 
+def four_node_trio() -> Scenario:
+    ids = "abcd"
+    return Scenario(
+        nodes=tuple(NodeSpec(nid, F("0.5"), F("0.1")) for nid in ids),
+        entities=tuple(EntitySpec(eid, F(cost), {nid: F("0.7") for nid in ids}) for eid, cost in zip("efg", (1, 2, "1/3"))),
+        budget=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "sets, error, message",
+    [
+        pytest.param({"e": {"z", "a", "y", "x"}}, ValueError, "entity 'e': unknown nodes ['x', 'y', 'z']", id="unknown-nodes"),
+        pytest.param(
+            {"e": {"a", "c", "d"}, "f": {"b"}, "g": {"d", "c"}},
+            ValueError,
+            "allocation sets must be disjoint; ['c', 'd'] appear twice",
+            id="overlap",
+        ),
+        pytest.param({"e": {"a"}, "q": {"b"}, "p": set()}, ValueError, "unknown entities in allocation: ['p', 'q']", id="unknown-entities"),
+        pytest.param({"e": "ab"}, TypeError, "entity 'e': its nodes must be a set of node ids, not the string 'ab'", id="string"),
+        # the errors come entity by entity, in scenario order, and the unknown entities last
+        pytest.param({"f": {"a", "z"}, "g": {"a"}, "q": set()}, ValueError, "entity 'f': unknown nodes ['z']", id="unknown-first"),
+        pytest.param(
+            {"e": {"a"}, "f": {"a", "b"}, "g": "cd"},
+            ValueError,
+            "allocation sets must be disjoint; ['a'] appear twice",
+            id="overlap-before-a-later-string",
+        ),
+        pytest.param({"e": {"a"}, "g": {"a", "y"}}, ValueError, "entity 'g': unknown nodes ['y']", id="unknown-before-overlap"),
+        pytest.param({"f": {"a"}, "g": {"a"}, "q": set()}, ValueError, "allocation sets must be disjoint; ['a'] appear twice", id="overlap-before-unknown-entities"),
+        pytest.param({"e": {"b", "a"}, "g": {"d"}}, None, None, id="plain-set"),
+    ],
+)
+def test_allocation_build_names_what_is_wrong(sets, error, message):
+    scenario = four_node_trio()
+    if error is None:  # a plain set is taken as the frozenset of its ids, and a missing entity gets none
+        allocation = Allocation.build(scenario, sets)
+        assert allocation.sets == {"e": frozenset("ab"), "f": frozenset(), "g": frozenset("d")}
+        assert all(type(nodes) is frozenset for nodes in allocation.sets.values())
+        assert allocation.total_cost == F(2) + F(1, 3)
+        assert allocation.owner == {"a": "e", "b": "e", "d": "g"}
+        return
+    with pytest.raises(error) as raised:
+        Allocation.build(scenario, sets)
+    assert str(raised.value) == message
+
+
+def test_allocation_build_gives_the_cost_and_owners_of_its_sets():
+    # total_cost is the sum of each entity's exact cost times its set's size,
+    # and owner maps every allocated node to its entity, on seeded allocations
+    rng = random.Random(5531)
+    for _ in range(60):
+        scenario = random_repair_dominant(rng, max_nodes=7, max_entities=3)
+        owners = {nid: rng.choice([None, *scenario.entity_ids]) for nid in scenario.node_ids}
+        sets = {eid: {nid for nid, o in owners.items() if o == eid} for eid in scenario.entity_ids if rng.random() < 0.8}
+        allocation = Allocation.build(scenario, sets)
+        assert allocation.total_cost == sum((entity.cost * len(sets.get(entity.id, ())) for entity in scenario.entities), F(0))
+        assert allocation.owner == {nid: eid for eid, nodes in sets.items() for nid in nodes}
+        assert allocation.sets == {eid: frozenset(sets.get(eid, ())) for eid in scenario.entity_ids}
+
+
 def test_allocation_owner_follows_the_sets_and_stays_out_of_equality_and_repr():
     rng = random.Random(8821)
     for _ in range(40):

@@ -298,7 +298,7 @@ def test_the_closed_form_targets_repair_the_set_and_the_optimum_is_the_full_sear
                 members = [j for j in range(n) if mask >> j & 1]
                 searches.clear()
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                optimum, targets = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP)
+                optimum, targets = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP, None)  # no store
                 decs, rates, healths = zip(*values)
                 assert optimum == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP)[0], scenario
                 if searches:
@@ -447,17 +447,67 @@ def test_value_equal_sets_share_one_verdict(monkeypatch):
     # walk's store gives f the verdict of e's decision search, and f's set
     # never reaches a decision (rule (f)); f's cost is not e's, so the two
     # are not twins under the walk's rule (p), which would skip f's sets
-    # while e holds none
+    # while e holds none.  The kernel decides {"a", "b"} tight, so its
+    # verdict is True; rule (n) decides {"b", "c"}, so its verdict is the
+    # order that repairs it in turn
     scenario = overflow_below_the_bound(same_rates=True)
     assert slice_of(scenario, "e", "ab") == slice_of(scenario, "f", "ab")
     decided = decisions(monkeypatch)
     result = oracle_optimal(scenario)
-    assert decided == [
-        (slice_of(scenario, "e", "ab"), True, True),
-        (slice_of(scenario, "e", "abc"), False, False),
-        (slice_of(scenario, "e", "bc"), True, False),
+    bc = slice_of(scenario, "e", "bc")
+    assert [(values, searched) for values, _, searched in decided] == [
+        (slice_of(scenario, "e", "ab"), True),
+        (slice_of(scenario, "e", "abc"), False),
+        (bc, False),
     ]
+    (_, ab_verdict, _), (_, abc_verdict, _), (_, bc_verdict, _) = decided
+    assert ab_verdict is True and abc_verdict is False
+    assert repairs_in_turn(bc, scenario.lattice.unit, bc_verdict)
     assert result.optimal_reward == 2
+
+
+def test_the_store_keeps_each_order_rule_n_finds_and_the_witness_reads_it(monkeypatch):
+    # the walk's store holds, for each slice rule (n) decides tight, the
+    # order it found, so one oracle_optimal call runs rule (n) at most once
+    # for each distinct slice it decides and never while it builds the
+    # witness, which takes each set's order from the store; every stored
+    # order must repair its set in turn, in closed form and by stepping
+    decided = decisions(monkeypatch)
+    ordered: list[tuple] = []  # the slice of every rule (n) call
+    witnessing: list[int] = []  # the rule (n) calls made while the witness is built
+    repairing_order, witness = oracle._repairing_order, oracle._witness
+
+    def recording(values, unit, by_lifetime):
+        ordered.append(values)
+        return repairing_order(values, unit, by_lifetime)
+
+    def watched(*args):
+        before = len(ordered)
+        result = witness(*args)
+        witnessing.append(len(ordered) - before)
+        return result
+
+    monkeypatch.setattr(oracle, "_repairing_order", recording)
+    monkeypatch.setattr(oracle, "_witness", watched)
+    rng = random.Random(4409)
+    stored = 0
+    for _ in range(200):
+        scenario = random_uniform_regime(rng, max_nodes=8, max_entities=3)
+        unit = scenario.lattice.unit
+        decided.clear()
+        ordered.clear()
+        witnessing.clear()
+        oracle_optimal(scenario)
+        assert witnessing == [0], scenario
+        assert len(set(ordered)) == len(ordered), scenario
+        assert set(ordered) <= {values for values, _, _ in decided}, scenario
+        for values, verdict, searched in decided:
+            if verdict and verdict is not True:
+                assert not searched, scenario
+                assert oracle._in_turn(values, verdict, unit) is not None, scenario
+                assert repairs_in_turn(values, unit, verdict), scenario
+                stored += 1
+    assert stored >= 150, stored
 
 
 def counted(monkeypatch, owner, name: str) -> list[None]:
@@ -537,11 +587,11 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 size = len(values)
                 decs, rates, healths = zip(*values)
                 decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
-                assert verdict is (decision[0] == size), scenario
+                assert (verdict is not False) is (decision[0] == size), scenario
                 if lifetime_bound_refutes(values):
                     rule = "i"
                 elif some_order_repairs(values, lattice.unit):
-                    assert verdict is True, scenario
+                    assert repairs_in_turn(values, lattice.unit, verdict), scenario  # the order (n) found
                     rule = "n tight"
                 elif decays_dominate(values):
                     assert verdict is False, scenario
@@ -549,6 +599,8 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
                 else:
                     pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
+            else:
+                assert verdict is True or verdict is False, scenario  # the decision search's own verdict
     assert fired == {"i": 54, "n tight": 181, "n refuted": 83}, fired
 
 
@@ -611,7 +663,7 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
     for _ in range(25):
         scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
     scenarios += [half_or_double_rates(rng) for _ in range(25)]  # where sets outside (n)'s reach stay unsettled
-    settled = {False: 0, True: 0, None: 0, "n refuted": 0}
+    settled = {False: 0, "order": 0, None: 0, "n refuted": 0}
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = [mask for mask in range(1 << n) if mask.bit_count() > 1]
@@ -620,7 +672,7 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
                 members = [j for j in range(n) if mask >> j & 1]
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
                 verdict = oracle._settled(values, lattice.unit)
-                settled[verdict] += 1
+                settled[verdict if verdict is None or verdict is False else "order"] += 1
                 greedy = largest_repairable_subset(scenario, [scenario.nodes[j] for j in members])
                 if len(greedy) < len(members):
                     assert verdict is False, scenario  # (i)
@@ -631,7 +683,9 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
                 if verdict is not None:
                     decs, rates, healths = zip(*values)
                     reward, _ = _kernel.solve_allocation(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, len(members) - 1)
-                    assert (reward == len(members)) == verdict, scenario
+                    assert (reward == len(members)) is (verdict is not False), scenario
+                if verdict:  # a tight verdict is the order that repairs the set in turn
+                    assert repairs_in_turn(values, lattice.unit, verdict), scenario
     assert min(settled.values()) >= 50, settled
 
 
@@ -643,8 +697,8 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     # decay equal to rate and rates above decay included, the DP's verdict
     # must be a brute force's over every order, a tight verdict the kernel's
     # decision search's, and where decays dominate every verdict the
-    # kernel's; the store must say tight exactly when the DP does, and the
-    # order it returns must repair the set in turn
+    # kernel's; the store must hold the DP's order exactly when it finds
+    # one, and that order must repair the set in turn
     rng = random.Random(3571)
     seen = {"tight": 0, "not tight": 0, "beyond the first order": 0, "decay = rate": 0, "decay > rate": 0}
     seen |= {"rate > decay, tight": 0, "rate > decay, not tight": 0}
@@ -658,7 +712,8 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
         values = tuple(values)
         decs, rates, healths = zip(*values)
         reward, _ = _kernel.solve_allocation(healths, unit, decs, rates, oracle.DEFAULT_CAP, len(values) - 1)
-        order = oracle._repairing_order(values, unit)
+        by_lifetime = sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0])))
+        order = oracle._repairing_order(values, unit, by_lifetime)
         verdict = order is not None
         assert verdict is some_order_repairs(values, unit), (values, unit)
         if verdict:  # the order found repairs the set in turn, by the closed form and by stepping
@@ -667,10 +722,10 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
             assert repairs_in_turn(values, unit, order), (values, unit)
         assert not verdict or reward == len(values), (values, unit)
         settled = oracle._settled(values, unit)
-        assert settled is True if verdict else settled is not True, (values, unit)
+        assert settled == order if verdict else settled is None or settled is False, (values, unit)
         seen["beyond the first order"] += verdict and not earliest_deadline_first_repairs(values, unit)
         if decays_dominate(values):
-            assert verdict is (reward == len(values)) and settled is verdict, (values, unit)
+            assert verdict is (reward == len(values)) and (settled is not False) is verdict, (values, unit)
             seen["tight" if verdict else "not tight"] += 1
             seen["decay = rate" if any(dec == rate for dec, rate, _ in values) else "decay > rate"] += 1
         else:
