@@ -38,14 +38,14 @@ def largest_repairable_subset(scenario: Scenario, candidates: Iterable[NodeSpec]
     strictly exceeding (z - j) times its own delta_dec.
 
     One pass over the candidates in that order suffices, and it is
-    ``model.schedulable`` on one entity: a node passed over has a lifetime
-    at most the pick count, which never falls, so it could never be
-    picked later.
+    ``model.schedulable`` with the lifetimes as the capacity, one entity
+    with a slot at every step: a node passed over has a lifetime at most
+    the pick count, which never falls, so it could never be picked later.
     """
     nodes, lattice = scenario.nodes, scenario.lattice
     lifetimes, positions = lattice.lifetimes, lattice.positions
     order = sorted((positions[n.id] for n in candidates), key=lambda j: (lifetimes[j], nodes[j].id))
-    return [nodes[j] for j in schedulable(lifetimes, order, 1)]
+    return [nodes[j] for j in schedulable(lifetimes, order)]
 
 
 def allocate_budgeted(scenario: Scenario, force: bool = False) -> Allocation:

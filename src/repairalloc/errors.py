@@ -41,7 +41,14 @@ class NonAbsorbingPolicy(RepairAllocError):
 
 
 class InstanceTooLarge(RepairAllocError):
-    """An exhaustive search would exceed its configured size cap."""
+    """An exhaustive search would exceed one of its size limits.
+
+    Raised up front when a scenario's (M+1)^N assignments exceed the
+    enumeration ``cap`` of an oracle call or of
+    ``enumerate_feasible_allocations``, when a search holds ``memo_cap``
+    health vectors, and when the oracle's walk, which recurses once per
+    node, runs out of stack.
+    """
 
 
 class TraceMismatch(RepairAllocError):
@@ -49,9 +56,11 @@ class TraceMismatch(RepairAllocError):
 
 
 class SearchInconsistency(RepairAllocError):
-    """The exact search and the simulator disagree.
+    """The exact search and its proofs or the simulator disagree.
 
     Raised when a search witness, replayed through the simulator, does not
-    reproduce the reward the search claimed.  It is always a bug in the
-    search kernel or in the rescaling onto its integer lattice.
+    reproduce the reward the search claimed, and when the oracle's witness
+    sets repair a different count than its walk recorded, which a wrong
+    bound or cut would cause.  It is always a bug: in the search kernel,
+    in the rescaling onto its integer lattice, or in the oracle's walk.
     """

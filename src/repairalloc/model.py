@@ -19,7 +19,6 @@ budget, regime messages, and a trace's ``health_at`` and CSV cells.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -203,40 +202,36 @@ class Ledger:
     budget: int
 
 
-def schedulable(lifetimes: Sequence[int], order: Iterable[int], machines: int, slots: Sequence[int] = ()) -> list[int]:
-    """The positions of ``order`` kept by the greedy "keep j while fewer than c(lifetimes[j]) are kept".
+def schedulable(capacity: Sequence[int], order: Iterable[int]) -> list[int]:
+    """The positions of ``order`` kept by the greedy "keep j while fewer than capacity[j] are kept".
 
-    The slots are (entity, step) pairs: each of ``machines`` entities
-    offers one at every step, and ``slots``, in increasing order, lists
-    the steps of the others' slots.  A member may take a slot whose step
-    is below its lifetime, so a member of lifetime L has the c(L) =
-    machines * L + (the steps of ``slots`` below L) slots that every
-    member of lifetime at least L has too.  ``order`` must run in
-    increasing lifetime.  A set of nodes is *schedulable* when each member
-    can have its own slot; by Hall's theorem (Hall, "On representatives of
-    subsets", 1935) and these nested slot sets, that holds exactly when,
-    for every t, at most c(t) members have a lifetime of at most t.  The
-    greedy keeps a schedulable set, since every kept j has at most c(L_j)
-    kept members of lifetime at most L_j.  Schedulable sets are those with
-    a matching into the slots, so they form a matroid (a transversal one),
-    and the greedy keeps j exactly when j joins the kept set as a
-    schedulable set: the only new condition is the count at L_j, as every
-    member kept before j has a lifetime of at most L_j.  A position passed
-    over would make the set kept so far unschedulable, and so every later
-    kept set, which contains it, so the kept set is maximal; in a matroid
-    every maximal independent subset has the largest size, so the kept
-    count is the rank, the most members of ``order`` that can each take
-    their own slot.  With no ``slots`` that is the most that m entities
-    can each target once before their lifetimes run out; for m = 1 it is
-    unit-time scheduling with deadlines on one machine in earliest-deadline
-    order (Jackson, 1955).
+    The slots are (entity, step) pairs, and a member may take a slot whose
+    step is below its lifetime, so the slots open to a member of lifetime
+    L are open to every member of lifetime at least L too.
+    ``capacity[j]`` counts the slots open to member j; the slot sets are
+    nested, so two members of equal capacity have the same ones, and
+    ``order`` must run in increasing capacity.  A set of nodes is
+    *schedulable* when each member can have its own slot; by Hall's
+    theorem (Hall, "On representatives of subsets", 1935) and these
+    nested slot sets, that holds exactly when, for every c, at most c
+    members have a capacity of at most c.  The greedy keeps a schedulable
+    set, since every kept j has at most capacity[j] kept members of
+    capacity at most its own.  Schedulable sets are those with a matching
+    into the slots, so they form a matroid (a transversal one), and the
+    greedy keeps j exactly when j joins the kept set as a schedulable set:
+    the only new condition is the count at capacity[j], as every member
+    kept before j has a capacity of at most capacity[j].  A position
+    passed over would make the set kept so far unschedulable, and so every
+    later kept set, which contains it, so the kept set is maximal; in a
+    matroid every maximal independent subset has the largest size, so the
+    kept count is the rank, the most members of ``order`` that can each
+    take their own slot.  With the lifetimes as ``capacity``, one entity
+    with a slot at every step, that is unit-time scheduling with deadlines
+    on one machine in earliest-deadline order (Jackson, 1955).
     """
     kept: list[int] = []
     for j in order:
-        capacity = machines * lifetimes[j]
-        if slots:
-            capacity += bisect_left(slots, lifetimes[j])
-        if len(kept) < capacity:
+        if len(kept) < capacity[j]:
             kept.append(j)
     return kept
 

@@ -66,12 +66,11 @@ and its own decay.
   its nearest earlier twin holds none: by (p) the first maximizer is not
   below it either.  Nor does it enter a child whose *bound* is no more
   than the best reward so far.  (k) defines the bound and shows two facts
-  about it: at every
-  tree node above a leaf whose sets all pass the lifetime bound (i) below,
-  as tight sets do, and whose allocated count is at most the round's root
-  bound, the bound is at least that count; and at a leaf the bound is at
-  most the allocated count.  A leaf the walk reaches holds only sets that
-  it decided tight and lone nodes, tight by (e).  So it scores its
+  about it: at every tree node above a leaf whose sets are all tight and
+  whose allocated count is at most the round's root bound, the bound is
+  at least that count; and at a leaf the bound is at most the allocated
+  count.  A leaf the walk reaches holds only sets that it decided tight
+  and lone nodes, tight by (e).  So it scores its
   allocated count, which the bound at its last node made larger than the
   best reward: each leaf reached beats the one before.  Until the walk
   reaches the first maximizer F, every leaf it has reached comes earlier
@@ -128,13 +127,13 @@ L_j on, since 0 absorbs.
   targets is at 0 at step L_j, and 0 absorbs; and the entity targets one
   node per step.  So the steps at which the schedule first targets each
   member are distinct, each below its member's lifetime: S is
-  *schedulable* on one entity, in the sense of ``model.schedulable``,
-  whose greedy in increasing lifetime finds the largest schedulable
-  subset of a set, its rank.  A decision refutes S when its rank on one
-  entity is below |S|, which by the Hall condition that
-  ``model.schedulable`` states holds exactly when, with the lifetimes
-  sorted, the one at 0-based index i is at most i.  That greedy is alg2's
-  ``largest_repairable_subset`` too, and (k) runs it on M entities.
+  *schedulable* on one entity, in the sense of ``model.schedulable`` with
+  the lifetimes as the capacity, whose greedy in increasing lifetime
+  finds the largest schedulable subset of a set, its rank.  A decision
+  refutes S when its rank on one entity is below |S|, which by the Hall
+  condition that ``model.schedulable`` states holds exactly when, with
+  the lifetimes sorted, the one at 0-based index i is at most i.  That greedy is alg2's
+  ``largest_repairable_subset`` too.
 * **(n) Some order.**  Target the members one at a time, each until it
   reaches ``unit``, in some order.  A member whose turn comes after T
   steps has not been targeted yet, so its health is h' = h_j - T * dec_j
@@ -193,35 +192,57 @@ its own decision search.  So the cuts, the order of the walk, the
 optimum and the witness allocation are the ones a search per decision
 gives.
 
-The walk's bound, its two rounds, the slot rank and the twin rule:
+The walk's bound, its two rounds and the twin rule:
 
-* **(k) The pooled lifetime bound.**  Lifetimes do not depend on the
-  entity.  Every set of a leaf the walk reaches is tight, as (c) shows,
-  so it passes (i).  Give each member of such a set its first-target
-  step under its own entity: over the disjoint sets of a leaf, the
-  (entity, step) pairs are distinct, each step below its member's
-  lifetime, so the leaf's allocated nodes A are schedulable on the M
-  entities and |A| = rank_M(A).  At a tree node, let H be the nodes
-  allocated so far and U the undecided ones.  Every leaf A below has
-  H <= A <= H + U, and rank_M is monotone, so if its sets pass (i) it
-  scores at most rank_M(H + U).  A leaf also costs at least |A| times
-  the cheapest entity cost, so when that cost is positive it allocates
-  at most the budget over that cost, rounded down.  The root bound B is
-  the least of rank_M(all nodes), that quotient and the slot rank of (o)
-  below, each at least the allocated count of every leaf whose sets are
-  all tight, and a tree node's bound is the smaller of the round's root
-  bound and rank_M(H + U).
+* **(k) The slot bound.**  Call entity e *in the slot regime* when
+  dec_j >= inc_{e,j} on every node j, as throughout the paper's second
+  regime.  Its slot steps are s_1 = 0 and s_{k+1} = s_k + p_e(s_k), where
+  p_e(t) is the fewest steps e needs to repair a node still positive at
+  t, from its health then: the least ceil((unit - h_j + t * dec_j) /
+  inc_{e,j}) over the nodes j with h_j - t * dec_j > 0.  They stop where
+  no node is positive, where no lifetime reaches.  Every other entity
+  has a slot at each step, as in (i).  A member of lifetime L may take
+  each (entity, step) slot whose step is below L, whichever entity
+  holds it, as lifetimes do not depend on the entity.  A node's
+  *capacity* counts those slots, and the *slot rank* of a set, the most
+  of its members that each take their own slot, is what
+  ``model.schedulable`` finds on the capacities.  A set has at most N
+  members, and a member may take an entity's earlier slot in place of a
+  later one, so only each entity's first N slots matter.
+  Take a leaf whose sets are all tight.  By (n), entity e in the regime
+  repairs its set in turn, in some order: its k-th member j_k is first
+  targeted at S_k < L_{j_k}, when it is still positive, and
+  S_{k+1} = S_k + ceil((unit - h_{j_k} + S_k * dec) / inc) >=
+  S_k + p_e(S_k).  p_e never falls as t grows, since each term rises and
+  the nodes still positive only leave, so t + p_e(t) rises too, and by
+  induction S_k >= s_k: S_1 = 0 = s_1, and S_{k+1} >= S_k + p_e(S_k) >=
+  s_k + p_e(s_k) = s_{k+1}.  So j_k can take e's k-th slot, below its
+  lifetime.  The members of an entity outside the regime take their
+  first-target steps, distinct and each below its member's lifetime, as
+  in (i).  So the leaf's allocated nodes A each have their own slot, and
+  |A| is their slot rank.
+  At a tree node, let H be the nodes allocated so far and U the
+  undecided ones.  Every leaf A below has H <= A <= H + U, and the slot
+  rank is monotone, so if its sets are all tight it scores at most the
+  slot rank of H + U.  A leaf also costs at least |A| times the cheapest
+  entity cost, so when that cost is positive it allocates at most the
+  budget over that cost, rounded down.  The root bound B is the smaller
+  of the slot rank of all nodes and that quotient, each at least the
+  allocated count of every leaf whose sets are all tight, and a tree
+  node's bound is the smaller of the round's root bound and the slot rank
+  of H + U.
   Both facts (c) uses follow: the bound is at least |A| above a leaf A
-  whose sets pass (i) and whose |A| is at most the round's root bound,
-  and at a leaf, where H + U = A, it is at most rank_M(A) <= |A|.  It is
-  also at most |H + U|, the allocated plus undecided count.  An entity's
-  child keeps its parent's H + U, and so its bound.  The unallocated
-  child drops one node from H + U, which lowers the rank by at most one,
-  since a schedulable subset loses at most that node; so while the
-  parent's rank is known to exceed the root bound, the child's bound is
-  the root bound, and when H + U is schedulable, so is every subset, and
-  the child's rank is one less.  Only otherwise does the walk run the
-  greedy, cached by the mask of H + U.
+  whose sets are all tight and whose |A| is at most the round's root
+  bound, and at a leaf, where H + U = A, it is at most the slot rank of
+  A, at most |A|.  It is also at most |H + U|, the allocated plus
+  undecided count.  An entity's child keeps its parent's H + U, and so
+  its bound.  The unallocated child drops one node from H + U, which
+  lowers the rank by at most one, since a schedulable subset loses at
+  most that node; so while the parent's rank is known to exceed the root
+  bound, the child's bound is the root bound, and when H + U is
+  schedulable, so is every subset, and the child's rank is one less.
+  Only otherwise does the walk run the greedy, cached by the mask of
+  H + U.
 * **(l) The seeded round, then the ascending walk.**  Every leaf the
   walk could record is tight for every entity, so it scores at most B,
   by (k).  The walk first runs with its best reward seeded at B - 1
@@ -237,34 +258,6 @@ The walk's bound, its two rounds, the slot rank and the twin rule:
   The walk then runs again from best reward -1, under root bound B - 1,
   which is at least |F| = R, so (c) holds for this *ascending walk*.
   The seeded round's decisions stay in the store for the ascending walk.
-* **(o) The slot rank.**  Call entity e *in the slot regime* when
-  dec_j >= inc_{e,j} on every node j, as throughout the paper's second
-  regime.  Its slot steps are s_1 = 0 and s_{k+1} = s_k + p_e(s_k), where
-  p_e(t) is the fewest steps e needs to repair a node still positive at
-  t, from its health then: the least ceil((unit - h_j + t * dec_j) /
-  inc_{e,j}) over the nodes j with h_j - t * dec_j > 0.  They stop where
-  no node is positive, where no lifetime reaches, and only the first N
-  matter.  Every other entity has a slot at each step, as in (i).  The
-  *slot rank* of a set is the most of its members that each take their
-  own slot at a step below their lifetime; a member of lifetime L may
-  take every slot below L, so ``model.schedulable`` finds it, given a
-  slot a step on each entity outside the regime and the in-regime slot
-  steps.  Take a leaf whose sets are all tight.  By (n), entity e in the
-  regime repairs its set in turn, in some order: its k-th member j_k is
-  first targeted at S_k < L_{j_k}, when it is still positive, and
-  S_{k+1} = S_k + ceil((unit - h_{j_k} + S_k * dec) / inc) >=
-  S_k + p_e(S_k).  p_e never falls as t grows, since each term rises and
-  the nodes still positive only leave, so t + p_e(t) rises too, and by
-  induction S_k >= s_k: S_1 = 0 = s_1, and S_{k+1} >= S_k + p_e(S_k) >=
-  s_k + p_e(s_k) = s_{k+1}.  So j_k can take e's k-th slot, below its
-  lifetime; the members of an entity outside the regime take their
-  first-target steps, as in (i); and the leaf's allocated nodes A each
-  have their own slot, so |A| <= slot rank(A) <= slot rank(all nodes),
-  the rank being monotone.  An entity's k-th slot step is at least
-  k - 1, as p_e >= 1, so the slot rank is at most rank_M, and B is the
-  smaller of the slot rank and the budget quotient.  (c), (k) and (l)
-  use B only as an upper bound on the allocated count of such a leaf,
-  so they hold unchanged.
 * **(p) Twins.**  Entities e before e' are *twins* when they have the
   same ledger cost and the same lattice rate on every node.  Then every
   set has the same slice under both, so V_e(S) = V_e'(S), as (f) shows,
@@ -311,6 +304,7 @@ allocated count the walk carried.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -527,12 +521,14 @@ class WalkRoot:
     """What the walk reads of its scenario alone, held once per scenario as ``Scenario.walk_root``.
 
     ``by_lifetime`` lists the node positions in increasing lifetime, ties
-    by position, and ``rank`` is their rank on the M entities, (k).
-    ``bound`` is the root bound B, (k) and (o), and ``twins`` each
-    entity's nearest earlier twin, or -1, (p).
+    by position; ``capacity`` gives each node its number of slots, (k):
+    the slot steps below its lifetime, over every entity; and ``rank`` is
+    the slot rank of all nodes.  ``bound`` is the root bound B, (k), and
+    ``twins`` each entity's nearest earlier twin, or -1, (p).
     """
 
     by_lifetime: tuple[int, ...]
+    capacity: tuple[int, ...]
     rank: int
     bound: int
     twins: tuple[int, ...]
@@ -543,28 +539,23 @@ class WalkRoot:
         lifetimes, n = lattice.lifetimes, len(scenario.nodes)
         by_lifetime = tuple(sorted(range(n), key=lifetimes.__getitem__))
         rates = [lattice.incs[eid] for eid in scenario.entity_ids]
-        slots: list[int] = []  # the slot steps of the entities in the slot regime
-        stepwise = 0  # the other entities, each with a slot at every step
-        for incs in rates:
-            if all(dec >= inc for dec, inc in zip(lattice.decs, incs)):
-                slots += _slot_steps(lattice, incs, n)
-            else:
-                stepwise += 1
-        slots.sort()
-        # (o): the slot rank, at most the rank, since the k-th slot of an entity comes at step k - 1 or later
-        bound = len(schedulable(lifetimes, by_lifetime, stepwise, slots))
+        steps = sorted([step for incs in rates for step in _slot_steps(lattice, incs, n)])
+        capacity = tuple([bisect_left(steps, lifetime) for lifetime in lifetimes])
+        bound = rank = len(schedulable(capacity, by_lifetime))
         if (cheapest := min(costs)) > 0:
             bound = min(bound, room // cheapest)
         twins = tuple(
             next((i for i in range(k - 1, -1, -1) if costs[i] == costs[k] and rates[i] == rates[k]), -1)
             for k in range(len(costs))
         )
-        rank = len(schedulable(lifetimes, by_lifetime, len(costs)))
-        return WalkRoot(by_lifetime, rank, bound, twins)
+        return WalkRoot(by_lifetime, capacity, rank, bound, twins)
 
 
-def _slot_steps(lattice: Lattice, incs: IntVec, n: int) -> list[int]:
-    """(o): an entity's first N slot steps, s_1 = 0 and s_{k+1} = s_k + p(s_k), while some node is positive at s_k."""
+def _slot_steps(lattice: Lattice, incs: IntVec, n: int) -> Sequence[int]:
+    """(k): an entity's first N slot steps: in the slot regime s_1 = 0 and s_{k+1} = s_k + p(s_k), while some node is
+    positive at s_k; outside it, every step below N."""
+    if any(dec < inc for dec, inc in zip(lattice.decs, incs)):
+        return range(n)
     unit, slots, t = lattice.unit, [], 0
     while len(slots) < n:
         # -floor((h' - unit) / inc) = ceil((unit - h') / inc): the steps on a node at h' = h - t * dec > 0
@@ -596,7 +587,7 @@ def oracle_optimal(
     Returns the optimum with the first allocation in enumeration order
     that reaches it, and that allocation's witness trace and outcome from
     one replay through the simulator.  The module docstring proves, in
-    (a)-(c), (e), (k), (l), (o) and (p), that the walk's cuts and its two
+    (a)-(c), (e), (k), (l) and (p), that the walk's cuts and its two
     rounds lose neither the optimum nor that witness.  What the walk reads
     of the scenario alone, ``Scenario.walk_root``, is worked out at the
     first call on a scenario and kept with it.  Raises InstanceTooLarge when
@@ -609,43 +600,38 @@ def oracle_optimal(
     _require_cap(scenario, cap)
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
-    lattice, machines = scenario.lattice, len(costs)
-    lifetimes, unit = lattice.lifetimes, lattice.unit
+    lattice, unit = scenario.lattice, scenario.lattice.unit
     # entity k's (decay, rate, health) of every node, in node order: the rows its slices extend by
     rows = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
     root = scenario.walk_root
-    by_lifetime, twins = root.by_lifetime, root.twins
+    by_lifetime, capacity, twins = root.by_lifetime, root.capacity, root.twins
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     slices: list[_Slice] = [() for _ in costs]  # each entity's slice of its members
     tight: dict[_Slice, _Verdict] = {}  # the store: a slice of two or more members -> its verdict
-    # (k): the nodes allocated or undecided, as a mask -> their rank on the M entities
+    # (k): the nodes allocated or undecided, as a mask -> their slot rank
     ranks: dict[int, int] = {}
-
-    def rank(rest: int) -> int:
-        if rest not in ranks:
-            ranks[rest] = len(schedulable(lifetimes, [j for j in by_lifetime if rest >> j & 1], machines))
-        return ranks[rest]
-
-    everything, ceiling = (1 << n) - 1, root.bound  # (k) and (o): the root bound B
+    everything, ceiling = (1 << n) - 1, root.bound  # (k): the root bound B
     best_reward, best_sets = ceiling - 1, None  # (l): the seeded round
 
     def visit(depth: int, spent: int, count: int, rest: int, lower: int, bound: int) -> None:
-        # rest: the nodes allocated or undecided; lower: their rank, or a lower bound on
+        # rest: the nodes allocated or undecided; lower: their slot rank, or a lower bound on
         # it that is at least the root bound; bound: the smaller of the two, this node's
         nonlocal best_reward, best_sets
         if depth == n:
             best_reward, best_sets = count, [list(members) for members in sets]
             return
         bit = 1 << depth
-        if count + n - 1 - depth > best_reward:  # the count bound, which the pooled bound never exceeds
+        if count + n - 1 - depth > best_reward:  # the count bound, which the slot bound never exceeds
             # one node fewer lowers the rank by at most one, and by exactly one
             # when all of them are schedulable
-            fewer = lower - 1 if lower > ceiling or lower == count + n - depth else rank(rest ^ bit)
+            fewer = lower - 1 if lower > ceiling or lower == count + n - depth else ranks.get(less := rest ^ bit)
+            if fewer is None:  # the greedy, once per mask
+                fewer = ranks[less] = len(schedulable(capacity, [j for j in by_lifetime if less >> j & 1]))
             if (below := fewer if fewer < ceiling else ceiling) > best_reward:
                 visit(depth + 1, spent, count, rest ^ bit, fewer, below)
         for k, cost in enumerate(costs):
             if bound <= best_reward:
-                return  # the pooled bound, for this entity and every later one
+                return  # the slot bound, for this entity and every later one
             if spent + cost > room:
                 continue
             members, held = sets[k], slices[k]

@@ -197,7 +197,7 @@ def test_budgeted_allocator_matches_the_oracle_on_twelve_nodes_and_three_entitie
     """test_07's claim on repair-dominant draws of exactly 12 nodes and 3 entities, each trace replayed through ``verify_trace``.
 
     4^12 assignments exceed the default enumeration cap, so the oracle gets
-    a cap that admits them; its pooled lifetime bound keeps the walk small.
+    a cap that admits them; its slot bound keeps the walk small.
     """
     rng = random.Random("repair_dominant-12-3")
     matched = 0

@@ -142,31 +142,31 @@ def first_maximizer_scan(scenario: Scenario) -> tuple[int, Allocation, Trace]:
     return best_reward, best, optimal_sequencing_reward(scenario, best)[1]
 
 
-def regime_slots(scenario: Scenario) -> tuple[list[int], int]:
-    """Proof (o)'s sorted slot steps of the entities in the slot regime, by ``oracle._slot_steps``, and the number of
-    the other entities, each with a slot at every step."""
+def slot_steps(scenario: Scenario) -> list[int]:
+    """Proof (k)'s slot steps of every entity, by ``oracle._slot_steps``, sorted: an entity outside the slot regime
+    has one at every step below N."""
     lattice, n = scenario.lattice, len(scenario.nodes)
-    slots, stepwise = [], 0
-    for eid in scenario.entity_ids:
-        incs = lattice.incs[eid]
-        if all(dec >= inc for dec, inc in zip(lattice.decs, incs)):
-            slots += oracle._slot_steps(lattice, incs, n)
-        else:
-            stepwise += 1
-    return sorted(slots), stepwise
+    return sorted(step for eid in scenario.entity_ids for step in oracle._slot_steps(lattice, lattice.incs[eid], n))
 
 
-def slot_rank(scenario: Scenario) -> int:
-    """Proof (o)'s slot rank of all nodes, by ``regime_slots`` and ``model.schedulable``."""
-    slots, stepwise = regime_slots(scenario)
-    return len(schedulable(scenario.lattice.lifetimes, scenario.walk_root.by_lifetime, stepwise, slots))
+def slot_rank(scenario: Scenario, mask: int | None = None) -> int:
+    """Proof (k)'s slot rank of the nodes in ``mask``, every node by default, by ``model.schedulable`` on the walk
+    root's capacity."""
+    root = scenario.walk_root
+    return len(schedulable(root.capacity, [j for j in root.by_lifetime if mask is None or mask >> j & 1]))
+
+
+def pooled_rank(scenario: Scenario) -> int:
+    """The rank of all nodes on M entities that each have a slot at every step, by a largest matching: the most nodes
+    that M machines can each target once before their lifetimes run out."""
+    every_step = list(range(len(scenario.nodes)))
+    return largest_matching(scenario.lattice.lifetimes, every_step * len(scenario.entities))
 
 
 def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
-    # the pooled bound, the slot bound, the seeded round and rule (n)'s
-    # closed form against the scan: the oracle must return the scan's optimum,
-    # first maximizer and witness trace, and the slot rank must be at least
-    # that optimum
+    # the slot bound, the seeded round and rule (n)'s closed form against the
+    # scan: the oracle must return the scan's optimum, first maximizer and
+    # witness trace, and the slot rank must be at least that optimum
     rng = random.Random(3301)
     sizes = set()
     below_the_rank = 0  # draws whose slot rank is below the pooled rank
@@ -177,7 +177,7 @@ def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
         result = oracle_optimal(scenario)
         assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (best_reward, best, trace), scenario
         assert slot_rank(scenario) >= best_reward, scenario
-        below_the_rank += slot_rank(scenario) < scenario.walk_root.rank
+        below_the_rank += slot_rank(scenario) < pooled_rank(scenario)
         sizes.add((len(scenario.nodes), len(scenario.entities)))
     assert (8, 2) in sizes
     assert below_the_rank >= 3, below_the_rank
@@ -185,8 +185,8 @@ def test_oracle_matches_a_first_maximizer_scan_up_to_eight_nodes():
 
 def test_the_oracle_matches_the_scan_on_uniform_draws_with_three_or_four_entities():
     # the twin rule (p) skips every child that gives a twin its first node
-    # while its nearest earlier twin holds none, and the slot bound (o) lowers
-    # the root bound; on uniform draws, where costs are equal and rates come
+    # while its nearest earlier twin holds none, and the slot bound (k) falls
+    # below the pooled rank; on uniform draws, where costs are equal and rates come
     # from three values, both fire often, and the oracle must still return the
     # scan's optimum, first maximizer and witness trace
     rng = random.Random(6607)
@@ -201,12 +201,12 @@ def test_the_oracle_matches_the_scan_on_uniform_draws_with_three_or_four_entitie
         assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (best_reward, best, trace), scenario
         assert slot_rank(scenario) >= best_reward, scenario
         with_twins += max(scenario.walk_root.twins) >= 0
-        below_the_rank += slot_rank(scenario) < scenario.walk_root.rank
+        below_the_rank += slot_rank(scenario) < pooled_rank(scenario)
     assert with_twins >= 40 and below_the_rank >= 5, (with_twins, below_the_rank)
 
 
 def slot_steps_by_stepping(scenario: Scenario, eid: str) -> list[int]:
-    """Proof (o)'s slot steps of entity ``eid``, each found by stepping the untargeted healths one step at a time and
+    """Proof (k)'s slot steps of entity ``eid``, each found by stepping the untargeted healths one step at a time and
     counting the repair steps of every node still positive by repeated addition."""
     lattice = scenario.lattice
     healths, incs, steps, t = list(lattice.v0), lattice.incs[eid], [], 0
@@ -241,39 +241,74 @@ def largest_matching(lifetimes: tuple[int, ...], slot_steps: list[int]) -> int:
     return sum(place(j, set()) for j in range(len(lifetimes)))
 
 
-def test_the_walk_root_matches_stepped_slots_and_a_matching():
-    # proof (o): an entity whose decay is at least its rate on every node gets
-    # the slot steps s_1 = 0, s_{k+1} = s_k + p(s_k), every other entity one
-    # slot a step, and the slot rank is the largest matching of nodes into
-    # slots below their lifetimes; the walk root's B is the smaller of it and
-    # the budget quotient, its pooled rank is the matching with one slot a
-    # step for every entity, and its twins are entities of equal cost and
-    # equal lattice rates
+def walk_root_scenarios() -> list[Scenario]:
+    """The bundled scenarios and seeded draws of up to 7 x 3, with entities inside and outside the slot regime."""
     rng = random.Random(5521)
     scenarios = [build() for build in DEMOS.values()]
     for _ in range(20):
         scenarios += [family(rng, max_nodes=7, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    scenarios += [half_or_double_rates(rng) for _ in range(20)]
-    in_regime = out_of_regime = 0
-    for scenario in scenarios:
+    return scenarios + [half_or_double_rates(rng) for _ in range(20)]
+
+
+def stepped_slots(scenario: Scenario) -> tuple[list[int], list[int]]:
+    """The slot steps of the entities in the slot regime, by ``slot_steps_by_stepping``, and those of the others, one
+    at every step below N each."""
+    lattice, every_step = scenario.lattice, list(range(len(scenario.nodes)))
+    slots, stepwise = [], []
+    for eid in scenario.entity_ids:
+        if all(dec >= inc for dec, inc in zip(lattice.decs, lattice.incs[eid])):
+            slots += slot_steps_by_stepping(scenario, eid)
+        else:
+            stepwise += every_step
+    return slots, stepwise
+
+
+def test_the_walk_root_matches_stepped_slots_and_a_matching():
+    # proof (k): an entity whose decay is at least its rate on every node gets
+    # the slot steps s_1 = 0, s_{k+1} = s_k + p(s_k), every other entity one
+    # slot a step; a node's capacity is the number of slot steps below its
+    # lifetime, and the slot rank is the largest matching of nodes into slots
+    # below their lifetimes, never above the pooled rank, the matching with one
+    # slot a step for every entity; the walk root's B is the smaller of the
+    # slot rank and the budget quotient, and its twins are entities of equal
+    # cost and equal lattice rates
+    in_regime = out_of_regime = below_the_pooled_rank = 0
+    for scenario in walk_root_scenarios():
         lattice, ledger, root = scenario.lattice, scenario.ledger, scenario.walk_root
-        n, every_step = len(scenario.nodes), list(range(len(scenario.nodes)))
-        slots, stepwise = [], []
-        for eid in scenario.entity_ids:
-            if all(dec >= inc for dec, inc in zip(lattice.decs, lattice.incs[eid])):
-                slots += slot_steps_by_stepping(scenario, eid)
-            else:
-                stepwise += every_step
-        assert regime_slots(scenario) == (sorted(slots), len(stepwise) // n), scenario
-        assert slot_rank(scenario) == largest_matching(lattice.lifetimes, slots + stepwise), scenario
-        assert root.rank == largest_matching(lattice.lifetimes, every_step * len(scenario.entities)), scenario
+        slots, stepwise = stepped_slots(scenario)
+        steps = sorted(slots + stepwise)
+        assert slot_steps(scenario) == steps, scenario
+        assert root.capacity == tuple(sum(step < lifetime for step in steps) for lifetime in lattice.lifetimes), scenario
+        assert root.rank == slot_rank(scenario) == largest_matching(lattice.lifetimes, steps), scenario
+        assert root.rank <= pooled_rank(scenario), scenario
         cheapest = min(ledger.costs)
-        assert root.bound == min(slot_rank(scenario), ledger.budget // cheapest if cheapest else n), scenario
+        assert root.bound == min(root.rank, ledger.budget // cheapest if cheapest else len(scenario.nodes)), scenario
         rates = [(cost, lattice.incs[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids)]
         assert root.twins == tuple(max([i for i in range(k) if rates[i] == rates[k]], default=-1) for k in range(len(rates)))
         in_regime += len(slots) > 0
         out_of_regime += len(stepwise) > 0
-    assert in_regime >= 20 and out_of_regime >= 20, (in_regime, out_of_regime)
+        below_the_pooled_rank += root.rank < pooled_rank(scenario)
+    counts = (in_regime, out_of_regime, below_the_pooled_rank)
+    assert in_regime >= 20 and out_of_regime >= 20 and below_the_pooled_rank >= 5, counts
+
+
+def test_the_walk_s_per_node_bound_is_the_slot_rank_of_every_subset():
+    # proof (k): the walk bounds a tree node by the slot rank of its allocated
+    # and undecided nodes, ``model.schedulable`` on the walk root's capacity;
+    # on seeded subsets of the walk root's scenarios it must equal the largest
+    # matching of those nodes into independently stepped slots
+    rng = random.Random(7719)
+    checked = short = 0  # subsets checked, and those whose slot rank is below their size
+    for scenario in walk_root_scenarios():
+        lifetimes, n = scenario.lattice.lifetimes, len(scenario.nodes)
+        slots, stepwise = stepped_slots(scenario)
+        for mask in [rng.randrange(1 << n) for _ in range(16)]:
+            members = [j for j in range(n) if mask >> j & 1]
+            rank = slot_rank(scenario, mask)
+            assert rank == largest_matching(tuple(lifetimes[j] for j in members), slots + stepwise), (scenario, mask)
+            checked += 1
+            short += rank < len(members)
+    assert checked >= 1000 and short >= 100, (checked, short)
 
 
 def test_the_closed_form_targets_repair_the_set_and_the_optimum_is_the_full_search_s(monkeypatch):
@@ -347,7 +382,7 @@ def overflow_below_the_bound(same_rates: bool) -> Scenario:
     # in the trio above, so rules (i) and (n) leave e's {"a", "b"} to the
     # kernel, whose decision search overflows a memo cap of 5.  "a" and "c"
     # last one step each, so (i) refutes e's {"a", "b", "c"}, but two entities
-    # could target both at step 0, so the pooled bound reads 3.  "f" costs 3/2,
+    # could target both at step 0, so the slot bound reads 3.  "f" costs 3/2,
     # so within the budget of 3 only e can hold three nodes, and the optimum,
     # e's {"b", "c"}, is 2: no leaf reaches the bound, and the walk decides
     # e's {"a", "b"} on its way.  With ``same_rates``, "f" has e's rates and so
@@ -567,7 +602,7 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # each (n) verdict must be a brute force over every order's too, a
     # verdict without a search that none of them explains fails the test,
     # and each rule must fire exactly as often as it did when these counts
-    # were recorded; the slot bound (o) and the twin rule (p) cut subtrees
+    # were recorded; the slot bound (k) and the twin rule (p) cut subtrees
     # whose decisions an earlier pin counted
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
