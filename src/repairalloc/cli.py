@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memo-cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"maximum number of health vectors per entity search; any search that reaches it, during the walk or for the witness, fails the call (exit 3), and a set decided or scheduled without a search, a lone node among them, does not count (default {DEFAULT_CAP})",
+        help=f"maximum number of health vectors per entity search; the oracle searches only to decide whether an entity can repair all of a set, and any search that reaches the cap fails the call (exit 3); a set decided without a search, a lone node among them, does not count, and the witness searches nothing (default {DEFAULT_CAP})",
     )
     p_oracle.add_argument(
         "--force",

@@ -46,8 +46,9 @@ class InstanceTooLarge(RepairAllocError):
     Raised up front when a scenario's (M+1)^N assignments exceed the
     enumeration ``cap`` of an oracle call or of
     ``enumerate_feasible_allocations``, when a search holds ``memo_cap``
-    health vectors, and when the oracle's walk, which recurses once per
-    node, runs out of stack.
+    health vectors (in an oracle call, always a decision search of its
+    walk, since its witness searches nothing), and when the oracle's
+    walk, which recurses once per node, runs out of stack.
     """
 
 

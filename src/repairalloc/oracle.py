@@ -97,24 +97,26 @@ next to them the set's *slice* of the scenario's integer lattice: each
 member's (decay, rate, health), in the same order.  A child extends its
 entity's slice by its node's row.  The walk's *store* is one map local to
 the call, from each slice of two or more members that it decided to its
-verdict: False when the set is not tight, the order that (n) found when
-one repairs the set in turn, and True when only the decision search
-found the set tight; a lone node needs no entry, by (e).  The walk reads
-only whether a verdict is False; the witness reads the order.  A search
-runs on the slice in exact integer arithmetic, and the witness and the
-returned ``Allocation`` read the members.  A new slice is decided by (i)
-and (n) below where they can, else by its decision search, and a slice
-decided before, by (f):
+verdict, a *schedule*: () when the set is not tight, and else the runs
+of a schedule that repairs every member, each run a slice position and
+the number of steps spent on it, in order; a lone node needs no entry,
+by (e).  A tight set's schedule has a run for each member at least, so
+the walk reads only whether a verdict is empty, and the witness replays
+the runs.  A search runs on the slice in exact integer arithmetic, and
+the witness and the returned ``Allocation`` read the members.  A new
+slice is decided by (i) and (n) below where they can, else by its
+decision search, and a slice decided before, by (f):
 
 * **(f) Same values.**  A search is a pure function of its slice, its
   floor and ``memo_cap``: the kernel reads nothing else, and a decision
   search's floor, |S| - 1, is fixed by the slice's length.  Rules (i)
-  and (n) below read nothing but the slice either, and each gives the
-  verdict the set's own search gives; the order (n) finds is a function
-  of the slice too.  So the store keys each verdict, and each tight
-  slice's order, on the slice alone, and a set whose slice was decided
-  before, for the same entity or for another with equal rates on those
-  nodes, gets that verdict and that order.
+  and (n) below read nothing but the slice either, and each decides a
+  set as the set's own search does, where it decides it; the runs that
+  (n) finds, and those a decision search returns, are functions of the
+  slice too.
+  So the store keys each schedule on the slice alone, and a set whose
+  slice was decided before, for the same entity or for another with
+  equal rates on those nodes, gets that schedule.
 
 Rule (i), and the order that (n) tries first, read each member's
 lifetime L_j = ceil(h_j / dec_j) off the slice, as ``model.Lattice``
@@ -170,7 +172,8 @@ L_j on, since 0 absorbs.
   first (Jackson, 1955), which needs no DP where it repairs the set.
   If it fails, a DP over the sets of members repaired in turn, expanded
   layer by layer in their size and only where reached, keeps the fewest
-  steps some order of each set takes, and one order that takes them.
+  steps some order of each set takes, and the runs of one order that
+  takes them.
   Keeping only the fewest is exact in every regime, since a later start
   never helps: a member whose turn comes after T steps has
   h' = h_j - T * dec_j, which falls as T grows, and needs
@@ -179,18 +182,22 @@ L_j on, since 0 absorbs.
   finishes no later there.  A decision says tight when
   some order repairs S, not tight when none does and every decay is at
   least its rate, and leaves the other sets to the kernel; in the regime
-  no decision is left to it.  The order it finds, the first one or the
-  DP's for all of S, is the set's verdict in the store, and gives the
-  witness its targets below.
+  no decision is left to it.  Its verdict is the runs of the order it
+  finds, the first one or the DP's for all of S: one run per member,
+  where the member whose turn comes after T steps takes
+  ceil((unit - h') / inc) steps, h' being its health then.  Checking the
+  first order works those steps out, and the DP keeps the runs where it
+  would keep an order.
 
-Of each verdict the walk reads only whether the decision search's reward
-is |S|, that is, whether S is tight, and each rule gives that: (i)
-says not tight only of sets that are not; (n) says which a set is where
-decay dominates, and elsewhere tight only of sets that are; and (f)
-repeats the verdict of an equal slice.  A set none of them decides gets
-its own decision search.  So the cuts, the order of the walk, the
-optimum and the witness allocation are the ones a search per decision
-gives.
+Of each verdict the walk reads only whether it is empty, that is,
+whether S is tight, and each rule gives that: (i) says not tight only
+of sets that are not; (n) says which a set is where decay dominates,
+and elsewhere tight only of sets that are; and (f) repeats the verdict
+of an equal slice.  A set none of them decides gets its own decision
+search, and when that search reaches |S|, its targets are the set's
+schedule, each maximal stretch of one position taken as one run.  So
+the cuts, the order of the walk, the optimum and the witness allocation
+are the ones a search per decision gives.
 
 The walk's bound, its two rounds and the twin rule:
 
@@ -274,40 +281,37 @@ The walk's bound, its two rounds and the twin rule:
   This differs from relabelling interchangeable nodes inside one
   entity's search: twins are entities of the walk.
 
-Every search the oracle makes, a decision search during the walk or a
-full search for the witness, raises InstanceTooLarge when it holds
-``memo_cap`` states, and the call fails.  Rules (f), (i) and (n) make no
-search, and neither do the witness's closed-form targets, so
-``memo_cap`` bounds only the searches that are made: no one-node set is
-ever searched, and a set of the returned allocation is searched only
-when no order repairs it in turn.
+The oracle searches only to decide.  Each search it makes is a
+decision search during the walk, which raises InstanceTooLarge when it
+holds ``memo_cap`` states, and the call fails.  Rules (f), (i) and (n)
+make no search, and the witness makes none, so ``memo_cap`` bounds only
+the decisions that are searched: no one-node set is ever searched, and
+a call whose every decision search fits the cap answers.
 
 Every leaf the walk reaches scores its allocated count, as (c) shows,
 which the walk carries down the tree and records with the leaf, and each
 one beats the best reward so far.  Only the returned leaf, the first
-maximizer, becomes an ``Allocation``.  Each of its sets gets its reward
-and targets from its verdict, which the witness reads from the store; a
-lone node's one order is its own verdict, by (e), and
-``optimal_sequencing_reward``, which has no store, gives each set the
-verdict (i) and (n) give it.  When the verdict is an order that repairs
-the set in turn, the set's optimum is its size, since no schedule
-repairs more, and its targets are that order's, in closed form: the
-member whose turn comes after T steps is targeted ceil((unit - h') / inc)
-times, h' being its health then, as in (n).  Else the set's own full
-search gives both.  The order is the one (n) finds on the slice, with a
-store or without, so the witness trace is the one a scan finds.  That
-witness is replayed once through the simulator.  Two checks hold the
-result to the proofs, and either raises SearchInconsistency: the replay
-must repair the summed per-entity optima, and that sum must equal the
-allocated count the walk carried.
+maximizer, becomes an ``Allocation``.  Each of its sets is tight, so its
+optimum is its size, since no schedule repairs more, and its targets are
+its schedule's runs, each position repeated for its steps: a set of two
+or more members reads its schedule from the store, and a lone node
+takes its one run of ceil((unit - h) / inc) steps in closed form, by
+(e).  ``optimal_sequencing_reward``, which has no store, gives each set
+the schedule that a decision gives it, and a set that is not tight the
+optimum and targets of its own full search.  A schedule is a function
+of the slice, (f), with a store or without, so the witness trace is the
+one a scan finds.  That witness is replayed once through the simulator.
+Two checks hold the result to the proofs, and either raises
+SearchInconsistency: the replay must repair the summed per-entity
+optima, and that sum must equal the allocated count the walk carried.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from itertools import groupby, product
+from typing import Callable, Iterator, Optional, Sequence
 
 from repairalloc import _kernel
 from repairalloc.engine import Outcome, Trace, simulate
@@ -320,9 +324,9 @@ DEFAULT_CAP = 10**6
 # A set's slice of the lattice: (decay, rate, health) of each member, in node order,
 # which the walk carries next to the members and keys its store on.
 _Slice = tuple[tuple[int, int, int], ...]
-# A slice's verdict in the walk's store: False when its set is not tight, the order in
-# which rule (n) repairs the set in turn, or True when the kernel decided it tight.
-_Verdict = Union[bool, Sequence[int]]
+# A schedule that repairs every member of a set: its runs, each (slice position, steps on it), in
+# order.  The walk's store holds one for each tight slice, and () for each slice that is not.
+_Schedule = tuple[tuple[int, int], ...]
 
 
 def enumerate_feasible_allocations(scenario: Scenario, cap: int = DEFAULT_CAP) -> Iterator[Allocation]:
@@ -364,36 +368,53 @@ def optimal_sequencing_reward(
     """Best achievable reward for a fixed allocation, with a witness trace.
 
     Sums the optima of the entities' sets, each scored on its own (any
-    Active node of the set at every step).  A set that some order of
-    one-at-a-time repairs saves in full, as the oracle docstring's rule (n)
-    finds, scores its size and takes that order's targets without a
-    search.  Any other set is searched, visiting each reachable health
-    vector of that set once, with at most ``memo_cap`` vectors, so
-    ``memo_cap`` bounds only the searches that are made.  The
-    witness trace replays the entities' optimal target sequences in
-    parallel through the simulator and therefore reproduces the claimed
-    reward exactly; SearchInconsistency is raised if it does not, and
+    Active node of the set at every step).  Each set is decided as the
+    oracle's walk decides it: by the oracle docstring's rules (i) and (n)
+    without a search where they can, else by its decision search.  A
+    tight set scores its size and replays the schedule that decided it;
+    only a set that is not tight gets a full search, for its optimum and
+    targets.  A search visits each reachable health vector of its set
+    once, with at most ``memo_cap`` vectors, so ``memo_cap`` bounds only
+    the searches that are made.  The witness
+    trace replays the entities' optimal target sequences in parallel
+    through the simulator and therefore reproduces the claimed reward
+    exactly; SearchInconsistency is raised if it does not, and
     BudgetExceeded, before any search, if the allocation is over budget.
     """
     allocation.require_budget(scenario)
-    positions = scenario.lattice.positions
+    positions, unit = scenario.lattice.positions, scenario.lattice.unit
     sets = [sorted(positions[nid] for nid in allocation.nodes_of(eid)) for eid in scenario.entity_ids]
-    reward, trace, _ = _witness(scenario, allocation, sets, memo_cap, {})
+
+    def scheduled(values: _Slice) -> tuple[int, _Schedule]:
+        if runs := _decide(values, unit, memo_cap):
+            return len(values), runs
+        reward, targets = _solve(values, unit, memo_cap, -1)
+        return reward, _grouped(targets)
+
+    reward, trace, _ = _witness(scenario, allocation, sets, scheduled)
     return reward, trace
 
 
-def _decide(values: _Slice, unit: int, memo_cap: int) -> _Verdict:
-    """The verdict on a set of two or more members with slice ``values``: rules (i) and (n), else its decision search.
+def _decide(values: _Slice, unit: int, memo_cap: int) -> _Schedule:
+    """The schedule of a set with slice ``values``, by rules (i) and (n), else by its decision search; () if not tight.
 
-    False when the set is not tight, the order that rule (n) found when
-    one repairs the set in turn, and True when the decision search finds it
-    tight.  Raises InstanceTooLarge when the decision search holds
-    ``memo_cap`` states.
+    () when the lifetime bound (i) refutes the set; the runs of the order
+    that ``_repairing_order`` finds when some order of sequential repairs
+    saves every member (n); () when none does and every member's decay is
+    at least its rate.  Else the decision search's targets, grouped into
+    runs, when it repairs every member, and () when it does not.  Raises
+    InstanceTooLarge when the decision search holds ``memo_cap`` states.
     """
-    verdict = _settled(values, unit)
-    if verdict is None:
-        verdict = _solve(values, unit, memo_cap, len(values) - 1)[0] == len(values)
-    return verdict
+    lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
+    by_lifetime = sorted(range(len(values)), key=lifetimes.__getitem__)  # ties in position order
+    if any([lifetimes[j] <= i for i, j in enumerate(by_lifetime)]):
+        return ()  # (i): the i + 1 shortest lifetimes need i + 1 distinct first-target steps below the longest
+    if (runs := _repairing_order(values, unit, by_lifetime)) is not None:
+        return runs
+    if all(dec >= inc for dec, inc, _ in values):
+        return ()
+    # with floor |S| - 1 the search returns targets only when they repair every member
+    return _grouped(_solve(values, unit, memo_cap, len(values) - 1)[1])
 
 
 def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, tuple[int, ...]]:
@@ -401,67 +422,40 @@ def _solve(values: _Slice, unit: int, memo_cap: int, floor: int) -> tuple[int, t
     return _kernel.solve_allocation(healths, unit, decs, incs, memo_cap, floor)
 
 
-def _optimum(values: _Slice, unit: int, memo_cap: int, verdict: Optional[_Verdict]) -> tuple[int, tuple[int, ...]]:
-    """The set's optimum on its slice and the slice positions that an optimal schedule targets.
+def _grouped(targets: Sequence[int]) -> _Schedule:
+    """The runs of a target sequence: each maximal stretch of one slice position, with its length."""
+    return tuple([(i, len(list(run))) for i, run in groupby(targets)])
 
-    ``verdict`` is the set's verdict from the walk's store, or None where
-    no store holds one, and then rules (i) and (n) give it here.  When it
-    is an order that repairs the set in turn, the set's optimum is its
-    size and the targets are that order's, in closed form, with no search;
-    else both come from the full search, which raises InstanceTooLarge
-    when it holds ``memo_cap`` states.
+
+def _repairing_order(values: _Slice, unit: int, by_lifetime: Sequence[int]) -> Optional[_Schedule]:
+    """Rule (n): the runs of an order in which repairing the members in turn, each until it reaches ``unit``, repairs
+    them all.
+
+    The runs of ``by_lifetime``, the members in (lifetime, position)
+    order, when it repairs the set; else those of the order with the
+    fewest steps that a DP over the sets of members repaired in turn
+    finds, layer by layer in their size, keeping the fewest steps and runs
+    that take them for each set it reaches; None when no order repairs the
+    set.
     """
-    if verdict is None:
-        verdict = _settled(values, unit)
-    if not verdict or verdict is True:
-        return _solve(values, unit, memo_cap, -1)
-    return len(values), tuple([i for i, taken in zip(verdict, _in_turn(values, verdict, unit)) for _ in range(taken)])
-
-
-def _settled(values: _Slice, unit: int) -> Optional[_Verdict]:
-    """The set's verdict by rules (i) and (n), None when neither gives one.
-
-    False when the lifetime bound (i) refutes the set; the order that
-    ``_repairing_order`` finds when some order of sequential repairs saves
-    every member (n); False when none does and every member's decay is at
-    least its rate.
-    """
-    lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
-    by_lifetime = sorted(range(len(values)), key=lifetimes.__getitem__)  # ties in position order
-    if any([lifetimes[j] <= i for i, j in enumerate(by_lifetime)]):
-        return False  # (i): the i + 1 shortest lifetimes need i + 1 distinct first-target steps below the longest
-    if (order := _repairing_order(values, unit, by_lifetime)) is not None:
-        return order
-    return False if all(dec >= inc for dec, inc, _ in values) else None
-
-
-def _repairing_order(values: _Slice, unit: int, by_lifetime: Sequence[int]) -> Optional[Sequence[int]]:
-    """Rule (n): an order in which repairing the members in turn, each until it reaches ``unit``, repairs them all.
-
-    ``by_lifetime``, the members in (lifetime, position) order, when it
-    repairs the set; else the order with the fewest steps that a DP over
-    the sets of members repaired in turn finds, layer by layer in their
-    size, keeping the fewest steps and an order that takes them for each
-    set it reaches; None when no order repairs the set.
-    """
-    if _in_turn(values, by_lifetime, unit) is not None:
-        return by_lifetime
-    fewest = {0: (0, ())}  # the members repaired in turn so far, as a mask -> the fewest steps, and an order taking them
+    if (runs := _in_turn(values, by_lifetime, unit)) is not None:
+        return runs
+    fewest = {0: (0, ())}  # the members repaired in turn so far, as a mask -> the fewest steps, and runs taking them
     for _ in values:
-        reached: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for mask, (spent, order) in fewest.items():
+        reached: dict[int, tuple[int, _Schedule]] = {}
+        for mask, (spent, runs) in fewest.items():
             for i, (dec, inc, health) in enumerate(values):
                 if not mask >> i & 1 and (health := health - spent * dec) > 0:
-                    done = spent - ((health - unit) // inc)  # plus ceil((unit - health) / inc) targeted steps
+                    taken = -((health - unit) // inc)  # ceil((unit - health) / inc) targeted steps
                     key = mask | 1 << i
-                    if key not in reached or done < reached[key][0]:
-                        reached[key] = (done, order + (i,))
+                    if key not in reached or spent + taken < reached[key][0]:
+                        reached[key] = (spent + taken, runs + ((i, taken),))
         fewest = reached
     return next(iter(fewest.values()))[1] if fewest else None  # the one mask left, if any, holds every member
 
 
-def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[list[int]]:
-    """The steps that the schedule targeting each member of ``order`` in turn, until it reaches ``unit``, spends on each.
+def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[_Schedule]:
+    """The runs of the schedule that targets each member of ``order`` in turn until it reaches ``unit``.
 
     None when a member has reached 0 before its turn; else the schedule
     repairs every member of ``order``.
@@ -476,26 +470,24 @@ def _in_turn(values: _Slice, order: Sequence[int], unit: int) -> Optional[list[i
         taken = -((health - unit) // inc)  # ceil((unit - health) / inc) targeted steps
         steps.append(taken)
         spent += taken
-    return steps
+    return tuple(zip(order, steps))
 
 
 def _witness(
     scenario: Scenario,
     allocation: Allocation,
     sets: Sequence[Sequence[int]],
-    memo_cap: int,
-    tight: Mapping[_Slice, _Verdict],
+    scheduled: Callable[[_Slice], tuple[int, _Schedule]],
 ) -> tuple[int, Trace, Outcome]:
     """The summed per-entity optima for one allocation, with its witness replayed through the simulator.
 
-    Each entity's set (its members, in increasing position) takes its
-    reward and targets from ``_optimum`` on its slice, given the slice's
-    verdict in ``tight``, a walk's store, or None where the store holds
-    none; a lone node's one order is its verdict.  The targets are
-    positions in the slice, which its members map to node ids.  Step t of
-    the script holds the entities whose targets run past t; ``simulate``
-    records the others as idle.  Raises SearchInconsistency unless the
-    replay repairs the summed optima.
+    ``scheduled`` takes the slice of each entity's set (its members, in
+    increasing position) and gives the set's optimum and the runs of a
+    schedule that reaches it; the runs' positions are in the slice, which
+    the members map to node ids.  Step t of the script holds the entities
+    whose runs reach past t; ``simulate`` records the others as idle.
+    Raises SearchInconsistency unless the replay repairs the summed
+    optima.
     """
     lattice, ids = scenario.lattice, scenario.node_ids
     reward = 0
@@ -503,13 +495,12 @@ def _witness(
     for eid, members in zip(scenario.entity_ids, sets):
         if members:
             incs = lattice.incs[eid]
-            values = tuple([(lattice.decs[j], incs[j], lattice.v0[j]) for j in members])
-            verdict = (0,) if len(values) == 1 else tight.get(values)  # a lone node's one order repairs it, by (e)
-            optimum, targets = _optimum(values, lattice.unit, memo_cap, verdict)
+            optimum, runs = scheduled(tuple([(lattice.decs[j], incs[j], lattice.v0[j]) for j in members]))
             reward += optimum
+            targets = [ids[members[i]] for i, steps in runs for _ in range(steps)]
             script.extend({} for _ in range(len(targets) - len(script)))
             for actions, target in zip(script, targets):
-                actions[eid] = ids[members[target]]
+                actions[eid] = target
     trace, outcome = simulate(scenario, allocation, Scripted(script))
     if outcome.reward != reward:
         raise SearchInconsistency(f"witness replay yielded {outcome.reward}, search claimed {reward}")
@@ -592,8 +583,9 @@ def oracle_optimal(
     of the scenario alone, ``Scenario.walk_root``, is worked out at the
     first call on a scenario and kept with it.  Raises InstanceTooLarge when
     (M+1)^N exceeds ``cap``, when the walk, which recurses once per node,
-    runs out of stack, or when a search it makes, during the walk or for
-    the witness, holds ``memo_cap`` health vectors.  Raises
+    runs out of stack, or when a decision search of the walk holds
+    ``memo_cap`` health vectors; the witness replays the schedules those
+    decisions stored and searches nothing.  Raises
     SearchInconsistency when the replay does not repair the summed
     per-entity optima, or that sum is not the walk's allocated count.
     """
@@ -607,7 +599,7 @@ def oracle_optimal(
     by_lifetime, capacity, twins = root.by_lifetime, root.capacity, root.twins
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     slices: list[_Slice] = [() for _ in costs]  # each entity's slice of its members
-    tight: dict[_Slice, _Verdict] = {}  # the store: a slice of two or more members -> its verdict
+    tight: dict[_Slice, _Schedule] = {}  # the store: a slice of two or more members -> its schedule, or ()
     # (k): the nodes allocated or undecided, as a mask -> their slot rank
     ranks: dict[int, int] = {}
     everything, ceiling = (1 << n) - 1, root.bound  # (k): the root bound B
@@ -657,7 +649,13 @@ def oracle_optimal(
     except RecursionError:  # the walk recurses once per node, and the stack runs out first
         raise InstanceTooLarge(f"{n} nodes are too many for the walk, which recurses once per node") from None
     allocation = _allocation(scenario, best_sets)
-    reward, trace, outcome = _witness(scenario, allocation, best_sets, memo_cap, tight)
+
+    def stored(values: _Slice) -> tuple[int, _Schedule]:
+        # every set of the returned leaf is tight: a lone node takes its one run in closed form, by (e), and a
+        # larger set its schedule from the store
+        return len(values), tight[values] if len(values) > 1 else _in_turn(values, (0,), unit)
+
+    reward, trace, outcome = _witness(scenario, allocation, best_sets, stored)
     if reward != best_reward:
         raise SearchInconsistency(f"the witness sets repair {reward}, the walk counted {best_reward}")
     return OracleResult(best_reward, allocation, trace, outcome)

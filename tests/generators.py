@@ -3,7 +3,9 @@
 Two families: ``random_repair_dominant`` draws instances that always pass
 check_assumption1, ``random_uniform_regime`` draws instances that always
 pass check_assumption2.  Both keep every denominator small so the exact
-searches stay on a coarse integer lattice.  ``decreasing_initial_health_orders``
+searches stay on a coarse integer lattice.  ``half_or_double_rates``
+draws instances outside both regimes, whose rates are half or twice
+their decay.  ``decreasing_initial_health_orders``
 builds the static orders the FixedOrder tests run.
 """
 
@@ -97,6 +99,19 @@ def random_uniform_regime(
     else:
         budget = _random_budget(rng, entities, n)
     return Scenario(nodes=tuple(nodes), entities=tuple(entities), budget=budget)
+
+
+def half_or_double_rates(rng: random.Random) -> Scenario:
+    """A draw of 3 to 5 nodes that share one decay, under one or two entities whose rate on each node is half or
+    twice that decay, with no budget: where a rate exceeds its decay, the oracle's rule (n) leaves the set to the
+    other rules."""
+    dec = Fraction(1, rng.choice((8, 10, 12)))
+    nodes = tuple(NodeSpec(nid, Fraction(rng.randint(2, 9), 10), dec) for nid in "abcde"[: rng.randint(3, 5)])
+    entities = tuple(
+        EntitySpec(eid, Fraction(1), {node.id: dec * rng.choice((Fraction(1, 2), Fraction(2))) for node in nodes})
+        for eid in "uv"[: rng.randint(1, 2)]
+    )
+    return Scenario(nodes, entities, None)
 
 
 def _random_budget(rng: random.Random, entities: list[EntitySpec], n: int) -> Optional[Fraction]:

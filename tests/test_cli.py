@@ -513,15 +513,18 @@ def test_a_working_stdout_is_put_back_after_the_run(capsys):
 
 
 def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
-    # each witness set's search keeps its reward but drops its last target, so
-    # the replay of a set it claims to repair in full leaves a node unrepaired
-    real = oracle._optimum
+    # each witness set keeps its optimum but its schedule loses its last step,
+    # so the replay of a set it claims to repair in full leaves a node unrepaired
+    real = oracle._witness
 
-    def truncated(values, unit, memo_cap, verdict):
-        reward, targets = real(values, unit, memo_cap, verdict)
-        return reward, targets[:-1]
+    def truncated(scenario, allocation, sets, scheduled):
+        def short(values):
+            optimum, runs = scheduled(values)
+            return optimum, runs[:-1] + ((runs[-1][0], runs[-1][1] - 1),)
 
-    monkeypatch.setattr(oracle, "_optimum", truncated)
+        return real(scenario, allocation, sets, short)
+
+    monkeypatch.setattr(oracle, "_witness", truncated)
     rc = main(["oracle", scenario_path("repair_dominant")])
     err = capsys.readouterr().err
     assert rc == 5
@@ -530,15 +533,15 @@ def test_oracle_witness_inconsistency_exits_5(monkeypatch, capsys):
 
 
 def test_oracle_count_inconsistency_exits_5(monkeypatch, capsys):
-    # a witness set's search claims nothing for a one-node set; the oracle's
+    # a witness set's schedule claims nothing for a one-node set; the oracle's
     # witness gives e the lone node c, so the replay and the summed optima
     # agree at 2, and only the walk's allocated count of 3 disagrees
-    real = oracle._optimum
+    real = oracle._witness
 
-    def blind_to_lone_nodes(values, unit, memo_cap, verdict):
-        return (0, ()) if len(values) == 1 else real(values, unit, memo_cap, verdict)
+    def blind_to_lone_nodes(scenario, allocation, sets, scheduled):
+        return real(scenario, allocation, sets, lambda values: (0, ()) if len(values) == 1 else scheduled(values))
 
-    monkeypatch.setattr(oracle, "_optimum", blind_to_lone_nodes)
+    monkeypatch.setattr(oracle, "_witness", blind_to_lone_nodes)
     with pytest.raises(SearchInconsistency, match="the witness sets repair 2, the walk counted 3"):
         oracle_optimal(demos.DEMOS["online_suboptimal"]())
     rc = main(["oracle", scenario_path("online_suboptimal")])
@@ -622,6 +625,27 @@ def test_oracle_memo_cap_on_a_bundled_scenario(tmp_path, capsys):
     assert rc == 3
     assert "search exceeded the state cap of 3" in capsys.readouterr().err
     assert main(["oracle", path, "--memo-cap", "50"]) == 0
+
+
+def test_oracle_answers_at_a_memo_cap_that_only_a_full_search_would_exceed(tmp_path, capsys):
+    # u's rate on a is above a's decay, so the kernel decides u's {a, b}, in
+    # 28 states; a full search of that set would hold 32, but the witness
+    # replays the decision's runs and searches nothing
+    path = tmp_path / "gap.json"
+    path.write_text(
+        json.dumps(
+            {
+                "nodes": [{"id": nid, "v0": v0, "delta_dec": "1/8"} for nid, v0 in zip("abc", ("1/5", "1/2", "3/10"))],
+                "entities": [{"id": "u", "cost": "1", "delta_inc": {"a": "1/4", "b": "1/16", "c": "1/16"}}],
+                "budget": None,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["oracle", str(path), "--memo-cap", "30"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "optimal reward: 2"
+    assert captured.err == ""
 
 
 def test_module_entry_point_runs_the_reproduction_suite(tmp_path):

@@ -11,7 +11,7 @@ from repairalloc.engine import verify_trace
 from repairalloc.model import Allocation, EntitySpec, NodeSpec, Scenario
 from repairalloc.oracle import optimal_sequencing_reward, oracle_optimal
 
-from generators import random_repair_dominant, random_uniform_regime
+from generators import half_or_double_rates, random_repair_dominant, random_uniform_regime
 from reference_search import sequencing_reward_full, solve_reward_full, step
 
 F = Fraction
@@ -38,24 +38,48 @@ def test_pruned_search_matches_unpruned_reference_on_random_allocations():
         reward, trace = optimal_sequencing_reward(scenario, allocation)
         assert reward == sequencing_reward_full(scenario, allocation)
         verify_trace(scenario, allocation, trace)
-        # floor |S| - 1 decides whether the entity repairs all of S: it finds
-        # the full search's witness when it does, and nothing above the floor
-        # when it does not
-        lattice = scenario.lattice
         for entity in scenario.entities:
             members = [j for j, nid in enumerate(scenario.node_ids) if nid in sets[entity.id]]
-            if not members:
-                continue
-            healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, lattice.incs[entity.id]))
-            full = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6)
-            decided = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6, len(members) - 1)
-            if full[0] == len(members):
-                assert decided == full
-                tight += 1
-            else:
-                assert decided[0] <= len(members) - 1
-                loose += 1
+            if members:
+                if decides_as_the_full_search(scenario, entity.id, members):
+                    tight += 1
+                else:
+                    loose += 1
     assert tight >= 20 and loose >= 10, (tight, loose)  # both outcomes are exercised
+
+
+def decides_as_the_full_search(scenario: Scenario, eid: str, members: list[int]) -> bool:
+    """Whether entity ``eid`` repairs all of ``members``, after checking that floor |S| - 1 decides it: the decision
+    search finds the full search's witness when the entity does, and nothing above the floor when it does not."""
+    lattice = scenario.lattice
+    healths, decs, incs = (tuple(v[j] for j in members) for v in (lattice.v0, lattice.decs, lattice.incs[eid]))
+    full = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6)
+    decided = _kernel.solve_allocation(healths, lattice.unit, decs, incs, 10**6, len(members) - 1)
+    if full[0] == len(members):
+        assert decided == full, (scenario, eid, members)
+        return True
+    assert decided == (len(members) - 1, ()), (scenario, eid, members)
+    return False
+
+
+def test_a_decision_search_finds_the_full_search_s_witness_on_sets_with_rates_above_decay():
+    # the oracle's witness replays a decision search's targets for a set
+    # that only the kernel decides, which has a rate above its decay; on
+    # every set of two or more members of 100 draws whose rates are half or
+    # twice their decay, the decision search must decide as the full search
+    # does, and return its witness exactly when the set is tight
+    rng = random.Random(20261020)
+    counts = {(tight, above): 0 for tight in (True, False) for above in (True, False)}
+    for _ in range(100):
+        scenario = half_or_double_rates(rng)
+        lattice, n = scenario.lattice, len(scenario.nodes)
+        for eid in scenario.entity_ids:
+            for mask in range(1 << n):
+                if mask.bit_count() > 1:
+                    members = [j for j in range(n) if mask >> j & 1]
+                    above = any(lattice.incs[eid][j] > lattice.decs[j] for j in members)
+                    counts[decides_as_the_full_search(scenario, eid, members), above] += 1
+    assert min(counts.values()) >= 50, counts  # tight and not, with and without a rate above decay
 
 
 @st.composite

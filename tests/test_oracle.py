@@ -23,7 +23,7 @@ from repairalloc.oracle import (
 )
 from repairalloc.policies import LeastModifiedHealth
 
-from generators import random_repair_dominant, random_uniform_regime
+from generators import half_or_double_rates, random_repair_dominant, random_uniform_regime
 from reference_search import (
     feasible_allocations_by_product,
     sequencing_reward_full,
@@ -312,19 +312,22 @@ def test_the_walk_s_per_node_bound_is_the_slot_rank_of_every_subset():
 
 
 def test_the_closed_form_targets_repair_the_set_and_the_optimum_is_the_full_search_s(monkeypatch):
-    # a witness set that rule (n) finds an order for takes that order's
-    # targets without a kernel search: its optimum must be the full search's
-    # and the targets, stepped on the slice, must repair every member; a set
-    # that no order repairs is searched in full; checked on every lone node
-    # and on sampled sets of the bundled scenarios and of draws of up to 8 x 3
+    # ``_decide`` gives a set the runs of a schedule that repairs it, or ()
+    # when it is not tight: the runs, stepped on the slice, must repair every
+    # member exactly when the full search's optimum is the set's size; a set
+    # that rule (n) orders takes its runs in closed form, without a search,
+    # and only a set that no rule decides gets a decision search; checked on
+    # every lone node and on sampled sets of the bundled scenarios, of draws
+    # of up to 8 x 3 and of draws whose rates are half or twice their decay
     solve = _kernel.solve_allocation
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     rng = random.Random(8123)
     scenarios = [build() for build in DEMOS.values()]
     for _ in range(25):
         scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
+    scenarios += [half_or_double_rates(rng) for _ in range(25)]  # where (n) leaves some sets to the decision search
     closed = {True: 0, False: 0}  # closed forms taken, for lone nodes and for larger sets
-    searched = 0
+    searched = refuted = 0
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = list(range(1, 1 << n))
@@ -333,16 +336,25 @@ def test_the_closed_form_targets_repair_the_set_and_the_optimum_is_the_full_sear
                 members = [j for j in range(n) if mask >> j & 1]
                 searches.clear()
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                optimum, targets = oracle._optimum(values, lattice.unit, oracle.DEFAULT_CAP, None)  # no store
+                runs = oracle._decide(values, lattice.unit, oracle.DEFAULT_CAP)
                 decs, rates, healths = zip(*values)
-                assert optimum == solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP)[0], scenario
+                tight = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP)[0] == len(members)
+                assert bool(runs) is tight, scenario
+                if runs:
+                    assert stepped(values, lattice.unit, expanded(runs)) == [lattice.unit] * len(members), scenario
                 if searches:
-                    assert len(members) > 1, scenario  # a lone node's one order repairs it, by (e)
+                    assert len(members) > 1, scenario  # a lone node's one run repairs it, by (e)
                     searched += 1
-                else:
-                    assert stepped(values, lattice.unit, targets) == [lattice.unit] * len(members), scenario
+                elif runs:
                     closed[len(members) == 1] += 1
-    assert min(closed.values()) >= 300 and searched >= 1000, (closed, searched)
+                else:
+                    refuted += 1
+    assert min(closed.values()) >= 300 and searched >= 100 and refuted >= 1000, (closed, searched, refuted)
+
+
+def expanded(runs) -> list[int]:
+    """The slice positions a schedule's runs target, one per step."""
+    return [i for i, steps in runs for _ in range(steps)]
 
 
 def stepped(values: tuple, unit: int, targets) -> list[int]:
@@ -454,9 +466,44 @@ def test_a_decision_search_over_the_memo_cap_fails_the_call(monkeypatch, scenari
     assert seen == [(2, 1)]
 
 
-def decisions(monkeypatch) -> list[tuple[tuple, bool, bool]]:
+def witness_gap_trio() -> Scenario:
+    # u's rate on "a" is twice the decay, so rule (n) leaves u's {"a", "b"}
+    # to the kernel, whose decision search finds it tight in fewer states
+    # than a full search of the set holds; {"a", "c"} and {"a", "b", "c"}
+    # are not tight, so the optimum is u's {"a", "b"}
+    nodes = tuple(NodeSpec(nid, F(v0), F(1, 8)) for nid, v0 in zip("abc", ("1/5", "1/2", "3/10")))
+    return Scenario(nodes, (EntitySpec("u", F(1), {"a": F(1, 4), "b": F(1, 16), "c": F(1, 16)}),), None)
+
+
+def test_the_witness_answers_at_every_memo_cap_that_the_decisions_fit():
+    # the witness replays the runs its decisions stored and searches
+    # nothing, so a call whose every decision search fits the memo cap
+    # answers with the default cap's optimum, witness allocation and trace:
+    # here the decisions need 28 states, a full search of u's {"a", "b"} 32;
+    # likewise on three draws whose rates are half or twice their decay, at
+    # the states their decisions need
+    scenario = witness_gap_trio()
+    expected = oracle_optimal(scenario)
+    assert expected.optimal_reward == 2 and expected.witness_allocation.sets == {"u": frozenset("ab")}
+    for memo_cap in (28, 29, 30, 31):
+        result = oracle_optimal(scenario, memo_cap=memo_cap)
+        assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (
+            expected.optimal_reward, expected.witness_allocation, expected.witness_trace
+        ), memo_cap
+    with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 27"):
+        oracle_optimal(scenario, memo_cap=27)
+    rng = random.Random(20261020)
+    draws = [half_or_double_rates(rng) for _ in range(82)]
+    for i, memo_cap in ((9, 414), (40, 36), (81, 202)):
+        expected, result = oracle_optimal(draws[i]), oracle_optimal(draws[i], memo_cap=memo_cap)
+        assert (result.optimal_reward, result.witness_allocation, result.witness_trace) == (
+            expected.optimal_reward, expected.witness_allocation, expected.witness_trace
+        ), i
+
+
+def decisions(monkeypatch) -> list[tuple[tuple, tuple, bool]]:
     """Record every slice that reaches the oracle's ``_decide``: (slice, verdict, whether it searched)."""
-    seen: list[tuple[tuple, bool, bool]] = []
+    seen: list[tuple[tuple, tuple, bool]] = []
     searches = counted(monkeypatch, _kernel, "solve_allocation")
     decide = oracle._decide
 
@@ -483,30 +530,34 @@ def test_value_equal_sets_share_one_verdict(monkeypatch):
     # never reaches a decision (rule (f)); f's cost is not e's, so the two
     # are not twins under the walk's rule (p), which would skip f's sets
     # while e holds none.  The kernel decides {"a", "b"} tight, so its
-    # verdict is True; rule (n) decides {"b", "c"}, so its verdict is the
-    # order that repairs it in turn
+    # verdict is the decision search's targets, grouped into runs, which
+    # interleave "a" and "b"; rule (n) decides {"b", "c"}, so its verdict is
+    # the runs of the order that repairs it in turn, and (i) refutes
+    # {"a", "b", "c"}
     scenario = overflow_below_the_bound(same_rates=True)
-    assert slice_of(scenario, "e", "ab") == slice_of(scenario, "f", "ab")
+    ab, bc, unit = slice_of(scenario, "e", "ab"), slice_of(scenario, "e", "bc"), scenario.lattice.unit
+    assert ab == slice_of(scenario, "f", "ab")
     decided = decisions(monkeypatch)
     result = oracle_optimal(scenario)
-    bc = slice_of(scenario, "e", "bc")
     assert [(values, searched) for values, _, searched in decided] == [
-        (slice_of(scenario, "e", "ab"), True),
+        (ab, True),
         (slice_of(scenario, "e", "abc"), False),
         (bc, False),
     ]
     (_, ab_verdict, _), (_, abc_verdict, _), (_, bc_verdict, _) = decided
-    assert ab_verdict is True and abc_verdict is False
-    assert repairs_in_turn(bc, scenario.lattice.unit, bc_verdict)
+    assert stepped(ab, unit, expanded(ab_verdict)) == [unit] * 2 and len(ab_verdict) > 2
+    assert abc_verdict == ()
+    assert repairs_in_turn(bc, unit, [i for i, _ in bc_verdict]) and len(bc_verdict) == 2
     assert result.optimal_reward == 2
 
 
 def test_the_store_keeps_each_order_rule_n_finds_and_the_witness_reads_it(monkeypatch):
     # the walk's store holds, for each slice rule (n) decides tight, the
-    # order it found, so one oracle_optimal call runs rule (n) at most once
-    # for each distinct slice it decides and never while it builds the
-    # witness, which takes each set's order from the store; every stored
-    # order must repair its set in turn, in closed form and by stepping
+    # runs of the order it found, so one oracle_optimal call runs rule (n)
+    # at most once for each distinct slice it decides and never while it
+    # builds the witness, which takes each set's runs from the store; every
+    # stored order must repair its set in turn, and its runs must be the
+    # closed form's for that order and repair the set when stepped
     decided = decisions(monkeypatch)
     ordered: list[tuple] = []  # the slice of every rule (n) call
     witnessing: list[int] = []  # the rule (n) calls made while the witness is built
@@ -537,10 +588,12 @@ def test_the_store_keeps_each_order_rule_n_finds_and_the_witness_reads_it(monkey
         assert len(set(ordered)) == len(ordered), scenario
         assert set(ordered) <= {values for values, _, _ in decided}, scenario
         for values, verdict, searched in decided:
-            if verdict and verdict is not True:
+            if verdict:
                 assert not searched, scenario
-                assert oracle._in_turn(values, verdict, unit) is not None, scenario
-                assert repairs_in_turn(values, unit, verdict), scenario
+                order = [i for i, _ in verdict]
+                assert oracle._in_turn(values, order, unit) == verdict, scenario
+                assert repairs_in_turn(values, unit, order), scenario
+                assert stepped(values, unit, expanded(verdict)) == [unit] * len(values), scenario
                 stored += 1
     assert stored >= 150, stored
 
@@ -603,7 +656,8 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
     # verdict without a search that none of them explains fails the test,
     # and each rule must fire exactly as often as it did when these counts
     # were recorded; the slot bound (k) and the twin rule (p) cut subtrees
-    # whose decisions an earlier pin counted
+    # whose decisions an earlier pin counted.  A verdict that took a search
+    # must be that search's targets, grouped into runs
     solve = _kernel.solve_allocation
     decided = decisions(monkeypatch)
     rng = random.Random(2417)
@@ -618,37 +672,26 @@ def test_every_verdict_the_store_gives_without_a_search_is_the_decision_search_s
         oracle_optimal(scenario)
         assert len({values for values, _, _ in decided}) == len(decided), scenario
         for values, verdict, searched in decided:
+            size = len(values)
+            decs, rates, healths = zip(*values)
+            decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
+            assert bool(verdict) is (decision[0] == size), scenario
             if not searched:
-                size = len(values)
-                decs, rates, healths = zip(*values)
-                decision = solve(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, size - 1)
-                assert (verdict is not False) is (decision[0] == size), scenario
                 if lifetime_bound_refutes(values):
                     rule = "i"
                 elif some_order_repairs(values, lattice.unit):
-                    assert repairs_in_turn(values, lattice.unit, verdict), scenario  # the order (n) found
+                    assert repairs_in_turn(values, lattice.unit, [i for i, _ in verdict]), scenario  # the order (n) found
                     rule = "n tight"
                 elif decays_dominate(values):
-                    assert verdict is False, scenario
+                    assert verdict == (), scenario
                     rule = "n refuted"
                 else:
                     pytest.fail(f"no rule explains the verdict on {values} in {scenario}")
                 fired[rule] += 1
             else:
-                assert verdict is True or verdict is False, scenario  # the decision search's own verdict
+                assert expanded(verdict) == list(decision[1]), scenario  # the decision search's own targets
+                assert all(i != j for (i, _), (j, _) in zip(verdict, verdict[1:])), scenario  # in maximal runs
     assert fired == {"i": 54, "n tight": 181, "n refuted": 83}, fired
-
-
-def half_or_double_rates(rng: random.Random) -> Scenario:
-    """A draw of 3 to 5 nodes that share one decay, under one or two entities whose rate on each node is half or
-    twice that decay, with no budget: where a rate exceeds its decay, rule (n) leaves the set to the other rules."""
-    dec = F(1, rng.choice((8, 10, 12)))
-    nodes = tuple(NodeSpec(nid, F(rng.randint(2, 9), 10), dec) for nid in "abcde"[: rng.randint(3, 5)])
-    entities = tuple(
-        EntitySpec(eid, F(1), {node.id: dec * rng.choice((F(1, 2), F(2))) for node in nodes})
-        for eid in "uv"[: rng.randint(1, 2)]
-    )
-    return Scenario(nodes, entities, None)
 
 
 def lifetime_bound_refutes(values: tuple) -> bool:
@@ -685,20 +728,22 @@ def decays_dominate(values: tuple) -> bool:
     return all(dec >= inc for dec, inc, _ in values)
 
 
-def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
+def test_the_lifetime_rules_agree_with_the_kernel_s_decision(monkeypatch):
     # rule (i) refutes only sets that the kernel's decision search refutes,
     # rule (n) confirms only sets that it finds tight and decides every set
-    # whose decays are at least its rates as the kernel does, and the
-    # greedy largest repairable subset keeps all of a set exactly when (i)
-    # passes, so a refuted set that the greedy keeps whole is (n)'s; checked
-    # on sampled sets of the bundled scenarios, of draws of up to 8 x 3 and of
-    # draws whose rates are half or twice their decay
+    # whose decays are at least its rates as the kernel does, so ``_decide``
+    # searches only outside that regime, and the greedy largest repairable
+    # subset keeps all of a set exactly when (i) passes, so a refuted set
+    # that the greedy keeps whole and that took no search is (n)'s; checked
+    # on sampled sets of the bundled scenarios, of draws of up to 8 x 3 and
+    # of draws whose rates are half or twice their decay
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
     rng = random.Random(6113)
     scenarios = [build() for build in DEMOS.values()]
     for _ in range(25):
         scenarios += [family(rng, max_nodes=8, max_entities=3) for family in (random_repair_dominant, random_uniform_regime)]
-    scenarios += [half_or_double_rates(rng) for _ in range(25)]  # where sets outside (n)'s reach stay unsettled
-    settled = {False: 0, "order": 0, None: 0, "n refuted": 0}
+    scenarios += [half_or_double_rates(rng) for _ in range(25)]  # where sets outside (n)'s reach go to the kernel
+    settled = {"refuted": 0, "order": 0, "searched": 0, "n refuted": 0}
     for scenario in scenarios:
         lattice, n = scenario.lattice, len(scenario.nodes)
         masks = [mask for mask in range(1 << n) if mask.bit_count() > 1]
@@ -706,25 +751,27 @@ def test_the_lifetime_rules_agree_with_the_kernel_s_decision():
             for mask in rng.sample(masks, min(len(masks), 24)):
                 members = [j for j in range(n) if mask >> j & 1]
                 values = tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in members)
-                verdict = oracle._settled(values, lattice.unit)
-                settled[verdict if verdict is None or verdict is False else "order"] += 1
+                searches.clear()
+                verdict = oracle._decide(values, lattice.unit, oracle.DEFAULT_CAP)
+                searched = bool(searches)
+                settled["searched" if searched else "order" if verdict else "refuted"] += 1
                 greedy = largest_repairable_subset(scenario, [scenario.nodes[j] for j in members])
                 if len(greedy) < len(members):
-                    assert verdict is False, scenario  # (i)
-                elif verdict is False:
+                    assert verdict == () and not searched, scenario  # (i)
+                elif not verdict and not searched:
                     assert decays_dominate(values), scenario  # (n), as (i) passed
                     settled["n refuted"] += 1
-                assert verdict is not None or not decays_dominate(values), scenario
-                if verdict is not None:
+                assert not searched or not decays_dominate(values), scenario
+                if not searched:
                     decs, rates, healths = zip(*values)
                     reward, _ = _kernel.solve_allocation(healths, lattice.unit, decs, rates, oracle.DEFAULT_CAP, len(members) - 1)
-                    assert (reward == len(members)) is (verdict is not False), scenario
-                if verdict:  # a tight verdict is the order that repairs the set in turn
-                    assert repairs_in_turn(values, lattice.unit, verdict), scenario
+                    assert (reward == len(members)) is bool(verdict), scenario
+                    if verdict:  # a tight verdict is the runs of the order that repairs the set in turn
+                        assert repairs_in_turn(values, lattice.unit, [i for i, _ in verdict]), scenario
     assert min(settled.values()) >= 50, settled
 
 
-def test_rule_n_decides_as_the_kernel_and_every_order_do():
+def test_rule_n_decides_as_the_kernel_and_every_order_do(monkeypatch):
     # proof (n): repairing the members one at a time, in some order, repairs
     # a tight set in every regime, and where every member's decay is at least
     # its rate a set is tight exactly when some order repairs it; on seeded
@@ -732,8 +779,9 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
     # decay equal to rate and rates above decay included, the DP's verdict
     # must be a brute force's over every order, a tight verdict the kernel's
     # decision search's, and where decays dominate every verdict the
-    # kernel's; the store must hold the DP's order exactly when it finds
-    # one, and that order must repair the set in turn
+    # kernel's; the store must hold the runs of the DP's order exactly when
+    # it finds one, that order must repair the set in turn, and its runs
+    # must be the closed form's for it
     rng = random.Random(3571)
     seen = {"tight": 0, "not tight": 0, "beyond the first order": 0, "decay = rate": 0, "decay > rate": 0}
     seen |= {"rate > decay, tight": 0, "rate > decay, not tight": 0}
@@ -748,30 +796,34 @@ def test_rule_n_decides_as_the_kernel_and_every_order_do():
         decs, rates, healths = zip(*values)
         reward, _ = _kernel.solve_allocation(healths, unit, decs, rates, oracle.DEFAULT_CAP, len(values) - 1)
         by_lifetime = sorted(range(len(values)), key=lambda j: math.ceil(Fraction(values[j][2], values[j][0])))
-        order = oracle._repairing_order(values, unit, by_lifetime)
-        verdict = order is not None
+        runs = oracle._repairing_order(values, unit, by_lifetime)
+        verdict = runs is not None
         assert verdict is some_order_repairs(values, unit), (values, unit)
         if verdict:  # the order found repairs the set in turn, by the closed form and by stepping
+            order = [i for i, _ in runs]
             assert sorted(order) == list(range(len(values))), (values, unit)
-            assert oracle._in_turn(values, order, unit) is not None, (values, unit)
+            assert oracle._in_turn(values, order, unit) == runs, (values, unit)
             assert repairs_in_turn(values, unit, order), (values, unit)
         assert not verdict or reward == len(values), (values, unit)
-        settled = oracle._settled(values, unit)
-        assert settled == order if verdict else settled is None or settled is False, (values, unit)
+        decided = oracle._decide(values, unit, oracle.DEFAULT_CAP)
+        assert decided == runs if verdict else bool(decided) is (reward == len(values)), (values, unit)
         seen["beyond the first order"] += verdict and not earliest_deadline_first_repairs(values, unit)
         if decays_dominate(values):
-            assert verdict is (reward == len(values)) and (settled is not False) is verdict, (values, unit)
+            assert verdict is (reward == len(values)) and bool(decided) is verdict, (values, unit)
             seen["tight" if verdict else "not tight"] += 1
             seen["decay = rate" if any(dec == rate for dec, rate, _ in values) else "decay > rate"] += 1
         else:
             seen["rate > decay, tight" if verdict else "rate > decay, not tight"] += 1
     assert min(seen.values()) >= 20, seen
     # outside the regime no order may repair a tight set: with unit 24, the
-    # kernel repairs both members here by interleaving, so (n) must not decide it
+    # kernel repairs both members here by interleaving, so (n) must not
+    # decide it, and ``_decide`` takes the decision search's runs
     values, unit = ((1, 21, 2), (8, 11, 7)), 24
     assert _kernel.solve_allocation((2, 7), unit, (1, 8), (21, 11), oracle.DEFAULT_CAP, 1)[0] == 2
     assert not some_order_repairs(values, unit)
-    assert oracle._settled(values, unit) is None
+    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    runs = oracle._decide(values, unit, oracle.DEFAULT_CAP)
+    assert len(searches) == 1 and stepped(values, unit, expanded(runs)) == [unit] * 2
 
 
 def beyond_the_first_order() -> Scenario:
@@ -791,7 +843,7 @@ def test_rule_n_confirms_a_set_outside_the_regime_that_no_fixed_order_repairs(mo
     result = oracle_optimal(beyond_the_first_order())
     assert result.optimal_reward == 4
     assert result.witness_allocation.sets == {"u": frozenset("abde")}
-    assert len(searches) == 6
+    assert len(searches) == 5
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_a_lone_node_is_always_tight(seed, repair_dominant):
@@ -808,8 +860,8 @@ def test_a_lone_node_is_always_tight(seed, repair_dominant):
 
 
 def test_lone_nodes_are_searched_only_in_the_returned_allocation(monkeypatch):
-    # the walk takes a one-node set as tight without a search, so a one-node
-    # search runs only for a set of the returned witness allocation
+    # the walk takes a one-node set as tight without a search, and the
+    # witness gives it its one run in closed form, so no one-node search runs
     searches = []
     solve = _kernel.solve_allocation
 
@@ -822,10 +874,9 @@ def test_lone_nodes_are_searched_only_in_the_returned_allocation(monkeypatch):
     for scenario in [build() for build in DEMOS.values()] + walk_draws():
         searches.clear()
         result = oracle_optimal(scenario)
-        lone = sum(len(nodes) == 1 for nodes in result.witness_allocation.sets.values())
-        assert searches.count(1) <= lone, scenario
-        lone_sets += lone
-    assert lone_sets >= 20  # the witnesses hold lone nodes to search
+        assert 1 not in searches, scenario
+        lone_sets += sum(len(nodes) == 1 for nodes in result.witness_allocation.sets.values())
+    assert lone_sets >= 20  # the witnesses hold lone nodes
 
 
 def test_a_walk_deeper_than_the_stack_is_too_large():
@@ -882,7 +933,7 @@ def test_sequencing_reward_single_entity_cannot_save_all_five():
 
 def test_sequencing_reward_respects_memo_cap():
     # no order of one-at-a-time repairs saves both of the trio's {"a", "b"},
-    # so its full search runs under the cap
+    # so its decision search runs under the cap
     scenario = bound_overflow_trio(None)
     allocation = Allocation.build(scenario, {"e": {"a", "b"}})
     with pytest.raises(InstanceTooLarge, match="search exceeded the state cap of 5"):
@@ -1047,19 +1098,27 @@ def test_the_oracle_s_optima_and_witnesses_match_a_recorded_digest():
 
 # the same digests over 100 half_or_double_rates draws, whose sets mix rates
 # above and below their decays, so that rule (n) leaves some to the kernel,
-# and the kernel searches those draws make in all: decision searches, and
-# full searches for witness sets that no order repairs
+# and the kernel searches those draws make in all, each a decision search:
+# the witness takes every set's runs from the store
 MIXED_RATES_DIGEST = "8c0b5fb959e52119243b9ecb23a0af9aaebadd3862dfa9071eaa1ed8feb1be51"
 MIXED_RATES_ALLOCATION_DIGEST = "eb1ee43cf9b1c705a87f759de519f051d5636b4b666e6861de4678b9ab567a31"
-MIXED_RATES_SEARCHES = 318
+MIXED_RATES_SEARCHES = 296
 
 
 def test_the_oracle_s_optima_and_witnesses_on_mixed_rates_match_a_recorded_digest(monkeypatch):
-    searches = counted(monkeypatch, _kernel, "solve_allocation")
+    below_size = []  # each search's floor minus its set's size
+    solve = _kernel.solve_allocation
+
+    def recording(healths, unit, decs, incs, memo_cap, floor=-1):
+        below_size.append(floor - len(healths))
+        return solve(healths, unit, decs, incs, memo_cap, floor)
+
+    monkeypatch.setattr(_kernel, "solve_allocation", recording)
     rng = random.Random(20261020)
     results = [oracle_optimal(half_or_double_rates(rng)) for _ in range(100)]
     assert digests(results) == (MIXED_RATES_DIGEST, MIXED_RATES_ALLOCATION_DIGEST)
-    assert len(searches) == MIXED_RATES_SEARCHES
+    assert len(below_size) == MIXED_RATES_SEARCHES
+    assert set(below_size) == {-1}  # floor |S| - 1: the oracle searches only to decide
 
 
 def reach_draws(family, nodes: int, entities: int, count: int) -> list[Scenario]:
