@@ -152,7 +152,7 @@ class Scenario:
 
     @cached_property
     def walk_root(self) -> WalkRoot:
-        """What the oracle's walk reads of this scenario alone, worked out at the first oracle call."""
+        """What the oracle's walk and witness read of this scenario alone, worked out at their first call on it."""
         from repairalloc.oracle import WalkRoot  # the oracle imports this module
 
         return WalkRoot.of(self)

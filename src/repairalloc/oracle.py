@@ -131,11 +131,10 @@ L_j on, since 0 absorbs.
   member are distinct, each below its member's lifetime: S is
   *schedulable* on one entity, in the sense of ``model.schedulable`` with
   the lifetimes as the capacity, whose greedy in increasing lifetime
-  finds the largest schedulable subset of a set, its rank.  A decision
-  refutes S when its rank on one entity is below |S|, which by the Hall
-  condition that ``model.schedulable`` states holds exactly when, with
-  the lifetimes sorted, the one at 0-based index i is at most i.  That greedy is alg2's
-  ``largest_repairable_subset`` too.
+  keeps the largest schedulable subset of a set, its rank.  A decision
+  refutes S when that greedy keeps fewer than |S| of its members.  The
+  same greedy is alg2's ``largest_repairable_subset``, and on the slot
+  capacities of (k) it is the walk's bound.
 * **(n) Some order.**  Target the members one at a time, each until it
   reaches ``unit``, in some order.  A member whose turn comes after T
   steps has not been targeted yet, so its health is h' = h_j - T * dec_j
@@ -242,14 +241,12 @@ The walk's bound, its two rounds and the twin rule:
   whose sets are all tight and whose |A| is at most the round's root
   bound, and at a leaf, where H + U = A, it is at most the slot rank of
   A, at most |A|.  It is also at most |H + U|, the allocated plus
-  undecided count.  An entity's child keeps its parent's H + U, and so
-  its bound.  The unallocated child drops one node from H + U, which
-  lowers the rank by at most one, since a schedulable subset loses at
-  most that node; so while the parent's rank is known to exceed the root
-  bound, the child's bound is the root bound, and when H + U is
-  schedulable, so is every subset, and the child's rank is one less.
-  Only otherwise does the walk run the greedy, cached by the mask of
-  H + U.
+  undecided count, so the walk enters the unallocated child, and works
+  out its bound, only when that child's count exceeds the best reward.
+  An entity's child keeps its parent's H + U, and so its bound.  The
+  unallocated child drops its node from H + U, and its slot rank is the
+  greedy on the new mask, which the walk runs once per mask of H + U in
+  a call and keeps.
 * **(l) The seeded round, then the ascending walk.**  Every leaf the
   walk could record is tight for every entity, so it scores at most B,
   by (k).  The walk first runs with its best reward seeded at B - 1
@@ -373,9 +370,10 @@ def optimal_sequencing_reward(
     without a search where they can, else by its decision search.  A
     tight set scores its size and replays the schedule that decided it;
     only a set that is not tight gets a full search, for its optimum and
-    targets.  A search visits each reachable health vector of its set
-    once, with at most ``memo_cap`` vectors, so ``memo_cap`` bounds only
-    the searches that are made.  The witness
+    targets.  Each set's slice comes from ``Scenario.walk_root``, worked
+    out on first use.  A search visits each reachable health vector of its
+    set once, with at most ``memo_cap`` vectors, so ``memo_cap`` bounds
+    only the searches that are made.  The witness
     trace replays the entities' optimal target sequences in parallel
     through the simulator and therefore reproduces the claimed reward
     exactly; SearchInconsistency is raised if it does not, and
@@ -398,17 +396,19 @@ def optimal_sequencing_reward(
 def _decide(values: _Slice, unit: int, memo_cap: int) -> _Schedule:
     """The schedule of a set with slice ``values``, by rules (i) and (n), else by its decision search; () if not tight.
 
-    () when the lifetime bound (i) refutes the set; the runs of the order
-    that ``_repairing_order`` finds when some order of sequential repairs
-    saves every member (n); () when none does and every member's decay is
-    at least its rate.  Else the decision search's targets, grouped into
-    runs, when it repairs every member, and () when it does not.  Raises
-    InstanceTooLarge when the decision search holds ``memo_cap`` states.
+    () when the lifetime bound (i) refutes the set, that is, when
+    ``model.schedulable`` on the lifetimes keeps fewer than all its
+    members; the runs of the order that ``_repairing_order`` finds when
+    some order of sequential repairs saves every member (n); () when none
+    does and every member's decay is at least its rate.  Else the decision
+    search's targets, grouped into runs, when it repairs every member, and
+    () when it does not.  Raises InstanceTooLarge when the decision search
+    holds ``memo_cap`` states.
     """
     lifetimes = [-(-health // dec) for dec, _, health in values]  # ceil(h / dec)
     by_lifetime = sorted(range(len(values)), key=lifetimes.__getitem__)  # ties in position order
-    if any([lifetimes[j] <= i for i, j in enumerate(by_lifetime)]):
-        return ()  # (i): the i + 1 shortest lifetimes need i + 1 distinct first-target steps below the longest
+    if len(schedulable(lifetimes, by_lifetime)) < len(values):
+        return ()  # (i): the members cannot each take their own first-target step below their lifetime
     if (runs := _repairing_order(values, unit, by_lifetime)) is not None:
         return runs
     if all(dec >= inc for dec, inc, _ in values):
@@ -489,13 +489,12 @@ def _witness(
     Raises SearchInconsistency unless the replay repairs the summed
     optima.
     """
-    lattice, ids = scenario.lattice, scenario.node_ids
+    ids = scenario.node_ids
     reward = 0
     script: list[dict[str, Optional[str]]] = []
-    for eid, members in zip(scenario.entity_ids, sets):
+    for eid, members, row in zip(scenario.entity_ids, sets, scenario.walk_root.rows):
         if members:
-            incs = lattice.incs[eid]
-            optimum, runs = scheduled(tuple([(lattice.decs[j], incs[j], lattice.v0[j]) for j in members]))
+            optimum, runs = scheduled(tuple([row[j] for j in members]))
             reward += optimum
             targets = [ids[members[i]] for i, steps in runs for _ in range(steps)]
             script.extend({} for _ in range(len(targets) - len(script)))
@@ -509,18 +508,22 @@ def _witness(
 
 @dataclass(frozen=True, slots=True)
 class WalkRoot:
-    """What the walk reads of its scenario alone, held once per scenario as ``Scenario.walk_root``.
+    """What the walk and the witness read of their scenario alone, held once per scenario as ``Scenario.walk_root``.
 
+    ``rows`` gives each entity, in entity order, the (decay, rate, health)
+    of every node on the lattice, in node order: the rows that the walk's
+    slices extend by and that the witness reads its sets' slices from.
     ``by_lifetime`` lists the node positions in increasing lifetime, ties
     by position; ``capacity`` gives each node its number of slots, (k):
-    the slot steps below its lifetime, over every entity; and ``rank`` is
-    the slot rank of all nodes.  ``bound`` is the root bound B, (k), and
-    ``twins`` each entity's nearest earlier twin, or -1, (p).
+    the slot steps below its lifetime, over every entity.  ``bound`` is
+    the root bound B, (k), the smaller of the slot rank of all nodes and
+    the budget quotient, and ``twins`` each entity's nearest earlier twin,
+    or -1, (p).
     """
 
+    rows: tuple[_Slice, ...]
     by_lifetime: tuple[int, ...]
     capacity: tuple[int, ...]
-    rank: int
     bound: int
     twins: tuple[int, ...]
 
@@ -530,16 +533,17 @@ class WalkRoot:
         lifetimes, n = lattice.lifetimes, len(scenario.nodes)
         by_lifetime = tuple(sorted(range(n), key=lifetimes.__getitem__))
         rates = [lattice.incs[eid] for eid in scenario.entity_ids]
+        rows = tuple([tuple(zip(lattice.decs, incs, lattice.v0)) for incs in rates])
         steps = sorted([step for incs in rates for step in _slot_steps(lattice, incs, n)])
         capacity = tuple([bisect_left(steps, lifetime) for lifetime in lifetimes])
-        bound = rank = len(schedulable(capacity, by_lifetime))
+        bound = len(schedulable(capacity, by_lifetime))
         if (cheapest := min(costs)) > 0:
             bound = min(bound, room // cheapest)
         twins = tuple(
             next((i for i in range(k - 1, -1, -1) if costs[i] == costs[k] and rates[i] == rates[k]), -1)
             for k in range(len(costs))
         )
-        return WalkRoot(by_lifetime, capacity, rank, bound, twins)
+        return WalkRoot(rows, by_lifetime, capacity, bound, twins)
 
 
 def _slot_steps(lattice: Lattice, incs: IntVec, n: int) -> Sequence[int]:
@@ -592,11 +596,9 @@ def oracle_optimal(
     _require_cap(scenario, cap)
     n = len(scenario.nodes)
     costs, room = scenario.ledger.costs, scenario.ledger.budget
-    lattice, unit = scenario.lattice, scenario.lattice.unit
-    # entity k's (decay, rate, health) of every node, in node order: the rows its slices extend by
-    rows = [tuple(zip(lattice.decs, lattice.incs[eid], lattice.v0)) for eid in scenario.entity_ids]
+    unit = scenario.lattice.unit
     root = scenario.walk_root
-    by_lifetime, capacity, twins = root.by_lifetime, root.capacity, root.twins
+    rows, by_lifetime, capacity, twins = root.rows, root.by_lifetime, root.capacity, root.twins
     sets: list[list[int]] = [[] for _ in costs]  # each entity's members so far, in increasing position
     slices: list[_Slice] = [() for _ in costs]  # each entity's slice of its members
     tight: dict[_Slice, _Schedule] = {}  # the store: a slice of two or more members -> its schedule, or ()
@@ -605,22 +607,18 @@ def oracle_optimal(
     everything, ceiling = (1 << n) - 1, root.bound  # (k): the root bound B
     best_reward, best_sets = ceiling - 1, None  # (l): the seeded round
 
-    def visit(depth: int, spent: int, count: int, rest: int, lower: int, bound: int) -> None:
-        # rest: the nodes allocated or undecided; lower: their slot rank, or a lower bound on
-        # it that is at least the root bound; bound: the smaller of the two, this node's
+    def visit(depth: int, spent: int, count: int, rest: int, bound: int) -> None:
+        # rest: the nodes allocated or undecided, as a mask; bound: this node's, the smaller of
+        # the round's root bound and their slot rank
         nonlocal best_reward, best_sets
         if depth == n:
             best_reward, best_sets = count, [list(members) for members in sets]
             return
-        bit = 1 << depth
         if count + n - 1 - depth > best_reward:  # the count bound, which the slot bound never exceeds
-            # one node fewer lowers the rank by at most one, and by exactly one
-            # when all of them are schedulable
-            fewer = lower - 1 if lower > ceiling or lower == count + n - depth else ranks.get(less := rest ^ bit)
-            if fewer is None:  # the greedy, once per mask
+            if (fewer := ranks.get(less := rest ^ 1 << depth)) is None:  # the greedy, once per mask
                 fewer = ranks[less] = len(schedulable(capacity, [j for j in by_lifetime if less >> j & 1]))
             if (below := fewer if fewer < ceiling else ceiling) > best_reward:
-                visit(depth + 1, spent, count, rest ^ bit, fewer, below)
+                visit(depth + 1, spent, count, less, below)
         for k, cost in enumerate(costs):
             if bound <= best_reward:
                 return  # the slot bound, for this entity and every later one
@@ -637,15 +635,15 @@ def oracle_optimal(
                     continue
             members.append(depth)
             slices[k] = values
-            visit(depth + 1, spent + cost, count + 1, rest, lower, bound)
+            visit(depth + 1, spent + cost, count + 1, rest, bound)
             slices[k] = held
             members.pop()
 
     try:
-        visit(0, 0, 0, everything, root.rank, ceiling)
+        visit(0, 0, 0, everything, ceiling)
         if best_sets is None:  # (l): no leaf reaches B, so the ascending walk, under B - 1
             best_reward, ceiling = -1, ceiling - 1
-            visit(0, 0, 0, everything, root.rank, ceiling)
+            visit(0, 0, 0, everything, ceiling)
     except RecursionError:  # the walk recurses once per node, and the stack runs out first
         raise InstanceTooLarge(f"{n} nodes are too many for the walk, which recurses once per node") from None
     allocation = _allocation(scenario, best_sets)

@@ -270,8 +270,9 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
     # lifetime, and the slot rank is the largest matching of nodes into slots
     # below their lifetimes, never above the pooled rank, the matching with one
     # slot a step for every entity; the walk root's B is the smaller of the
-    # slot rank and the budget quotient, and its twins are entities of equal
-    # cost and equal lattice rates
+    # slot rank and the budget quotient, its twins are entities of equal cost
+    # and equal lattice rates, and its rows hold each entity's (decay, rate,
+    # health) of every node on the lattice
     in_regime = out_of_regime = below_the_pooled_rank = 0
     for scenario in walk_root_scenarios():
         lattice, ledger, root = scenario.lattice, scenario.ledger, scenario.walk_root
@@ -279,15 +280,20 @@ def test_the_walk_root_matches_stepped_slots_and_a_matching():
         steps = sorted(slots + stepwise)
         assert slot_steps(scenario) == steps, scenario
         assert root.capacity == tuple(sum(step < lifetime for step in steps) for lifetime in lattice.lifetimes), scenario
-        assert root.rank == slot_rank(scenario) == largest_matching(lattice.lifetimes, steps), scenario
-        assert root.rank <= pooled_rank(scenario), scenario
+        rank = slot_rank(scenario)
+        assert rank == largest_matching(lattice.lifetimes, steps), scenario
+        assert rank <= pooled_rank(scenario), scenario
         cheapest = min(ledger.costs)
-        assert root.bound == min(root.rank, ledger.budget // cheapest if cheapest else len(scenario.nodes)), scenario
+        assert root.bound == min(rank, ledger.budget // cheapest if cheapest else len(scenario.nodes)), scenario
         rates = [(cost, lattice.incs[eid]) for cost, eid in zip(ledger.costs, scenario.entity_ids)]
         assert root.twins == tuple(max([i for i in range(k) if rates[i] == rates[k]], default=-1) for k in range(len(rates)))
+        assert root.rows == tuple(
+            tuple((lattice.decs[j], lattice.incs[eid][j], lattice.v0[j]) for j in range(len(scenario.nodes)))
+            for eid in scenario.entity_ids
+        ), scenario
         in_regime += len(slots) > 0
         out_of_regime += len(stepwise) > 0
-        below_the_pooled_rank += root.rank < pooled_rank(scenario)
+        below_the_pooled_rank += rank < pooled_rank(scenario)
     counts = (in_regime, out_of_regime, below_the_pooled_rank)
     assert in_regime >= 20 and out_of_regime >= 20 and below_the_pooled_rank >= 5, counts
 
